@@ -10,14 +10,27 @@ tokens of document d in topic t, all excluding the token being resampled.
 Randomness comes from one stdlib ``random.Random(seed)`` generator whose
 ``random()`` stream is documented to be reproducible across Python versions
 and platforms, so a (corpus, config) pair fully determines the result.
+
+Each sweep runs in a small C function (``_gibbs.c``) that is compiled on first
+use and loaded with ctypes; when that fails, a plain-Python sweep runs
+instead. Both evaluate the same floating-point operations in the same order
+on the same uniforms, so they produce the same chain bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import logging
+import os
+import platform
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -97,56 +110,69 @@ class LdaModel:
             raise NotFoundError(f"document {doc_id!r} not in the model") from None
 
 
-def dirichlet_density(theta: Sequence[float], alpha: Sequence[float]) -> float:
+def dirichlet_density(
+    theta: Sequence[float] | np.ndarray, alpha: Sequence[float]
+) -> float | np.ndarray:
     """Dirichlet density Gamma(sum a) / prod Gamma(a_i) * prod theta_i^(a_i-1).
 
     Evaluated in log space with gammaln and exponentiated at the end.
-    ``theta`` must lie on the probability simplex within 1e-9; boundary zeros
-    follow the exact limit (0, 1, or +inf depending on the exponent).
+    ``theta`` is one point (k,) or a batch (m, k); a batch returns an (m,)
+    array. Every point must lie on the probability simplex within 1e-9;
+    boundary zeros follow the exact limit (0, 1, or +inf depending on the
+    exponent).
     """
     t = np.asarray(theta, dtype=np.float64)
     a = np.asarray(alpha, dtype=np.float64)
-    if t.ndim != 1 or a.shape != t.shape or t.size == 0:
-        raise DomainError("theta and alpha must be 1-D of equal positive length")
+    if t.ndim not in (1, 2) or a.ndim != 1 or t.shape[-1] != a.size or a.size == 0:
+        raise DomainError("theta must be (k,) or (m, k) and alpha (k,), with k >= 1")
     if np.any(a <= 0.0):
         raise DomainError("alpha entries must be positive")
-    if np.any(t < 0.0) or abs(float(t.sum()) - 1.0) > 1e-9:
+    points = t.reshape(-1, a.size)
+    if np.any(points < 0.0) or np.any(np.abs(points.sum(axis=1) - 1.0) > 1e-9):
         raise SimplexError("theta must be nonnegative and sum to 1 within 1e-9")
     log_norm = float(gammaln(a.sum()) - gammaln(a).sum())
-    zero = t == 0.0
-    if zero.any():
-        exps = a[zero] - 1.0
-        if np.any(exps < 0.0):
-            return float("inf")
-        if np.any(exps > 0.0):
-            return 0.0
-    rest = ~zero
-    log_kernel = float(np.sum((a[rest] - 1.0) * np.log(t[rest])))
-    return float(np.exp(log_norm + log_kernel))
+    exps = a - 1.0
+    zero = points == 0.0
+    log_kernel = np.where(zero, 0.0, exps * np.log(np.where(zero, 1.0, points)))
+    density = np.exp(log_norm + log_kernel.sum(axis=1))
+    density[(zero & (exps > 0.0)).any(axis=1)] = 0.0
+    density[(zero & (exps < 0.0)).any(axis=1)] = np.inf
+    return float(density[0]) if t.ndim == 1 else density
 
 
 def _vectorize(
     sequences: Sequence["TokenSequence"], vocab: "Vocabulary"
-) -> tuple[list[str], list[list[int]], list[str]]:
-    """Map token sequences to vocabulary ids, dropping empty documents."""
+) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+    """Map token sequences to flat vocabulary ids, dropping empty documents.
+
+    Returns the kept document ids, int64 token offsets (document d owns
+    ``words[offsets[d]:offsets[d + 1]]``), int32 word ids and the dropped ids.
+    """
     index = vocab.index
     doc_ids: list[str] = []
-    docs: list[list[int]] = []
+    offsets = [0]
+    words: list[int] = []
     dropped: list[str] = []
     for seq in sequences:
-        words = [index[t] for t in seq.tokens if t in index]
-        if words:
+        ids = [index[t] for t in seq.tokens if t in index]
+        if ids:
             doc_ids.append(seq.doc_id)
-            docs.append(words)
+            words.extend(ids)
+            offsets.append(len(words))
         else:
             dropped.append(seq.doc_id)
     if dropped:
         logger.warning(
             "dropping %d document(s) with no in-vocabulary tokens", len(dropped)
         )
-    if not docs:
+    if not doc_ids:
         raise EmptyCorpusError("no document has in-vocabulary tokens")
-    return doc_ids, docs, dropped
+    return (
+        doc_ids,
+        np.array(offsets, dtype=np.int64),
+        np.array(words, dtype=np.int32),
+        dropped,
+    )
 
 
 def seed_assignments(
@@ -157,10 +183,44 @@ def seed_assignments(
     Exposed so reproducibility experiments can start chains from an explicit
     (e.g. relabeled) state via ``fit_lda(..., initial_assignments=...)``.
     """
-    _, docs, _ = _vectorize(sequences, vocab)
+    _, offsets, _, _ = _vectorize(sequences, vocab)
     rng = Random(config.seed)
     k = config.k
-    return [[rng.randrange(k) for _ in doc] for doc in docs]
+    return [
+        [rng.randrange(k) for _ in range(n)] for n in np.diff(offsets).tolist()
+    ]
+
+
+def _initial_topics(
+    initial_assignments: Sequence[Sequence[int]], offsets: np.ndarray, k: int
+) -> np.ndarray:
+    """Validate explicit per-document assignments and flatten them to int32."""
+    lengths = np.diff(offsets).tolist()
+    if len(initial_assignments) != len(lengths):
+        raise ConfigError("initial_assignments must cover every kept document")
+    flat: list[int] = []
+    for d, (n, given) in enumerate(zip(lengths, initial_assignments)):
+        if len(given) != n:
+            raise ConfigError(f"initial assignment length mismatch in doc {d}")
+        row = [int(t) for t in given]
+        if any(t < 0 or t >= k for t in row):
+            raise ConfigError("initial assignment topic out of range")
+        flat.extend(row)
+    return np.array(flat, dtype=np.int32)
+
+
+def _uniform_stream(rng: Random) -> np.random.RandomState:
+    """A numpy generator that continues ``rng``'s Mersenne Twister state.
+
+    ``random_sample`` and ``Random.random`` both build a double from two
+    32-bit outputs the same way (genrand_res53), so the batch drawn here
+    holds exactly the values successive ``rng.random()`` calls would return.
+    """
+    _, internal, _ = rng.getstate()
+    stream = np.random.RandomState(0)
+    key, pos = np.array(internal[:-1], dtype=np.uint32), internal[-1]
+    stream.set_state(("MT19937", key, pos))
+    return stream
 
 
 def _log_likelihood(
@@ -170,6 +230,155 @@ def _log_likelihood(
     val = k * (gammaln(p * beta) - p * gammaln(beta))
     val += float(gammaln(n_wk + beta).sum() - gammaln(n_k + p * beta).sum())
     return float(val)
+
+
+# The C sweep: source next to this module, compiled once per (source, flags,
+# machine) into the user cache. FMA contraction or -ffast-math would round
+# the sampling weights differently from Python and change the chain.
+_KERNEL_SOURCE = Path(__file__).with_name("_gibbs.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _load_kernel() -> Callable[..., None]:
+    """Compile ``_gibbs.c`` if its library is not cached yet, then load it.
+
+    The compiler writes to a temporary name that is renamed into place, so a
+    concurrent run never loads a half-written library.
+    """
+    source = _KERNEL_SOURCE.read_bytes()
+    flags, machine = " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode()
+    key = hashlib.sha256(b"\0".join([source, flags, machine])).hexdigest()
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    cache = Path(base) / "corpus-scope"
+    library = cache / f"gibbs-{key[:24]}.so"
+    if not library.is_file():
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=library.name, suffix=".tmp", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(
+                ["gcc", *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
+                input=source, capture_output=True, check=True, timeout=120,
+            )
+            os.replace(tmp, library)
+        except subprocess.CalledProcessError as exc:
+            detail = exc.stderr.decode(errors="replace").strip()
+            raise OSError(f"gcc failed: {detail}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    sweep = ctypes.CDLL(str(library)).gibbs_sweep
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    i64_out = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
+    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    i32_out = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS,WRITEABLE")
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    f64_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    sweep.argtypes = [
+        ctypes.c_int64, i64, i32, i32_out, ctypes.c_int64, i64_out, i64_out,
+        i64_out, f64, f64_out, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+    ]
+    sweep.restype = None
+    return sweep
+
+
+@functools.cache
+def _gibbs_kernel() -> Callable[..., None] | None:
+    """The compiled sweep, or None (after one warning) when it is unavailable."""
+    try:
+        return _load_kernel()
+    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+        logger.warning(
+            "compiled Gibbs sweep unavailable, running the Python sweep: %s", exc
+        )
+        return None
+
+
+def gibbs_backend() -> str:
+    """The sweep :func:`fit_lda` runs in this process: ``native`` or ``python``."""
+    return "python" if _gibbs_kernel() is None else "native"
+
+
+def _sweep_python(
+    n_docs: int,
+    offsets: np.ndarray,
+    words: np.ndarray,
+    z: np.ndarray,
+    k: int,
+    n_wk: np.ndarray,
+    n_dk: np.ndarray,
+    n_k: np.ndarray,
+    u: np.ndarray,
+    cum: np.ndarray,
+    alpha: float,
+    beta: float,
+    vbeta: float,
+) -> None:
+    """One Gibbs sweep in place, in plain Python: the reference for ``_gibbs.c``.
+
+    Takes the C function's arguments. The tables are copied to nested lists
+    for the loop, because numpy scalar indexing would dominate it, and
+    written back at the end; a list also replaces the ``cum`` scratch array.
+    """
+    nwk, ndk, nk = n_wk.tolist(), n_dk.tolist(), n_k.tolist()
+    zs, ws, us, bounds = z.tolist(), words.tolist(), u.tolist(), offsets.tolist()
+    topics = range(k)
+    last = k - 1
+    cum = [0.0] * k
+    for d in range(n_docs):
+        ndk_d = ndk[d]
+        for i in range(bounds[d], bounds[d + 1]):
+            nwk_w = nwk[ws[i]]
+            old = zs[i]
+            nwk_w[old] -= 1
+            ndk_d[old] -= 1
+            nk[old] -= 1
+            total = 0.0
+            for t in topics:
+                total += (nwk_w[t] + beta) / (nk[t] + vbeta) * (ndk_d[t] + alpha)
+                cum[t] = total
+            x = us[i] * total
+            new = 0
+            while new < last and cum[new] < x:
+                new += 1
+            zs[i] = new
+            nwk_w[new] += 1
+            ndk_d[new] += 1
+            nk[new] += 1
+    n_wk[...] = nwk
+    n_dk[...] = ndk
+    n_k[...] = nk
+    z[...] = zs
+
+
+def _check_tables(
+    offsets: np.ndarray,
+    words: np.ndarray,
+    z: np.ndarray,
+    n_wk: np.ndarray,
+    n_dk: np.ndarray,
+    n_k: np.ndarray,
+    p: int,
+    k: int,
+) -> None:
+    """Shapes and index ranges the C sweep relies on without checking.
+
+    Dtypes, contiguity and writability are checked on every call by the
+    ``ndpointer`` argument types.
+    """
+    n_docs = offsets.size - 1
+    if (
+        words.shape != (offsets[-1],)
+        or z.shape != words.shape
+        or n_wk.shape != (p, k)
+        or n_dk.shape != (n_docs, k)
+        or n_k.shape != (k,)
+    ):
+        raise RuntimeError("Gibbs tables do not match the corpus shape")
+    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+        raise RuntimeError("Gibbs document offsets are not ascending from 0")
+    if words.min() < 0 or words.max() >= p or z.min() < 0 or z.max() >= k:
+        raise RuntimeError("Gibbs word id or topic out of range")
 
 
 def fit_lda(
@@ -185,113 +394,76 @@ def fit_lda(
     conservation after every sweep. With ``sample_averaging`` the phi/theta
     estimates average the post-burn-in sweeps instead of using final counts.
     """
-    doc_ids, docs, dropped = _vectorize(sequences, vocab)
+    doc_ids, offsets, words, dropped = _vectorize(sequences, vocab)
     k = config.k
     p = len(vocab)
     alpha = float(config.alpha)
     beta = float(config.beta)
     vbeta = p * beta
+    n_docs = len(doc_ids)
+    total_tokens = int(words.size)
     rng = Random(config.seed)
-    rand = rng.random
-
-    n_docs = len(docs)
-    total_tokens = sum(len(d) for d in docs)
-
-    # plain Python ints in nested lists: the inner loop below runs millions
-    # of times and numpy scalar indexing would dominate the runtime
-    n_wk = [[0] * k for _ in range(p)]
-    n_dk = [[0] * k for _ in range(n_docs)]
-    n_k = [0] * k
 
     if initial_assignments is None:
-        z: list[list[int]] = [[rng.randrange(k) for _ in doc] for doc in docs]
+        z = np.array([rng.randrange(k) for _ in range(total_tokens)], dtype=np.int32)
     else:
-        if len(initial_assignments) != n_docs:
-            raise ConfigError("initial_assignments must cover every kept document")
-        z = []
-        for d, (doc, given) in enumerate(zip(docs, initial_assignments)):
-            if len(given) != len(doc):
-                raise ConfigError(f"initial assignment length mismatch in doc {d}")
-            row = [int(t) for t in given]
-            if any(t < 0 or t >= k for t in row):
-                raise ConfigError("initial assignment topic out of range")
-            z.append(row)
+        z = _initial_topics(initial_assignments, offsets, k)
+    uniforms = _uniform_stream(rng)
 
-    for d, doc in enumerate(docs):
-        ndk_d = n_dk[d]
-        z_d = z[d]
-        for i, w in enumerate(doc):
-            t = z_d[i]
-            n_wk[w][t] += 1
-            ndk_d[t] += 1
-            n_k[t] += 1
+    doc_of_token = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offsets))
+    n_wk = np.bincount(words.astype(np.int64) * k + z, minlength=p * k).reshape(p, k)
+    n_dk = np.bincount(doc_of_token * k + z, minlength=n_docs * k).reshape(n_docs, k)
+    n_k = np.bincount(z, minlength=k)
+    n_wk, n_dk, n_k = (a.astype(np.int64, copy=False) for a in (n_wk, n_dk, n_k))
 
-    cum = [0.0] * k
+    sweep = _gibbs_kernel()
+    if sweep is None:
+        sweep = _sweep_python
+    else:
+        _check_tables(offsets, words, z, n_wk, n_dk, n_k, p, k)
+    cum = np.zeros(k)
+
     log_likelihoods: list[float] = []
     phi_acc = np.zeros((k, p)) if config.sample_averaging else None
     theta_acc = np.zeros((n_docs, k)) if config.sample_averaging else None
     averaged = 0
 
-    for sweep in range(config.iterations):
-        for d in range(n_docs):
-            doc = docs[d]
-            z_d = z[d]
-            ndk_d = n_dk[d]
-            for i, w in enumerate(doc):
-                old = z_d[i]
-                nwk_w = n_wk[w]
-                nwk_w[old] -= 1
-                ndk_d[old] -= 1
-                n_k[old] -= 1
-                total = 0.0
-                for t in range(k):
-                    total += (nwk_w[t] + beta) / (n_k[t] + vbeta) * (ndk_d[t] + alpha)
-                    cum[t] = total
-                u = rand() * total
-                new = 0
-                while cum[new] < u:
-                    new += 1
-                z_d[i] = new
-                nwk_w[new] += 1
-                ndk_d[new] += 1
-                n_k[new] += 1
+    for it in range(config.iterations):
+        u = uniforms.random_sample(total_tokens)
+        sweep(n_docs, offsets, words, z, k, n_wk, n_dk, n_k, u, cum, alpha, beta, vbeta)
 
         # exact conservation check: every margin must re-add to the token total
-        if sum(n_k) != total_tokens:
-            raise RuntimeError(f"count conservation violated at sweep {sweep}")
-        if sum(map(sum, n_wk)) != total_tokens or sum(map(sum, n_dk)) != total_tokens:
-            raise RuntimeError(f"count table margin mismatch at sweep {sweep}")
+        if int(n_k.sum()) != total_tokens:
+            raise RuntimeError(f"count conservation violated at sweep {it}")
+        if int(n_wk.sum()) != total_tokens or int(n_dk.sum()) != total_tokens:
+            raise RuntimeError(f"count table margin mismatch at sweep {it}")
 
-        nwk_arr = np.asarray(n_wk, dtype=np.float64)  # p x k
-        nk_arr = np.asarray(n_k, dtype=np.float64)
-        log_likelihoods.append(_log_likelihood(nwk_arr, nk_arr, k, p, beta))
+        log_likelihoods.append(_log_likelihood(n_wk, n_k, k, p, beta))
 
-        if config.sample_averaging and sweep >= config.burn_in:
-            ndk_arr = np.asarray(n_dk, dtype=np.float64)
-            phi_acc += (nwk_arr.T + beta) / (nk_arr + vbeta)[:, None]
-            theta_acc += (ndk_arr + alpha) / (ndk_arr.sum(axis=1) + k * alpha)[:, None]
+        if config.sample_averaging and it >= config.burn_in:
+            phi_acc += (n_wk.T + beta) / (n_k + vbeta)[:, None]
+            theta_acc += (n_dk + alpha) / (n_dk.sum(axis=1) + k * alpha)[:, None]
             averaged += 1
 
-    nwk_arr = np.asarray(n_wk, dtype=np.int64)
-    ndk_arr = np.asarray(n_dk, dtype=np.int64)
-    nk_arr = np.asarray(n_k, dtype=np.int64)
     if config.sample_averaging:
         phi = phi_acc / averaged
         theta = theta_acc / averaged
     else:
-        phi = (nwk_arr.T + beta) / (nk_arr.astype(np.float64) + vbeta)[:, None]
-        lens = ndk_arr.sum(axis=1).astype(np.float64)
-        theta = (ndk_arr + alpha) / (lens + k * alpha)[:, None]
+        phi = (n_wk.T + beta) / (n_k.astype(np.float64) + vbeta)[:, None]
+        lens = n_dk.sum(axis=1).astype(np.float64)
+        theta = (n_dk + alpha) / (lens + k * alpha)[:, None]
 
+    flat = z.tolist()
+    bounds = offsets.tolist()
     return LdaModel(
         config=config,
         doc_ids=tuple(doc_ids),
         terms=vocab.terms,
         phi=phi,
         theta=theta,
-        topic_word_counts=nwk_arr.T.copy(),
-        doc_topic_counts=ndk_arr,
-        assignments=tuple(tuple(row) for row in z),
+        topic_word_counts=n_wk.T.copy(),
+        doc_topic_counts=n_dk,
+        assignments=tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])),
         dropped_ids=tuple(dropped),
         log_likelihoods=tuple(log_likelihoods),
     )
@@ -300,15 +472,13 @@ def fit_lda(
 def top_words_per_topic(model: LdaModel, m: int = 10) -> list[list[str]]:
     """The ``m`` highest-probability terms per topic, count desc then term asc."""
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    out: list[list[str]] = []
-    for t in range(model.config.k):
-        counts = model.topic_word_counts[t]
-        order = sorted(
-            range(len(model.terms)), key=lambda j: (-int(counts[j]), model.terms[j])
-        )
-        out.append([model.terms[j] for j in order[:m]])
-    return out
+        raise ConfigError(f"m must be >= 1, got {m}")
+    terms = model.terms
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[sorted(range(len(terms)), key=terms.__getitem__)] = np.arange(len(terms))
+    counts = model.topic_word_counts
+    order = np.lexsort((np.broadcast_to(rank, counts.shape), -counts), axis=-1)
+    return [[terms[j] for j in row] for row in order[:, :m].tolist()]
 
 
 def doc_topic_distribution(model: LdaModel, doc_id: str) -> np.ndarray:

@@ -56,7 +56,7 @@ from .errors import (
     InsufficientDataError,
     StageError,
 )
-from .lda import LdaConfig, fit_lda, render_model, top_words_per_topic
+from .lda import LdaConfig, fit_lda, gibbs_backend, render_model, top_words_per_topic
 from .lsa import fit_ca, project_supplementary, representative_documents
 from .svgplot import line_chart, scatter_2d
 from .text_pipeline import (
@@ -112,6 +112,7 @@ class PipelineConfig:
             raise ConfigError("forecast_years must be >= 0")
         if self.top_terms < 1 or self.top_documents < 1:
             raise ConfigError("top_terms and top_documents must be >= 1")
+        self.lda_config()  # raises ConfigError before any stage writes a file
 
     def lda_config(self) -> LdaConfig:
         return LdaConfig(
@@ -499,6 +500,7 @@ def _lsa(run: _Run, stage: StageReport) -> None:
 def _lda(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
     model = fit_lda(run.sequences, run.vocab, cfg.lda_config())
+    stage.notes.append(f"gibbs backend {gibbs_backend()}")
     if model.dropped_ids:
         stage.notes.append(
             f"dropped documents without vocabulary tokens: {', '.join(model.dropped_ids)}"

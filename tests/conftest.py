@@ -41,6 +41,14 @@ def make_dtm(matrix, doc_ids=None, terms=None) -> SparseDTM:
     )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled Gibbs sweep into a per-session cache directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def mini_corpus_path() -> Path:
     res = importlib.resources.files("corpus_scope").joinpath("data/mini_corpus.csv")

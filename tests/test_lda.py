@@ -1,10 +1,13 @@
+import hashlib
 import logging
 import math
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import planted_corpus
+from corpus_scope import lda
 from corpus_scope.errors import (
     ConfigError,
     DomainError,
@@ -18,7 +21,9 @@ from corpus_scope.lda import (
     dirichlet_density,
     doc_topic_distribution,
     fit_lda,
+    gibbs_backend,
     load_model,
+    render_model,
     save_model,
     seed_assignments,
     top_words_per_topic,
@@ -64,6 +69,11 @@ def test_dirichlet_density_boundary_limits():
     assert dirichlet_density((0.0, 1.0), (2.0, 3.0)) == 0.0
     assert dirichlet_density((0.0, 1.0), (1.0, 2.0)) == pytest.approx(2.0)
     assert dirichlet_density((0.0, 1.0), (0.5, 2.0)) == math.inf
+    # a batch applies the limits row by row
+    batch = dirichlet_density([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)], (0.5, 2.0))
+    assert batch.shape == (3,)
+    assert batch[0] == math.inf and batch[2] == 0.0
+    assert batch[1] == dirichlet_density((0.5, 0.5), (0.5, 2.0))
 
 
 def test_dirichlet_density_validation():
@@ -79,13 +89,17 @@ def test_dirichlet_density_validation():
         dirichlet_density((0.5, 0.5), (1.0, 1.0, 1.0))
     with pytest.raises(DomainError):
         dirichlet_density((), ())
+    with pytest.raises(SimplexError):  # one bad row rejects the batch
+        dirichlet_density([(0.5, 0.5), (0.5, 0.6)], (1.0, 1.0))
+    with pytest.raises(DomainError):
+        dirichlet_density([[(0.5, 0.5)]], (1.0, 1.0))
 
 
 def test_dirichlet_density_integrates_to_one():
     # importance sampling against the uniform simplex density Gamma(k) = 2
     rng = np.random.default_rng(12345)
     samples = rng.dirichlet((1.0, 1.0, 1.0), size=200_000)
-    vals = np.array([dirichlet_density(s, (2.0, 3.0, 4.0)) for s in samples])
+    vals = dirichlet_density(samples, (2.0, 3.0, 4.0))
     integral = float(np.mean(vals / 2.0))
     assert abs(integral - 1.0) < 0.05
 
@@ -247,6 +261,94 @@ def test_label_permutation_reaches_the_same_mode():
     assert max(same, cross) >= 0.95
 
 
+# ------------------------------------------------------------ sweep backends
+
+
+def assert_same_chain(a, b):
+    assert a.assignments == b.assignments
+    assert np.array_equal(a.topic_word_counts, b.topic_word_counts)
+    assert np.array_equal(a.doc_topic_counts, b.doc_topic_counts)
+    assert a.log_likelihoods == b.log_likelihoods
+    assert a.phi.tobytes() == b.phi.tobytes()
+    assert a.theta.tobytes() == b.theta.tobytes()
+
+
+def backend_case(case):
+    """(sequences, vocab, config, initial_assignments) for one comparison."""
+    sequences, _ = planted_corpus(np.random.default_rng(31), n_docs=40)
+    config = LdaConfig(iterations=60, burn_in=20, seed=7)  # default k and priors
+    init = None
+    if case == "sample_averaging":
+        config = quick_config(sample_averaging=True)
+    elif case == "initial_assignments":
+        config = quick_config()
+        init = [[1 - z for z in row] for row in seed_assignments(
+            sequences, build_vocabulary(sequences), config)]
+    elif case == "single_topic":
+        config = quick_config(k=1)
+    elif case == "empty_document":
+        sequences = [*sequences[:5], TokenSequence("empty", ()), *sequences[5:]]
+        config = quick_config()
+    return sequences, build_vocabulary(sequences), config, init
+
+
+@pytest.mark.parametrize("case", [
+    "defaults", "sample_averaging", "initial_assignments", "single_topic",
+    "empty_document",
+])
+def test_native_sweep_reproduces_the_python_sweep(case, monkeypatch):
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler to build the native sweep")
+    assert gibbs_backend() == "native"
+    sequences, vocab, config, init = backend_case(case)
+    native = fit_lda(sequences, vocab, config, initial_assignments=init)
+    monkeypatch.setattr(lda, "_gibbs_kernel", lambda: None)
+    assert gibbs_backend() == "python"
+    python = fit_lda(sequences, vocab, config, initial_assignments=init)
+    assert_same_chain(native, python)
+
+
+def test_unbuildable_kernel_falls_back_to_the_python_sweep(monkeypatch, caplog):
+    sequences, vocab, config, _ = backend_case("defaults")
+    expected = fit_lda(sequences, vocab, config)
+
+    def no_compiler():
+        raise FileNotFoundError("gcc")
+
+    monkeypatch.setattr(lda, "_load_kernel", no_compiler)
+    lda._gibbs_kernel.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger="corpus_scope.lda"):
+            fallback = fit_lda(sequences, vocab, config)
+            assert gibbs_backend() == "python"
+    finally:
+        lda._gibbs_kernel.cache_clear()
+    assert len(caplog.records) == 1
+    assert "Python sweep" in caplog.records[0].getMessage()
+    assert_same_chain(fallback, expected)
+
+
+def test_native_sweep_inputs_are_bounds_checked():
+    offsets = np.array([0, 2])
+    z = np.zeros(2, dtype=np.int32)
+    n_wk, n_dk, n_k = (np.zeros(shape, np.int64) for shape in [(3, 2), (1, 2), 2])
+    tables = (n_wk, n_dk, n_k)
+    lda._check_tables(offsets, np.array([0, 2], np.int32), z, *tables, p=3, k=2)
+    with pytest.raises(RuntimeError):  # word id 3 is outside a 3-term vocabulary
+        lda._check_tables(offsets, np.array([0, 3], np.int32), z, *tables, p=3, k=2)
+
+
+def test_chain_matches_the_pinned_reference():
+    # SHA-256 of the model file written by the nested-list Python sampler
+    # that the flat-array sweeps replaced: both must continue its chain,
+    # including the hand-over from Random.randrange to numpy's uniforms
+    sequences, _ = planted_corpus(np.random.default_rng(2024), n_docs=40)
+    config = LdaConfig(k=3, iterations=30, burn_in=10, seed=42, sample_averaging=True)
+    model = fit_lda(sequences, build_vocabulary(sequences), config)
+    digest = hashlib.sha256(render_model(model).encode()).hexdigest()
+    assert digest == "30f97454e54f32414f67396cf95a56238910147fa710f052aaa4b797c926bf9b"
+
+
 # ------------------------------------------------------------ inspection
 
 
@@ -262,6 +364,8 @@ def test_top_words_per_topic_respects_counts_and_ties():
         assert words == [model.terms[j] for j in expect]
     everything = top_words_per_topic(model, m=10_000)
     assert all(len(words) == len(model.terms) for words in everything)
+    with pytest.raises(ConfigError):
+        top_words_per_topic(model, m=0)
 
 
 def test_doc_topic_distribution_lookup():

@@ -80,6 +80,8 @@ def test_run_report_structure(run_dir):
     assert report["config"]["seed"] == 42
     # the fixture has one known year-less record, kept but flagged
     assert [(e["row"], e["dropped"]) for e in report["record_errors"]] == [(60, False)]
+    lda_notes = next(s["notes"] for s in report["stages"] if s["name"] == "lda")
+    assert {"gibbs backend native", "gibbs backend python"} & set(lda_notes)
 
 
 def test_report_hashes_match_the_files(run_dir):
@@ -254,6 +256,15 @@ def test_cli_bad_config_exits_2(mini_corpus_path, tmp_path, capsys):
     assert run_cli("run", "--input", mini_corpus_path, "--out", tmp_path,
                    "--vocab-size", "-5") == 2
     capsys.readouterr()
+
+
+def test_cli_lda_settings_are_checked_before_any_stage(mini_corpus_path, tmp_path,
+                                                      capsys):
+    out = tmp_path / "never"
+    assert run_cli("run", "--input", mini_corpus_path, "--out", out,
+                   "--burn-in", "50", "--iters", "10") == 2
+    assert not out.exists() or not any(out.iterdir())
+    assert "burn_in" in capsys.readouterr().err
 
 
 def test_cli_empty_result_exits_3(mini_corpus_path, tmp_path, capsys):
