@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import enum
 import xml.sax.saxutils
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, SchemaError
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .text_pipeline import TokenSequence
+from .text_pipeline import TokenArray, TokenSequence, as_token_array, csv_field
 
 DEFAULT_THRESHOLD = 150
 
@@ -21,15 +22,61 @@ class GraphFormat(enum.Enum):
     EDGE_CSV = "csv"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BigramTable:
-    """Counts of ordered adjacent token pairs across a corpus."""
+    """Counts of ordered adjacent token pairs across a corpus.
 
-    pairs: Mapping[tuple[str, str], int]
+    The distinct pairs are arrays over the token array's codes: ``keys``
+    holds ``first * len(types) + second`` in ascending order and ``counts``
+    the frequency of each. ``pairs`` reads them as a (first, second) -> count
+    mapping that decodes to strings only when it is read.
+    """
+
+    types: tuple[str, ...] = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
     total_bigrams: int
 
+    @property
+    def pairs(self) -> Mapping[tuple[str, str], int]:
+        return _PairCounts(self)
+
     def frequency(self, first: str, second: str) -> int:
-        return self.pairs.get((first, second), 0)
+        types, n = self.types, len(self.types)
+        a, b = bisect_left(types, first), bisect_left(types, second)
+        if a == n or b == n or types[a] != first or types[b] != second:
+            return 0
+        key = a * n + b
+        i = int(np.searchsorted(self.keys, key))
+        return int(self.counts[i]) if i < self.keys.size and self.keys[i] == key else 0
+
+    def decode(
+        self, selected: np.ndarray | slice = slice(None)
+    ) -> dict[tuple[str, str], int]:
+        """The ``selected`` pairs (a mask or slice over ``keys``) as strings."""
+        word = self.types.__getitem__
+        firsts, seconds = np.divmod(self.keys[selected], len(self.types))
+        pairs = zip(map(word, firsts.tolist()), map(word, seconds.tolist()))
+        return dict(zip(pairs, self.counts[selected].tolist()))
+
+
+class _PairCounts(Mapping):
+    """Read-only (first, second) -> count view of a :class:`BigramTable`."""
+
+    def __init__(self, table: BigramTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return int(self._table.keys.size)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self._table.decode())
+
+    def __getitem__(self, pair: tuple[str, str]) -> int:
+        count = self._table.frequency(*pair)
+        if not count:
+            raise KeyError(pair)
+        return count
 
 
 @dataclass(frozen=True)
@@ -42,20 +89,25 @@ class BigramGraph:
     directed: bool = True
 
 
-def count_bigrams(sequences: Sequence["TokenSequence"]) -> BigramTable:
+def count_bigrams(sequences: TokenArray | Iterable[TokenSequence]) -> BigramTable:
     """Count ordered pairs of adjacent tokens within each document.
 
     Pairs never span documents: a document with t tokens contributes exactly
     max(t - 1, 0) pairs, so the table total is sum over docs of (len - 1).
     """
-    pairs: dict[tuple[str, str], int] = {}
-    total = 0
-    for seq in sequences:
-        toks = seq.tokens
-        total += max(len(toks) - 1, 0)
-        for pair in zip(toks, toks[1:]):
-            pairs[pair] = pairs.get(pair, 0) + 1
-    return BigramTable(pairs=pairs, total_bigrams=total)
+    tokens = as_token_array(sequences)
+    codes = tokens.codes.astype(np.int64)
+    # pair i is (codes[i], codes[i + 1]); it crosses a boundary when a
+    # document starts at i + 1
+    within = np.ones(max(codes.size - 1, 0), dtype=bool)
+    starts = tokens.offsets[1:-1]
+    within[starts[(starts > 0) & (starts < codes.size)] - 1] = False
+    keys, counts = np.unique(
+        codes[:-1][within] * len(tokens.types) + codes[1:][within], return_counts=True
+    )
+    return BigramTable(
+        types=tokens.types, keys=keys, counts=counts, total_bigrams=int(within.sum())
+    )
 
 
 def threshold_graph(table: BigramTable, min_freq: int = DEFAULT_THRESHOLD) -> BigramGraph:
@@ -66,11 +118,8 @@ def threshold_graph(table: BigramTable, min_freq: int = DEFAULT_THRESHOLD) -> Bi
     """
     if min_freq < 1:
         raise ConfigError(f"threshold must be >= 1, got {min_freq}")
-    edges = {pair: f for pair, f in table.pairs.items() if f >= min_freq}
-    nodes: set[str] = set()
-    for a, b in edges:
-        nodes.add(a)
-        nodes.add(b)
+    edges = table.decode(table.counts >= min_freq)
+    nodes = {word for pair in edges for word in pair}
     return BigramGraph(
         nodes=tuple(sorted(nodes)), edges=edges, threshold=min_freq, directed=True
     )
@@ -149,14 +198,8 @@ def export_graph(graph: BigramGraph, format: GraphFormat | str, provenance: str 
         lines.append(f"# {provenance}")
     lines.append("source,target,weight")
     for a, b, f in _sorted_edges(graph):
-        lines.append(f"{_csv_field(a)},{_csv_field(b)},{f}")
+        lines.append(f"{csv_field(a)},{csv_field(b)},{f}")
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _csv_field(value: str) -> str:
-    if any(ch in value for ch in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
 
 
 def import_edge_csv(data: bytes) -> BigramGraph:

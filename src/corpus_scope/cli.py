@@ -61,7 +61,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="minimum bigram frequency kept (default 150)")
     sub.add_argument("--country", help="country for the compare subcommand")
     sub.add_argument("--out", type=Path, dest="out_dir", help="output directory")
-    sub.add_argument("--threads", type=int, help="tokenization threads (default 1)")
+    sub.add_argument("--threads", type=int,
+                     help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

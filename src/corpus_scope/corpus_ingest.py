@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Iterable
 
-from .errors import EmptyResultError, InputError, SchemaError
+from .errors import ConfigError, EmptyResultError, InputError, SchemaError
 from .text_pipeline import tokenize
 
 REQUIRED_COLUMNS = ("id", "title", "year")
@@ -332,7 +332,7 @@ def filter_by_phrase(corpus: Corpus, phrase: str) -> Corpus:
     """
     phrase_tokens = tokenize(phrase)
     if not phrase_tokens:
-        raise ValueError("phrase must contain at least one token")
+        raise ConfigError(f"phrase {phrase!r} contains no word to match")
     kept = []
     for d in corpus:
         fields = [d.title, d.abstract, *d.keywords]

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc
 
 from .errors import (
     DegenerateDesignError,
@@ -153,7 +153,7 @@ def fit_quadratic(series: YearSeries) -> QuadraticFit:
             p_value = 0.0
         else:
             f_stat = ((ss_tot - ss_res) / 2.0) / (ss_res / (n - 3))
-            p_value = float(stats.f.sf(f_stat, 2, n - 3))
+            p_value = float(fdtrc(2, n - 3, f_stat))
 
     # expand b2*(x-m)^2 + b1*(x-m) + b0 to raw-year coefficients
     a2 = b2

@@ -7,9 +7,11 @@ and resamples each token's topic assignment z from
 
 where n_wt counts word w in topic t, n_t all tokens in topic t, and n_dt
 tokens of document d in topic t, all excluding the token being resampled.
-Randomness comes from one stdlib ``random.Random(seed)`` generator whose
-``random()`` stream is documented to be reproducible across Python versions
-and platforms, so a (corpus, config) pair fully determines the result.
+Randomness is the Mersenne Twister stream of a stdlib ``random.Random(seed)``,
+which is documented to be reproducible across Python versions and platforms,
+so a (corpus, config) pair fully determines the result. The stream is drawn
+through numpy: the topic initialization reproduces successive
+``randrange(k)`` calls and the sweeps the ``random()`` calls after them.
 
 Each sweep runs in a small C function (``_gibbs.c``) that is compiled on first
 use and loaded with ctypes; when that fails, a plain-Python sweep runs
@@ -30,7 +32,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -43,9 +45,10 @@ from .errors import (
     SchemaError,
     SimplexError,
 )
+from .text_pipeline import as_token_array
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .text_pipeline import TokenSequence, Vocabulary
+    from .text_pipeline import TokenArray, TokenSequence, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -141,42 +144,75 @@ def dirichlet_density(
 
 
 def _vectorize(
-    sequences: Sequence["TokenSequence"], vocab: "Vocabulary"
+    sequences: "TokenArray | Iterable[TokenSequence]", vocab: "Vocabulary"
 ) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
-    """Map token sequences to flat vocabulary ids, dropping empty documents.
+    """The in-vocabulary tokens as flat vocabulary ids, dropping empty documents.
 
     Returns the kept document ids, int64 token offsets (document d owns
     ``words[offsets[d]:offsets[d + 1]]``), int32 word ids and the dropped ids.
     """
-    index = vocab.index
+    tokens = as_token_array(sequences)
+    ids = tokens.vocab_ids(vocab)
+    in_vocab = ids >= 0
+    lengths = np.bincount(tokens.doc_index()[in_vocab], minlength=len(tokens))
     doc_ids: list[str] = []
-    offsets = [0]
-    words: list[int] = []
     dropped: list[str] = []
-    for seq in sequences:
-        ids = [index[t] for t in seq.tokens if t in index]
-        if ids:
-            doc_ids.append(seq.doc_id)
-            words.extend(ids)
-            offsets.append(len(words))
-        else:
-            dropped.append(seq.doc_id)
+    for doc_id, n in zip(tokens.doc_ids, lengths.tolist()):
+        (doc_ids if n else dropped).append(doc_id)
     if dropped:
         logger.warning(
             "dropping %d document(s) with no in-vocabulary tokens", len(dropped)
         )
     if not doc_ids:
         raise EmptyCorpusError("no document has in-vocabulary tokens")
-    return (
-        doc_ids,
-        np.array(offsets, dtype=np.int64),
-        np.array(words, dtype=np.int32),
-        dropped,
-    )
+    offsets = np.concatenate(([0], np.cumsum(lengths[lengths > 0])))
+    return doc_ids, offsets, ids[in_vocab].astype(np.int32), dropped
+
+
+def _mt_stream(seed: int) -> np.random.RandomState:
+    """A numpy generator at ``random.Random(seed)``'s Mersenne Twister state.
+
+    ``random_sample`` and ``Random.random`` both build a double from two
+    32-bit outputs the same way (genrand_res53), so a batch drawn from it
+    holds exactly the values successive ``random()`` calls would return.
+    """
+    _, internal, _ = Random(seed).getstate()
+    stream = np.random.RandomState(0)
+    key, pos = np.array(internal[:-1], dtype=np.uint32), internal[-1]
+    stream.set_state(("MT19937", key, pos))
+    return stream
+
+
+def _randrange_batch(stream: np.random.RandomState, k: int, n: int) -> np.ndarray:
+    """``n`` successive ``Random.randrange(k)`` values, as int32, from ``stream``.
+
+    ``randrange(k)`` takes the top ``k.bit_length()`` bits of one 32-bit
+    output and draws again while the value is >= k. The same outputs are
+    drawn here in batches; the stream is then rewound and advanced by exactly
+    the outputs consumed, so it continues where ``random()`` would.
+    """
+    bits = k.bit_length()
+    if bits > 32:
+        raise ConfigError(f"k must be < 2**32, got {k}")
+    start = stream.get_state()
+    accepted = [np.empty(0, dtype=np.uint32)]
+    consumed = 0
+    while n > 0:
+        size = n * (1 << bits) // k + 64  # acceptance is k / 2**bits > 1/2
+        raw = stream.randint(0, 2**32, size=size, dtype=np.uint32) >> (32 - bits)
+        hits = np.flatnonzero(raw < k)[:n]
+        accepted.append(raw[hits])
+        consumed += int(hits[-1]) + 1 if hits.size == n else size
+        n -= hits.size
+    stream.set_state(start)
+    stream.randint(0, 2**32, size=consumed, dtype=np.uint32)
+    return np.concatenate(accepted).astype(np.int32)
 
 
 def seed_assignments(
-    sequences: Sequence["TokenSequence"], vocab: "Vocabulary", config: LdaConfig
+    sequences: "TokenArray | Iterable[TokenSequence]",
+    vocab: "Vocabulary",
+    config: LdaConfig,
 ) -> list[list[int]]:
     """The seed-derived initial topic assignment used by :func:`fit_lda`.
 
@@ -184,11 +220,9 @@ def seed_assignments(
     (e.g. relabeled) state via ``fit_lda(..., initial_assignments=...)``.
     """
     _, offsets, _, _ = _vectorize(sequences, vocab)
-    rng = Random(config.seed)
-    k = config.k
-    return [
-        [rng.randrange(k) for _ in range(n)] for n in np.diff(offsets).tolist()
-    ]
+    z = _randrange_batch(_mt_stream(config.seed), config.k, int(offsets[-1])).tolist()
+    bounds = offsets.tolist()
+    return [z[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _initial_topics(
@@ -207,20 +241,6 @@ def _initial_topics(
             raise ConfigError("initial assignment topic out of range")
         flat.extend(row)
     return np.array(flat, dtype=np.int32)
-
-
-def _uniform_stream(rng: Random) -> np.random.RandomState:
-    """A numpy generator that continues ``rng``'s Mersenne Twister state.
-
-    ``random_sample`` and ``Random.random`` both build a double from two
-    32-bit outputs the same way (genrand_res53), so the batch drawn here
-    holds exactly the values successive ``rng.random()`` calls would return.
-    """
-    _, internal, _ = rng.getstate()
-    stream = np.random.RandomState(0)
-    key, pos = np.array(internal[:-1], dtype=np.uint32), internal[-1]
-    stream.set_state(("MT19937", key, pos))
-    return stream
 
 
 def _log_likelihood(
@@ -382,7 +402,7 @@ def _check_tables(
 
 
 def fit_lda(
-    sequences: Sequence["TokenSequence"],
+    sequences: "TokenArray | Iterable[TokenSequence]",
     vocab: "Vocabulary",
     config: LdaConfig,
     initial_assignments: Sequence[Sequence[int]] | None = None,
@@ -402,13 +422,12 @@ def fit_lda(
     vbeta = p * beta
     n_docs = len(doc_ids)
     total_tokens = int(words.size)
-    rng = Random(config.seed)
+    stream = _mt_stream(config.seed)
 
     if initial_assignments is None:
-        z = np.array([rng.randrange(k) for _ in range(total_tokens)], dtype=np.int32)
+        z = _randrange_batch(stream, k, total_tokens)
     else:
         z = _initial_topics(initial_assignments, offsets, k)
-    uniforms = _uniform_stream(rng)
 
     doc_of_token = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offsets))
     n_wk = np.bincount(words.astype(np.int64) * k + z, minlength=p * k).reshape(p, k)
@@ -429,7 +448,7 @@ def fit_lda(
     averaged = 0
 
     for it in range(config.iterations):
-        u = uniforms.random_sample(total_tokens)
+        u = stream.random_sample(total_tokens)
         sweep(n_docs, offsets, words, z, k, n_wk, n_dk, n_k, u, cum, alpha, beta, vbeta)
 
         # exact conservation check: every margin must re-add to the token total

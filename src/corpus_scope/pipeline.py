@@ -112,6 +112,8 @@ class PipelineConfig:
             raise ConfigError("forecast_years must be >= 0")
         if self.top_terms < 1 or self.top_documents < 1:
             raise ConfigError("top_terms and top_documents must be >= 1")
+        if self.bigram_threshold < 1:
+            raise ConfigError("bigram_threshold must be >= 1")
         self.lda_config()  # raises ConfigError before any stage writes a file
 
     def lda_config(self) -> LdaConfig:
@@ -269,7 +271,7 @@ class _Run:
         )
         self.provenance = ""
         self.corpus: Corpus | None = None
-        self.sequences = None
+        self.tokens = None
         self.vocab = None
         self.dtm = None
 
@@ -322,11 +324,9 @@ def _text(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
     stoplist, origin = resolve_stoplist(cfg)
     stage.notes.append(f"stoplist={origin} ({len(stoplist)} terms)")
-    run.sequences = build_sequences(
-        run.corpus, stoplist, fields=cfg.text_fields, threads=cfg.threads
-    )
-    run.vocab = build_vocabulary(run.sequences, cfg.vocab_size)
-    run.dtm = build_dtm(run.sequences, run.vocab)
+    run.tokens = build_sequences(run.corpus, stoplist, fields=cfg.text_fields)
+    run.vocab = build_vocabulary(run.tokens, cfg.vocab_size)
+    run.dtm = build_dtm(run.tokens, run.vocab)
     stage.notes.append(
         f"vocabulary {len(run.vocab)} terms, {run.dtm.n_total} tokens counted"
     )
@@ -499,7 +499,7 @@ def _lsa(run: _Run, stage: StageReport) -> None:
 
 def _lda(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
-    model = fit_lda(run.sequences, run.vocab, cfg.lda_config())
+    model = fit_lda(run.tokens, run.vocab, cfg.lda_config())
     stage.notes.append(f"gibbs backend {gibbs_backend()}")
     if model.dropped_ids:
         stage.notes.append(
@@ -520,7 +520,7 @@ def _lda(run: _Run, stage: StageReport) -> None:
 
 def _bigrams(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
-    table = count_bigrams(run.sequences)
+    table = count_bigrams(run.tokens)
     graph = threshold_graph(table, cfg.bigram_threshold)
     stage.notes.append(
         f"{table.total_bigrams} pairs observed, {len(graph.edges)} edges kept "
@@ -630,11 +630,11 @@ def compare_subsets(cfg: PipelineConfig, country: str | None = None) -> RunRepor
     stage.notes.append(f"stoplist={origin}")
 
     def analyze(c: Corpus):
-        seqs = build_sequences(c, stoplist, fields=cfg.text_fields, threads=cfg.threads)
-        vocab = build_vocabulary(seqs, cfg.vocab_size)
-        dtm = build_dtm(seqs, vocab)
+        tokens = build_sequences(c, stoplist, fields=cfg.text_fields)
+        vocab = build_vocabulary(tokens, cfg.vocab_size)
+        dtm = build_dtm(tokens, vocab)
         terms = top_terms(dtm, vocab, 20)
-        lda_model = fit_lda(seqs, vocab, cfg.lda_config())
+        lda_model = fit_lda(tokens, vocab, cfg.lda_config())
         return terms, top_words_per_topic(lda_model, m=10)
 
     rows: list[tuple[str, str, str, str]] = []

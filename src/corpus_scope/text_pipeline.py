@@ -1,14 +1,14 @@
-"""Tokenization, stopword removal, vocabulary capping, and the sparse DTM."""
+"""Tokenization, stopword removal, the token array, vocabulary capping, and
+the sparse DTM."""
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -24,6 +24,10 @@ DEFAULT_VOCAB_SIZE = 1000
 DEFAULT_TEXT_FIELDS = ("title", "abstract", "keywords")
 
 
+def _has_letter(token: str) -> bool:
+    return any(c.isalpha() for c in token)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-word boundaries; keep tokens with a letter.
 
@@ -31,15 +35,24 @@ def tokenize(text: str) -> list[str]:
     "Data-driven Science, 2022!" yields ['data', 'driven', 'science'].
     Idempotent: tokenizing its own joined output changes nothing.
     """
-    return [
-        t for t in _WORD_RE.findall(text.lower()) if any(c.isalpha() for c in t)
-    ]
+    return [t for t in _WORD_RE.findall(text.lower()) if _has_letter(t)]
 
 
 def remove_stopwords(tokens: Sequence[str], stoplist: frozenset[str]) -> list[str]:
     """Drop stoplisted tokens, preserving order. Case-sensitive on purpose:
     tokens are already lowercased and stoplists are normalized on load."""
     return [t for t in tokens if t not in stoplist]
+
+
+def _parse_stoplist(text: str) -> frozenset[str]:
+    """One term per line; '#' starts a comment, blanks are ignored. Terms are
+    normalized to lowercase."""
+    terms = set()
+    for line in text.splitlines():
+        term = line.split("#", 1)[0].strip().lower()
+        if term:
+            terms.add(term)
+    return frozenset(terms)
 
 
 def load_stoplist(path) -> frozenset[str]:
@@ -50,24 +63,14 @@ def load_stoplist(path) -> frozenset[str]:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read stoplist {p}: {exc}") from exc
-    terms = set()
-    for line in text.splitlines():
-        term = line.split("#", 1)[0].strip().lower()
-        if term:
-            terms.add(term)
-    return frozenset(terms)
+    return _parse_stoplist(text)
 
 
 def default_stoplist() -> frozenset[str]:
     """The bundled English function-word list (articles, pronouns,
     prepositions, conjunctions, auxiliaries)."""
     ref = resources.files("corpus_scope.data").joinpath("stopwords_en.txt")
-    terms = set()
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        term = line.split("#", 1)[0].strip().lower()
-        if term:
-            terms.add(term)
-    return frozenset(terms)
+    return _parse_stoplist(ref.read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,84 @@ class TokenSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+@dataclass(frozen=True, eq=False)
+class TokenArray:
+    """The cleaned tokens of every document as integer codes in one array.
+
+    Document d owns ``codes[offsets[d]:offsets[d + 1]]`` and code c stands
+    for ``types[c]``. ``types`` lists each distinct token once, sorted, so
+    code order is term order; every type occurs at least once. Indexing or
+    iterating decodes documents back to :class:`TokenSequence`.
+    """
+
+    doc_ids: tuple[str, ...]
+    offsets: np.ndarray = field(repr=False)  # int64, one more than documents
+    codes: np.ndarray = field(repr=False)  # int32
+    types: tuple[str, ...] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, d: int) -> TokenSequence:
+        d = range(len(self))[d]
+        codes = self.codes[self.offsets[d] : self.offsets[d + 1]].tolist()
+        return TokenSequence(self.doc_ids[d], tuple(map(self.types.__getitem__, codes)))
+
+    def __iter__(self) -> Iterator[TokenSequence]:
+        return map(self.__getitem__, range(len(self)))
+
+    def doc_index(self) -> np.ndarray:
+        """The document number of every token (int64, aligned with ``codes``)."""
+        lengths = np.diff(self.offsets)
+        return np.repeat(np.arange(len(self), dtype=np.int64), lengths)
+
+    def vocab_ids(self, vocab: "Vocabulary") -> np.ndarray:
+        """Every token's column in ``vocab`` (int64); -1 when it is not in it."""
+        lookup = np.array([vocab.index.get(t, -1) for t in self.types], dtype=np.int64)
+        return lookup[self.codes]
+
+
+def _encode(
+    doc_ids: Sequence[str],
+    token_lists: Iterable[Sequence[str]],
+    keep: Callable[[str], bool] | None = None,
+) -> TokenArray:
+    """One pass over per-document token lists into a :class:`TokenArray`.
+
+    Tokens get provisional codes in order of first appearance; ``keep``
+    then runs once per distinct token, and the kept ones are renumbered in
+    sorted order while the others drop out.
+    """
+    seen: defaultdict[str, int] = defaultdict()
+    seen.default_factory = seen.__len__  # a new token gets the next code
+    raw: list[int] = []
+    ends = [0]
+    for tokens in token_lists:
+        raw += map(seen.__getitem__, tokens)
+        ends.append(len(raw))
+    kept = sorted(seen if keep is None else filter(keep, seen))
+    code = dict(zip(kept, range(len(kept))))
+    remap = np.array([code.get(t, -1) for t in seen], dtype=np.int32)
+    codes = remap[np.array(raw, dtype=np.int64)]
+    mask = codes >= 0
+    kept_before = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+    return TokenArray(
+        doc_ids=tuple(doc_ids),
+        offsets=kept_before[np.array(ends, dtype=np.int64)],
+        codes=codes[mask],
+        types=tuple(kept),
+    )
+
+
+def as_token_array(sequences: TokenArray | Iterable[TokenSequence]) -> TokenArray:
+    """The consumers' one entry point: a token array passes through, and
+    :class:`TokenSequence` objects are encoded into one."""
+    if isinstance(sequences, TokenArray):
+        return sequences
+    seqs = list(sequences)
+    return _encode([s.doc_id for s in seqs], (s.tokens for s in seqs))
 
 
 def _document_text(doc, fields: Sequence[str]) -> str:
@@ -95,25 +176,24 @@ def build_sequences(
     corpus: "Corpus",
     stoplist: frozenset[str],
     fields: Sequence[str] = DEFAULT_TEXT_FIELDS,
-    threads: int = 1,
-) -> list[TokenSequence]:
+) -> TokenArray:
     """Tokenize each document's selected fields (concatenated in the given
-    order) and remove stopwords. With ``threads > 1`` documents are processed
-    in a thread pool; output order always follows corpus order, so results are
-    identical for any thread count."""
+    order), remove stopwords, and encode the result as one token array.
+
+    Document d decodes to ``remove_stopwords(tokenize(text_d), stoplist)``,
+    but the letter test and the stoplist lookup run once per distinct word,
+    not once per token.
+    """
     for name in fields:
         if name not in DEFAULT_TEXT_FIELDS:
             raise SchemaError(f"unknown text field: {name!r}")
-
-    def clean(doc) -> TokenSequence:
-        toks = remove_stopwords(tokenize(_document_text(doc, fields)), stoplist)
-        return TokenSequence(doc_id=doc.id, tokens=tuple(toks))
-
     docs = list(corpus)
-    if threads > 1 and len(docs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(clean, docs))
-    return [clean(d) for d in docs]
+    findall = _WORD_RE.findall
+    return _encode(
+        [d.id for d in docs],
+        (findall(_document_text(d, fields).lower()) for d in docs),
+        keep=lambda t: t not in stoplist and _has_letter(t),
+    )
 
 
 @dataclass(frozen=True)
@@ -133,7 +213,7 @@ class Vocabulary:
 
 
 def build_vocabulary(
-    sequences: Iterable[TokenSequence], p: int = DEFAULT_VOCAB_SIZE
+    sequences: TokenArray | Iterable[TokenSequence], p: int = DEFAULT_VOCAB_SIZE
 ) -> Vocabulary:
     """Count corpus-wide frequencies and keep the top ``p`` terms.
 
@@ -142,17 +222,16 @@ def build_vocabulary(
     """
     if p < 1:
         raise ValueError(f"vocabulary cap must be >= 1, got {p}")
-    counts: Counter[str] = Counter()
-    for seq in sequences:
-        counts.update(seq.tokens)
-    if not counts:
+    tokens = as_token_array(sequences)
+    if tokens.codes.size == 0:
         raise EmptyCorpusError("no tokens in any document; cannot build vocabulary")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:p]
-    terms = tuple(t for t, _ in ranked)
-    freqs = tuple(f for _, f in ranked)
+    counts = np.bincount(tokens.codes, minlength=len(tokens.types))
+    # a stable sort keeps equal counts in code order, which is term order
+    top = np.argsort(-counts, kind="stable")[:p].tolist()
+    terms = tuple(tokens.types[j] for j in top)
     return Vocabulary(
         terms=terms,
-        frequencies=freqs,
+        frequencies=tuple(counts[top].tolist()),
         cap=p,
         index={t: i for i, t in enumerate(terms)},
     )
@@ -160,7 +239,7 @@ def build_vocabulary(
 
 @dataclass(frozen=True)
 class SparseDTM:
-    """Document-term count matrix in CSR form with a CSC companion.
+    """Document-term count matrix in CSR form.
 
     Rows follow corpus (id-sorted) order, columns follow vocabulary order.
     Marginals are precomputed; ``n_total`` is the grand total of counts.
@@ -169,7 +248,6 @@ class SparseDTM:
     doc_ids: tuple[str, ...]
     terms: tuple[str, ...]
     csr: sparse.csr_matrix = field(repr=False)
-    csc: sparse.csc_matrix = field(repr=False)
     row_totals: np.ndarray = field(repr=False)
     col_totals: np.ndarray = field(repr=False)
     n_total: int
@@ -178,45 +256,31 @@ class SparseDTM:
     def shape(self) -> tuple[int, int]:
         return self.csr.shape
 
-    def row_counts(self, i: int) -> np.ndarray:
-        return np.asarray(self.csr.getrow(i).todense()).ravel()
-
     def dense(self) -> np.ndarray:
         return self.csr.toarray()
 
 
-def build_dtm(sequences: Sequence[TokenSequence], vocab: Vocabulary) -> SparseDTM:
+def build_dtm(
+    sequences: TokenArray | Iterable[TokenSequence], vocab: Vocabulary
+) -> SparseDTM:
     """Count in-vocabulary tokens per document. Out-of-vocabulary tokens are
     ignored; documents with no in-vocabulary tokens keep an all-zero row so
     row order is stable."""
-    index = vocab.index
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-    for i, seq in enumerate(sequences):
-        cell: Counter[int] = Counter()
-        for tok in seq.tokens:
-            j = index.get(tok)
-            if j is not None:
-                cell[j] += 1
-        for j in sorted(cell):
-            rows.append(i)
-            cols.append(j)
-            data.append(cell[j])
-    shape = (len(sequences), len(vocab))
-    csr = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)), shape=shape
-    )
-    csr.sum_duplicates()
-    row_totals = np.asarray(csr.sum(axis=1), dtype=np.int64).ravel()
-    col_totals = np.asarray(csr.sum(axis=0), dtype=np.int64).ravel()
+    tokens = as_token_array(sequences)
+    n, p = len(tokens), len(vocab)
+    cols = tokens.vocab_ids(vocab)
+    in_vocab = cols >= 0
+    rows, cols = tokens.doc_index()[in_vocab], cols[in_vocab]
+    # one key per (row, column) cell, ascending in row-major order
+    cells, counts = np.unique(rows * p + cols, return_counts=True)
+    csr = sparse.csr_matrix((counts, (cells // p, cells % p)), shape=(n, p))
+    row_totals = np.bincount(rows, minlength=n)
     return SparseDTM(
-        doc_ids=tuple(s.doc_id for s in sequences),
+        doc_ids=tokens.doc_ids,
         terms=vocab.terms,
         csr=csr,
-        csc=csr.tocsc(),
         row_totals=row_totals,
-        col_totals=col_totals,
+        col_totals=np.bincount(cols, minlength=p),
         n_total=int(row_totals.sum()),
     )
 
@@ -227,16 +291,16 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> str:
     The writer is deliberately hand-rolled: entry order and number formatting
     are pinned so output bytes are stable across library versions.
     """
-    coo = dtm.csr.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    csr = dtm.csr if dtm.csr.has_sorted_indices else dtm.csr.sorted_indices()
+    n_rows, n_cols = dtm.shape
     lines = ["%%MatrixMarket matrix coordinate integer general"]
     if comment:
         for part in comment.splitlines():
             lines.append(f"% {part}")
-    lines.append(f"{dtm.shape[0]} {dtm.shape[1]} {coo.nnz}")
-    rows, cols, data = coo.row[order], coo.col[order], coo.data[order]
-    for r, c, v in zip(rows, cols, data):
-        lines.append(f"{r + 1} {c + 1} {v}")
+    lines.append(f"{n_rows} {n_cols} {csr.nnz}")
+    rows = np.repeat(np.arange(1, n_rows + 1), np.diff(csr.indptr))
+    cols = csr.indices.astype(np.int64) + 1
+    lines.extend(map("{} {} {}".format, rows.tolist(), cols.tolist(), csr.data.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -247,13 +311,14 @@ def export_dtm_index(dtm: SparseDTM, comment: str = "") -> str:
         lines.append(f"# {comment}")
     lines.append("kind,position,label,total")
     for i, doc_id in enumerate(dtm.doc_ids):
-        lines.append(f"doc,{i + 1},{_csv_field(doc_id)},{int(dtm.row_totals[i])}")
+        lines.append(f"doc,{i + 1},{csv_field(doc_id)},{int(dtm.row_totals[i])}")
     for j, term in enumerate(dtm.terms):
-        lines.append(f"term,{j + 1},{_csv_field(term)},{int(dtm.col_totals[j])}")
+        lines.append(f"term,{j + 1},{csv_field(term)},{int(dtm.col_totals[j])}")
     return "\n".join(lines) + "\n"
 
 
-def _csv_field(value: str) -> str:
+def csv_field(value: str) -> str:
+    """Quote a CSV field (RFC 4180) only when it holds a comma, quote or newline."""
     if any(ch in value for ch in ',"\n'):
         return '"' + value.replace('"', '""') + '"'
     return value

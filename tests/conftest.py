@@ -34,7 +34,6 @@ def make_dtm(matrix, doc_ids=None, terms=None) -> SparseDTM:
         doc_ids=tuple(doc_ids) if doc_ids else tuple(f"r{i}" for i in range(n_docs)),
         terms=tuple(terms) if terms else tuple(f"c{j}" for j in range(n_terms)),
         csr=csr,
-        csc=csr.tocsc(),
         row_totals=X.sum(axis=1),
         col_totals=X.sum(axis=0),
         n_total=int(X.sum()),

@@ -18,7 +18,7 @@ from corpus_scope.corpus_ingest import (
     require_nonempty,
     serialize_corpus,
 )
-from corpus_scope.errors import EmptyResultError, InputError, SchemaError
+from corpus_scope.errors import ConfigError, EmptyResultError, InputError, SchemaError
 
 
 def parse_csv(text: str):
@@ -231,7 +231,7 @@ def test_filter_by_phrase_idempotent_and_rejects_empty():
     once = filter_by_phrase(corpus, "data science")
     twice = filter_by_phrase(once, "data science")
     assert twice.documents == once.documents
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         filter_by_phrase(corpus, " ... ")
 
 

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import shutil
+from random import Random
 
 import numpy as np
 import pytest
@@ -216,6 +217,17 @@ def test_lda_config_validation():
 
 
 # ------------------------------------------------------------ initial state
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8, 50, 1000])
+def test_randrange_batch_reproduces_random_randrange(k):
+    for seed in (0, 42, 2024):
+        rng = Random(seed)
+        expected = [rng.randrange(k) for _ in range(3000)]
+        stream = lda._mt_stream(seed)
+        assert lda._randrange_batch(stream, k, 3000).tolist() == expected
+        # the stream continues where random() would after the last randrange
+        assert stream.random_sample(3).tolist() == [rng.random() for _ in range(3)]
 
 
 def test_explicit_initial_assignments_are_deterministic():

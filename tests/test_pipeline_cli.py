@@ -267,6 +267,23 @@ def test_cli_lda_settings_are_checked_before_any_stage(mini_corpus_path, tmp_pat
     assert "burn_in" in capsys.readouterr().err
 
 
+def test_cli_wordless_phrase_exits_2(mini_corpus_path, tmp_path, capsys):
+    assert run_cli("run", "--input", mini_corpus_path, "--out", tmp_path,
+                   "--phrase", "!!!") == 2
+    err = capsys.readouterr().err
+    assert "phrase" in err and "Traceback" not in err
+    assert {p.name for p in tmp_path.iterdir()} <= {"run_report.json"}
+
+
+def test_cli_bigram_threshold_is_checked_before_any_stage(mini_corpus_path, tmp_path,
+                                                          capsys):
+    out = tmp_path / "never"
+    assert run_cli("run", "--input", mini_corpus_path, "--out", out,
+                   "--bigram-threshold", "0") == 2
+    assert not out.exists()
+    assert "bigram_threshold" in capsys.readouterr().err
+
+
 def test_cli_empty_result_exits_3(mini_corpus_path, tmp_path, capsys):
     assert run_cli("run", "--input", mini_corpus_path, "--out", tmp_path,
                    "--phrase", "quantum blockchain grandmothers") == 3

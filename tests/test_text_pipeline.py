@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus_scope.bigrams import GraphFormat, count_bigrams, export_graph, threshold_graph
 from corpus_scope.corpus_ingest import Corpus, Document, Provenance
 from corpus_scope.errors import EmptyCorpusError, InputError, SchemaError
 from corpus_scope.text_pipeline import (
     TokenSequence,
+    as_token_array,
     build_dtm,
     build_sequences,
     build_vocabulary,
@@ -105,11 +111,65 @@ def test_build_sequences_field_selection():
         build_sequences(corpus, frozenset(), fields=("title", "body"))
 
 
-def test_build_sequences_threaded_matches_serial(mini_corpus):
+# arbitrary text, weighted towards what \w matches but the letter test drops:
+# digits, "_", non-ASCII numerics ("²", "Ⅻ", "٣") and combining marks
+_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(list("aZé_0²Ⅻ٣ß İ-,.\n\u0301")),
+        st.sampled_from(["the", "of", "The", "Of", "data"]),
+        st.characters(),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEXT, max_size=6))
+def test_encoding_matches_tokenize_then_remove_stopwords(texts):
+    stop = frozenset({"the", "of", "ß"})
+    corpus = make_corpus(*(Document(id=f"d{i:02d}", title=t) for i, t in enumerate(texts)))
+    tokens = build_sequences(corpus, stop, fields=("title",))
+    expected = [remove_stopwords(tokenize(t), stop) for t in texts]
+    assert [list(s.tokens) for s in tokens] == expected
+    assert tokens.doc_ids == tuple(f"d{i:02d}" for i in range(len(texts)))
+    assert list(tokens.types) == sorted({t for doc in expected for t in doc})
+    assert tokens.offsets.tolist() == np.cumsum([0, *map(len, expected)]).tolist()
+
+
+def test_token_array_decodes_and_passes_through():
+    sequences = seqs(["b", "a"], [], ["c", "b", "b"])
+    tokens = as_token_array(sequences)
+    assert tokens.types == ("a", "b", "c")
+    assert tokens.codes.tolist() == [1, 0, 2, 1, 1]
+    assert tokens.offsets.tolist() == [0, 2, 2, 5]
+    assert tokens.doc_index().tolist() == [0, 0, 2, 2, 2]
+    assert list(tokens) == sequences
+    assert tokens[-1] == sequences[2]
+    assert as_token_array(tokens) is tokens
+    with pytest.raises(IndexError):
+        tokens[3]
+
+
+def test_encoded_path_writes_the_same_bytes_as_token_sequences(mini_corpus):
+    """dtm.mtx and bigrams_edges.csv from the token array and from per-document
+    TokenSequence objects built with tokenize and remove_stopwords."""
     stop = default_stoplist()
-    serial = build_sequences(mini_corpus, stop, threads=1)
-    threaded = build_sequences(mini_corpus, stop, threads=8)
-    assert serial == threaded
+    encoded = build_sequences(mini_corpus, stop)
+    by_hand = [
+        TokenSequence(d.id, tuple(remove_stopwords(tokenize(" ".join(
+            p for p in (d.title, d.abstract, *d.keywords) if p)), stop)))
+        for d in mini_corpus
+    ]
+
+    def digests(sequences):
+        dtm = build_dtm(sequences, build_vocabulary(sequences, p=40))
+        graph = threshold_graph(count_bigrams(sequences), min_freq=3)
+        mtx = export_matrixmarket(dtm, comment="mini")
+        edges = export_graph(graph, GraphFormat.EDGE_CSV, provenance="mini")
+        assert graph.edges and dtm.n_total
+        return hashlib.sha256(mtx.encode()).hexdigest(), hashlib.sha256(edges).hexdigest()
+
+    assert digests(encoded) == digests(by_hand)
 
 
 # ---------------------------------------------------------------- vocabulary
@@ -122,6 +182,15 @@ def test_build_vocabulary_orders_by_frequency_then_term():
     assert vocab.index == {"a": 0, "b": 1, "c": 2}
     assert "a" in vocab and "z" not in vocab
     assert len(vocab) == 3
+
+
+def test_build_vocabulary_breaks_many_ties_alphabetically():
+    rng = np.random.default_rng(7)
+    words = [f"w{i:03d}" for i in range(300)]
+    docs = [list(rng.permutation(words)) for _ in range(2)] + [["w299"] * 3]
+    vocab = build_vocabulary(seqs(*docs), p=100)
+    assert vocab.terms == ("w299", *words[:99])
+    assert vocab.frequencies == (5, *[2] * 99)
 
 
 def test_build_vocabulary_cap():
