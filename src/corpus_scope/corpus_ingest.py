@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Iterable
 
 from .errors import ConfigError, EmptyResultError, InputError, SchemaError
-from .text_pipeline import tokenize
+from .text_pipeline import csv_field, tokenize
 
 REQUIRED_COLUMNS = ("id", "title", "year")
 OPTIONAL_COLUMNS = ("abstract", "keywords", "doc_type", "countries")
@@ -293,23 +293,18 @@ def parse_file(path, format: str | None = None) -> tuple[Corpus, list[RecordErro
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Render a corpus as RFC 4180 CSV text that reparses to an equal corpus."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(REQUIRED_COLUMNS) + list(OPTIONAL_COLUMNS))
+    """Render a corpus as RFC 4180 CSV text that reparses to an equal corpus.
+
+    A field is quoted only when it holds a comma, a quote, a carriage return
+    or a line feed; records end in a bare line feed.
+    """
+    rows = [",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS)]
     for d in corpus:
-        writer.writerow(
-            [
-                d.id,
-                d.title,
-                "" if d.year is None else str(d.year),
-                d.abstract,
-                ";".join(d.keywords),
-                d.doc_type.value,
-                ";".join(d.countries),
-            ]
-        )
-    return buf.getvalue()
+        year = "" if d.year is None else str(d.year)
+        fields = (d.id, d.title, year, d.abstract, ";".join(d.keywords),
+                  d.doc_type.value, ";".join(d.countries))
+        rows.append(",".join(map(csv_field, fields)))
+    return "\n".join(rows) + "\n"
 
 
 def _contains_phrase(tokens: list[str], phrase: list[str]) -> bool:
@@ -366,7 +361,7 @@ def partition_by_country(corpus: Corpus, country: str) -> tuple[Corpus, Corpus]:
     """
     needle = country.strip().casefold()
     if not needle:
-        raise ValueError("country must be non-empty")
+        raise ConfigError("country must be non-empty")
     members, rest = [], []
     for d in corpus:
         if any(c.strip().casefold() == needle for c in d.countries):

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import fdtrc
 
 from .errors import (
+    ConfigError,
     DegenerateDesignError,
     EmptyCorpusError,
     ExtrapolationError,
@@ -38,7 +39,7 @@ class YearSeries:
     def __post_init__(self):
         years = [y for y, _ in self.points]
         if any(b <= a for a, b in zip(years, years[1:])):
-            raise ValueError("year series must be strictly increasing in year")
+            raise ConfigError("year series must be strictly increasing in year")
 
     def years(self) -> tuple[int, ...]:
         return tuple(y for y, _ in self.points)
@@ -216,7 +217,7 @@ def top_terms(
     lexicographically. ``k`` exceeding the vocabulary just returns everything.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     totals = dtm.col_totals
     order = sorted(range(len(dtm.terms)), key=lambda j: (-int(totals[j]), dtm.terms[j]))
     out: list[tuple[str, int, float]] = []

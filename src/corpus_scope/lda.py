@@ -45,7 +45,7 @@ from .errors import (
     SchemaError,
     SimplexError,
 )
-from .text_pipeline import as_token_array
+from .text_pipeline import as_token_array, format_int_lines
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .text_pipeline import TokenArray, TokenSequence, Vocabulary
@@ -92,7 +92,8 @@ class LdaModel:
     ``phi`` is k x p (topics over terms), ``theta`` is n x k (documents over
     topics); both are smoothed point estimates from the final (or averaged)
     counts. Count tables and per-token assignments are retained so a model
-    can be persisted and reloaded exactly.
+    can be persisted and reloaded exactly. The assignments are kept flat:
+    document d's tokens have topics ``topics[offsets[d]:offsets[d + 1]]``.
     """
 
     config: LdaConfig
@@ -102,9 +103,16 @@ class LdaModel:
     theta: np.ndarray = field(repr=False)
     topic_word_counts: np.ndarray = field(repr=False)
     doc_topic_counts: np.ndarray = field(repr=False)
-    assignments: tuple[tuple[int, ...], ...] = field(repr=False)
+    offsets: np.ndarray = field(repr=False)  # int64, one more than documents
+    topics: np.ndarray = field(repr=False)  # int32, one per token
     dropped_ids: tuple[str, ...]
     log_likelihoods: tuple[float, ...] = field(repr=False)
+
+    @property
+    def assignments(self) -> tuple[tuple[int, ...], ...]:
+        """Each document's token topics, decoded from the flat arrays."""
+        flat, bounds = self.topics.tolist(), self.offsets.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def doc_index(self, doc_id: str) -> int:
         try:
@@ -472,8 +480,6 @@ def fit_lda(
         lens = n_dk.sum(axis=1).astype(np.float64)
         theta = (n_dk + alpha) / (lens + k * alpha)[:, None]
 
-    flat = z.tolist()
-    bounds = offsets.tolist()
     return LdaModel(
         config=config,
         doc_ids=tuple(doc_ids),
@@ -482,7 +488,8 @@ def fit_lda(
         theta=theta,
         topic_word_counts=n_wk.T.copy(),
         doc_topic_counts=n_dk,
-        assignments=tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])),
+        offsets=offsets,
+        topics=z,
         dropped_ids=tuple(dropped),
         log_likelihoods=tuple(log_likelihoods),
     )
@@ -508,7 +515,7 @@ def doc_topic_distribution(model: LdaModel, doc_id: str) -> np.ndarray:
 def render_model(model: LdaModel) -> str:
     """The versioned text format (header, labels, CSV count tables)."""
     cfg = model.config
-    lines = [
+    head = [
         MODEL_FORMAT,
         f"k={cfg.k}",
         f"alpha={cfg.alpha!r}",
@@ -525,20 +532,30 @@ def render_model(model: LdaModel) -> str:
         "[documents]",
         *model.doc_ids,
         "[topic_word_counts]",
-        *(",".join(str(int(v)) for v in row) for row in model.topic_word_counts),
-        "[doc_topic_counts]",
-        *(",".join(str(int(v)) for v in row) for row in model.doc_topic_counts),
-        "[assignments]",
-        *(",".join(str(t) for t in row) for row in model.assignments),
     ]
+    tail = []
     if cfg.sample_averaging:
-        lines.append("[phi]")
-        lines.extend(",".join(repr(float(v)) for v in row) for row in model.phi)
-        lines.append("[theta]")
-        lines.extend(",".join(repr(float(v)) for v in row) for row in model.theta)
-    lines.append("[log_likelihoods]")
-    lines.extend(repr(v) for v in model.log_likelihoods)
-    return "\n".join(lines) + "\n"
+        tail.append("[phi]")
+        tail.extend(",".join(map(repr, row)) for row in model.phi.tolist())
+        tail.append("[theta]")
+        tail.extend(",".join(map(repr, row)) for row in model.theta.tolist())
+    tail.append("[log_likelihoods]")
+    tail.extend(map(repr, model.log_likelihoods))
+    return "".join([
+        "\n".join(head) + "\n",
+        _csv_table(model.topic_word_counts),
+        "[doc_topic_counts]\n",
+        _csv_table(model.doc_topic_counts),
+        "[assignments]\n",
+        format_int_lines(model.topics, model.offsets[1:], ","),
+        "\n".join(tail) + "\n",
+    ])
+
+
+def _csv_table(counts: np.ndarray) -> str:
+    """A count matrix as one comma-separated line per row."""
+    rows, cols = counts.shape
+    return format_int_lines(counts, np.arange(cols, rows * cols + 1, cols), ",")
 
 
 def save_model(model: LdaModel, path) -> None:
@@ -600,10 +617,12 @@ def load_model(path) -> LdaModel:
 
     nwk = int_table("topic_word_counts", cfg.k, n_terms)
     ndk = int_table("doc_topic_counts", n_docs, cfg.k)
-    assignments = tuple(
-        tuple(int(v) for v in ln.split(",")) if ln else ()
-        for ln in sections["assignments"]
-    )
+    topics: list[int] = []
+    offsets = [0]
+    for ln in sections["assignments"]:
+        if ln:
+            topics.extend(int(v) for v in ln.split(","))
+        offsets.append(len(topics))
     if cfg.sample_averaging:
         phi = np.array(
             [[float(v) for v in ln.split(",")] for ln in sections["phi"]]
@@ -627,7 +646,8 @@ def load_model(path) -> LdaModel:
         theta=theta,
         topic_word_counts=nwk,
         doc_topic_counts=ndk,
-        assignments=assignments,
+        offsets=np.array(offsets, dtype=np.int64),
+        topics=np.array(topics, dtype=np.int32),
         dropped_ids=dropped,
         log_likelihoods=lls,
     )

@@ -97,10 +97,14 @@ def total_inertia(dtm: "SparseDTM") -> float:
         raise DegenerateMarginError("empty matrix has no inertia")
     if (dtm.row_totals == 0).any() or (dtm.col_totals == 0).any():
         raise DegenerateMarginError("zero row or column margin")
-    coo = dtm.csr.tocoo()
     n = float(dtm.n_total)
-    a = dtm.row_totals / n
-    b = dtm.col_totals / n
+    return _inertia(dtm.csr, dtm.row_totals / n, dtm.col_totals / n, n)
+
+
+def _inertia(counts, a: np.ndarray, b: np.ndarray, n: float) -> float:
+    """sum_ij p_ij^2 / (a_i b_j) - 1 over the nonzero cells of ``counts``, for
+    row and column masses ``a`` and ``b`` and grand total ``n``."""
+    coo = counts.tocoo()
     p = coo.data / n
     return float(np.sum(p * p / (a[coo.row] * b[coo.col])) - 1.0)
 
@@ -307,25 +311,13 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         col_coords=col_std * sigma[None, :],
         row_std_coords=row_std,
         col_std_coords=col_std,
-        total_inertia=total_inertia(_Kept(X, row_ids, col_labels)),
+        total_inertia=_inertia(X, a, b, n),
         dims=dims,
         dropped_docs=dropped_docs,
         dropped_terms=dropped_terms,
         solver=solver,
         iterations=iterations,
     )
-
-
-class _Kept:
-    """Minimal duck-typed DTM view over the kept submatrix for inertia."""
-
-    def __init__(self, csr, row_ids, col_labels):
-        self.csr = csr
-        self.doc_ids = row_ids
-        self.terms = col_labels
-        self.row_totals = np.asarray(csr.sum(axis=1), dtype=np.int64).ravel()
-        self.col_totals = np.asarray(csr.sum(axis=0), dtype=np.int64).ravel()
-        self.n_total = int(self.row_totals.sum())
 
 
 def project_supplementary(
@@ -374,7 +366,7 @@ def representative_documents(model: CAModel, top_n: int = 5) -> list[tuple[str, 
     retained axes, hence the most distinctive documents in the plane.
     """
     if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
     dist = np.linalg.norm(model.row_coords, axis=1)
     order = sorted(range(len(model.row_ids)), key=lambda i: (-dist[i], model.row_ids[i]))
     return [(model.row_ids[i], float(dist[i])) for i in order[:top_n]]

@@ -14,6 +14,7 @@ import configparser
 import hashlib
 import json
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -21,6 +22,11 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not on Windows
+    resource = None
 
 from . import __version__
 from .bigrams import (
@@ -114,6 +120,14 @@ class PipelineConfig:
             raise ConfigError("top_terms and top_documents must be >= 1")
         if self.bigram_threshold < 1:
             raise ConfigError("bigram_threshold must be >= 1")
+        if self.dims < 1:
+            raise ConfigError("dims must be >= 1")
+        unknown = [f for f in self.text_fields if f not in DEFAULT_TEXT_FIELDS]
+        if unknown or not self.text_fields:
+            raise ConfigError(
+                f"text_fields must name some of {', '.join(DEFAULT_TEXT_FIELDS)};"
+                f" got {', '.join(self.text_fields) or 'none'}"
+            )
         self.lda_config()  # raises ConfigError before any stage writes a file
 
     def lda_config(self) -> LdaConfig:
@@ -193,6 +207,7 @@ class StageReport:
     seconds: float = 0.0
     outputs: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    peak_rss_mb: float | None = None  # the process's peak so far, at stage end
 
 
 @dataclass
@@ -219,6 +234,7 @@ class RunReport:
                     "seconds": round(s.seconds, 6),
                     "outputs": s.outputs,
                     "notes": s.notes,
+                    "peak_rss_mb": s.peak_rss_mb,
                 }
                 for s in self.stages
             ],
@@ -250,6 +266,15 @@ def resolve_stoplist(cfg: PipelineConfig) -> tuple[frozenset[str], str]:
     if env:
         return load_stoplist(env), f"env:{Path(env).name}"
     return default_stoplist(), "bundled"
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far (``ru_maxrss``), in MB."""
+    if resource is None:  # pragma: no cover - not on Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes
+    return round(peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0), 1)
 
 
 def _sha256(path: Path) -> str:
@@ -444,19 +469,24 @@ def _lsa(run: _Run, stage: StageReport) -> None:
     dim_cols = ",".join(f"dim_{i + 1}" for i in range(model.dims))
     lines = [f"# {run.provenance}", f"kind,label,mass,score,rank,{dim_cols}"]
     scores = np.linalg.norm(model.row_coords, axis=1)
-    for i, doc_id in enumerate(model.row_ids):
-        coords = ",".join(_float(v) for v in model.row_coords[i])
+    for doc_id, mass, score, coords in zip(
+        model.row_ids,
+        model.row_masses.tolist(),
+        scores.tolist(),
+        model.row_coords,
+    ):
         lines.append(
-            f"row,{doc_id},{_float(model.row_masses[i])},{_float(scores[i])},"
-            f"{ranking[doc_id]},{coords}"
+            f"row,{doc_id},{mass!r},{score!r},{ranking[doc_id]},"
+            + ",".join(map(repr, coords.tolist()))
         )
-    for j, term in enumerate(model.col_labels):
-        coords = ",".join(_float(v) for v in model.col_coords[j])
-        lines.append(f"col,{term},{_float(model.col_masses[j])},,,{coords}")
+    points = [("col", model.col_labels, model.col_masses, model.col_coords)]
     if supp is not None:
-        for g, label in enumerate(supp.labels):
-            coords = ",".join(_float(v) for v in supp.coords[g])
-            lines.append(f"year,{label},{_float(supp.masses[g])},,,{coords}")
+        points.append(("year", supp.labels, supp.masses, supp.coords))
+    for kind, labels, masses, coords in points:
+        lines += (
+            f"{kind},{label},{mass!r},,," + ",".join(map(repr, row.tolist()))
+            for label, mass, row in zip(labels, masses.tolist(), coords)
+        )
     run.emit(stage, "ca_coords.csv", "\n".join(lines) + "\n")
 
     # the scatter is an extra of the lsa subcommand; `run` keeps the pinned
@@ -512,9 +542,11 @@ def _lda(run: _Run, stage: StageReport) -> None:
     term_index = {t: j for j, t in enumerate(model.terms)}
     lines = [f"# {run.provenance}", "topic,rank,term,phi"]
     for t, terms in enumerate(words):
-        for r, term in enumerate(terms, start=1):
-            phi = model.phi[t, term_index[term]]
-            lines.append(f"{t},{r},{term},{_float(phi)}")
+        phi = model.phi[t, [term_index[term] for term in terms]].tolist()
+        lines += (
+            f"{t},{r},{term},{value!r}"
+            for r, (term, value) in enumerate(zip(terms, phi), start=1)
+        )
     run.emit(stage, "lda_top_words.csv", "\n".join(lines) + "\n")
 
 
@@ -580,6 +612,7 @@ def run_pipeline(
                 raise StageError(name, exc, run.report) from exc
             finally:
                 stage.seconds = time.perf_counter() - started
+                stage.peak_rss_mb = _peak_rss_mb()
     finally:
         run.finish_report()
     return run.report
@@ -679,5 +712,6 @@ def compare_subsets(cfg: PipelineConfig, country: str | None = None) -> RunRepor
     lines += [",".join(r) for r in rows]
     run.emit(stage, "compare.csv", "\n".join(lines) + "\n")
     stage.seconds = time.perf_counter() - started
+    stage.peak_rss_mb = _peak_rss_mb()
     run.finish_report()
     return run.report

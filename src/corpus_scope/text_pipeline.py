@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import EmptyCorpusError, InputError, SchemaError
+from .errors import ConfigError, EmptyCorpusError, InputError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .corpus_ingest import Corpus
@@ -221,7 +221,7 @@ def build_vocabulary(
     of document order. Raises EmptyCorpusError when no tokens exist at all.
     """
     if p < 1:
-        raise ValueError(f"vocabulary cap must be >= 1, got {p}")
+        raise ConfigError(f"vocabulary cap must be >= 1, got {p}")
     tokens = as_token_array(sequences)
     if tokens.codes.size == 0:
         raise EmptyCorpusError("no tokens in any document; cannot build vocabulary")
@@ -298,10 +298,73 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> str:
         for part in comment.splitlines():
             lines.append(f"% {part}")
     lines.append(f"{n_rows} {n_cols} {csr.nnz}")
-    rows = np.repeat(np.arange(1, n_rows + 1), np.diff(csr.indptr))
-    cols = csr.indices.astype(np.int64) + 1
-    lines.extend(map("{} {} {}".format, rows.tolist(), cols.tolist(), csr.data.tolist()))
-    return "\n".join(lines) + "\n"
+    # int32 when it fits: the array is the largest temporary of the writer
+    top = max(n_rows, n_cols, int(csr.data.max(initial=0)))
+    entries = np.empty((csr.nnz, 3), dtype=np.int32 if top < 2**31 else np.int64)
+    entries[:, 0] = np.repeat(np.arange(1, n_rows + 1), np.diff(csr.indptr))
+    entries[:, 1] = csr.indices + 1
+    entries[:, 2] = csr.data
+    ends = np.arange(3, entries.size + 1, 3)
+    return "\n".join(lines) + "\n" + format_int_lines(entries.ravel(), ends, " ")
+
+
+_CHUNK = 1 << 16
+
+
+def format_int_lines(values, row_ends, sep: str) -> str:
+    """Non-negative integers as decimal text, one line per row.
+
+    Row r holds ``values[row_ends[r - 1]:row_ends[r]]`` (row 0 starts at 0)
+    and reads ``sep.join(map(str, row)) + "\\n"``; an empty row is a bare
+    newline. The digits come from numpy arithmetic on chunks of at most
+    2**16 values, so no Python object is made per number and the temporary
+    arrays stay small whatever the input size.
+    """
+    values = np.asarray(values).ravel()
+    ends = np.asarray(row_ends, dtype=np.int64).ravel()
+    starts = np.concatenate(([0], ends[:-1]))
+    if np.any(ends < starts) or (ends[-1] if ends.size else 0) != values.size:
+        raise ConfigError("row_ends must ascend from 0 to the number of values")
+    if values.dtype.kind not in "iu":
+        raise ConfigError(f"format_int_lines takes integers, got {values.dtype}")
+    if len(sep) != 1 or not sep.isascii():
+        raise ConfigError(f"separator must be one ASCII character, got {sep!r}")
+    full_ends, empty_ends = ends[ends > starts], ends[ends == starts]
+    parts = []
+    for lo in range(0, values.size, _CHUNK):
+        hi = min(lo + _CHUNK, values.size)
+        v = values[lo:hi].astype(np.int64)
+        if v.min() < 0:  # also a uint64 beyond the int64 range, wrapped
+            raise ConfigError("format_int_lines takes non-negative int64 values only")
+        top = int(v.max())
+        if top < 1 << 32:
+            v = v.astype(np.uint32)  # divides several times faster
+        width, digits = 1, np.ones(hi - lo, dtype=np.int64)
+        while width < 19 and top >= 10**width:
+            digits += v >= 10**width
+            width += 1
+        # an empty row is a newline just before the value that follows it
+        first, stop = np.searchsorted(empty_ends, [lo, hi])
+        lead = np.bincount(empty_ends[first:stop] - lo, minlength=hi - lo)
+        # each value is its digits and one byte after them, the separator or
+        # the newline that ends its row; ``width`` spare bytes in front keep
+        # every digit index below >= 0
+        end = np.cumsum(lead + digits + 1) + (width - 1)
+        buf = np.full(int(end[-1]) + 1, ord("\n"), dtype=np.uint8)
+        # most significant digit first: a value's leading zeros fall on bytes
+        # before it, which are written again afterwards with what belongs there
+        for d in range(width - 1, -1, -1):
+            q = v // 10**d if d else v
+            buf[end - (d + 1)] = (q - q // 10 * 10).astype(np.uint8) + ord("0")
+        buf[end] = ord(sep)
+        first_row, stop_row = np.searchsorted(full_ends, [lo, hi], "right")
+        buf[end[full_ends[first_row:stop_row] - (lo + 1)]] = ord("\n")
+        if stop > first:
+            nth = np.arange(stop - first) - np.repeat(np.cumsum(lead) - lead, lead)
+            buf[np.repeat(end - digits, lead) - 1 - nth] = ord("\n")
+        parts.append(str(buf[width:].data, "ascii"))
+    parts.append("\n" * int(empty_ends.size - np.searchsorted(empty_ends, values.size)))
+    return "".join(parts)
 
 
 def export_dtm_index(dtm: SparseDTM, comment: str = "") -> str:
@@ -318,8 +381,9 @@ def export_dtm_index(dtm: SparseDTM, comment: str = "") -> str:
 
 
 def csv_field(value: str) -> str:
-    """Quote a CSV field (RFC 4180) only when it holds a comma, quote or newline."""
-    if any(ch in value for ch in ',"\n'):
+    """Quote a CSV field (RFC 4180) only when it holds a comma, a quote, a
+    carriage return or a line feed; a reader splits records on either."""
+    if "," in value or '"' in value or "\n" in value or "\r" in value:
         return '"' + value.replace('"', '""') + '"'
     return value
 

@@ -1,8 +1,11 @@
+import csv
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_scope.corpus_ingest import (
     Corpus,
@@ -187,6 +190,59 @@ def test_serialize_round_trip_random_corpora():
         assert back.documents == corpus.documents
 
 
+def test_serialize_quotes_carriage_returns():
+    # an unquoted CR ends the record for a CSV reader, which then dropped this
+    # row and the next one with "wrong field count"
+    source = (
+        'id,title,year,abstract\n'
+        '"A\r1","one\rtwo",2020,"three\r\nfour"\n'
+        'A2,plain,2021,\n'
+    )
+    corpus, errors = parse_csv(source)
+    assert errors == []
+    assert [d.id for d in corpus] == ["A\r1", "A2"]
+    back, errors = parse_csv(serialize_corpus(corpus))
+    assert errors == []
+    assert back.documents == corpus.documents
+    assert back.documents[0].title == "one\rtwo"
+    assert back.documents[0].abstract == "three\r\nfour"
+
+
+_CSV_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\r\n; '), st.characters()), max_size=10
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            _CSV_TEXT, _CSV_TEXT, _CSV_TEXT, st.lists(_CSV_TEXT, max_size=2),
+            st.lists(_CSV_TEXT, max_size=2), st.none() | st.integers(1900, 2100),
+            st.sampled_from(list(DocType)),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_serialize_corpus_reads_back_with_csv_reader(rows):
+    corpus = make_corpus(*(
+        Document(id=f"{i}{doc_id}", title=title, abstract=abstract,
+                 keywords=tuple(keywords), countries=tuple(countries), year=year,
+                 doc_type=doc_type)
+        for i, (doc_id, title, abstract, keywords, countries, year, doc_type)
+        in enumerate(rows)
+    ))
+    got = list(csv.reader(io.StringIO(serialize_corpus(corpus), newline="")))
+    assert got[0] == ["id", "title", "year", "abstract", "keywords", "doc_type",
+                      "countries"]
+    assert got[1:] == [
+        [d.id, d.title, "" if d.year is None else str(d.year), d.abstract,
+         ";".join(d.keywords), d.doc_type.value, ";".join(d.countries)]
+        for d in corpus
+    ]
+
+
 # ---------------------------------------------------------------- doc types
 
 
@@ -257,7 +313,7 @@ def test_partition_by_country_is_exact_and_disjoint():
     assert outside.ids() == ("C3", "C4")
     assert set(inside.ids()) | set(outside.ids()) == set(corpus.ids())
     assert set(inside.ids()) & set(outside.ids()) == set()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         partition_by_country(corpus, "  ")
 
 

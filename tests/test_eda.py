@@ -16,6 +16,7 @@ from corpus_scope.eda import (
     type_shares,
 )
 from corpus_scope.errors import (
+    ConfigError,
     EmptyCorpusError,
     ExtrapolationError,
     InsufficientDataError,
@@ -58,9 +59,9 @@ def test_counts_per_year_empty_cases():
 
 
 def test_year_series_must_increase():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         YearSeries(points=((2001, 1), (2001, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         YearSeries(points=((2005, 1), (2003, 2)))
 
 
@@ -231,7 +232,7 @@ def test_top_terms_ranking_and_cumulative_share():
     assert everything[-1][2] == pytest.approx(1.0)
     shares = [s for _, _, s in everything]
     assert shares == sorted(shares)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         top_terms(dtm, vocab, k=0)
 
 

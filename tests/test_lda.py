@@ -405,7 +405,24 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.phi, model.phi)
     assert np.array_equal(back.theta, model.theta)
     assert back.assignments == model.assignments
+    assert back.topics.dtype == np.int32 and back.offsets.dtype == np.int64
     assert np.array_equal(back.topic_word_counts, model.topic_word_counts)
+    assert render_model(back) == render_model(model)
+
+
+def test_render_model_count_sections_match_str_join():
+    model, *_ = fitted_planted(seed=23)
+    assert model.topics.dtype == np.int32
+    assert model.offsets.tolist() == [0, *np.cumsum([len(a) for a in model.assignments])]
+    expected = "".join(
+        f"[{name}]\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+        for name, rows in (
+            ("topic_word_counts", model.topic_word_counts.tolist()),
+            ("doc_topic_counts", model.doc_topic_counts.tolist()),
+            ("assignments", model.assignments),
+        )
+    )
+    assert expected + "[log_likelihoods]\n" in render_model(model)
 
 
 def test_save_load_round_trip_with_sample_averaging(tmp_path):

@@ -315,7 +315,7 @@ def test_representative_documents_rank_by_distance():
     assert ranked[0][1] == pytest.approx(5.0)
     assert ranked[2][1] == pytest.approx(0.5)
     assert len(representative_documents(rigged, top_n=99)) == len(model.row_ids)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         representative_documents(rigged, top_n=0)
 
 

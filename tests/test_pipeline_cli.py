@@ -80,6 +80,9 @@ def test_run_report_structure(run_dir):
     assert report["config"]["seed"] == 42
     # the fixture has one known year-less record, kept but flagged
     assert [(e["row"], e["dropped"]) for e in report["record_errors"]] == [(60, False)]
+    peaks = [s["peak_rss_mb"] for s in report["stages"]]
+    assert all(p > 0 for p in peaks)
+    assert peaks == sorted(peaks)  # the process's running maximum
     lda_notes = next(s["notes"] for s in report["stages"] if s["name"] == "lda")
     assert {"gibbs backend native", "gibbs backend python"} & set(lda_notes)
 
@@ -282,6 +285,23 @@ def test_cli_bigram_threshold_is_checked_before_any_stage(mini_corpus_path, tmp_
                    "--bigram-threshold", "0") == 2
     assert not out.exists()
     assert "bigram_threshold" in capsys.readouterr().err
+
+
+def test_cli_dims_and_text_fields_are_checked_before_any_stage(mini_corpus_path,
+                                                            tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run_cli("run", "--input", mini_corpus_path, "--out", out,
+                   "--dims", "0") == 2
+    assert not out.exists()
+    assert "dims" in capsys.readouterr().err
+    cfg_file = tmp_path / "fields.ini"
+    cfg_file.write_text("[text_pipeline]\ntext_fields = title,bogus\n", encoding="utf-8")
+    assert run_cli("run", "--config", cfg_file, "--input", mini_corpus_path,
+                   "--out", out) == 2
+    assert not out.exists()
+    assert "bogus" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="text_fields"):
+        quick_cfg(mini_corpus_path, out, text_fields=())
 
 
 def test_cli_empty_result_exits_3(mini_corpus_path, tmp_path, capsys):

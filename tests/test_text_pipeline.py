@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from corpus_scope.bigrams import GraphFormat, count_bigrams, export_graph, threshold_graph
 from corpus_scope.corpus_ingest import Corpus, Document, Provenance
-from corpus_scope.errors import EmptyCorpusError, InputError, SchemaError
+from corpus_scope.errors import ConfigError, EmptyCorpusError, InputError, SchemaError
 from corpus_scope.text_pipeline import (
     TokenSequence,
     as_token_array,
@@ -17,6 +17,7 @@ from corpus_scope.text_pipeline import (
     default_stoplist,
     export_dtm_index,
     export_matrixmarket,
+    format_int_lines,
     load_matrixmarket,
     load_stoplist,
     remove_stopwords,
@@ -202,7 +203,7 @@ def test_build_vocabulary_cap():
 def test_build_vocabulary_empty_raises():
     with pytest.raises(EmptyCorpusError):
         build_vocabulary(seqs([], []))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_vocabulary(seqs(["a"]), p=0)
 
 
@@ -309,3 +310,47 @@ def test_dtm_index_lists_rows_then_columns():
     assert lines[3] == "doc,2,d1,2"
     assert lines[4] == "term,1,data,2"
     assert lines[-1] == "term,3,methods,1"
+
+
+# ---------------------------------------------------------------- integer lines
+
+_DIGIT_EDGES = st.sampled_from(
+    [0, 1, 9, 10, 99, 100, 999_999_999, 1_000_000_000, 9_999_999_999,
+     2**31 - 1, 2**32 - 1, 2**32, 10**18 - 1, 10**18, 2**62]
+)
+_INT_ROWS = st.lists(
+    st.lists(_DIGIT_EDGES | st.integers(0, 2**62), max_size=6), max_size=25
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INT_ROWS, st.sampled_from([",", " "]), st.sampled_from([0, 1, 2**16 - 3]))
+def test_format_int_lines_matches_str_join(rows, sep, pad):
+    # a first row of ``pad`` sevens pushes the others across the 2**16 chunk edge
+    values = np.array([7] * pad + [v for row in rows for v in row], dtype=np.int64)
+    ends = np.cumsum([pad] * (pad > 0) + [len(row) for row in rows], dtype=np.int64)
+    head = sep.join("7" * pad) + "\n" if pad else ""
+    expected = head + "".join(sep.join(map(str, row)) + "\n" for row in rows)
+    assert format_int_lines(values, ends, sep) == expected
+
+
+def test_format_int_lines_takes_any_integer_dtype():
+    for dtype in (np.uint16, np.int32, np.uint64):
+        values = np.array([0, 65535, 12], dtype=dtype)
+        assert format_int_lines(values, [2, 2, 3], " ") == "0 65535\n\n12\n"
+    assert format_int_lines(np.zeros(0, dtype=np.int64), [0, 0], ",") == "\n\n"
+
+
+def test_format_int_lines_rejects_what_it_cannot_write():
+    with pytest.raises(ConfigError, match="non-negative"):
+        format_int_lines(np.array([3, -1]), [2], ",")
+    with pytest.raises(ConfigError, match="non-negative"):
+        format_int_lines(np.array([2**63], dtype=np.uint64), [1], ",")
+    with pytest.raises(ConfigError, match="integers"):
+        format_int_lines(np.array([1.0]), [1], ",")
+    with pytest.raises(ConfigError, match="row_ends"):
+        format_int_lines(np.array([1, 2]), [1], ",")
+    with pytest.raises(ConfigError, match="row_ends"):
+        format_int_lines(np.array([1, 2]), [2, 1, 2], ",")
+    with pytest.raises(ConfigError, match="separator"):
+        format_int_lines(np.array([1, 2]), [2], ", ")
