@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import xml.sax.saxutils
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -169,7 +168,7 @@ def export_graph(graph: BigramGraph, format: GraphFormat | str, provenance: str 
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     if format is GraphFormat.GRAPHML:
-        esc = xml.sax.saxutils.escape
+        from xml.sax.saxutils import escape as esc, quoteattr  # GraphML only
         default = "directed" if graph.directed else "undirected"
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
@@ -182,9 +181,9 @@ def export_graph(graph: BigramGraph, format: GraphFormat | str, provenance: str 
         )
         lines.append(f'  <graph id="bigrams" edgedefault="{default}">')
         for node in graph.nodes:
-            lines.append(f'    <node id={xml.sax.saxutils.quoteattr(node)}/>')
+            lines.append(f'    <node id={quoteattr(node)}/>')
         for a, b, f in _sorted_edges(graph):
-            qa, qb = xml.sax.saxutils.quoteattr(a), xml.sax.saxutils.quoteattr(b)
+            qa, qb = quoteattr(a), quoteattr(b)
             lines.append(f"    <edge source={qa} target={qb}>")
             lines.append(f'      <data key="weight">{f}</data>')
             lines.append("    </edge>")

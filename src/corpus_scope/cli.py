@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import (
@@ -98,14 +99,10 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     kwargs: dict[str, object] = {}
     if args.config is not None:
         kwargs.update(load_config(args.config))
-    for name in (
-        "input", "format", "phrase", "year_min", "year_max", "stoplist",
-        "vocab_size", "dims", "topics", "alpha", "beta", "iterations",
-        "burn_in", "seed", "bigram_threshold", "country", "out_dir", "threads",
-    ):
-        value = getattr(args, name, None)
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            kwargs[name] = value
+            kwargs[f.name] = value
     if "input" not in kwargs:
         raise ConfigError("no input given: pass --input or set it in the config file")
     if "out_dir" not in kwargs:

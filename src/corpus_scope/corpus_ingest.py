@@ -203,8 +203,8 @@ def _build_document(raw: dict, row: int, errors: list[RecordError]) -> Document 
     )
 
 
-def _iter_csv(text: str, errors: list[RecordError]):
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _iter_csv(text: Iterable[str], errors: list[RecordError]):
+    reader = csv.reader(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -222,8 +222,8 @@ def _iter_csv(text: str, errors: list[RecordError]):
         yield row_num, dict(zip(header, values))
 
 
-def _iter_jsonl(text: str, errors: list[RecordError]):
-    for row_num, line in enumerate(text.splitlines(), start=1):
+def _iter_jsonl(text: Iterable[str], errors: list[RecordError]):
+    for row_num, line in enumerate(text, start=1):
         if not line.strip():
             continue
         try:
@@ -246,29 +246,36 @@ def parse_records(
 
     ``format`` is ``"csv"`` or ``"jsonl"``. The corpus is sorted by id; for
     duplicate ids the first occurrence wins and later ones are reported.
-    Structural problems raise :class:`SchemaError`; I/O and UTF-8 decoding
-    errors propagate as raised by the stream.
+    Structural problems raise :class:`SchemaError` and invalid UTF-8
+    :class:`InputError`; I/O errors propagate as raised by the stream.
     """
     fmt = format.strip().lower()
     if fmt not in ("csv", "jsonl"):
         raise SchemaError(f"unknown input format: {format!r}")
-    try:
-        text = stream.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"input is not valid UTF-8: {exc}") from exc
-
+    # Lines are decoded a chunk at a time rather than into one string (or a
+    # StringIO, which holds 4 bytes per character). CSV lines end at \n, \r
+    # or \r\n and csv.reader joins quoted line breaks back; JSON Lines split
+    # at \n only, because JSON strings may hold U+2028, U+2029 and U+0085 raw.
+    text = io.TextIOWrapper(
+        io.BytesIO(stream.read()), encoding="utf-8", newline="" if fmt == "csv" else "\n"
+    )
     errors: list[RecordError] = []
     rows = _iter_csv(text, errors) if fmt == "csv" else _iter_jsonl(text, errors)
 
     by_id: dict[str, Document] = {}
-    for row_num, raw in rows:
-        doc = _build_document(raw, row_num, errors)
-        if doc is None:
-            continue
-        if doc.id in by_id:
-            errors.append(RecordError(row_num, f"duplicate id {doc.id!r}", dropped=True))
-            continue
-        by_id[doc.id] = doc
+    try:
+        for row_num, raw in rows:
+            doc = _build_document(raw, row_num, errors)
+            if doc is None:
+                continue
+            if doc.id in by_id:
+                errors.append(
+                    RecordError(row_num, f"duplicate id {doc.id!r}", dropped=True)
+                )
+                continue
+            by_id[doc.id] = doc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not valid UTF-8: {exc}") from exc
 
     documents = tuple(sorted(by_id.values(), key=lambda d: d.id))
     corpus = Corpus(documents=documents, provenance=Provenance(source=source or fmt))

@@ -75,7 +75,6 @@ def counts_per_year(corpus: "Corpus") -> YearSeries:
 
 class XEncoding(enum.Enum):
     RAW_YEAR = "raw_year"
-    CENTERED_YEAR = "centered_year"
 
 
 @dataclass(frozen=True)
@@ -91,15 +90,14 @@ class QuadraticFit:
     p_value : float
         Overall F-test p-value on (2, n-3) degrees of freedom.
     x_encoding : XEncoding
-        RAW_YEAR means x is the calendar year itself; CENTERED_YEAR means
-        x = year - x_mean.
+        RAW_YEAR: x is the calendar year itself.
     degenerate : bool
         True when the response had zero variance (R^2 reported as 1.0 by
         convention and the p-value as 1.0).
     x_min, x_max : int
         Fitted year range, used to guard forecasts.
     x_mean : float
-        Mean fitted year (the centering offset).
+        Mean fitted year (the centering offset of the solve).
     """
 
     a2: float
@@ -176,8 +174,6 @@ def fit_quadratic(series: YearSeries) -> QuadraticFit:
 
 def _evaluate(fit: QuadraticFit, year: int) -> float:
     x = float(year)
-    if fit.x_encoding is XEncoding.CENTERED_YEAR:
-        x -= fit.x_mean
     return (fit.a2 * x + fit.a1) * x + fit.a0
 
 

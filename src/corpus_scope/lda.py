@@ -251,12 +251,26 @@ def _initial_topics(
     return np.array(flat, dtype=np.int32)
 
 
+def _gammaln_table(words: np.ndarray, beta: float) -> np.ndarray:
+    """``gammaln(c + beta)`` for every count ``c`` an ``n_wk`` entry can hold.
+
+    No entry exceeds the largest per-word token count, so indexing the table
+    with ``n_wk`` gives exactly ``gammaln(n_wk + beta)`` without the ufunc.
+    """
+    most = int(np.bincount(words, minlength=1).max())
+    return gammaln(np.arange(most + 1) + beta)
+
+
 def _log_likelihood(
-    n_wk: np.ndarray, n_k: np.ndarray, k: int, p: int, beta: float
+    n_wk: np.ndarray, n_k: np.ndarray, k: int, p: int, beta: float,
+    table: np.ndarray,
 ) -> float:
-    """Joint log p(w | z) under the collapsed model (topic-word part)."""
+    """Joint log p(w | z) under the collapsed model (topic-word part).
+
+    ``table`` is :func:`_gammaln_table` for the corpus and ``beta``.
+    """
     val = k * (gammaln(p * beta) - p * gammaln(beta))
-    val += float(gammaln(n_wk + beta).sum() - gammaln(n_k + p * beta).sum())
+    val += float(table[n_wk].sum() - gammaln(n_k + p * beta).sum())
     return float(val)
 
 
@@ -296,16 +310,9 @@ def _load_kernel() -> Callable[..., None]:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     sweep = ctypes.CDLL(str(library)).gibbs_sweep
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    i64_out = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    i32_out = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS,WRITEABLE")
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    f64_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    sweep.argtypes = [
-        ctypes.c_int64, i64, i32, i32_out, ctypes.c_int64, i64_out, i64_out,
-        i64_out, f64, f64_out, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-    ]
+    # plain addresses: fit_lda checks dtype and layout once, in _check_tables
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    sweep.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, f64, f64, f64]
     sweep.restype = None
     return sweep
 
@@ -389,11 +396,23 @@ def _check_tables(
     p: int,
     k: int,
 ) -> None:
-    """Shapes and index ranges the C sweep relies on without checking.
+    """Dtypes, layout, shapes and index ranges the C sweep relies on.
 
-    Dtypes, contiguity and writability are checked on every call by the
-    ``ndpointer`` argument types.
+    The sweep gets raw addresses, so every table must have the dtype it
+    reads, be C-contiguous, and be writable where the sweep writes.
     """
+    for name, array, dtype, written in (
+        ("offsets", offsets, np.int64, False),
+        ("words", words, np.int32, False),
+        ("z", z, np.int32, True),
+        ("n_wk", n_wk, np.int64, True),
+        ("n_dk", n_dk, np.int64, True),
+        ("n_k", n_k, np.int64, True),
+    ):
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise RuntimeError(f"Gibbs table {name} is not C-contiguous {dtype.__name__}")
+        if written and not array.flags.writeable:
+            raise RuntimeError(f"Gibbs table {name} is read-only")
     n_docs = offsets.size - 1
     if (
         words.shape != (offsets[-1],)
@@ -443,12 +462,24 @@ def fit_lda(
     n_k = np.bincount(z, minlength=k)
     n_wk, n_dk, n_k = (a.astype(np.int64, copy=False) for a in (n_wk, n_dk, n_k))
 
-    sweep = _gibbs_kernel()
-    if sweep is None:
-        sweep = _sweep_python
-    else:
-        _check_tables(offsets, words, z, n_wk, n_dk, n_k, p, k)
+    _check_tables(offsets, words, z, n_wk, n_dk, n_k, p, k)
     cum = np.zeros(k)
+    kernel = _gibbs_kernel()
+    if kernel is None:
+        def sweep(u: np.ndarray) -> None:
+            _sweep_python(n_docs, offsets, words, z, k, n_wk, n_dk, n_k, u, cum,
+                          alpha, beta, vbeta)
+    else:
+        # the tables are updated in place for the whole chain, so their
+        # addresses are taken once; only the uniforms are new each sweep
+        off_p, words_p, z_p, nwk_p, ndk_p, nk_p, cum_p = (
+            a.ctypes.data for a in (offsets, words, z, n_wk, n_dk, n_k, cum)
+        )
+
+        def sweep(u: np.ndarray) -> None:
+            kernel(n_docs, off_p, words_p, z_p, k, nwk_p, ndk_p, nk_p, u.ctypes.data,
+                   cum_p, alpha, beta, vbeta)
+    table = _gammaln_table(words, beta)
 
     log_likelihoods: list[float] = []
     phi_acc = np.zeros((k, p)) if config.sample_averaging else None
@@ -456,8 +487,7 @@ def fit_lda(
     averaged = 0
 
     for it in range(config.iterations):
-        u = stream.random_sample(total_tokens)
-        sweep(n_docs, offsets, words, z, k, n_wk, n_dk, n_k, u, cum, alpha, beta, vbeta)
+        sweep(stream.random_sample(total_tokens))
 
         # exact conservation check: every margin must re-add to the token total
         if int(n_k.sum()) != total_tokens:
@@ -465,7 +495,7 @@ def fit_lda(
         if int(n_wk.sum()) != total_tokens or int(n_dk.sum()) != total_tokens:
             raise RuntimeError(f"count table margin mismatch at sweep {it}")
 
-        log_likelihoods.append(_log_likelihood(n_wk, n_k, k, p, beta))
+        log_likelihoods.append(_log_likelihood(n_wk, n_k, k, p, beta, table))
 
         if config.sample_averaging and it >= config.burn_in:
             phi_acc += (n_wk.T + beta) / (n_k + vbeta)[:, None]

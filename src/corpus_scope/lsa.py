@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigError,
@@ -46,6 +45,7 @@ DEFAULT_DIMS = 2
 DENSE_CUTOFF = 64
 LANCZOS_TOL = 1e-10
 LANCZOS_MAX_ITER = 1000
+LANCZOS_BLOCK = 64  # basis columns added per growth
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,13 @@ def _lanczos_topk(
     subspace triggers a deterministic orthogonal restart. Returns
     (eigenvalues desc, eigenvectors, steps).
     """
+    import scipy.linalg  # loaded only when a CA takes the Lanczos path
+
     limit = min(dim, max_iter)
-    Q = np.zeros((dim, limit))
+    # grown LANCZOS_BLOCK columns at a time, so only used columns take memory;
+    # kept in C order, because Fortran order makes numpy call the other BLAS
+    # gemv variant, which rounds differently
+    Q = np.zeros((dim, min(limit, LANCZOS_BLOCK)))
     alphas: list[float] = []
     betas: list[float] = []
     q = _start_vector(dim, 0, None)
@@ -184,6 +189,10 @@ def _lanczos_topk(
         if m >= limit:
             converged = m >= dim  # full Krylov space is exact
             break
+        if m == Q.shape[1]:
+            wider = np.zeros((dim, min(limit, m + LANCZOS_BLOCK)))
+            wider[:, :m] = Q
+            Q = wider
         if beta < 1e-13:
             q = _start_vector(dim, restarts, Q[:, :m])
             restarts += 1

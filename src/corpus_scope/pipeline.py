@@ -71,6 +71,7 @@ from .text_pipeline import (
     build_dtm,
     build_sequences,
     build_vocabulary,
+    csv_field,
     default_stoplist,
     export_dtm_index,
     export_matrixmarket,
@@ -476,7 +477,7 @@ def _lsa(run: _Run, stage: StageReport) -> None:
         model.row_coords,
     ):
         lines.append(
-            f"row,{doc_id},{mass!r},{score!r},{ranking[doc_id]},"
+            f"row,{csv_field(doc_id)},{mass!r},{score!r},{ranking[doc_id]},"
             + ",".join(map(repr, coords.tolist()))
         )
     points = [("col", model.col_labels, model.col_masses, model.col_coords)]
@@ -484,7 +485,8 @@ def _lsa(run: _Run, stage: StageReport) -> None:
         points.append(("year", supp.labels, supp.masses, supp.coords))
     for kind, labels, masses, coords in points:
         lines += (
-            f"{kind},{label},{mass!r},,," + ",".join(map(repr, row.tolist()))
+            f"{kind},{csv_field(label)},{mass!r},,,"
+            + ",".join(map(repr, row.tolist()))
             for label, mass, row in zip(labels, masses.tolist(), coords)
         )
     run.emit(stage, "ca_coords.csv", "\n".join(lines) + "\n")

@@ -124,6 +124,42 @@ def test_non_utf8_input_is_an_input_error():
         parse_records(io.BytesIO(b"id,title,year\nA1,\xff\xfe,2001\n"), "csv")
 
 
+def test_invalid_utf8_past_the_first_decoded_chunk_is_an_input_error():
+    rows = "".join(f"A{i},title {i},2001\n" for i in range(2000))
+    data = f"id,title,year\n{rows}".encode("utf-8") + b"B1,\xff,2001\n"
+    with pytest.raises(InputError, match="UTF-8"):
+        parse_records(io.BytesIO(data), "csv")
+
+
+def test_csv_records_may_end_in_a_bare_carriage_return():
+    source = (
+        'id,title,year,abstract\r'
+        'A1,"one\r\ntwo",2020,x\r'
+        'A2,plain,2021,"multi\nline"\r'
+    )
+    corpus, errors = parse_csv(source)
+    assert errors == []
+    assert [(d.id, d.title, d.year, d.abstract) for d in corpus] == [
+        ("A1", "one\r\ntwo", 2020, "x"), ("A2", "plain", 2021, "multi\nline"),
+    ]
+
+
+def test_jsonl_records_split_at_line_feeds_only():
+    # JSON strings may hold U+2028, U+2029 and U+0085 raw, and
+    # json.dumps(ensure_ascii=False) writes them so; str.splitlines would
+    # cut such a record in two. A bare \r is whitespace between JSON tokens.
+    records = [{"id": f"J{i:02d}", "title": f"Title {i}", "year": 2000 + i}
+               for i in range(12)]
+    records[4]["abstract"] = "one\u2028two\u2029three\x85four"
+    lines = [json.dumps(r, ensure_ascii=False) for r in records]
+    lines[7] = lines[7].replace(', "title"', ',\r"title"')
+    text = "".join(line + ("\r\n" if i % 2 else "\n") for i, line in enumerate(lines))
+    corpus, errors = parse_jsonl(text)
+    assert errors == []
+    assert [d.id for d in corpus] == [r["id"] for r in records]
+    assert corpus.documents[4].abstract == "one\u2028two\u2029three\x85four"
+
+
 def test_parse_jsonl_records():
     lines = [
         json.dumps({"id": "J2", "title": "Two", "year": "2019",

@@ -6,6 +6,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from conftest import planted_corpus
 from corpus_scope import lda
@@ -348,6 +349,41 @@ def test_native_sweep_inputs_are_bounds_checked():
     lda._check_tables(offsets, np.array([0, 2], np.int32), z, *tables, p=3, k=2)
     with pytest.raises(RuntimeError):  # word id 3 is outside a 3-term vocabulary
         lda._check_tables(offsets, np.array([0, 3], np.int32), z, *tables, p=3, k=2)
+
+
+@pytest.mark.parametrize("spoil", ["dtype", "non_contiguous", "read_only"])
+def test_native_sweep_inputs_are_layout_checked(spoil):
+    # the compiled sweep gets raw addresses, so the layout is checked up front
+    offsets = np.array([0, 2], np.int64)
+    words = np.array([0, 2], np.int32)
+    z = np.zeros(2, dtype=np.int32)
+    n_wk, n_dk, n_k = (np.zeros(shape, np.int64) for shape in [(3, 2), (1, 2), 2])
+    lda._check_tables(offsets, words, z, n_wk, n_dk, n_k, p=3, k=2)
+    if spoil == "dtype":
+        z = z.astype(np.int64)
+    elif spoil == "non_contiguous":
+        n_wk = np.zeros((2, 3), np.int64).T
+    else:
+        n_k.flags.writeable = False
+    with pytest.raises(RuntimeError, match="z|n_wk|n_k"):
+        lda._check_tables(offsets, words, z, n_wk, n_dk, n_k, p=3, k=2)
+
+
+def test_gammaln_table_log_likelihood_is_bit_identical():
+    rng = np.random.default_rng(17)
+    for beta, p, k in [(0.01, 50, 6), (0.37, 7, 3), (1e-3, 200, 50)]:
+        words = rng.integers(0, p, size=4000).astype(np.int32)
+        table = lda._gammaln_table(words, beta)
+        most = np.bincount(words).max()
+        assert table.size == most + 1
+        n_wk = rng.integers(0, most + 1, size=(p, k))
+        n_wk[rng.integers(p), rng.integers(k)] = most  # the largest count
+        assert table[n_wk].sum() == gammaln(n_wk + beta).sum()
+        n_k = n_wk.sum(axis=0)
+        expected = k * (gammaln(p * beta) - p * gammaln(beta))
+        expected += float(gammaln(n_wk + beta).sum() - gammaln(n_k + p * beta).sum())
+        assert lda._log_likelihood(n_wk, n_k, k, p, beta, table) == expected
+    assert lda._gammaln_table(np.zeros(0, np.int32), 0.5).tolist() == [gammaln(0.5)]
 
 
 def test_chain_matches_the_pinned_reference():

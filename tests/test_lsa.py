@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from conftest import make_dtm
 from corpus_scope.errors import ConfigError, DegenerateMarginError, NotFoundError
 from corpus_scope.lsa import (
+    LANCZOS_BLOCK,
     fit_ca,
     project_supplementary,
     representative_documents,
@@ -223,6 +225,18 @@ def test_lanczos_is_deterministic():
     assert np.array_equal(a.row_coords, b.row_coords)
     assert np.array_equal(a.singular_values, b.singular_values)
     assert a.iterations == b.iterations > 0
+
+
+def test_lanczos_basis_growth_keeps_the_pinned_bytes():
+    # SHA-256 taken from the solver that allocated the whole dim x limit
+    # basis up front; growing it block by block must not change one bit
+    rng = np.random.default_rng(5)
+    X = rng.poisson(rng.gamma(0.3, 1.0, size=(400, 600)))
+    model = fit_ca(make_dtm(X), dims=30, solver="lanczos")
+    assert model.iterations > 2 * LANCZOS_BLOCK  # grew at least twice
+    arrays = (model.singular_values, model.row_coords, model.col_coords)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == "8000eb68d29e4e20708be14b2750cea2d74c2e560ef57380a33b7635f1e29b37"
 
 
 def test_auto_solver_uses_dense_for_small_tables():

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -157,6 +158,28 @@ def test_ca_coords_file(run_dir):
     assert len(year_rows) == 13
     for r in rows[1:]:
         float(r[5]), float(r[6])  # coordinates parse
+
+
+def test_ca_coords_rows_parse_to_the_header_width(tmp_path):
+    # a comma in a document id used to add a field to that row
+    src = tmp_path / "ids.csv"
+    with open(src, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "title", "year", "abstract"])
+        for i in range(12):
+            writer.writerow([
+                "A,3" if i == 3 else f"A{i}",
+                f"network model {'data' if i % 2 else 'graph'} learning",
+                2010 + i % 5,
+                f"text mining topic cluster {'alpha' if i % 3 else 'beta'} analysis",
+            ])
+    out = tmp_path / "out"
+    run_pipeline(quick_cfg(src, out, topics=2, bigram_threshold=1))
+    lines = [ln for ln in (out / "ca_coords.csv").read_text(encoding="utf-8")
+             .splitlines() if not ln.startswith("#")]
+    table = list(csv.reader(lines))
+    assert {len(row) for row in table} == {len(table[0])}
+    assert ["row", "A,3"] in [row[:2] for row in table]
 
 
 def test_lda_outputs(run_dir):
@@ -444,6 +467,23 @@ def test_compare_needs_a_country(mini_corpus_path, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- entry point
+
+
+def test_dense_run_loads_neither_lanczos_nor_graphml_modules(mini_corpus_path, tmp_path):
+    # scipy.linalg serves only the Lanczos CA solver and xml.sax.saxutils
+    # only GraphML export; a demo-sized run (dense CA, edge CSV) needs neither
+    script = (
+        "import sys\n"
+        "from corpus_scope.cli import main\n"
+        f"code = main(['run', '--input', {str(mini_corpus_path)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}, '--iters', '5', '--burn-in', '1'])\n"
+        "print(code, [m for m in ('scipy.linalg', 'xml.sax.saxutils')"
+        " if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_console_script_help():
