@@ -27,6 +27,7 @@ from .pipeline import (
     compare_subsets,
     load_config,
     run_pipeline,
+    warn_ignored,
 )
 
 _STAGE_FOR_COMMAND = {
@@ -56,14 +57,16 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--iters", type=int, dest="iterations",
                      help="Gibbs sweeps (default 1000)")
     sub.add_argument("--burn-in", type=int, dest="burn_in",
-                     help="sweeps discarded before averaging (default 200)")
+                     help="burn-in sweeps, checked (< --iters) and recorded in the "
+                     "model file; the estimates come from the final sweep, so it "
+                     "does not change them (default 200)")
     sub.add_argument("--seed", type=int, help="RNG seed (default 42)")
     sub.add_argument("--bigram-threshold", type=int, dest="bigram_threshold",
                      help="minimum bigram frequency kept (default 150)")
     sub.add_argument("--country", help="country for the compare subcommand")
     sub.add_argument("--out", type=Path, dest="out_dir", help="output directory")
     sub.add_argument("--threads", type=int,
-                     help="accepted for compatibility; has no effect")
+                     help="deprecated; accepted with a warning and has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +102,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     kwargs: dict[str, object] = {}
     if args.config is not None:
         kwargs.update(load_config(args.config))
+    if args.threads is not None:
+        warn_ignored("--threads")
     for f in fields(PipelineConfig):
         value = getattr(args, f.name, None)
         if value is not None:

@@ -43,6 +43,7 @@ from typing import BinaryIO, Iterable
 from .errors import ConfigError, EmptyResultError, InputError, SchemaError
 from .text_pipeline import csv_field, tokenize
 
+INPUT_FORMATS = ("csv", "jsonl")
 REQUIRED_COLUMNS = ("id", "title", "year")
 OPTIONAL_COLUMNS = ("abstract", "keywords", "doc_type", "countries")
 
@@ -198,7 +199,7 @@ def _build_document(raw: dict, row: int, errors: list[RecordError]) -> Document 
         abstract=str(raw.get("abstract") or ""),
         keywords=_split_multi(raw.get("keywords")),
         year=year,
-        doc_type=normalize_doc_type(raw.get("doc_type")),
+        doc_type=normalize_doc_type(str(raw.get("doc_type") or "")),
         countries=_split_multi(raw.get("countries")),
     )
 
@@ -250,7 +251,7 @@ def parse_records(
     :class:`InputError`; I/O errors propagate as raised by the stream.
     """
     fmt = format.strip().lower()
-    if fmt not in ("csv", "jsonl"):
+    if fmt not in INPUT_FORMATS:
         raise SchemaError(f"unknown input format: {format!r}")
     # Lines are decoded a chunk at a time rather than into one string (or a
     # StringIO, which holds 4 bytes per character). CSV lines end at \n, \r

@@ -41,7 +41,6 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptyCorpusError,
-    NotFoundError,
     SchemaError,
     SimplexError,
 )
@@ -62,7 +61,11 @@ MODEL_FORMAT = "corpus-scope-lda v1"
 
 @dataclass(frozen=True)
 class LdaConfig:
-    """Sampler settings. ``alpha`` defaults to the 50/k heuristic."""
+    """Sampler settings. ``alpha`` defaults to the 50/k heuristic.
+
+    ``burn_in`` is validated and recorded in the model file; the estimates
+    come from the final sweep's counts, so it does not change them.
+    """
 
     k: int = DEFAULT_TOPICS
     alpha: float | None = None
@@ -70,7 +73,6 @@ class LdaConfig:
     iterations: int = DEFAULT_ITERATIONS
     burn_in: int = DEFAULT_BURN_IN
     seed: int = 0
-    sample_averaging: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -90,9 +92,9 @@ class LdaModel:
     """Fitted topic model.
 
     ``phi`` is k x p (topics over terms), ``theta`` is n x k (documents over
-    topics); both are smoothed point estimates from the final (or averaged)
-    counts. Count tables and per-token assignments are retained so a model
-    can be persisted and reloaded exactly. The assignments are kept flat:
+    topics); both are smoothed point estimates from the final counts. Count
+    tables and per-token assignments are retained so a model can be
+    persisted and reloaded exactly. The assignments are kept flat:
     document d's tokens have topics ``topics[offsets[d]:offsets[d + 1]]``.
     """
 
@@ -113,12 +115,6 @@ class LdaModel:
         """Each document's token topics, decoded from the flat arrays."""
         flat, bounds = self.topics.tolist(), self.offsets.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    def doc_index(self, doc_id: str) -> int:
-        try:
-            return self.doc_ids.index(doc_id)
-        except ValueError:
-            raise NotFoundError(f"document {doc_id!r} not in the model") from None
 
 
 def dirichlet_density(
@@ -215,40 +211,6 @@ def _randrange_batch(stream: np.random.RandomState, k: int, n: int) -> np.ndarra
     stream.set_state(start)
     stream.randint(0, 2**32, size=consumed, dtype=np.uint32)
     return np.concatenate(accepted).astype(np.int32)
-
-
-def seed_assignments(
-    sequences: "TokenArray | Iterable[TokenSequence]",
-    vocab: "Vocabulary",
-    config: LdaConfig,
-) -> list[list[int]]:
-    """The seed-derived initial topic assignment used by :func:`fit_lda`.
-
-    Exposed so reproducibility experiments can start chains from an explicit
-    (e.g. relabeled) state via ``fit_lda(..., initial_assignments=...)``.
-    """
-    _, offsets, _, _ = _vectorize(sequences, vocab)
-    z = _randrange_batch(_mt_stream(config.seed), config.k, int(offsets[-1])).tolist()
-    bounds = offsets.tolist()
-    return [z[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _initial_topics(
-    initial_assignments: Sequence[Sequence[int]], offsets: np.ndarray, k: int
-) -> np.ndarray:
-    """Validate explicit per-document assignments and flatten them to int32."""
-    lengths = np.diff(offsets).tolist()
-    if len(initial_assignments) != len(lengths):
-        raise ConfigError("initial_assignments must cover every kept document")
-    flat: list[int] = []
-    for d, (n, given) in enumerate(zip(lengths, initial_assignments)):
-        if len(given) != n:
-            raise ConfigError(f"initial assignment length mismatch in doc {d}")
-        row = [int(t) for t in given]
-        if any(t < 0 or t >= k for t in row):
-            raise ConfigError("initial assignment topic out of range")
-        flat.extend(row)
-    return np.array(flat, dtype=np.int32)
 
 
 def _gammaln_table(words: np.ndarray, beta: float) -> np.ndarray:
@@ -432,14 +394,12 @@ def fit_lda(
     sequences: "TokenArray | Iterable[TokenSequence]",
     vocab: "Vocabulary",
     config: LdaConfig,
-    initial_assignments: Sequence[Sequence[int]] | None = None,
 ) -> LdaModel:
     """Run the collapsed Gibbs sampler and return point estimates.
 
     Documents with no in-vocabulary tokens are dropped (with a warning) and
     listed on ``dropped_ids``. Count tables are cross-checked for exact
-    conservation after every sweep. With ``sample_averaging`` the phi/theta
-    estimates average the post-burn-in sweeps instead of using final counts.
+    conservation after every sweep.
     """
     doc_ids, offsets, words, dropped = _vectorize(sequences, vocab)
     k = config.k
@@ -451,11 +411,7 @@ def fit_lda(
     total_tokens = int(words.size)
     stream = _mt_stream(config.seed)
 
-    if initial_assignments is None:
-        z = _randrange_batch(stream, k, total_tokens)
-    else:
-        z = _initial_topics(initial_assignments, offsets, k)
-
+    z = _randrange_batch(stream, k, total_tokens)
     doc_of_token = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offsets))
     n_wk = np.bincount(words.astype(np.int64) * k + z, minlength=p * k).reshape(p, k)
     n_dk = np.bincount(doc_of_token * k + z, minlength=n_docs * k).reshape(n_docs, k)
@@ -482,10 +438,6 @@ def fit_lda(
     table = _gammaln_table(words, beta)
 
     log_likelihoods: list[float] = []
-    phi_acc = np.zeros((k, p)) if config.sample_averaging else None
-    theta_acc = np.zeros((n_docs, k)) if config.sample_averaging else None
-    averaged = 0
-
     for it in range(config.iterations):
         sweep(stream.random_sample(total_tokens))
 
@@ -497,18 +449,9 @@ def fit_lda(
 
         log_likelihoods.append(_log_likelihood(n_wk, n_k, k, p, beta, table))
 
-        if config.sample_averaging and it >= config.burn_in:
-            phi_acc += (n_wk.T + beta) / (n_k + vbeta)[:, None]
-            theta_acc += (n_dk + alpha) / (n_dk.sum(axis=1) + k * alpha)[:, None]
-            averaged += 1
-
-    if config.sample_averaging:
-        phi = phi_acc / averaged
-        theta = theta_acc / averaged
-    else:
-        phi = (n_wk.T + beta) / (n_k.astype(np.float64) + vbeta)[:, None]
-        lens = n_dk.sum(axis=1).astype(np.float64)
-        theta = (n_dk + alpha) / (lens + k * alpha)[:, None]
+    phi = (n_wk.T + beta) / (n_k.astype(np.float64) + vbeta)[:, None]
+    lens = n_dk.sum(axis=1).astype(np.float64)
+    theta = (n_dk + alpha) / (lens + k * alpha)[:, None]
 
     return LdaModel(
         config=config,
@@ -537,11 +480,6 @@ def top_words_per_topic(model: LdaModel, m: int = 10) -> list[list[str]]:
     return [[terms[j] for j in row] for row in order[:, :m].tolist()]
 
 
-def doc_topic_distribution(model: LdaModel, doc_id: str) -> np.ndarray:
-    """The smoothed topic mixture of one document (sums to 1)."""
-    return model.theta[model.doc_index(doc_id)].copy()
-
-
 def render_model(model: LdaModel) -> str:
     """The versioned text format (header, labels, CSV count tables)."""
     cfg = model.config
@@ -553,7 +491,7 @@ def render_model(model: LdaModel) -> str:
         f"iterations={cfg.iterations}",
         f"burn_in={cfg.burn_in}",
         f"seed={cfg.seed}",
-        f"sample_averaging={int(cfg.sample_averaging)}",
+        "sample_averaging=0",  # estimates always come from the final counts
         f"n_docs={len(model.doc_ids)}",
         f"n_terms={len(model.terms)}",
         "dropped=" + ";".join(model.dropped_ids),
@@ -563,14 +501,6 @@ def render_model(model: LdaModel) -> str:
         *model.doc_ids,
         "[topic_word_counts]",
     ]
-    tail = []
-    if cfg.sample_averaging:
-        tail.append("[phi]")
-        tail.extend(",".join(map(repr, row)) for row in model.phi.tolist())
-        tail.append("[theta]")
-        tail.extend(",".join(map(repr, row)) for row in model.theta.tolist())
-    tail.append("[log_likelihoods]")
-    tail.extend(map(repr, model.log_likelihoods))
     return "".join([
         "\n".join(head) + "\n",
         _csv_table(model.topic_word_counts),
@@ -578,7 +508,8 @@ def render_model(model: LdaModel) -> str:
         _csv_table(model.doc_topic_counts),
         "[assignments]\n",
         format_int_lines(model.topics, model.offsets[1:], ","),
-        "\n".join(tail) + "\n",
+        "[log_likelihoods]\n",
+        "".join(f"{v!r}\n" for v in model.log_likelihoods),
     ])
 
 
@@ -597,9 +528,9 @@ def save_model(model: LdaModel, path) -> None:
 def load_model(path) -> LdaModel:
     """Reload a model written by :func:`save_model`; phi/theta reproduce exactly.
 
-    Final-count models recompute phi/theta through the same arithmetic as the
-    fit; averaged models restore the stored matrices (repr round-trips floats
-    losslessly).
+    phi/theta are recomputed from the counts through the same arithmetic as
+    the fit. Files with ``sample_averaging=1`` (averaged estimates, no longer
+    produced) raise SchemaError.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -611,6 +542,8 @@ def load_model(path) -> LdaModel:
         key, _, value = lines[i].partition("=")
         header[key] = value
         i += 1
+    if header.get("sample_averaging", "0") != "0":
+        raise SchemaError("sample-averaged models are not supported")
 
     sections: dict[str, list[str]] = {}
     current: list[str] = []
@@ -628,7 +561,6 @@ def load_model(path) -> LdaModel:
         iterations=int(header["iterations"]),
         burn_in=int(header["burn_in"]),
         seed=int(header["seed"]),
-        sample_averaging=bool(int(header["sample_averaging"])),
     )
     n_docs, n_terms = int(header["n_docs"]), int(header["n_terms"])
     terms = tuple(sections["terms"])
@@ -653,19 +585,11 @@ def load_model(path) -> LdaModel:
         if ln:
             topics.extend(int(v) for v in ln.split(","))
         offsets.append(len(topics))
-    if cfg.sample_averaging:
-        phi = np.array(
-            [[float(v) for v in ln.split(",")] for ln in sections["phi"]]
-        )
-        theta = np.array(
-            [[float(v) for v in ln.split(",")] for ln in sections["theta"]]
-        )
-    else:
-        vbeta = n_terms * cfg.beta
-        nk = nwk.sum(axis=1).astype(np.float64)
-        phi = (nwk + cfg.beta) / (nk + vbeta)[:, None]
-        lens = ndk.sum(axis=1).astype(np.float64)
-        theta = (ndk + cfg.alpha) / (lens + cfg.k * cfg.alpha)[:, None]
+    vbeta = n_terms * cfg.beta
+    nk = nwk.sum(axis=1).astype(np.float64)
+    phi = (nwk + cfg.beta) / (nk + vbeta)[:, None]
+    lens = ndk.sum(axis=1).astype(np.float64)
+    theta = (ndk + cfg.alpha) / (lens + cfg.k * cfg.alpha)[:, None]
     lls = tuple(float(v) for v in sections.get("log_likelihoods", []))
     dropped = tuple(x for x in header.get("dropped", "").split(";") if x)
     return LdaModel(

@@ -4,7 +4,7 @@ Stages run in a fixed order (ingest, text, eda, lsa, lda, bigrams), each
 writing its files into the output directory. Every run also writes
 run_report.json, a manifest with the echoed configuration, per-stage wall
 times and notes, dropped-record lists, and a SHA-256 per output file. All
-data files are deterministic for a given (input, config) pair regardless of
+data files are deterministic for a given (input, config) pair at a fixed BLAS
 thread count; the report's timing fields are the only thing that varies.
 """
 
@@ -17,9 +17,9 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,14 +31,13 @@ except ImportError:  # pragma: no cover - not on Windows
 from . import __version__
 from .bigrams import (
     DEFAULT_THRESHOLD,
-    GraphFormat,
     count_bigrams,
     export_graph,
     threshold_graph,
 )
 from .corpus_ingest import (
+    INPUT_FORMATS,
     Corpus,
-    RecordError,
     filter_by_phrase,
     filter_by_years,
     parse_file,
@@ -108,13 +107,14 @@ class PipelineConfig:
     burn_in: int = 200
     bigram_threshold: int = DEFAULT_THRESHOLD
     seed: int = 42
-    threads: int = 1
 
     def __post_init__(self):
+        if self.format is not None and self.format.strip().lower() not in INPUT_FORMATS:
+            raise ConfigError(
+                f"format must be one of {', '.join(INPUT_FORMATS)}, got {self.format!r}"
+            )
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.forecast_years < 0:
             raise ConfigError("forecast_years must be >= 0")
         if self.top_terms < 1 or self.top_documents < 1:
@@ -172,6 +172,12 @@ _CONFIG_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
 _KEY_RENAMES = {"threshold": "bigram_threshold", "out": "out_dir"}
 
 
+def warn_ignored(setting: str) -> None:
+    """Tell the user on stderr that a still-accepted setting does nothing."""
+    print(f"corpus-scope: warning: {setting} is deprecated and has no effect",
+          file=sys.stderr)
+
+
 def load_config(path) -> dict[str, object]:
     """Parse an INI config with sections mirroring the module names.
 
@@ -198,6 +204,9 @@ def load_config(path) -> dict[str, object]:
                 value = schema[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+            if key == "threads":
+                warn_ignored(f"[{section}] threads")
+                continue
             kwargs[_KEY_RENAMES.get(key, key)] = value
     return kwargs
 
@@ -297,13 +306,22 @@ class _Run:
         )
         self.provenance = ""
         self.corpus: Corpus | None = None
+        self.stoplist: frozenset[str] = frozenset()
         self.tokens = None
         self.vocab = None
         self.dtm = None
 
-    def emit(self, stage: StageReport, name: str, payload: str | bytes) -> None:
+    def emit(
+        self,
+        stage: StageReport,
+        name: str,
+        payload: str | bytes | Callable[[], str | bytes],
+    ) -> None:
+        """Write one output of ``stage``; a callable payload is rendered only then."""
         if stage.name not in self.write:
             return
+        if callable(payload):
+            payload = payload()
         path = self.cfg.out_dir / name
         if isinstance(payload, bytes):
             path.write_bytes(payload)
@@ -343,21 +361,22 @@ def _ingest(run: _Run, stage: StageReport) -> None:
         f" | filters={'; '.join(corpus.provenance.filters) or 'none'}"
         f" | seed={cfg.seed}"
     )
-    run.emit(stage, "corpus.csv", serialize_corpus(corpus))
+    run.emit(stage, "corpus.csv", lambda: serialize_corpus(corpus))
 
 
 def _text(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
-    stoplist, origin = resolve_stoplist(cfg)
-    stage.notes.append(f"stoplist={origin} ({len(stoplist)} terms)")
-    run.tokens = build_sequences(run.corpus, stoplist, fields=cfg.text_fields)
+    run.stoplist, origin = resolve_stoplist(cfg)
+    stage.notes.append(f"stoplist={origin} ({len(run.stoplist)} terms)")
+    run.tokens = build_sequences(run.corpus, run.stoplist, fields=cfg.text_fields)
     run.vocab = build_vocabulary(run.tokens, cfg.vocab_size)
     run.dtm = build_dtm(run.tokens, run.vocab)
     stage.notes.append(
         f"vocabulary {len(run.vocab)} terms, {run.dtm.n_total} tokens counted"
     )
-    run.emit(stage, "dtm.mtx", export_matrixmarket(run.dtm, comment=run.provenance))
-    run.emit(stage, "dtm_index.csv", export_dtm_index(run.dtm, comment=run.provenance))
+    run.emit(stage, "dtm.mtx", lambda: export_matrixmarket(run.dtm, comment=run.provenance))
+    run.emit(stage, "dtm_index.csv",
+             lambda: export_dtm_index(run.dtm, comment=run.provenance))
 
 
 def _eda(run: _Run, stage: StageReport) -> None:
@@ -442,6 +461,7 @@ def _lsa(run: _Run, stage: StageReport) -> None:
         dims = max_dims
         stage.notes.append(f"dims reduced to {dims} for a {n_rows}x{n_cols} table")
     model = fit_ca(run.dtm, dims=dims)
+    stage.notes.append(f"ca solver {model.solver}, {model.iterations} iterations")
     if model.dropped_docs:
         stage.notes.append(f"dropped empty documents: {', '.join(model.dropped_docs)}")
     if model.dropped_terms:
@@ -563,8 +583,65 @@ def _bigrams(run: _Run, stage: StageReport) -> None:
     run.emit(
         stage,
         "bigrams_edges.csv",
-        export_graph(graph, GraphFormat.EDGE_CSV, provenance=run.provenance),
+        export_graph(graph, provenance=run.provenance),
     )
+
+
+def _share_percent(part: int, whole: int) -> str:
+    return f"{100.0 * part / whole:.1f}" if whole else "0.0"
+
+
+def _compare(run: _Run, stage: StageReport) -> None:
+    """compare.csv: the country subset beside the ingested corpus.
+
+    The overall column reuses the text stage's tokens, vocabulary and DTM;
+    only the subset is tokenized and fitted here, with the same settings.
+    """
+    cfg, corpus = run.cfg, run.corpus
+    subset, _rest = partition_by_country(corpus, cfg.country)
+    require_nonempty(subset, f"country filter {cfg.country!r}")
+    stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
+    run.provenance = (
+        f"corpus-scope {__version__} | input={cfg.input.name}"
+        f" | compare country={cfg.country} | seed={cfg.seed}"
+    )
+
+    sub_tokens = build_sequences(subset, run.stoplist, fields=cfg.text_fields)
+    sub_vocab = build_vocabulary(sub_tokens, cfg.vocab_size)
+    sub_terms = top_terms(build_dtm(sub_tokens, sub_vocab), sub_vocab, 20)
+    sub_topics = top_words_per_topic(fit_lda(sub_tokens, sub_vocab, cfg.lda_config()), m=10)
+    all_terms = top_terms(run.dtm, run.vocab, 20)
+    all_topics = top_words_per_topic(fit_lda(run.tokens, run.vocab, cfg.lda_config()), m=10)
+
+    rows: list[tuple[str, str, str, str]] = [
+        ("size", "documents", str(len(subset)), str(len(corpus))),
+        ("size", "share_percent", _share_percent(len(subset), len(corpus)), "100.0"),
+    ]
+    sub_years = dict(counts_per_year(subset).points)
+    all_years = dict(counts_per_year(corpus).points)
+    for year in sorted(all_years | sub_years):
+        rows.append(
+            ("years", str(year), str(sub_years.get(year, 0)), str(all_years.get(year, 0)))
+        )
+    sub_shares = type_shares(subset)
+    all_shares = type_shares(corpus)
+    for t in sorted(set(sub_shares) | set(all_shares), key=lambda t: t.value):
+        rows.append(
+            ("types", t.value, str(sub_shares.get(t, 0)), str(all_shares.get(t, 0)))
+        )
+    for i in range(20):
+        sub = f"{sub_terms[i][0]}:{sub_terms[i][1]}" if i < len(sub_terms) else ""
+        full = f"{all_terms[i][0]}:{all_terms[i][1]}" if i < len(all_terms) else ""
+        rows.append(("top_terms", f"rank_{i + 1:02d}", sub, full))
+    for t in range(cfg.topics):
+        for r in range(10):
+            sub = sub_topics[t][r] if t < len(sub_topics) and r < len(sub_topics[t]) else ""
+            full = all_topics[t][r] if t < len(all_topics) and r < len(all_topics[t]) else ""
+            rows.append(("lda_top_words", f"topic_{t}_rank_{r + 1:02d}", sub, full))
+
+    lines = [f"# {run.provenance}", "section,key,subset,overall"]
+    lines += [",".join(r) for r in rows]
+    run.emit(stage, "compare.csv", "\n".join(lines) + "\n")
 
 
 _STAGE_RUNNERS = {
@@ -574,7 +651,34 @@ _STAGE_RUNNERS = {
     "lsa": _lsa,
     "lda": _lda,
     "bigrams": _bigrams,
+    "compare": _compare,
 }
+
+
+def _run_stages(run: _Run, names: Iterable[str]) -> RunReport:
+    """Run the named stages in order, timing each; the report is always written.
+
+    A stage that raises a CorpusScopeError is recorded as ``failed_stage``
+    and re-raised as StageError.
+    """
+    run.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        for name in names:
+            stage = StageReport(name=name)
+            run.report.stages.append(stage)
+            started = time.perf_counter()
+            try:
+                _STAGE_RUNNERS[name](run, stage)
+            except CorpusScopeError as exc:
+                run.report.failed_stage = name
+                stage.notes.append(f"failed: {exc}")
+                raise StageError(name, exc, run.report) from exc
+            finally:
+                stage.seconds = time.perf_counter() - started
+                stage.peak_rss_mb = _peak_rss_mb()
+    finally:
+        run.finish_report()
+    return run.report
 
 
 def run_pipeline(
@@ -598,30 +702,7 @@ def run_pipeline(
 
     compute = {"ingest", "text"} | write_stages
     run = _Run(cfg, command, write_stages)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        for name in STAGES:
-            if name not in compute:
-                continue
-            stage = StageReport(name=name)
-            run.report.stages.append(stage)
-            started = time.perf_counter()
-            try:
-                _STAGE_RUNNERS[name](run, stage)
-            except CorpusScopeError as exc:
-                run.report.failed_stage = name
-                stage.notes.append(f"failed: {exc}")
-                raise StageError(name, exc, run.report) from exc
-            finally:
-                stage.seconds = time.perf_counter() - started
-                stage.peak_rss_mb = _peak_rss_mb()
-    finally:
-        run.finish_report()
-    return run.report
-
-
-def _share_percent(part: int, whole: int) -> str:
-    return f"{100.0 * part / whole:.1f}" if whole else "0.0"
+    return _run_stages(run, [name for name in STAGES if name in compute])
 
 
 def compare_subsets(cfg: PipelineConfig, country: str | None = None) -> RunReport:
@@ -630,90 +711,15 @@ def compare_subsets(cfg: PipelineConfig, country: str | None = None) -> RunRepor
     Rows are (section, key, subset, overall): corpus sizes and share, counts
     per year, publication-type shares, top-20 terms, and per-topic top words
     from topic models fitted separately with identical settings and seed.
-    An empty subset raises EmptyResultError (CLI exit code 3).
+    ``country`` overrides ``cfg.country``. The ingest and text stages run as
+    in :func:`run_pipeline` but write nothing; an empty subset fails the
+    compare stage with EmptyResultError (CLI exit code 3).
     """
-    if country is None:
-        country = cfg.country
-    if not country:
+    if country is not None:
+        cfg = replace(cfg, country=country)
+    if not cfg.country:
         raise ConfigError("compare requires a country")
     if not cfg.input.is_file():
         raise InputError(f"input path is not a readable file: {cfg.input}")
-
     run = _Run(cfg, "compare", write_stages={"compare"})
-    stage = StageReport(name="compare")
-    run.report.stages.append(stage)
-    started = time.perf_counter()
-
-    corpus, errors = parse_file(cfg.input, cfg.format)
-    run.report.record_errors = [
-        {"row": e.row, "reason": e.reason, "dropped": e.dropped} for e in errors
-    ]
-    if cfg.year_min is not None or cfg.year_max is not None:
-        corpus = filter_by_years(corpus, cfg.year_min, cfg.year_max)
-    if cfg.phrase:
-        corpus = filter_by_phrase(corpus, cfg.phrase)
-    require_nonempty(corpus, "ingest filters")
-    subset, _rest = partition_by_country(corpus, country)
-    require_nonempty(subset, f"country filter {country!r}")
-    stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
-    run.provenance = (
-        f"corpus-scope {__version__} | input={cfg.input.name}"
-        f" | compare country={country} | seed={cfg.seed}"
-    )
-
-    stoplist, origin = resolve_stoplist(cfg)
-    stage.notes.append(f"stoplist={origin}")
-
-    def analyze(c: Corpus):
-        tokens = build_sequences(c, stoplist, fields=cfg.text_fields)
-        vocab = build_vocabulary(tokens, cfg.vocab_size)
-        dtm = build_dtm(tokens, vocab)
-        terms = top_terms(dtm, vocab, 20)
-        lda_model = fit_lda(tokens, vocab, cfg.lda_config())
-        return terms, top_words_per_topic(lda_model, m=10)
-
-    rows: list[tuple[str, str, str, str]] = []
-    rows.append(("size", "documents", str(len(subset)), str(len(corpus))))
-    rows.append(
-        (
-            "size",
-            "share_percent",
-            _share_percent(len(subset), len(corpus)),
-            "100.0",
-        )
-    )
-
-    sub_years = dict(counts_per_year(subset).points)
-    all_years = dict(counts_per_year(corpus).points)
-    for year in sorted(all_years | sub_years):
-        rows.append(
-            ("years", str(year), str(sub_years.get(year, 0)), str(all_years.get(year, 0)))
-        )
-
-    sub_shares = type_shares(subset)
-    all_shares = type_shares(corpus)
-    for t in sorted(set(sub_shares) | set(all_shares), key=lambda t: t.value):
-        rows.append(
-            ("types", t.value, str(sub_shares.get(t, 0)), str(all_shares.get(t, 0)))
-        )
-
-    sub_terms, sub_topics = analyze(subset)
-    all_terms, all_topics = analyze(corpus)
-    for i in range(20):
-        sub = f"{sub_terms[i][0]}:{sub_terms[i][1]}" if i < len(sub_terms) else ""
-        full = f"{all_terms[i][0]}:{all_terms[i][1]}" if i < len(all_terms) else ""
-        rows.append(("top_terms", f"rank_{i + 1:02d}", sub, full))
-    for t in range(cfg.topics):
-        for r in range(10):
-            sub = sub_topics[t][r] if t < len(sub_topics) and r < len(sub_topics[t]) else ""
-            full = all_topics[t][r] if t < len(all_topics) and r < len(all_topics[t]) else ""
-            rows.append(("lda_top_words", f"topic_{t}_rank_{r + 1:02d}", sub, full))
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {run.provenance}", "section,key,subset,overall"]
-    lines += [",".join(r) for r in rows]
-    run.emit(stage, "compare.csv", "\n".join(lines) + "\n")
-    stage.seconds = time.perf_counter() - started
-    stage.peak_rss_mb = _peak_rss_mb()
-    run.finish_report()
-    return run.report
+    return _run_stages(run, ["ingest", "text", "compare"])

@@ -386,31 +386,3 @@ def csv_field(value: str) -> str:
     if "," in value or '"' in value or "\n" in value or "\r" in value:
         return '"' + value.replace('"', '""') + '"'
     return value
-
-
-def load_matrixmarket(text: str) -> sparse.csr_matrix:
-    """Parse the coordinate format written by :func:`export_matrixmarket`."""
-    raw = text.splitlines()
-    if raw and raw[0].startswith("%%") and "MatrixMarket" not in raw[0]:
-        raise SchemaError(f"not a MatrixMarket header: {raw[0]!r}")
-    lines = [ln for ln in raw if ln and not ln.startswith("%")]
-    if not lines:
-        raise SchemaError("empty MatrixMarket payload")
-    try:
-        n, p, nnz = (int(x) for x in lines[0].split())
-    except ValueError as exc:
-        raise SchemaError(f"malformed size line: {lines[0]!r}") from exc
-    if len(lines) - 1 != nnz:
-        raise SchemaError(f"expected {nnz} entries, found {len(lines) - 1}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=np.int64)
-    for k, ln in enumerate(lines[1:]):
-        try:
-            r, c, v = ln.split()
-            rows[k], cols[k], data[k] = int(r) - 1, int(c) - 1, int(v)
-        except ValueError as exc:
-            raise SchemaError(f"malformed entry line: {ln!r}") from exc
-        if not (0 <= rows[k] < n and 0 <= cols[k] < p):
-            raise SchemaError(f"entry out of bounds: {ln!r}")
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, p))

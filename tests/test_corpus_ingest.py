@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus_scope.corpus_ingest import (
@@ -21,7 +21,13 @@ from corpus_scope.corpus_ingest import (
     require_nonempty,
     serialize_corpus,
 )
-from corpus_scope.errors import ConfigError, EmptyResultError, InputError, SchemaError
+from corpus_scope.errors import (
+    ConfigError,
+    CorpusScopeError,
+    EmptyResultError,
+    InputError,
+    SchemaError,
+)
 
 
 def parse_csv(text: str):
@@ -277,6 +283,38 @@ def test_serialize_corpus_reads_back_with_csv_reader(rows):
          ";".join(d.keywords), d.doc_type.value, ";".join(d.countries)]
         for d in corpus
     ]
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3),
+                                                                 inner, max_size=3),
+    max_leaves=6,
+)
+_FIELDS = ["id", "title", "year", "abstract", "keywords", "doc_type", "countries", "ID"]
+_RECORD_BYTES = st.one_of(
+    st.binary(max_size=300),
+    # a valid header, so the bytes after it reach the per-record code
+    st.tuples(
+        st.sampled_from([b"id,title,year\n", b"ID,Title,YEAR,keywords,countries\r\n"]),
+        st.binary(max_size=300),
+    ).map(b"".join),
+    # JSON objects with the known keys and values of any JSON type
+    st.lists(st.dictionaries(st.sampled_from(_FIELDS), _JSON_VALUE, max_size=7),
+             max_size=4).map(lambda rows: "\n".join(map(json.dumps, rows)).encode()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RECORD_BYTES, st.sampled_from(["csv", "jsonl"]))
+@example(b'{"id": "a", "title": "t", "doc_type": [null]}', "jsonl")  # a non-string type
+def test_parse_records_raises_only_toolkit_errors(data, fmt):
+    try:
+        corpus, errors = parse_records(io.BytesIO(data), fmt)
+    except CorpusScopeError:
+        return
+    assert all(isinstance(d, Document) for d in corpus)
+    assert all(isinstance(e.row, int) for e in errors)
 
 
 # ---------------------------------------------------------------- doc types

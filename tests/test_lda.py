@@ -14,20 +14,17 @@ from corpus_scope.errors import (
     ConfigError,
     DomainError,
     EmptyCorpusError,
-    NotFoundError,
     SchemaError,
     SimplexError,
 )
 from corpus_scope.lda import (
     LdaConfig,
     dirichlet_density,
-    doc_topic_distribution,
     fit_lda,
     gibbs_backend,
     load_model,
     render_model,
     save_model,
-    seed_assignments,
     top_words_per_topic,
 )
 from corpus_scope.text_pipeline import TokenSequence, build_vocabulary
@@ -231,49 +228,6 @@ def test_randrange_batch_reproduces_random_randrange(k):
         assert stream.random_sample(3).tolist() == [rng.random() for _ in range(3)]
 
 
-def test_explicit_initial_assignments_are_deterministic():
-    rng = np.random.default_rng(2)
-    sequences, _ = planted_corpus(rng, n_docs=20)
-    vocab = build_vocabulary(sequences)
-    cfg = quick_config(iterations=40, burn_in=10)
-    init = seed_assignments(sequences, vocab, cfg)
-    assert [len(row) for row in init] == [len(s.tokens) for s in sequences]
-    m1 = fit_lda(sequences, vocab, cfg, initial_assignments=init)
-    m2 = fit_lda(sequences, vocab, cfg, initial_assignments=init)
-    assert np.array_equal(m1.phi, m2.phi)
-    assert m1.assignments == m2.assignments
-
-
-def test_initial_assignments_validation():
-    sequences = [TokenSequence("a", ("x", "y"))]
-    vocab = build_vocabulary(sequences)
-    cfg = quick_config(iterations=5, burn_in=1)
-    with pytest.raises(ConfigError):
-        fit_lda(sequences, vocab, cfg, initial_assignments=[[0]])  # wrong length
-    with pytest.raises(ConfigError):
-        fit_lda(sequences, vocab, cfg, initial_assignments=[[0, 9]])  # topic out of range
-
-
-def test_label_permutation_reaches_the_same_mode():
-    """Relabelling the initial topics must not change the solution found,
-    up to the same relabelling of the output."""
-    rng = np.random.default_rng(6)
-    sequences, _ = planted_corpus(rng, n_docs=40)
-    vocab = build_vocabulary(sequences)
-    cfg = quick_config(iterations=150, burn_in=50, seed=21)
-    init = seed_assignments(sequences, vocab, cfg)
-    swapped = [[1 - z for z in row] for row in init]
-    base = fit_lda(sequences, vocab, cfg, initial_assignments=init)
-    other = fit_lda(sequences, vocab, cfg, initial_assignments=swapped)
-
-    def cos(u, v):
-        return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-
-    same = min(cos(base.phi[0], other.phi[0]), cos(base.phi[1], other.phi[1]))
-    cross = min(cos(base.phi[0], other.phi[1]), cos(base.phi[1], other.phi[0]))
-    assert max(same, cross) >= 0.95
-
-
 # ------------------------------------------------------------ sweep backends
 
 
@@ -287,42 +241,32 @@ def assert_same_chain(a, b):
 
 
 def backend_case(case):
-    """(sequences, vocab, config, initial_assignments) for one comparison."""
+    """(sequences, vocab, config) for one comparison."""
     sequences, _ = planted_corpus(np.random.default_rng(31), n_docs=40)
     config = LdaConfig(iterations=60, burn_in=20, seed=7)  # default k and priors
-    init = None
-    if case == "sample_averaging":
-        config = quick_config(sample_averaging=True)
-    elif case == "initial_assignments":
-        config = quick_config()
-        init = [[1 - z for z in row] for row in seed_assignments(
-            sequences, build_vocabulary(sequences), config)]
-    elif case == "single_topic":
+    if case == "single_topic":
         config = quick_config(k=1)
     elif case == "empty_document":
         sequences = [*sequences[:5], TokenSequence("empty", ()), *sequences[5:]]
         config = quick_config()
-    return sequences, build_vocabulary(sequences), config, init
+    return sequences, build_vocabulary(sequences), config
 
 
-@pytest.mark.parametrize("case", [
-    "defaults", "sample_averaging", "initial_assignments", "single_topic",
-    "empty_document",
-])
+@pytest.mark.parametrize("case", ["defaults", "single_topic", "empty_document"])
 def test_native_sweep_reproduces_the_python_sweep(case, monkeypatch):
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler to build the native sweep")
     assert gibbs_backend() == "native"
-    sequences, vocab, config, init = backend_case(case)
-    native = fit_lda(sequences, vocab, config, initial_assignments=init)
+    sequences, vocab, config = backend_case(case)
+    native = fit_lda(sequences, vocab, config)
     monkeypatch.setattr(lda, "_gibbs_kernel", lambda: None)
     assert gibbs_backend() == "python"
-    python = fit_lda(sequences, vocab, config, initial_assignments=init)
+    python = fit_lda(sequences, vocab, config)
     assert_same_chain(native, python)
 
 
 def test_unbuildable_kernel_falls_back_to_the_python_sweep(monkeypatch, caplog):
-    sequences, vocab, config, _ = backend_case("defaults")
+    sequences, vocab, config = backend_case("defaults")
     expected = fit_lda(sequences, vocab, config)
 
     def no_compiler():
@@ -387,14 +331,25 @@ def test_gammaln_table_log_likelihood_is_bit_identical():
 
 
 def test_chain_matches_the_pinned_reference():
-    # SHA-256 of the model file written by the nested-list Python sampler
-    # that the flat-array sweeps replaced: both must continue its chain,
-    # including the hand-over from Random.randrange to numpy's uniforms
+    # SHA-256 of the model file (assignments, counts, log-likelihoods) of the
+    # chain the nested-list Python sampler ran before the flat-array sweeps
+    # replaced it: both must continue that chain, including the hand-over
+    # from Random.randrange to numpy's uniforms
     sequences, _ = planted_corpus(np.random.default_rng(2024), n_docs=40)
-    config = LdaConfig(k=3, iterations=30, burn_in=10, seed=42, sample_averaging=True)
+    config = LdaConfig(k=3, iterations=30, burn_in=10, seed=42)
     model = fit_lda(sequences, build_vocabulary(sequences), config)
     digest = hashlib.sha256(render_model(model).encode()).hexdigest()
-    assert digest == "30f97454e54f32414f67396cf95a56238910147fa710f052aaa4b797c926bf9b"
+    assert digest == "15a8d7ec9c1026d1cda718054644e9a3c55865284f3050e9a4d089f5898a41d2"
+
+
+def test_burn_in_is_recorded_but_does_not_change_the_estimates():
+    sequences, vocab, config = backend_case("defaults")
+    base = fit_lda(sequences, vocab, config)
+    for burn_in in (0, config.iterations - 1):
+        other = fit_lda(sequences, vocab, LdaConfig(iterations=60, burn_in=burn_in, seed=7))
+        assert_same_chain(base, other)
+        assert render_model(other) == render_model(base).replace(
+            f"\nburn_in={config.burn_in}\n", f"\nburn_in={burn_in}\n")
 
 
 # ------------------------------------------------------------ inspection
@@ -414,16 +369,6 @@ def test_top_words_per_topic_respects_counts_and_ties():
     assert all(len(words) == len(model.terms) for words in everything)
     with pytest.raises(ConfigError):
         top_words_per_topic(model, m=0)
-
-
-def test_doc_topic_distribution_lookup():
-    model, *_ = fitted_planted()
-    dist = doc_topic_distribution(model, "doc001")
-    assert dist.shape == (2,)
-    assert dist.sum() == pytest.approx(1.0)
-    assert np.array_equal(dist, model.theta[model.doc_index("doc001")])
-    with pytest.raises(NotFoundError):
-        doc_topic_distribution(model, "doc999")
 
 
 # ------------------------------------------------------------ persistence
@@ -461,13 +406,15 @@ def test_render_model_count_sections_match_str_join():
     assert expected + "[log_likelihoods]\n" in render_model(model)
 
 
-def test_save_load_round_trip_with_sample_averaging(tmp_path):
-    model, *_ = fitted_planted(seed=19, sample_averaging=True)
+def test_load_model_rejects_sample_averaged_files(tmp_path):
+    model, *_ = fitted_planted(seed=19)
+    text = render_model(model)
+    assert "\nsample_averaging=0\n" in text
     path = tmp_path / "avg.txt"
-    save_model(model, path)
-    back = load_model(path)
-    assert np.array_equal(back.phi, model.phi)
-    assert np.array_equal(back.theta, model.theta)
+    path.write_text(text.replace("\nsample_averaging=0\n", "\nsample_averaging=1\n"),
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match="sample-averaged"):
+        load_model(path)
 
 
 def test_load_model_rejects_foreign_payloads(tmp_path):

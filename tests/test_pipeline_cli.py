@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.io
 
 from corpus_scope.cli import main
 from corpus_scope.corpus_ingest import parse_file
@@ -53,10 +56,16 @@ def test_rerun_is_byte_identical(mini_corpus_path, run_dir, tmp_path):
         assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
-def test_thread_count_does_not_change_bytes(mini_corpus_path, run_dir, tmp_path):
-    run_pipeline(quick_cfg(mini_corpus_path, tmp_path, threads=8))
+def test_thread_count_does_not_change_bytes(mini_corpus_path, run_dir, tmp_path, capsys):
+    # --threads is deprecated: accepted with one warning, and nothing else
+    assert main(["run", "--input", str(mini_corpus_path), "--out", str(tmp_path),
+                 "--iters", "40", "--burn-in", "10", "--threads", "8"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("--threads is deprecated and has no effect") == 1
     for name in sorted(DATA_FILES):
         assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert "threads" not in report["config"]
 
 
 def test_from_flag_writes_only_later_stages(mini_corpus_path, tmp_path):
@@ -86,17 +95,24 @@ def test_run_report_structure(run_dir):
     assert peaks == sorted(peaks)  # the process's running maximum
     lda_notes = next(s["notes"] for s in report["stages"] if s["name"] == "lda")
     assert {"gibbs backend native", "gibbs backend python"} & set(lda_notes)
+    # the demo table is small enough for the dense CA solver
+    lsa_notes = next(s["notes"] for s in report["stages"] if s["name"] == "lsa")
+    assert "ca solver dense, 0 iterations" in lsa_notes
 
 
 def test_report_hashes_match_the_files(run_dir):
-    import hashlib
-
     report = json.loads((run_dir / "run_report.json").read_text(encoding="utf-8"))
     for name, sha in report["output_files"].items():
         assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == sha
 
 
 # ---------------------------------------------------------------- contents
+
+
+def test_dtm_file_reads_with_scipy(run_dir):
+    dtm = scipy.io.mmread(run_dir / "dtm.mtx")
+    assert dtm.shape == (60, 85)
+    assert dtm.dtype == np.int64 and dtm.sum() == 2273
 
 
 def test_emitted_corpus_round_trips(run_dir, mini_corpus):
@@ -327,6 +343,18 @@ def test_cli_dims_and_text_fields_are_checked_before_any_stage(mini_corpus_path,
         quick_cfg(mini_corpus_path, out, text_fields=())
 
 
+def test_cli_config_format_is_checked_before_any_stage(mini_corpus_path, tmp_path,
+                                                       capsys):
+    out = tmp_path / "never"
+    cfg_file = tmp_path / "fmt.ini"
+    cfg_file.write_text("[corpus_ingest]\nformat = xml\n", encoding="utf-8")
+    assert run_cli("run", "--config", cfg_file, "--input", mini_corpus_path,
+                   "--out", out) == 2
+    assert not out.exists()
+    assert "format" in capsys.readouterr().err
+    assert quick_cfg(mini_corpus_path, out, format=" CSV ").format == " CSV "
+
+
 def test_cli_empty_result_exits_3(mini_corpus_path, tmp_path, capsys):
     assert run_cli("run", "--input", mini_corpus_path, "--out", tmp_path,
                    "--phrase", "quantum blockchain grandmothers") == 3
@@ -385,6 +413,13 @@ def test_config_file_drives_a_run(mini_corpus_path, tmp_path, capsys):
     assert report["config"]["seed"] == 9
     assert report["config"]["topics"] == 3
     capsys.readouterr()
+
+
+def test_config_threads_key_is_accepted_and_ignored(tmp_path, capsys):
+    cfg_file = tmp_path / "threads.ini"
+    cfg_file.write_text("[report]\nseed = 3\nthreads = 4\n", encoding="utf-8")
+    assert load_config(cfg_file) == {"seed": 3}
+    assert capsys.readouterr().err.count("threads is deprecated and has no effect") == 1
 
 
 def test_cli_flags_override_config_values(mini_corpus_path, tmp_path, capsys):
@@ -463,15 +498,31 @@ def test_compare_needs_a_country(mini_corpus_path, tmp_path, capsys):
                    "--out", tmp_path / "c1") == 2
     assert run_cli("compare", "--input", mini_corpus_path, "--out", tmp_path / "c2",
                    "--country", "Atlantis") == 3  # empty subset
+    assert "Atlantis" in capsys.readouterr().err
+    # the failed compare still leaves its report, and nothing else
+    assert {p.name for p in (tmp_path / "c2").iterdir()} == {"run_report.json"}
+    report = json.loads((tmp_path / "c2" / "run_report.json").read_text(encoding="utf-8"))
+    assert report["command"] == "compare"
+    assert report["failed_stage"] == "compare"
+    assert [s["name"] for s in report["stages"]] == ["ingest", "text", "compare"]
+
+
+def test_compare_bytes_match_the_pinned_hash(mini_corpus_path, tmp_path, capsys):
+    # compare.csv of the demo at default settings, pinned byte for byte
+    assert run_cli("compare", "--input", mini_corpus_path, "--out", tmp_path,
+                   "--country", "Saudi Arabia") == 0
     capsys.readouterr()
+    assert {p.name for p in tmp_path.iterdir()} == {"compare.csv", "run_report.json"}
+    digest = hashlib.sha256((tmp_path / "compare.csv").read_bytes()).hexdigest()
+    assert digest == "03bcf5ba0f2ce9ca7e681c2a7042aee4249aa52ad54ec0f7e76c0e7cc23809f1"
 
 
 # ---------------------------------------------------------------- entry point
 
 
 def test_dense_run_loads_neither_lanczos_nor_graphml_modules(mini_corpus_path, tmp_path):
-    # scipy.linalg serves only the Lanczos CA solver and xml.sax.saxutils
-    # only GraphML export; a demo-sized run (dense CA, edge CSV) needs neither
+    # scipy.linalg serves only the Lanczos CA solver, and nothing in a run
+    # writes XML beyond the hand-built SVG; a demo-sized run needs neither
     script = (
         "import sys\n"
         "from corpus_scope.cli import main\n"

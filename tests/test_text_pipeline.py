@@ -1,11 +1,13 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
+import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_scope.bigrams import GraphFormat, count_bigrams, export_graph, threshold_graph
+from corpus_scope.bigrams import count_bigrams, export_graph, threshold_graph
 from corpus_scope.corpus_ingest import Corpus, Document, Provenance
 from corpus_scope.errors import ConfigError, EmptyCorpusError, InputError, SchemaError
 from corpus_scope.text_pipeline import (
@@ -18,7 +20,6 @@ from corpus_scope.text_pipeline import (
     export_dtm_index,
     export_matrixmarket,
     format_int_lines,
-    load_matrixmarket,
     load_stoplist,
     remove_stopwords,
     tokenize,
@@ -166,7 +167,7 @@ def test_encoded_path_writes_the_same_bytes_as_token_sequences(mini_corpus):
         dtm = build_dtm(sequences, build_vocabulary(sequences, p=40))
         graph = threshold_graph(count_bigrams(sequences), min_freq=3)
         mtx = export_matrixmarket(dtm, comment="mini")
-        edges = export_graph(graph, GraphFormat.EDGE_CSV, provenance="mini")
+        edges = export_graph(graph, provenance="mini")
         assert graph.edges and dtm.n_total
         return hashlib.sha256(mtx.encode()).hexdigest(), hashlib.sha256(edges).hexdigest()
 
@@ -286,17 +287,9 @@ def test_matrixmarket_export_format_and_round_trip():
     assert lines[2].split() == ["2", "3", "4"]
     # data lines are 1-based and sorted row-major
     assert lines[3:] == ["1 1 2", "1 2 1", "2 2 1", "2 3 1"]
-    back = load_matrixmarket(text)
+    back = scipy.io.mmread(io.StringIO(text))
+    assert back.dtype == np.int64
     assert np.array_equal(back.toarray(), dtm.dense())
-
-
-def test_load_matrixmarket_rejects_corrupt_input():
-    with pytest.raises(SchemaError):
-        load_matrixmarket("not a matrix\n1 1 1\n")
-    good = "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 5\n"
-    assert load_matrixmarket(good).toarray().tolist() == [[5, 0], [0, 0]]
-    with pytest.raises(SchemaError):
-        load_matrixmarket(good.replace("1 1 5", "9 9 5"))  # index out of bounds
 
 
 def test_dtm_index_lists_rows_then_columns():
