@@ -1,0 +1,84 @@
+"""The compiled kernels: one C source, one cached library, one loader.
+
+``_native.c`` holds the Gibbs sweep (``lda``) and the word splitter and
+interner (``text_pipeline``). :func:`library` compiles it on first use into
+the user cache and loads it with ctypes; when that fails it warns once and
+returns None, and each caller runs its plain-Python twin instead.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import platform
+import subprocess
+import tempfile
+from pathlib import Path
+
+logger = logging.getLogger(__name__)
+
+# compiled once per (source, flags, machine) into the user cache. FMA
+# contraction or -ffast-math would round the Gibbs sampling weights
+# differently from Python and change the chain.
+SOURCE = Path(__file__).with_name("_native.c")
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build() -> ctypes.CDLL:
+    """Compile ``_native.c`` if its library is not cached yet, then load it.
+
+    The compiler writes to a temporary name that is renamed into place, so a
+    concurrent run never loads a half-written library.
+    """
+    source = SOURCE.read_bytes()
+    flags, machine = " ".join(FLAGS).encode(), platform.machine().encode()
+    key = hashlib.sha256(b"\0".join([source, flags, machine])).hexdigest()
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    cache = Path(base) / "corpus-scope"
+    path = cache / f"native-{key[:24]}.so"
+    if not path.is_file():
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(
+                ["gcc", *FLAGS, "-x", "c", "-", "-o", tmp],
+                input=source, capture_output=True, check=True, timeout=120,
+            )
+            os.replace(tmp, path)
+        except subprocess.CalledProcessError as exc:
+            detail = exc.stderr.decode(errors="replace").strip()
+            raise OSError(f"gcc failed: {detail}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(path))
+    # plain addresses: each caller checks dtypes, layout and ranges itself
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    lib.gibbs_sweep.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+                                f64, f64, f64]
+    lib.gibbs_sweep.restype = None
+    lib.intern_words.argtypes = [ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
+    lib.intern_words.restype = i64
+    return lib
+
+
+@functools.cache
+def library() -> ctypes.CDLL | None:
+    """The compiled kernels, or None (after one warning) when unavailable."""
+    try:
+        return _build()
+    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+        logger.warning(
+            "compiled kernels unavailable, running the Python sweep and "
+            "tokenizer: %s", exc
+        )
+        return None
+
+
+def backend() -> str:
+    """The kernels this process runs: ``native`` or ``python``."""
+    return "python" if library() is None else "native"

@@ -10,6 +10,7 @@ configuration error, 3 empty subset after filtering.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -124,8 +125,24 @@ def _exit_code(exc: CorpusScopeError) -> int:
     return 1
 
 
+class _StderrWarnings(logging.Handler):
+    """Prints the toolkit's logged warnings as the CLI prints its own, to
+    whatever ``sys.stderr`` is when each one arrives."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(f"corpus-scope: {record.levelname.lower()}: {record.getMessage()}",
+              file=sys.stderr)
+
+
+def _route_warnings() -> None:
+    logger = logging.getLogger("corpus_scope")
+    if not any(isinstance(h, _StderrWarnings) for h in logger.handlers):
+        logger.addHandler(_StderrWarnings(logging.WARNING))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _route_warnings()
     try:
         cfg = _build_config(args)
         if args.command == "compare":

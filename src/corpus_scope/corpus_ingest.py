@@ -157,14 +157,11 @@ class RecordError:
     dropped: bool = True
 
 
-def _split_multi(value) -> tuple[str, ...]:
+def _split_multi(value: str | list[str] | None) -> tuple[str, ...]:
     if value is None:
         return ()
-    if isinstance(value, (list, tuple)):
-        parts = [str(v).strip() for v in value]
-    else:
-        parts = [p.strip() for p in str(value).split(";")]
-    return tuple(p for p in parts if p)
+    parts = value if isinstance(value, list) else value.split(";")
+    return tuple(p for p in map(str.strip, parts) if p)
 
 
 def _parse_year(raw, row: int, errors: list[RecordError]) -> tuple[int | None, bool]:
@@ -185,8 +182,37 @@ def _parse_year(raw, row: int, errors: list[RecordError]) -> tuple[int | None, b
     return year, True
 
 
+def _wrong_type(raw: dict) -> str | None:
+    """The first field whose value a JSON record may not hold, if any.
+
+    ``id`` is a string or an integer (not a bool), ``title`` and
+    ``abstract`` are strings, and ``keywords`` and ``countries`` are strings
+    or lists of strings; any of them may be missing or null. CSV values are
+    always strings.
+    """
+    doc_id = raw.get("id")
+    if not isinstance(doc_id, (str, int, type(None))) or isinstance(doc_id, bool):
+        return "id"
+    for name in ("title", "abstract"):
+        if not isinstance(raw.get(name), (str, type(None))):
+            return name
+    for name in ("keywords", "countries"):
+        value = raw.get(name)
+        if isinstance(value, list):
+            if not all(isinstance(v, str) for v in value):
+                return name
+        elif not isinstance(value, (str, type(None))):
+            return name
+    return None
+
+
 def _build_document(raw: dict, row: int, errors: list[RecordError]) -> Document | None:
-    doc_id = str(raw.get("id") or "").strip()
+    wrong = _wrong_type(raw)
+    if wrong is not None:
+        errors.append(RecordError(row, f"non-string {wrong}", dropped=True))
+        return None
+    doc_id = raw.get("id")
+    doc_id = "" if doc_id is None else str(doc_id).strip()
     if not doc_id:
         errors.append(RecordError(row, "empty id", dropped=True))
         return None
@@ -195,8 +221,8 @@ def _build_document(raw: dict, row: int, errors: list[RecordError]) -> Document 
         return None
     return Document(
         id=doc_id,
-        title=str(raw.get("title") or ""),
-        abstract=str(raw.get("abstract") or ""),
+        title=raw.get("title") or "",
+        abstract=raw.get("abstract") or "",
         keywords=_split_multi(raw.get("keywords")),
         year=year,
         doc_type=normalize_doc_type(str(raw.get("doc_type") or "")),
@@ -229,7 +255,7 @@ def _iter_jsonl(text: Iterable[str], errors: list[RecordError]):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # a JSONDecodeError, or an integer of too many digits
             errors.append(RecordError(row_num, "invalid JSON", dropped=True))
             continue
         if not isinstance(obj, dict):

@@ -13,30 +13,24 @@ so a (corpus, config) pair fully determines the result. The stream is drawn
 through numpy: the topic initialization reproduces successive
 ``randrange(k)`` calls and the sweeps the ``random()`` calls after them.
 
-Each sweep runs in a small C function (``_gibbs.c``) that is compiled on first
-use and loaded with ctypes; when that fails, a plain-Python sweep runs
-instead. Both evaluate the same floating-point operations in the same order
-on the same uniforms, so they produce the same chain bit for bit.
+Each sweep runs in a small C function (``gibbs_sweep`` in ``_native.c``) that
+is compiled on first use and loaded with ctypes (see ``_native``); when that
+fails, a plain-Python sweep runs instead. Both evaluate the same
+floating-point operations in the same order on the same uniforms, so they
+produce the same chain bit for bit.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import logging
-import os
-import platform
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
+from . import _native
 from .errors import (
     ConfigError,
     DomainError,
@@ -236,64 +230,9 @@ def _log_likelihood(
     return float(val)
 
 
-# The C sweep: source next to this module, compiled once per (source, flags,
-# machine) into the user cache. FMA contraction or -ffast-math would round
-# the sampling weights differently from Python and change the chain.
-_KERNEL_SOURCE = Path(__file__).with_name("_gibbs.c")
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def _load_kernel() -> Callable[..., None]:
-    """Compile ``_gibbs.c`` if its library is not cached yet, then load it.
-
-    The compiler writes to a temporary name that is renamed into place, so a
-    concurrent run never loads a half-written library.
-    """
-    source = _KERNEL_SOURCE.read_bytes()
-    flags, machine = " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode()
-    key = hashlib.sha256(b"\0".join([source, flags, machine])).hexdigest()
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    cache = Path(base) / "corpus-scope"
-    library = cache / f"gibbs-{key[:24]}.so"
-    if not library.is_file():
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=library.name, suffix=".tmp", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run(
-                ["gcc", *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
-                input=source, capture_output=True, check=True, timeout=120,
-            )
-            os.replace(tmp, library)
-        except subprocess.CalledProcessError as exc:
-            detail = exc.stderr.decode(errors="replace").strip()
-            raise OSError(f"gcc failed: {detail}") from exc
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    sweep = ctypes.CDLL(str(library)).gibbs_sweep
-    # plain addresses: fit_lda checks dtype and layout once, in _check_tables
-    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    sweep.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, f64, f64, f64]
-    sweep.restype = None
-    return sweep
-
-
-@functools.cache
-def _gibbs_kernel() -> Callable[..., None] | None:
-    """The compiled sweep, or None (after one warning) when it is unavailable."""
-    try:
-        return _load_kernel()
-    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
-        logger.warning(
-            "compiled Gibbs sweep unavailable, running the Python sweep: %s", exc
-        )
-        return None
-
-
 def gibbs_backend() -> str:
     """The sweep :func:`fit_lda` runs in this process: ``native`` or ``python``."""
-    return "python" if _gibbs_kernel() is None else "native"
+    return _native.backend()
 
 
 def _sweep_python(
@@ -311,7 +250,7 @@ def _sweep_python(
     beta: float,
     vbeta: float,
 ) -> None:
-    """One Gibbs sweep in place, in plain Python: the reference for ``_gibbs.c``.
+    """One Gibbs sweep in place, in plain Python: the reference for ``gibbs_sweep``.
 
     Takes the C function's arguments. The tables are copied to nested lists
     for the loop, because numpy scalar indexing would dominate it, and
@@ -420,8 +359,8 @@ def fit_lda(
 
     _check_tables(offsets, words, z, n_wk, n_dk, n_k, p, k)
     cum = np.zeros(k)
-    kernel = _gibbs_kernel()
-    if kernel is None:
+    lib = _native.library()
+    if lib is None:
         def sweep(u: np.ndarray) -> None:
             _sweep_python(n_docs, offsets, words, z, k, n_wk, n_dk, n_k, u, cum,
                           alpha, beta, vbeta)
@@ -431,6 +370,7 @@ def fit_lda(
         off_p, words_p, z_p, nwk_p, ndk_p, nk_p, cum_p = (
             a.ctypes.data for a in (offsets, words, z, n_wk, n_dk, n_k, cum)
         )
+        kernel = lib.gibbs_sweep
 
         def sweep(u: np.ndarray) -> None:
             kernel(n_docs, off_p, words_p, z_p, k, nwk_p, ndk_p, nk_p, u.ctypes.data,

@@ -28,7 +28,7 @@ try:
 except ImportError:  # pragma: no cover - not on Windows
     resource = None
 
-from . import __version__
+from . import __version__, _native
 from .bigrams import (
     DEFAULT_THRESHOLD,
     count_bigrams,
@@ -369,6 +369,7 @@ def _text(run: _Run, stage: StageReport) -> None:
     run.stoplist, origin = resolve_stoplist(cfg)
     stage.notes.append(f"stoplist={origin} ({len(run.stoplist)} terms)")
     run.tokens = build_sequences(run.corpus, run.stoplist, fields=cfg.text_fields)
+    stage.notes.append(f"tokenizer backend {_native.backend()}")
     run.vocab = build_vocabulary(run.tokens, cfg.vocab_size)
     run.dtm = build_dtm(run.tokens, run.vocab)
     stage.notes.append(

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
+from . import _native
 from .errors import ConfigError, EmptyCorpusError, InputError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -25,7 +26,7 @@ DEFAULT_TEXT_FIELDS = ("title", "abstract", "keywords")
 
 
 def _has_letter(token: str) -> bool:
-    return any(c.isalpha() for c in token)
+    return token.isalpha() or any(c.isalpha() for c in token)
 
 
 def tokenize(text: str) -> list[str]:
@@ -121,6 +122,13 @@ class TokenArray:
         return lookup[self.codes]
 
 
+def _first_appearance() -> defaultdict[str, int]:
+    """A dict that gives each new token the next code as it is looked up."""
+    seen: defaultdict[str, int] = defaultdict()
+    seen.default_factory = seen.__len__
+    return seen
+
+
 def _encode(
     doc_ids: Sequence[str],
     token_lists: Iterable[Sequence[str]],
@@ -132,25 +140,112 @@ def _encode(
     then runs once per distinct token, and the kept ones are renumbered in
     sorted order while the others drop out.
     """
-    seen: defaultdict[str, int] = defaultdict()
-    seen.default_factory = seen.__len__  # a new token gets the next code
+    seen = _first_appearance()
     raw: list[int] = []
     ends = [0]
     for tokens in token_lists:
         raw += map(seen.__getitem__, tokens)
         ends.append(len(raw))
+    return _renumber(doc_ids, seen, np.array(raw, dtype=np.int64),
+                     np.array(ends, dtype=np.int64), keep)
+
+
+def _renumber(
+    doc_ids: Sequence[str],
+    seen: dict[str, int],
+    raw: np.ndarray,
+    ends: np.ndarray,
+    keep: Callable[[str], bool] | None,
+) -> TokenArray:
+    """The token array of provisional codes ``raw`` (``seen`` maps each
+    distinct token to its code) whose documents end at ``ends``, with the
+    tokens ``keep`` rejects dropped and the rest coded in sorted order."""
     kept = sorted(seen if keep is None else filter(keep, seen))
     code = dict(zip(kept, range(len(kept))))
     remap = np.array([code.get(t, -1) for t in seen], dtype=np.int32)
-    codes = remap[np.array(raw, dtype=np.int64)]
+    codes = remap[raw]
     mask = codes >= 0
     kept_before = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
     return TokenArray(
         doc_ids=tuple(doc_ids),
-        offsets=kept_before[np.array(ends, dtype=np.int64)],
+        offsets=kept_before[ends],
         codes=codes[mask],
         types=tuple(kept),
     )
+
+
+# re's \w on str patterns is str.isalnum() or "_". The compiled tokenizer
+# reads it from this table below 128 and, above, from a sorted array of the
+# word code points of each chunk.
+_ASCII_WORD = np.array([chr(c).isalnum() or c == ord("_") for c in range(128)],
+                       dtype=np.uint8)
+# documents are tokenized in groups of about this many code points, each
+# document whole: a buffer of the whole corpus would raise the peak memory
+_TOKENIZE_CHUNK = 1 << 20
+
+
+def _chunks(texts: Iterable[str]) -> Iterator[list[str]]:
+    chunk: list[str] = []
+    size = 0
+    for text in texts:
+        chunk.append(text)
+        size += len(text)
+        if size >= _TOKENIZE_CHUNK:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _encode_native(
+    lib, doc_ids: Sequence[str], texts: Iterable[str], keep: Callable[[str], bool]
+) -> TokenArray:
+    """``_encode(doc_ids, map(_WORD_RE.findall, texts), keep)``, with the
+    word runs split and interned by ``intern_words`` in ``_native.c``.
+
+    Each chunk is one UTF-32 buffer; ``surrogatepass`` lets a lone surrogate
+    through, as ingest does. C numbers the chunk's distinct runs by first
+    appearance, and only those are decoded to strings: mapping them through
+    one ``seen`` dict in that order gives the provisional codes
+    :func:`_encode` would.
+    """
+    seen = _first_appearance()
+    raw = [np.zeros(0, dtype=np.int32)]
+    ends = [np.zeros(1, dtype=np.int64)]
+    before = 0
+    for chunk in _chunks(texts):
+        encoded = "".join(chunk).encode("utf-32-le", "surrogatepass")
+        points = np.frombuffer(encoded, dtype=np.uint32)
+        wide = np.unique(points[points >= 128])
+        wide = wide[np.fromiter((chr(c).isalnum() for c in wide.tolist()), bool, wide.size)]
+        doc_ends = np.cumsum([len(t) for t in chunk], dtype=np.int64)
+        if doc_ends[-1] != points.size:
+            raise RuntimeError("tokenizer chunk is not one code point per character")
+        # a run takes at least one code point, so these hold every run
+        codes = np.empty(points.size, dtype=np.int32)
+        starts, lengths = np.empty((2, points.size), dtype=np.int64)
+        token_ends = np.empty(len(chunk), dtype=np.int64)
+        n = lib.intern_words(
+            points.ctypes.data, len(chunk), doc_ends.ctypes.data, _ASCII_WORD.ctypes.data,
+            wide.ctypes.data, wide.size, codes.ctypes.data, token_ends.ctypes.data,
+            starts.ctypes.data, lengths.ctypes.data,
+        )
+        if n < 0:
+            raise MemoryError("out of memory interning words")
+        # the distinct runs as strings, decoded in one go: each run's code
+        # points and then a space, which no run holds; the clamp keeps the
+        # space after a run that ends the chunk inside the buffer
+        sizes = lengths[:n] + 1
+        stops = np.cumsum(sizes)
+        at = np.arange(stops[-1] if n else 0) + np.repeat(starts[:n] - stops + sizes, sizes)
+        picked = points[np.minimum(at, points.size - 1)]
+        picked[stops - 1] = ord(" ")
+        runs = str(picked.tobytes(), "utf-32-le", "surrogatepass").split(" ")[:-1]
+        local = np.fromiter(map(seen.__getitem__, runs), dtype=np.int32, count=n)
+        raw.append(local[codes[: token_ends[-1]]])
+        ends.append(token_ends + before)
+        before += int(token_ends[-1])
+    return _renumber(doc_ids, seen, np.concatenate(raw), np.concatenate(ends), keep)
 
 
 def as_token_array(sequences: TokenArray | Iterable[TokenSequence]) -> TokenArray:
@@ -169,7 +264,7 @@ def _document_text(doc, fields: Sequence[str]) -> str:
             parts.extend(doc.keywords)
         else:
             parts.append(getattr(doc, name))
-    return " ".join(p for p in parts if p)
+    return " ".join(filter(None, parts))
 
 
 def build_sequences(
@@ -182,18 +277,24 @@ def build_sequences(
 
     Document d decodes to ``remove_stopwords(tokenize(text_d), stoplist)``,
     but the letter test and the stoplist lookup run once per distinct word,
-    not once per token.
+    not once per token. The words are split and interned in C when the
+    compiled library loads, else by ``re`` and a dict; both give the same
+    array.
     """
     for name in fields:
         if name not in DEFAULT_TEXT_FIELDS:
             raise SchemaError(f"unknown text field: {name!r}")
     docs = list(corpus)
-    findall = _WORD_RE.findall
-    return _encode(
-        [d.id for d in docs],
-        (findall(_document_text(d, fields).lower()) for d in docs),
-        keep=lambda t: t not in stoplist and _has_letter(t),
-    )
+    ids = [d.id for d in docs]
+    texts = (_document_text(d, fields).lower() for d in docs)
+
+    def keep(token: str) -> bool:
+        return token not in stoplist and _has_letter(token)
+
+    lib = _native.library()
+    if lib is None:
+        return _encode(ids, map(_WORD_RE.findall, texts), keep)
+    return _encode_native(lib, ids, texts, keep)
 
 
 @dataclass(frozen=True)

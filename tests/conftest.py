@@ -1,10 +1,14 @@
+import contextlib
 import importlib.resources
+import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from corpus_scope import _native
 from corpus_scope.corpus_ingest import parse_file
 from corpus_scope.text_pipeline import SparseDTM, TokenSequence
 
@@ -40,9 +44,28 @@ def make_dtm(matrix, doc_ids=None, terms=None) -> SparseDTM:
     )
 
 
+# the compiled and the plain-Python kernels, for tests that run under each
+BACKENDS = [
+    pytest.param("native", marks=pytest.mark.skipif(
+        shutil.which("gcc") is None, reason="no C compiler to build the kernels")),
+    "python",
+]
+
+
+@contextlib.contextmanager
+def use_backend(name):
+    """Run the body with the compiled kernels, or as if they failed to load."""
+    if name == "native":
+        assert _native.backend() == "native"
+        yield
+    else:
+        with mock.patch.object(_native, "library", lambda: None):
+            yield
+
+
 @pytest.fixture(scope="session", autouse=True)
 def kernel_cache(tmp_path_factory):
-    """Build the compiled Gibbs sweep into a per-session cache directory."""
+    """Build the compiled kernels into a per-session cache directory."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
         yield

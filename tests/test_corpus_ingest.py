@@ -186,6 +186,45 @@ def test_parse_jsonl_records():
     ]
 
 
+def test_jsonl_values_of_the_wrong_type_drop_the_record():
+    records = [
+        {"id": [None], "title": "list id"},
+        {"id": True, "title": "bool id"},
+        {"id": 1.5, "title": "float id"},
+        {"id": "T1", "title": True},
+        {"id": "T2", "title": "ok", "abstract": 3},
+        {"id": "T3", "title": "ok", "keywords": ["data", 1]},
+        {"id": "T4", "title": "ok", "keywords": 5},
+        {"id": "T5", "title": "ok", "countries": [None]},
+        {"id": "T6", "title": "ok", "countries": {"name": "India"}},
+        {"id": 7, "title": None, "abstract": None, "keywords": "a; b",
+         "countries": ["India"]},
+        {"id": 0, "title": "zero"},
+        {"id": None, "title": "no id"},
+    ]
+    lines = [json.dumps({"year": 2020, **r}) for r in records]
+    lines.append('{"id": ' + "1" * 5000 + ', "title": "huge id"}')
+    corpus, errors = parse_jsonl("\n".join(lines) + "\n")
+    assert [(e.row, e.reason, e.dropped) for e in errors] == [
+        (1, "non-string id", True),
+        (2, "non-string id", True),
+        (3, "non-string id", True),
+        (4, "non-string title", True),
+        (5, "non-string abstract", True),
+        (6, "non-string keywords", True),
+        (7, "non-string keywords", True),
+        (8, "non-string countries", True),
+        (9, "non-string countries", True),
+        (12, "empty id", True),
+        (13, "invalid JSON", True),
+    ]
+    # an integer id keeps its decimal form; null text fields are empty
+    assert corpus.ids() == ("0", "7")
+    seven = corpus.documents[1]
+    assert (seven.title, seven.abstract) == ("", "")
+    assert seven.keywords == ("a", "b") and seven.countries == ("India",)
+
+
 def test_parse_file_infers_format_and_wraps_io_errors(tmp_path):
     f = tmp_path / "small.csv"
     f.write_text("id,title,year\nA1,Hello,2020\n", encoding="utf-8")

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gammaln
 
 from conftest import planted_corpus
-from corpus_scope import lda
+from corpus_scope import _native, lda
 from corpus_scope.errors import (
     ConfigError,
     DomainError,
@@ -259,7 +259,7 @@ def test_native_sweep_reproduces_the_python_sweep(case, monkeypatch):
     assert gibbs_backend() == "native"
     sequences, vocab, config = backend_case(case)
     native = fit_lda(sequences, vocab, config)
-    monkeypatch.setattr(lda, "_gibbs_kernel", lambda: None)
+    monkeypatch.setattr(_native, "library", lambda: None)
     assert gibbs_backend() == "python"
     python = fit_lda(sequences, vocab, config)
     assert_same_chain(native, python)
@@ -272,14 +272,14 @@ def test_unbuildable_kernel_falls_back_to_the_python_sweep(monkeypatch, caplog):
     def no_compiler():
         raise FileNotFoundError("gcc")
 
-    monkeypatch.setattr(lda, "_load_kernel", no_compiler)
-    lda._gibbs_kernel.cache_clear()
+    monkeypatch.setattr(_native, "_build", no_compiler)
+    _native.library.cache_clear()
     try:
-        with caplog.at_level(logging.WARNING, logger="corpus_scope.lda"):
+        with caplog.at_level(logging.WARNING, logger="corpus_scope._native"):
             fallback = fit_lda(sequences, vocab, config)
             assert gibbs_backend() == "python"
     finally:
-        lda._gibbs_kernel.cache_clear()
+        _native.library.cache_clear()
     assert len(caplog.records) == 1
     assert "Python sweep" in caplog.records[0].getMessage()
     assert_same_chain(fallback, expected)

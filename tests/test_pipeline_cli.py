@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy.io
 
+from conftest import BACKENDS, use_backend
+from corpus_scope import _native
 from corpus_scope.cli import main
 from corpus_scope.corpus_ingest import parse_file
 from corpus_scope.errors import ConfigError, EmptyCorpusError, StageError
@@ -68,6 +70,42 @@ def test_thread_count_does_not_change_bytes(mini_corpus_path, run_dir, tmp_path,
     assert "threads" not in report["config"]
 
 
+def stage_notes(out_dir, stage):
+    report = json.loads((out_dir / "run_report.json").read_text(encoding="utf-8"))
+    return next(s["notes"] for s in report["stages"] if s["name"] == stage)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_each_backend_writes_the_same_bytes(backend, mini_corpus_path, run_dir, tmp_path):
+    with use_backend(backend):
+        run_pipeline(quick_cfg(mini_corpus_path, tmp_path))
+    for name in sorted(DATA_FILES):
+        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+    assert f"tokenizer backend {backend}" in stage_notes(tmp_path, "text")
+    assert f"gibbs backend {backend}" in stage_notes(tmp_path, "lda")
+
+
+def test_unloadable_kernels_fall_back_with_one_warning(mini_corpus_path, run_dir, tmp_path,
+                                                      capsys, monkeypatch):
+    def no_compiler():
+        raise FileNotFoundError("gcc")
+
+    monkeypatch.setattr(_native, "_build", no_compiler)
+    _native.library.cache_clear()
+    try:
+        assert main(["run", "--input", str(mini_corpus_path), "--out", str(tmp_path),
+                     "--iters", "40", "--burn-in", "10"]) == 0
+    finally:
+        _native.library.cache_clear()
+    assert capsys.readouterr().err.splitlines() == [
+        "corpus-scope: warning: compiled kernels unavailable, running the Python "
+        "sweep and tokenizer: gcc"
+    ]
+    for name in sorted(DATA_FILES):
+        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+    assert "tokenizer backend python" in stage_notes(tmp_path, "text")
+
+
 def test_from_flag_writes_only_later_stages(mini_corpus_path, tmp_path):
     run_pipeline(quick_cfg(mini_corpus_path, tmp_path), write_stages=set(STAGES[4:]))
     names = {p.name for p in tmp_path.iterdir()}
@@ -95,6 +133,8 @@ def test_run_report_structure(run_dir):
     assert peaks == sorted(peaks)  # the process's running maximum
     lda_notes = next(s["notes"] for s in report["stages"] if s["name"] == "lda")
     assert {"gibbs backend native", "gibbs backend python"} & set(lda_notes)
+    text_notes = next(s["notes"] for s in report["stages"] if s["name"] == "text")
+    assert {"tokenizer backend native", "tokenizer backend python"} & set(text_notes)
     # the demo table is small enough for the dense CA solver
     lsa_notes = next(s["notes"] for s in report["stages"] if s["name"] == "lsa")
     assert "ca solver dense, 0 iterations" in lsa_notes

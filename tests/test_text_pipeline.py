@@ -7,11 +7,14 @@ import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BACKENDS, use_backend
 from corpus_scope.bigrams import count_bigrams, export_graph, threshold_graph
 from corpus_scope.corpus_ingest import Corpus, Document, Provenance
 from corpus_scope.errors import ConfigError, EmptyCorpusError, InputError, SchemaError
 from corpus_scope.text_pipeline import (
+    _TOKENIZE_CHUNK,
     TokenSequence,
+    _chunks,
     as_token_array,
     build_dtm,
     build_sequences,
@@ -114,10 +117,12 @@ def test_build_sequences_field_selection():
 
 
 # arbitrary text, weighted towards what \w matches but the letter test drops:
-# digits, "_", non-ASCII numerics ("²", "Ⅻ", "٣") and combining marks
+# digits, "_", non-ASCII numerics ("²", "Ⅻ", "٣") and combining marks; also
+# a non-word symbol, a lone surrogate and a capital sigma, whose lowercase
+# depends on the letters around it
 _TEXT = st.lists(
     st.one_of(
-        st.sampled_from(list("aZé_0²Ⅻ٣ß İ-,.\n\u0301")),
+        st.sampled_from(list("aZé_0²Ⅻ٣ß İ-,.\n\u0301©\ud800Σ")),
         st.sampled_from(["the", "of", "The", "Of", "data"]),
         st.characters(),
     ),
@@ -125,9 +130,7 @@ _TEXT = st.lists(
 ).map("".join)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_TEXT, max_size=6))
-def test_encoding_matches_tokenize_then_remove_stopwords(texts):
+def check_encoding(texts):
     stop = frozenset({"the", "of", "ß"})
     corpus = make_corpus(*(Document(id=f"d{i:02d}", title=t) for i, t in enumerate(texts)))
     tokens = build_sequences(corpus, stop, fields=("title",))
@@ -136,6 +139,49 @@ def test_encoding_matches_tokenize_then_remove_stopwords(texts):
     assert tokens.doc_ids == tuple(f"d{i:02d}" for i in range(len(texts)))
     assert list(tokens.types) == sorted({t for doc in expected for t in doc})
     assert tokens.offsets.tolist() == np.cumsum([0, *map(len, expected)]).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEXT, max_size=6))
+def test_encoding_matches_tokenize_then_remove_stopwords(texts):
+    # the compiled tokenizer wherever the library builds
+    check_encoding(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEXT, max_size=6))
+def test_python_encoding_matches_tokenize_then_remove_stopwords(texts):
+    with use_backend("python"):
+        check_encoding(texts)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_encoding_across_chunk_edges(backend):
+    """Many short documents whose chunks end between them, then one longer
+    than a chunk; words recur across chunks, and a document that ends in a
+    word meets the next that starts with one. About 2,000 distinct words of
+    equal length fill the interning table far past its first size."""
+    rng = np.random.default_rng(8)
+    same_length = ["".join(w) for w in rng.choice(list("abcdefgh"), size=(3000, 4))]
+    words = np.array(["alpha", "beta", "ΟΔΟΣ", "γάμμα", "x_1", "42", "the", "©",
+                      "Ⅻ", "\ud800", *same_length])
+
+    def text(n):
+        return " ".join(rng.choice(words, size=n))
+
+    texts = [text(20) + "ab" for _ in range(15_000)]
+    texts += ["cd" + text(_TOKENIZE_CHUNK // 3), "tail"]
+    texts += [text(20) for _ in range(3_000)]
+    assert len(texts[15_000]) > _TOKENIZE_CHUNK
+    assert len(list(_chunks(texts))) >= 3
+    stop = frozenset({"the"})
+    corpus = make_corpus(*(Document(id=f"d{i:05d}", title=t) for i, t in enumerate(texts)))
+    with use_backend(backend):
+        tokens = build_sequences(corpus, stop, fields=("title",))
+    expected = [remove_stopwords(tokenize(t), stop) for t in texts]
+    assert tokens.offsets.tolist() == np.cumsum([0, *map(len, expected)]).tolist()
+    assert list(tokens.types) == sorted({t for doc in expected for t in doc})
+    assert [tokens.types[c] for c in tokens.codes.tolist()] == [t for d in expected for t in d]
 
 
 def test_token_array_decodes_and_passes_through():
