@@ -1,8 +1,13 @@
-/* The package's compiled kernels, built into one library by _native.py.
- * Each has a Python twin that is its reference and its fallback, and both
- * give the same results bit for bit. */
+/* The package's compiled kernels, built into one C++17 library by
+ * _native.py. Each has a Python twin that is its reference and its fallback,
+ * and both give the same results bit for bit. */
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <stdint.h>
 #include <stdlib.h>
+
+extern "C" {
 
 /* One collapsed Gibbs sweep over flat count tables; the compiled twin of
  * lda._sweep_python. Each sampling weight is evaluated in the same order as
@@ -78,7 +83,7 @@ struct slot {
 static int grow(struct slot **table, uint64_t *mask)
 {
     uint64_t size = *table ? 2 * (*mask + 1) : 1024;
-    struct slot *bigger = calloc(size, sizeof *bigger);
+    struct slot *bigger = (struct slot *)calloc(size, sizeof *bigger);
     if (!bigger)
         return 0;
     if (*table) {
@@ -167,3 +172,118 @@ int64_t intern_words(const uint32_t *text, int64_t n_docs,
     free(table);
     return n_runs;
 }
+
+} /* extern "C" */
+
+/* The number formatters: the compiled twins of text_pipeline's
+ * sep.join(map(str, row)) for integers and sep.join(map(repr, row)) for
+ * doubles. The longest text either writes for one value is 24 bytes
+ * ("-2.2250738585072014e-308"). */
+
+static char *put(char *p, int64_t v)
+{
+    return std::to_chars(p, p + 20, v).ptr;
+}
+
+/* Python's repr of a double. std::to_chars gives the shortest digits that
+ * read back to x (Ryu) in scientific form, d[.ddd]e±XX, which repr keeps
+ * when the decimal exponent is below -4 or at least 16; otherwise the digits
+ * are laid out positionally, with ".0" on integral values. */
+static char *put(char *p, double x)
+{
+    if (std::isnan(x)) {
+        memcpy(p, "nan", 3); /* repr drops NaN's sign */
+        return p + 3;
+    }
+    if (std::isinf(x)) {
+        if (x < 0)
+            *p++ = '-';
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    char sci[32];
+    const char *end = std::to_chars(sci, sci + sizeof sci, x,
+                                    std::chars_format::scientific).ptr;
+    const char *s = sci;
+    if (*s == '-')
+        *p++ = *s++;
+    char digits[20];
+    int n = 0;
+    const char *e = s;
+    for (; *e != 'e'; e++)
+        if (*e != '.')
+            digits[n++] = *e;
+    int exp = 0;
+    for (const char *q = e + 2; q < end; q++)
+        exp = 10 * exp + (*q - '0');
+    if (e[1] == '-')
+        exp = -exp;
+    if (exp < -4 || exp >= 16) {
+        memcpy(p, s, end - s);
+        return p + (end - s);
+    }
+    if (exp < 0) {
+        memcpy(p, "0.", 2);
+        p += 2;
+        memset(p, '0', -exp - 1);
+        p += -exp - 1;
+        memcpy(p, digits, n);
+        return p + n;
+    }
+    if (n <= exp + 1) {
+        memcpy(p, digits, n);
+        memset(p + n, '0', exp + 1 - n);
+        p += exp + 1;
+        memcpy(p, ".0", 2);
+        return p + 2;
+    }
+    memcpy(p, digits, exp + 1);
+    p += exp + 1;
+    *p++ = '.';
+    memcpy(p, digits + exp + 1, n - exp - 1);
+    return p + (n - exp - 1);
+}
+
+/* values[0..n) as text: each row is its values joined by sep, then '\n';
+ * row r ends at ends[r] (ascending, at most n) and starts where row r - 1
+ * ended (at 0 for r = 0). Values after the last row end begin a row that
+ * the next call continues, so they are joined by sep and followed by one.
+ * out must hold 25 bytes per value plus one per row end. Returns the
+ * number of bytes written. */
+template <typename T>
+static int64_t format_rows(const T *values, int64_t n, const int64_t *ends,
+                           int64_t n_ends, char sep, char *out)
+{
+    char *p = out;
+    int64_t start = 0;
+    for (int64_t r = 0; r <= n_ends; r++) {
+        int64_t end = r < n_ends ? ends[r] : n;
+        for (int64_t i = start; i < end; i++) {
+            if (i > start)
+                *p++ = sep;
+            p = put(p, values[i]);
+        }
+        if (r < n_ends)
+            *p++ = '\n';
+        else if (start < n)
+            *p++ = sep;
+        start = end;
+    }
+    return p - out;
+}
+
+extern "C" {
+
+int64_t format_ints(const int64_t *values, int64_t n, const int64_t *ends,
+                    int64_t n_ends, char sep, char *out)
+{
+    return format_rows(values, n, ends, n_ends, sep, out);
+}
+
+int64_t format_doubles(const double *values, int64_t n, const int64_t *ends,
+                       int64_t n_ends, char sep, char *out)
+{
+    return format_rows(values, n, ends, n_ends, sep, out);
+}
+
+} /* extern "C" */

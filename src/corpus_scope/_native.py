@@ -1,9 +1,10 @@
-"""The compiled kernels: one C source, one cached library, one loader.
+"""The compiled kernels: one C++ source, one cached library, one loader.
 
-``_native.c`` holds the Gibbs sweep (``lda``) and the word splitter and
-interner (``text_pipeline``). :func:`library` compiles it on first use into
-the user cache and loads it with ctypes; when that fails it warns once and
-returns None, and each caller runs its plain-Python twin instead.
+``_native.cpp`` holds the Gibbs sweep (``lda``), the word splitter and
+interner, and the integer and float table formatters (``text_pipeline``).
+:func:`library` compiles it on first use into the user cache and loads it
+with ctypes; when that fails it warns once and returns None, and each caller
+runs its plain-Python twin instead.
 """
 
 from __future__ import annotations
@@ -20,22 +21,28 @@ from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
-# compiled once per (source, flags, machine) into the user cache. FMA
+# compiled once per (source, command, machine) into the user cache. FMA
 # contraction or -ffast-math would round the Gibbs sampling weights
 # differently from Python and change the chain.
-SOURCE = Path(__file__).with_name("_native.c")
+SOURCE = Path(__file__).with_name("_native.cpp")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
+def compile_command(source: str, output: str) -> list[str]:
+    """The compiler call that builds ``source`` (``-`` for stdin) into ``output``."""
+    return ["g++", "-std=c++17", *FLAGS, "-x", "c++", source, "-o", output]
+
+
 def _build() -> ctypes.CDLL:
-    """Compile ``_native.c`` if its library is not cached yet, then load it.
+    """Compile ``_native.cpp`` if its library is not cached yet, then load it.
 
     The compiler writes to a temporary name that is renamed into place, so a
     concurrent run never loads a half-written library.
     """
     source = SOURCE.read_bytes()
-    flags, machine = " ".join(FLAGS).encode(), platform.machine().encode()
-    key = hashlib.sha256(b"\0".join([source, flags, machine])).hexdigest()
+    command = " ".join(compile_command("-", "")).encode()
+    machine = platform.machine().encode()
+    key = hashlib.sha256(b"\0".join([source, command, machine])).hexdigest()
     base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     cache = Path(base) / "corpus-scope"
     path = cache / f"native-{key[:24]}.so"
@@ -44,14 +51,12 @@ def _build() -> ctypes.CDLL:
         fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=cache)
         os.close(fd)
         try:
-            subprocess.run(
-                ["gcc", *FLAGS, "-x", "c", "-", "-o", tmp],
-                input=source, capture_output=True, check=True, timeout=120,
-            )
+            subprocess.run(compile_command("-", tmp), input=source,
+                           capture_output=True, check=True, timeout=120)
             os.replace(tmp, path)
         except subprocess.CalledProcessError as exc:
             detail = exc.stderr.decode(errors="replace").strip()
-            raise OSError(f"gcc failed: {detail}") from exc
+            raise OSError(f"g++ failed: {detail}") from exc
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -63,6 +68,9 @@ def _build() -> ctypes.CDLL:
     lib.gibbs_sweep.restype = None
     lib.intern_words.argtypes = [ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
     lib.intern_words.restype = i64
+    for formatter in (lib.format_ints, lib.format_doubles):
+        formatter.argtypes = [ptr, i64, ptr, i64, ctypes.c_char, ptr]
+        formatter.restype = i64
     return lib
 
 
@@ -73,8 +81,8 @@ def library() -> ctypes.CDLL | None:
         return _build()
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         logger.warning(
-            "compiled kernels unavailable, running the Python sweep and "
-            "tokenizer: %s", exc
+            "compiled kernels unavailable, running the Python sweep, "
+            "tokenizer and number formatters: %s", exc
         )
         return None
 

@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import json
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ConfigError, EmptyResultError, InputError, SchemaError
-from .text_pipeline import csv_field, tokenize
+from .text_pipeline import csv_field, tokenize, write_chunks
 
 INPUT_FORMATS = ("csv", "jsonl")
 REQUIRED_COLUMNS = ("id", "title", "year")
@@ -85,10 +86,12 @@ _TYPE_ALIASES.update(
 )
 
 
+@functools.lru_cache(maxsize=1024)
 def normalize_doc_type(label: str | None) -> DocType:
     """Map a raw publication-type label onto :class:`DocType` (case-insensitive).
 
-    Unknown or empty labels map to ``DocType.OTHER``.
+    Unknown or empty labels map to ``DocType.OTHER``. A corpus holds a handful
+    of distinct labels, so each is looked up once.
     """
     if not label:
         return DocType.OTHER
@@ -326,19 +329,27 @@ def parse_file(path, format: str | None = None) -> tuple[Corpus, list[RecordErro
         raise InputError(f"cannot read {p}: {exc}") from exc
 
 
-def serialize_corpus(corpus: Corpus) -> str:
+def serialize_corpus(corpus: Corpus, out=None) -> str | None:
     """Render a corpus as RFC 4180 CSV text that reparses to an equal corpus.
 
     A field is quoted only when it holds a comma, a quote, a carriage return
-    or a line feed; records end in a bare line feed.
+    or a line feed; records end in a bare line feed. The text goes to
+    ``out.write`` in chunks of 2048 records, or is returned when ``out`` is None.
     """
-    rows = [",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS)]
-    for d in corpus:
-        year = "" if d.year is None else str(d.year)
-        fields = (d.id, d.title, year, d.abstract, ";".join(d.keywords),
-                  d.doc_type.value, ";".join(d.countries))
-        rows.append(",".join(map(csv_field, fields)))
-    return "\n".join(rows) + "\n"
+
+    def chunks() -> Iterator[str]:
+        yield ",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) + "\n"
+        docs = corpus.documents
+        for lo in range(0, len(docs), 2048):
+            rows = []
+            for d in docs[lo:lo + 2048]:
+                year = "" if d.year is None else str(d.year)
+                fields = (d.id, d.title, year, d.abstract, ";".join(d.keywords),
+                          d.doc_type.value, ";".join(d.countries))
+                rows.append(",".join(map(csv_field, fields)) + "\n")
+            yield "".join(rows)
+
+    return write_chunks(chunks(), out)
 
 
 def _contains_phrase(tokens: list[str], phrase: list[str]) -> bool:

@@ -22,10 +22,11 @@ produce the same chain bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -38,7 +39,7 @@ from .errors import (
     SchemaError,
     SimplexError,
 )
-from .text_pipeline import as_token_array, format_int_lines
+from .text_pipeline import as_token_array, int_line_chunks, write_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .text_pipeline import TokenArray, TokenSequence, Vocabulary
@@ -420,8 +421,12 @@ def top_words_per_topic(model: LdaModel, m: int = 10) -> list[list[str]]:
     return [[terms[j] for j in row] for row in order[:, :m].tolist()]
 
 
-def render_model(model: LdaModel) -> str:
-    """The versioned text format (header, labels, CSV count tables)."""
+def render_model(model: LdaModel, out=None) -> str | None:
+    """The versioned text format (header, labels, CSV count tables).
+
+    The text goes to ``out.write`` in bounded chunks, or is returned when
+    ``out`` is None.
+    """
     cfg = model.config
     head = [
         MODEL_FORMAT,
@@ -441,28 +446,27 @@ def render_model(model: LdaModel) -> str:
         *model.doc_ids,
         "[topic_word_counts]",
     ]
-    return "".join([
-        "\n".join(head) + "\n",
+    return write_chunks(itertools.chain(
+        ["\n".join(head) + "\n"],
         _csv_table(model.topic_word_counts),
-        "[doc_topic_counts]\n",
+        ["[doc_topic_counts]\n"],
         _csv_table(model.doc_topic_counts),
-        "[assignments]\n",
-        format_int_lines(model.topics, model.offsets[1:], ","),
-        "[log_likelihoods]\n",
-        "".join(f"{v!r}\n" for v in model.log_likelihoods),
-    ])
+        ["[assignments]\n"],
+        int_line_chunks(model.topics, model.offsets[1:], ","),
+        ["[log_likelihoods]\n", "".join(f"{v!r}\n" for v in model.log_likelihoods)],
+    ), out)
 
 
-def _csv_table(counts: np.ndarray) -> str:
-    """A count matrix as one comma-separated line per row."""
+def _csv_table(counts: np.ndarray) -> Iterator[str]:
+    """A count matrix as one comma-separated line per row, in chunks."""
     rows, cols = counts.shape
-    return format_int_lines(counts, np.arange(cols, rows * cols + 1, cols), ",")
+    return int_line_chunks(counts, np.arange(cols, rows * cols + 1, cols), ",")
 
 
 def save_model(model: LdaModel, path) -> None:
     """Write :func:`render_model` output to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_model(model))
+        render_model(model, out=fh)
 
 
 def load_model(path) -> LdaModel:

@@ -74,6 +74,7 @@ from .text_pipeline import (
     default_stoplist,
     export_dtm_index,
     export_matrixmarket,
+    format_float_lines,
     load_stoplist,
 )
 
@@ -287,12 +288,18 @@ def _peak_rss_mb() -> float | None:
     return round(peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0), 1)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class _Output:
+    """One output file being written: each chunk is encoded, hashed and written."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def write(self, chunk: str | bytes) -> None:
+        if isinstance(chunk, str):
+            chunk = chunk.encode("utf-8")
+        self.sha256.update(chunk)
+        self._fh.write(chunk)
 
 
 class _Run:
@@ -315,30 +322,54 @@ class _Run:
         self,
         stage: StageReport,
         name: str,
-        payload: str | bytes | Callable[[], str | bytes],
+        payload: str | bytes | Callable[[_Output], object],
     ) -> None:
-        """Write one output of ``stage``; a callable payload is rendered only then."""
+        """Write one output of ``stage`` with :func:`_write_atomically`.
+
+        A callable payload runs only then, writing its chunks to the
+        :class:`_Output` it is given. If it raises, the report gets no hash.
+        """
         if stage.name not in self.write:
             return
-        if callable(payload):
-            payload = payload()
-        path = self.cfg.out_dir / name
-        if isinstance(payload, bytes):
-            path.write_bytes(payload)
-        else:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
+        digest = _write_atomically(self.cfg.out_dir / name, payload)
         stage.outputs.append(name)
-        self.report.output_files[name] = _sha256(path)
+        self.report.output_files[name] = digest
 
     def finish_report(self) -> None:
-        path = self.cfg.out_dir / "run_report.json"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.report.to_json())
+        _write_atomically(self.cfg.out_dir / "run_report.json", self.report.to_json())
+
+
+def _write_atomically(path: Path, payload: str | bytes | Callable[[_Output], object]) -> str:
+    """Write ``payload`` to ``path`` and return the SHA-256 of its bytes.
+
+    The bytes go to a temporary name beside ``path`` that is renamed into
+    place after the last chunk; if the payload raises, the temporary file is
+    removed and ``path`` keeps whatever it held before.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            out = _Output(fh)
+            if callable(payload):
+                payload(out)
+            else:
+                out.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return out.sha256.hexdigest()
 
 
 def _float(v: float) -> str:
     return repr(float(v))
+
+
+def _float_rows(matrix: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as its values' reprs joined by commas."""
+    rows, cols = matrix.shape
+    ends = np.arange(cols, rows * cols + 1, cols)
+    return format_float_lines(matrix, ends, ",").split("\n")[:-1]
 
 
 def _ingest(run: _Run, stage: StageReport) -> None:
@@ -361,7 +392,7 @@ def _ingest(run: _Run, stage: StageReport) -> None:
         f" | filters={'; '.join(corpus.provenance.filters) or 'none'}"
         f" | seed={cfg.seed}"
     )
-    run.emit(stage, "corpus.csv", lambda: serialize_corpus(corpus))
+    run.emit(stage, "corpus.csv", lambda out: serialize_corpus(corpus, out=out))
 
 
 def _text(run: _Run, stage: StageReport) -> None:
@@ -375,9 +406,10 @@ def _text(run: _Run, stage: StageReport) -> None:
     stage.notes.append(
         f"vocabulary {len(run.vocab)} terms, {run.dtm.n_total} tokens counted"
     )
-    run.emit(stage, "dtm.mtx", lambda: export_matrixmarket(run.dtm, comment=run.provenance))
+    run.emit(stage, "dtm.mtx",
+             lambda out: export_matrixmarket(run.dtm, comment=run.provenance, out=out))
     run.emit(stage, "dtm_index.csv",
-             lambda: export_dtm_index(run.dtm, comment=run.provenance))
+             lambda out: out.write(export_dtm_index(run.dtm, comment=run.provenance)))
 
 
 def _eda(run: _Run, stage: StageReport) -> None:
@@ -489,28 +521,35 @@ def _lsa(run: _Run, stage: StageReport) -> None:
     supp = project_supplementary(model, by_year) if by_year else None
 
     dim_cols = ",".join(f"dim_{i + 1}" for i in range(model.dims))
-    lines = [f"# {run.provenance}", f"kind,label,mass,score,rank,{dim_cols}"]
+    header = f"# {run.provenance}\nkind,label,mass,score,rank,{dim_cols}\n"
+    # per point: kind, label, the floats before the coordinates (mass and
+    # score for documents, mass for terms and years), what follows them, and
+    # the coordinates
     scores = np.linalg.norm(model.row_coords, axis=1)
-    for doc_id, mass, score, coords in zip(
-        model.row_ids,
-        model.row_masses.tolist(),
-        scores.tolist(),
-        model.row_coords,
-    ):
-        lines.append(
-            f"row,{csv_field(doc_id)},{mass!r},{score!r},{ranking[doc_id]},"
-            + ",".join(map(repr, coords.tolist()))
-        )
-    points = [("col", model.col_labels, model.col_masses, model.col_coords)]
+    points = [
+        ("row", model.row_ids, np.column_stack((model.row_masses, scores)),
+         [f",{ranking[doc_id]}" for doc_id in model.row_ids], model.row_coords),
+        ("col", model.col_labels, model.col_masses[:, None],
+         [",,"] * len(model.col_labels), model.col_coords),
+    ]
     if supp is not None:
-        points.append(("year", supp.labels, supp.masses, supp.coords))
-    for kind, labels, masses, coords in points:
-        lines += (
-            f"{kind},{csv_field(label)},{mass!r},,,"
-            + ",".join(map(repr, row.tolist()))
-            for label, mass, row in zip(labels, masses.tolist(), coords)
-        )
-    run.emit(stage, "ca_coords.csv", "\n".join(lines) + "\n")
+        points.append(("year", supp.labels, supp.masses[:, None],
+                       [",,"] * len(supp.labels), supp.coords))
+
+    def write_coords(out: _Output) -> None:
+        out.write(header)
+        for kind, labels, lead, tails, coords in points:
+            for lo in range(0, len(labels), 2048):
+                block = slice(lo, lo + 2048)
+                out.write("".join(
+                    f"{kind},{csv_field(label)},{first}{tail},{rest}\n"
+                    for label, first, tail, rest in zip(
+                        labels[block], _float_rows(lead[block]), tails[block],
+                        _float_rows(coords[block]))
+                ))
+
+    run.emit(stage, "ca_coords.csv", write_coords)
+    stage.notes.append(f"number formatter backend {_native.backend()}")
 
     # the scatter is an extra of the lsa subcommand; `run` keeps the pinned
     # file set and the coordinates CSV is enough to regenerate the figure
@@ -559,7 +598,7 @@ def _lda(run: _Run, stage: StageReport) -> None:
             f"dropped documents without vocabulary tokens: {', '.join(model.dropped_ids)}"
         )
     stage.notes.append(f"final log-likelihood {_float(model.log_likelihoods[-1])}")
-    run.emit(stage, "lda_model.txt", render_model(model))
+    run.emit(stage, "lda_model.txt", lambda out: render_model(model, out=out))
 
     words = top_words_per_topic(model, m=10)
     term_index = {t: j for j, t in enumerate(model.terms)}

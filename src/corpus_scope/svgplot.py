@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import ConfigError
+
 WIDTH, HEIGHT = 840, 520
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 20, 40, 50
 
@@ -124,7 +126,7 @@ def line_chart(
     """Line chart of observed points with optional fitted curve and forecast
     markers (drawn as open diamonds)."""
     if not observed:
-        raise ValueError("need at least one observed point")
+        raise ConfigError("need at least one observed point")
     xs = [p[0] for p in (*observed, *fitted, *forecast)]
     ys = [p[1] for p in (*observed, *fitted, *forecast)]
     frame = _Frame(xs, ys)
@@ -164,7 +166,7 @@ def scatter_2d(
     xs = [p[0] for _, _, pts in groups for p in pts] + [x for x, _, _ in labels]
     ys = [p[1] for _, _, pts in groups for p in pts] + [y for _, y, _ in labels]
     if not xs:
-        raise ValueError("nothing to plot")
+        raise ConfigError("nothing to plot")
     frame = _Frame(xs, ys)
     body = _axes(frame, title, x_label, y_label)
     if frame.x_min < 0 < frame.x_max:

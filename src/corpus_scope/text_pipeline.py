@@ -386,11 +386,12 @@ def build_dtm(
     )
 
 
-def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> str:
+def export_matrixmarket(dtm: SparseDTM, comment: str = "", out=None) -> str | None:
     """Serialize counts as MatrixMarket coordinate text (1-based, row-major).
 
     The writer is deliberately hand-rolled: entry order and number formatting
-    are pinned so output bytes are stable across library versions.
+    are pinned so output bytes are stable across library versions. The text
+    goes to ``out.write`` in bounded chunks, or is returned when ``out`` is None.
     """
     csr = dtm.csr if dtm.csr.has_sorted_indices else dtm.csr.sorted_indices()
     n_rows, n_cols = dtm.shape
@@ -399,72 +400,117 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> str:
         for part in comment.splitlines():
             lines.append(f"% {part}")
     lines.append(f"{n_rows} {n_cols} {csr.nnz}")
-    # int32 when it fits: the array is the largest temporary of the writer
-    top = max(n_rows, n_cols, int(csr.data.max(initial=0)))
-    entries = np.empty((csr.nnz, 3), dtype=np.int32 if top < 2**31 else np.int64)
-    entries[:, 0] = np.repeat(np.arange(1, n_rows + 1), np.diff(csr.indptr))
-    entries[:, 1] = csr.indices + 1
-    entries[:, 2] = csr.data
-    ends = np.arange(3, entries.size + 1, 3)
-    return "\n".join(lines) + "\n" + format_int_lines(entries.ravel(), ends, " ")
+
+    def chunks() -> Iterator[str]:
+        yield "\n".join(lines) + "\n"
+        # (row, column, count) triples, a chunk at a time; entry i lies in the
+        # 1-based row that counts the indptr values <= i
+        step = _CHUNK // 3
+        for lo in range(0, csr.nnz, step):
+            hi = min(lo + step, csr.nnz)
+            entries = np.empty((hi - lo, 3), dtype=np.int64)
+            entries[:, 0] = np.searchsorted(csr.indptr, np.arange(lo, hi), "right")
+            entries[:, 1] = csr.indices[lo:hi] + 1
+            entries[:, 2] = csr.data[lo:hi]
+            yield format_int_lines(entries, np.arange(3, entries.size + 1, 3), " ")
+
+    return write_chunks(chunks(), out)
+
+
+def write_chunks(chunks: Iterable[str], out=None) -> str | None:
+    """Pass each chunk to ``out.write``; without ``out``, return them joined."""
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return None
 
 
 _CHUNK = 1 << 16
 
 
-def format_int_lines(values, row_ends, sep: str) -> str:
-    """Non-negative integers as decimal text, one line per row.
+def int_line_chunks(values, row_ends, sep: str) -> Iterator[str]:
+    """Non-negative integers as decimal text, one line per row, in chunks.
 
     Row r holds ``values[row_ends[r - 1]:row_ends[r]]`` (row 0 starts at 0)
     and reads ``sep.join(map(str, row)) + "\\n"``; an empty row is a bare
-    newline. The digits come from numpy arithmetic on chunks of at most
-    2**16 values, so no Python object is made per number and the temporary
-    arrays stay small whatever the input size.
+    newline. Each chunk covers at most 2**16 values; a row may span chunks.
     """
     values = np.asarray(values).ravel()
+    if values.dtype.kind not in "iu":
+        raise ConfigError(f"format_int_lines takes integers, got {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() >= 2**63):
+        raise ConfigError("format_int_lines takes non-negative int64 values only")
+    return _line_chunks(values, _checked_ends(values, row_ends, sep), sep, np.int64, str)
+
+
+def format_int_lines(values, row_ends, sep: str) -> str:
+    """:func:`int_line_chunks` joined into one string."""
+    return "".join(int_line_chunks(values, row_ends, sep))
+
+
+def format_float_lines(values, row_ends, sep: str) -> str:
+    """Doubles as text, ``sep.join(map(repr, row)) + "\\n"`` per row.
+
+    Rows are as in :func:`int_line_chunks`; the values are formatted 2**16
+    at a time.
+    """
+    values = np.asarray(values).ravel()
+    if values.dtype.kind != "f":
+        raise ConfigError(f"format_float_lines takes floats, got {values.dtype}")
+    ends = _checked_ends(values, row_ends, sep)
+    return "".join(_line_chunks(values, ends, sep, np.float64, repr))
+
+
+def _checked_ends(values: np.ndarray, row_ends, sep: str) -> np.ndarray:
+    """``row_ends`` as int64, once they and ``sep`` are known to be valid."""
     ends = np.asarray(row_ends, dtype=np.int64).ravel()
     starts = np.concatenate(([0], ends[:-1]))
     if np.any(ends < starts) or (ends[-1] if ends.size else 0) != values.size:
         raise ConfigError("row_ends must ascend from 0 to the number of values")
-    if values.dtype.kind not in "iu":
-        raise ConfigError(f"format_int_lines takes integers, got {values.dtype}")
     if len(sep) != 1 or not sep.isascii():
         raise ConfigError(f"separator must be one ASCII character, got {sep!r}")
-    full_ends, empty_ends = ends[ends > starts], ends[ends == starts]
-    parts = []
+    return ends
+
+
+def _line_chunks(values, ends, sep, dtype, text) -> Iterator[str]:
+    """The rows' text, 2**16 values at a time, from the compiled formatter
+    or, when the library is unavailable, from ``sep.join(map(text, ...))``."""
+    if not values.size:
+        yield "\n" * ends.size
+        return
+    lib = _native.library()
+    native = None
+    if lib is not None:
+        native = lib.format_ints if dtype is np.int64 else lib.format_doubles
     for lo in range(0, values.size, _CHUNK):
         hi = min(lo + _CHUNK, values.size)
-        v = values[lo:hi].astype(np.int64)
-        if v.min() < 0:  # also a uint64 beyond the int64 range, wrapped
-            raise ConfigError("format_int_lines takes non-negative int64 values only")
-        top = int(v.max())
-        if top < 1 << 32:
-            v = v.astype(np.uint32)  # divides several times faster
-        width, digits = 1, np.ones(hi - lo, dtype=np.int64)
-        while width < 19 and top >= 10**width:
-            digits += v >= 10**width
-            width += 1
-        # an empty row is a newline just before the value that follows it
-        first, stop = np.searchsorted(empty_ends, [lo, hi])
-        lead = np.bincount(empty_ends[first:stop] - lo, minlength=hi - lo)
-        # each value is its digits and one byte after them, the separator or
-        # the newline that ends its row; ``width`` spare bytes in front keep
-        # every digit index below >= 0
-        end = np.cumsum(lead + digits + 1) + (width - 1)
-        buf = np.full(int(end[-1]) + 1, ord("\n"), dtype=np.uint8)
-        # most significant digit first: a value's leading zeros fall on bytes
-        # before it, which are written again afterwards with what belongs there
-        for d in range(width - 1, -1, -1):
-            q = v // 10**d if d else v
-            buf[end - (d + 1)] = (q - q // 10 * 10).astype(np.uint8) + ord("0")
-        buf[end] = ord(sep)
-        first_row, stop_row = np.searchsorted(full_ends, [lo, hi], "right")
-        buf[end[full_ends[first_row:stop_row] - (lo + 1)]] = ord("\n")
-        if stop > first:
-            nth = np.arange(stop - first) - np.repeat(np.cumsum(lead) - lead, lead)
-            buf[np.repeat(end - digits, lead) - 1 - nth] = ord("\n")
-        parts.append(str(buf[width:].data, "ascii"))
-    parts.append("\n" * int(empty_ends.size - np.searchsorted(empty_ends, values.size)))
+        # the rows that end in this chunk; ends at 0 (leading empty rows)
+        # belong to the first
+        first = np.searchsorted(ends, lo, "right") if lo else 0
+        rel = ends[first:np.searchsorted(ends, hi, "right")] - lo
+        chunk = values[lo:hi].astype(dtype)
+        if native is None:
+            yield _join_rows(chunk.tolist(), rel.tolist(), sep, text)
+            continue
+        buf = np.empty(25 * chunk.size + rel.size, dtype=np.uint8)
+        size = native(chunk.ctypes.data, chunk.size, rel.ctypes.data, rel.size,
+                      sep.encode(), buf.ctypes.data)
+        yield str(buf[:size].data, "ascii")
+
+
+def _join_rows(values: list, ends: list[int], sep: str, text: Callable) -> str:
+    """The Python twin of the compiled formatters, on one chunk.
+
+    Values after the last row end start a row the next chunk continues, so
+    they are followed by ``sep``.
+    """
+    parts, start = [], 0
+    for end in ends:
+        parts.append(sep.join(map(text, values[start:end])) + "\n")
+        start = end
+    if start < len(values):
+        parts.append(sep.join(map(text, values[start:])) + sep)
     return "".join(parts)
 
 

@@ -47,7 +47,7 @@ def make_dtm(matrix, doc_ids=None, terms=None) -> SparseDTM:
 # the compiled and the plain-Python kernels, for tests that run under each
 BACKENDS = [
     pytest.param("native", marks=pytest.mark.skipif(
-        shutil.which("gcc") is None, reason="no C compiler to build the kernels")),
+        shutil.which("g++") is None, reason="no C++ compiler to build the kernels")),
     "python",
 ]
 

@@ -254,8 +254,8 @@ def backend_case(case):
 
 @pytest.mark.parametrize("case", ["defaults", "single_topic", "empty_document"])
 def test_native_sweep_reproduces_the_python_sweep(case, monkeypatch):
-    if shutil.which("gcc") is None:
-        pytest.skip("no C compiler to build the native sweep")
+    if shutil.which("g++") is None:
+        pytest.skip("no C++ compiler to build the native sweep")
     assert gibbs_backend() == "native"
     sequences, vocab, config = backend_case(case)
     native = fit_lda(sequences, vocab, config)
@@ -270,7 +270,7 @@ def test_unbuildable_kernel_falls_back_to_the_python_sweep(monkeypatch, caplog):
     expected = fit_lda(sequences, vocab, config)
 
     def no_compiler():
-        raise FileNotFoundError("gcc")
+        raise FileNotFoundError("g++")
 
     monkeypatch.setattr(_native, "_build", no_compiler)
     _native.library.cache_clear()

@@ -11,12 +11,13 @@ import pytest
 import scipy.io
 
 from conftest import BACKENDS, use_backend
-from corpus_scope import _native
+from corpus_scope import _native, pipeline
 from corpus_scope.cli import main
 from corpus_scope.corpus_ingest import parse_file
 from corpus_scope.errors import ConfigError, EmptyCorpusError, StageError
 from corpus_scope.lda import load_model
 from corpus_scope.pipeline import STAGES, PipelineConfig, load_config, run_pipeline
+from corpus_scope.svgplot import line_chart, scatter_2d
 
 DATA_FILES = frozenset({
     "corpus.csv", "dtm.mtx", "dtm_index.csv",
@@ -83,12 +84,13 @@ def test_each_backend_writes_the_same_bytes(backend, mini_corpus_path, run_dir, 
         assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
     assert f"tokenizer backend {backend}" in stage_notes(tmp_path, "text")
     assert f"gibbs backend {backend}" in stage_notes(tmp_path, "lda")
+    assert f"number formatter backend {backend}" in stage_notes(tmp_path, "lsa")
 
 
 def test_unloadable_kernels_fall_back_with_one_warning(mini_corpus_path, run_dir, tmp_path,
                                                       capsys, monkeypatch):
     def no_compiler():
-        raise FileNotFoundError("gcc")
+        raise FileNotFoundError("g++")
 
     monkeypatch.setattr(_native, "_build", no_compiler)
     _native.library.cache_clear()
@@ -99,11 +101,12 @@ def test_unloadable_kernels_fall_back_with_one_warning(mini_corpus_path, run_dir
         _native.library.cache_clear()
     assert capsys.readouterr().err.splitlines() == [
         "corpus-scope: warning: compiled kernels unavailable, running the Python "
-        "sweep and tokenizer: gcc"
+        "sweep, tokenizer and number formatters: g++"
     ]
     for name in sorted(DATA_FILES):
         assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
     assert "tokenizer backend python" in stage_notes(tmp_path, "text")
+    assert "number formatter backend python" in stage_notes(tmp_path, "lsa")
 
 
 def test_from_flag_writes_only_later_stages(mini_corpus_path, tmp_path):
@@ -272,6 +275,13 @@ def test_svg_outputs_are_well_formed(run_dir, mini_corpus_path, tmp_path):
         "ca_coords.csv", "ca_scatter.svg", "run_report.json"}
 
 
+def test_empty_plots_raise_config_error():
+    with pytest.raises(ConfigError, match="observed point"):
+        line_chart([])
+    with pytest.raises(ConfigError, match="nothing to plot"):
+        scatter_2d([("documents", "#225599", [])])
+
+
 def test_provenance_comments_have_no_paths(run_dir):
     for name in ["trend.csv", "top_terms.csv", "type_shares.csv", "year_counts.csv"]:
         first = (run_dir / name).read_text(encoding="utf-8").splitlines()[0]
@@ -420,6 +430,29 @@ def test_run_pipeline_raises_stage_error_with_cause(tmp_path):
     # the report still lands on disk and names the failed stage
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["failed_stage"] == "text"
+
+
+def test_a_writer_that_fails_partway_leaves_no_partial_file(mini_corpus_path, run_dir,
+                                                           tmp_path, monkeypatch):
+    previous = (run_dir / "lda_model.txt").read_bytes()
+    (tmp_path / "lda_model.txt").write_bytes(previous)
+
+    def fails_partway(model, out=None):
+        out.write("corpus-scope-lda\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline, "render_model", fails_partway)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(quick_cfg(mini_corpus_path, tmp_path))
+    # the earlier output stays whole, and no temporary file is left behind
+    assert (tmp_path / "lda_model.txt").read_bytes() == previous
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == DATA_FILES - {"lda_top_words.csv", "bigrams_edges.csv"} | {
+        "run_report.json"}
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert "lda_model.txt" not in report["output_files"]
+    assert report["output_files"]["ca_coords.csv"] == hashlib.sha256(
+        (tmp_path / "ca_coords.csv").read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------- config file

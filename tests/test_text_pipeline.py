@@ -1,5 +1,7 @@
 import hashlib
 import io
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from corpus_scope.text_pipeline import (
     default_stoplist,
     export_dtm_index,
     export_matrixmarket,
+    format_float_lines,
     format_int_lines,
     load_stoplist,
     remove_stopwords,
@@ -393,3 +396,69 @@ def test_format_int_lines_rejects_what_it_cannot_write():
         format_int_lines(np.array([1, 2]), [2, 1, 2], ",")
     with pytest.raises(ConfigError, match="separator"):
         format_int_lines(np.array([1, 2]), [2], ", ")
+
+
+# the properties above ran with the compiled formatter wherever it builds;
+# these run them again with its Python twin
+@pytest.mark.parametrize("check", [
+    test_format_int_lines_matches_str_join,
+    test_format_int_lines_takes_any_integer_dtype,
+    test_format_int_lines_rejects_what_it_cannot_write,
+], ids=lambda check: check.__name__.removeprefix("test_format_int_lines_"))
+def test_python_int_formatter(check):
+    with use_backend("python"):
+        check()
+
+
+# ---------------------------------------------------------------- float lines
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# any double, NaNs with either sign bit and any payload included
+_DOUBLES = st.floats() | st.integers(0, 2**64 - 1).map(from_bits)
+_FLOAT_ROWS = st.lists(st.lists(_DOUBLES, max_size=6), max_size=25)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=200, deadline=None)
+@given(_FLOAT_ROWS, st.sampled_from([0, 1, 2**16 - 3]))
+def test_format_float_lines_matches_repr(backend, rows, pad):
+    # a first row of ``pad`` halves pushes the others across the 2**16 chunk edge
+    values = np.array([0.5] * pad + [v for row in rows for v in row], dtype=np.float64)
+    ends = np.cumsum([pad] * (pad > 0) + [len(row) for row in rows], dtype=np.int64)
+    head = ",".join(["0.5"] * pad) + "\n" if pad else ""
+    expected = head + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    with use_backend(backend):
+        assert format_float_lines(values, ends, ",") == expected
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    from_bits(0x7FF0000000000001), from_bits(0xFFF8000000000000),
+    5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    # where repr switches between positional and exponent layout
+    1e-4, 1e-5, 0.00010000000000000002, 9.999999999999999e-05, 1.5e-4, 1.5e-5,
+    1e15, 1e16, 9999999999999998.0, 1.2345678901234567e15, 1.2345678901234567e16,
+    0.1, 1 / 3, 123.456, 100.0, 1e22, 1e23,
+]
+_EDGE_FLOATS += [s * 2.0**e for e in range(-1074, 1024) for s in (1.0, -1.0)]
+_EDGE_FLOATS += [math.nextafter(2.0**e, 0.0) for e in range(-1073, 1024)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_format_float_lines_edge_values(backend):
+    values = np.array(_EDGE_FLOATS, dtype=np.float64)
+    with use_backend(backend):
+        text = format_float_lines(values, np.arange(1, values.size + 1), ",")
+    assert text.split("\n")[:-1] == [repr(v) for v in _EDGE_FLOATS]
+
+
+def test_format_float_lines_takes_only_floats():
+    assert format_float_lines(np.array([1.5], dtype=np.float32), [1], ",") == "1.5\n"
+    assert format_float_lines(np.zeros(0), [0], ",") == "\n"
+    with pytest.raises(ConfigError, match="floats"):
+        format_float_lines(np.array([1]), [1], ",")
