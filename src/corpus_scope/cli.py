@@ -10,19 +10,31 @@ configuration error, 3 empty subset after filtering.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import (
+# A run is one short process. When OpenBLAS loads (numpy and scipy each
+# bundle a copy, and both read this variable once, at load), its worker
+# thread busy-polls for 2**28 cycles after start-up and after every threaded
+# call, burning CPU time the run never uses and a core another process could.
+# At 4 (2**4 cycles) the worker sleeps right after its job. The thread count
+# and the split of each call stay the same, so the output bytes do too. A
+# value already in the environment wins. This has to run before anything
+# imports numpy.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+from .errors import (  # noqa: E402
     ConfigError,
     CorpusScopeError,
     EmptyResultError,
     InputError,
     StageError,
 )
-from .pipeline import (
+from .pipeline import (  # noqa: E402
     STAGES,
     PipelineConfig,
     compare_subsets,
@@ -30,6 +42,11 @@ from .pipeline import (
     run_pipeline,
     warn_ignored,
 )
+
+# What the imports built lives until exit: leave it out of the cyclic GC, so
+# that later collections, the interpreter's shutdown ones included, walk
+# only the run's own objects.
+gc.freeze()
 
 _STAGE_FOR_COMMAND = {
     "ingest": "ingest",

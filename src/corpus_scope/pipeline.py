@@ -19,7 +19,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -684,6 +684,19 @@ def _compare(run: _Run, stage: StageReport) -> None:
     run.emit(stage, "compare.csv", "\n".join(lines) + "\n")
 
 
+# the files each stage writes when its files are requested; ca_scatter.svg
+# only under the lsa subcommand
+_STAGE_OUTPUTS = {
+    "ingest": ("corpus.csv",),
+    "text": ("dtm.mtx", "dtm_index.csv"),
+    "eda": ("year_counts.csv", "trend.csv", "top_terms.csv", "type_shares.csv",
+            "trend.svg"),
+    "lsa": ("ca_coords.csv", "ca_scatter.svg"),
+    "lda": ("lda_model.txt", "lda_top_words.csv"),
+    "bigrams": ("bigrams_edges.csv",),
+    "compare": ("compare.csv",),
+}
+
 _STAGE_RUNNERS = {
     "ingest": _ingest,
     "text": _text,
@@ -695,21 +708,31 @@ _STAGE_RUNNERS = {
 }
 
 
-def _run_stages(run: _Run, names: Iterable[str]) -> RunReport:
+def _run_stages(run: _Run, names: list[str]) -> RunReport:
     """Run the named stages in order, timing each; the report is always written.
 
     A stage that raises a CorpusScopeError is recorded as ``failed_stage``
-    and re-raised as StageError.
+    and re-raised as StageError. Whatever a stage raises, the report's
+    ``notes`` then name the files it or a later stage would have written that
+    are still in ``--out`` from an earlier run.
     """
-    run.cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        for name in names:
+        run.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {run.cfg.out_dir}: {exc}") from exc
+    try:
+        for at, name in enumerate(names):
             stage = StageReport(name=name)
             run.report.stages.append(stage)
             started = time.perf_counter()
             try:
                 _STAGE_RUNNERS[name](run, stage)
-            except CorpusScopeError as exc:
+            except BaseException as exc:
+                stale = _stale_outputs(run, names[at:])
+                if stale:
+                    run.report.notes.append(f"stale from an earlier run: {', '.join(stale)}")
+                if not isinstance(exc, CorpusScopeError):
+                    raise
                 run.report.failed_stage = name
                 stage.notes.append(f"failed: {exc}")
                 raise StageError(name, exc, run.report) from exc
@@ -719,6 +742,22 @@ def _run_stages(run: _Run, names: Iterable[str]) -> RunReport:
     finally:
         run.finish_report()
     return run.report
+
+
+def _stale_outputs(run: _Run, unfinished: list[str]) -> list[str]:
+    """Files in ``--out`` that the unfinished stages were asked to write but
+    this run did not: they are left from an earlier run."""
+    stale = []
+    for name in unfinished:
+        if name not in run.write:
+            continue
+        for output in _STAGE_OUTPUTS[name]:
+            if output == "ca_scatter.svg" and run.report.command != "lsa":
+                continue
+            if (output not in run.report.output_files
+                    and (run.cfg.out_dir / output).exists()):
+                stale.append(output)
+    return stale
 
 
 def run_pipeline(

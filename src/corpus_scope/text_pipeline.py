@@ -520,10 +520,10 @@ def export_dtm_index(dtm: SparseDTM, comment: str = "") -> str:
     if comment:
         lines.append(f"# {comment}")
     lines.append("kind,position,label,total")
-    for i, doc_id in enumerate(dtm.doc_ids):
-        lines.append(f"doc,{i + 1},{csv_field(doc_id)},{int(dtm.row_totals[i])}")
-    for j, term in enumerate(dtm.terms):
-        lines.append(f"term,{j + 1},{csv_field(term)},{int(dtm.col_totals[j])}")
+    for i, (doc_id, total) in enumerate(zip(dtm.doc_ids, dtm.row_totals.tolist())):
+        lines.append(f"doc,{i + 1},{csv_field(doc_id)},{total}")
+    for j, (term, total) in enumerate(zip(dtm.terms, dtm.col_totals.tolist())):
+        lines.append(f"term,{j + 1},{csv_field(term)},{total}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import importlib.resources
+import os
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import corpus_scope
 from corpus_scope import _native
 from corpus_scope.corpus_ingest import parse_file
 from corpus_scope.text_pipeline import SparseDTM, TokenSequence
@@ -42,6 +44,17 @@ def make_dtm(matrix, doc_ids=None, terms=None) -> SparseDTM:
         col_totals=X.sum(axis=0),
         n_total=int(X.sum()),
     )
+
+
+SRC = Path(corpus_scope.__file__).resolve().parent.parent
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with the imported source tree first on
+    ``PYTHONPATH``, for tests that start a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 # the compiled and the plain-Python kernels, for tests that run under each

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,11 +11,16 @@ import numpy as np
 import pytest
 import scipy.io
 
-from conftest import BACKENDS, use_backend
+from conftest import BACKENDS, child_env, use_backend
 from corpus_scope import _native, pipeline
 from corpus_scope.cli import main
 from corpus_scope.corpus_ingest import parse_file
-from corpus_scope.errors import ConfigError, EmptyCorpusError, StageError
+from corpus_scope.errors import (
+    ConfigError,
+    EmptyCorpusError,
+    InsufficientDataError,
+    StageError,
+)
 from corpus_scope.lda import load_model
 from corpus_scope.pipeline import STAGES, PipelineConfig, load_config, run_pipeline
 from corpus_scope.svgplot import line_chart, scatter_2d
@@ -333,6 +339,13 @@ def test_cli_missing_input_exits_2_without_partial_outputs(tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
+def test_cli_out_that_is_a_file_exits_2(mini_corpus_path, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    assert run_cli("eda", "--input", mini_corpus_path, "--out", taken) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 def test_cli_input_error_exits_2(mini_corpus_path, tmp_path, capsys):
     # an input directory is unreadable as a record stream
     assert run_cli("run", "--input", tmp_path, "--out", tmp_path / "x") == 2
@@ -451,8 +464,75 @@ def test_a_writer_that_fails_partway_leaves_no_partial_file(mini_corpus_path, ru
         "run_report.json"}
     report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     assert "lda_model.txt" not in report["output_files"]
+    assert report["notes"] == ["stale from an earlier run: lda_model.txt"]
     assert report["output_files"]["ca_coords.csv"] == hashlib.sha256(
         (tmp_path / "ca_coords.csv").read_bytes()).hexdigest()
+
+
+def failing(stage):
+    def runner(run, stage_report):
+        raise InsufficientDataError(f"{stage} cannot run")
+    return runner
+
+
+@pytest.mark.parametrize("write,fails,stale", [
+    (set(STAGES), "lda", ["lda_model.txt", "lda_top_words.csv", "bigrams_edges.csv"]),
+    (set(STAGES), "text", ["dtm.mtx", "dtm_index.csv", "year_counts.csv", "trend.csv",
+                           "top_terms.csv", "type_shares.csv", "trend.svg",
+                           "ca_coords.csv", "lda_model.txt", "lda_top_words.csv",
+                           "bigrams_edges.csv"]),
+    # run --from lda: the earlier stages' files were never to be rewritten
+    (set(STAGES[4:]), "text", ["lda_model.txt", "lda_top_words.csv",
+                               "bigrams_edges.csv"]),
+    # the lsa subcommand writes only its own stage's files, the scatter too
+    ({"lsa"}, "lsa", ["ca_coords.csv", "ca_scatter.svg"]),
+])
+def test_a_failed_run_names_the_files_left_from_an_earlier_run(
+        mini_corpus_path, run_dir, tmp_path, monkeypatch, write, fails, stale):
+    shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "ca_scatter.svg").write_text("<svg/>", encoding="utf-8")
+    monkeypatch.setitem(pipeline._STAGE_RUNNERS, fails, failing(fails))
+    with pytest.raises(StageError):
+        run_pipeline(quick_cfg(mini_corpus_path, tmp_path), write_stages=write,
+                     command="lsa" if write == {"lsa"} else "run")
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert report["failed_stage"] == fails
+    assert report["notes"] == [f"stale from an earlier run: {', '.join(stale)}"]
+    assert not set(stale) & set(report["output_files"])
+
+
+def test_files_the_failed_stage_wrote_before_failing_are_not_stale(mini_corpus_path,
+                                                                  run_dir, tmp_path,
+                                                                  monkeypatch):
+    shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
+
+    def no_chart(*args, **kwargs):
+        raise ConfigError("nothing to plot")
+
+    monkeypatch.setattr(pipeline, "line_chart", no_chart)
+    with pytest.raises(StageError):
+        run_pipeline(quick_cfg(mini_corpus_path, tmp_path), write_stages={"eda"},
+                     command="eda")
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert sorted(report["output_files"]) == [
+        "top_terms.csv", "trend.csv", "type_shares.csv", "year_counts.csv"]
+    assert report["notes"] == ["stale from an earlier run: trend.svg"]
+
+
+def test_a_failed_run_into_a_fresh_directory_names_nothing_stale(mini_corpus_path,
+                                                                 tmp_path, monkeypatch):
+    monkeypatch.setitem(pipeline._STAGE_RUNNERS, "eda", failing("eda"))
+    with pytest.raises(StageError):
+        run_pipeline(quick_cfg(mini_corpus_path, tmp_path))
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert report["failed_stage"] == "eda"
+    assert report["notes"] == []
+
+
+def test_every_stage_output_is_listed_for_the_stale_check(run_dir):
+    report = json.loads((run_dir / "run_report.json").read_text(encoding="utf-8"))
+    for stage in report["stages"]:
+        assert set(stage["outputs"]) <= set(pipeline._STAGE_OUTPUTS[stage["name"]])
 
 
 # ---------------------------------------------------------------- config file
@@ -605,14 +685,14 @@ def test_dense_run_loads_neither_lanczos_nor_graphml_modules(mini_corpus_path, t
         " if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True)
+                          text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "corpus_scope.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     for sub in ("ingest", "eda", "lsa", "lda", "bigrams", "run", "compare"):
         assert sub in proc.stdout
