@@ -1,11 +1,13 @@
 /* The package's compiled kernels, built into one C++17 library by
  * _native.py. Each has a Python twin that is its reference and its fallback,
  * and both give the same results bit for bit. */
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <new>
 #include <stdint.h>
-#include <stdlib.h>
+#include <vector>
 
 extern "C" {
 
@@ -65,112 +67,242 @@ static inline int is_word(uint32_t c, const uint8_t *ascii,
     return lo < n_wide && wide[lo] == c;
 }
 
-static inline int same_run(const uint32_t *a, const uint32_t *b, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        if (a[i] != b[i])
-            return 0;
-    return 1;
-}
+} /* extern "C" */
 
-struct slot {
-    uint64_t hash;
-    int64_t entry; /* distinct run number + 1; 0 marks an empty slot */
+/* The words met so far in a corpus, for intern_words. Word w is
+ * chars[starts[w] .. starts[w + 1] - 1), followed by a space, which no word
+ * holds; slots is an open-addressing hash table over the words, a power of
+ * two in size and at most half full. */
+struct word_table {
+    struct slot {
+        uint64_t hash;
+        int64_t entry; /* word number + 1; 0 marks an empty slot */
+        int64_t start, len; /* the word's place in chars */
+    };
+    std::vector<slot> slots = std::vector<slot>(1024);
+    std::vector<uint32_t> chars;
+    std::vector<int64_t> starts = {0};
+
+    int64_t size() const { return (int64_t)starts.size() - 1; }
+
+    /* the slot that holds the run text[0..len) with hash h, or the empty
+     * slot where it belongs */
+    uint64_t find(const uint32_t *text, int64_t len, uint64_t h) const
+    {
+        uint64_t mask = slots.size() - 1, j = h & mask;
+        for (; slots[j].entry; j = (j + 1) & mask) {
+            if (slots[j].hash == h && slots[j].len == len
+                && std::equal(text, text + len, chars.data() + slots[j].start))
+                break;
+        }
+        return j;
+    }
+
+    /* word number of text[0..len), added as the next word if it is new */
+    int64_t intern(const uint32_t *text, int64_t len, uint64_t h)
+    {
+        uint64_t j = find(text, len, h);
+        if (slots[j].entry)
+            return slots[j].entry - 1;
+        if (2 * (uint64_t)(size() + 1) > slots.size()) {
+            std::vector<slot> bigger(2 * slots.size());
+            uint64_t mask = bigger.size() - 1;
+            for (const slot &s : slots) {
+                if (!s.entry)
+                    continue;
+                uint64_t k = s.hash & mask;
+                while (bigger[k].entry)
+                    k = (k + 1) & mask;
+                bigger[k] = s;
+            }
+            slots.swap(bigger);
+            j = find(text, len, h);
+        }
+        int64_t start = (int64_t)chars.size();
+        chars.insert(chars.end(), text, text + len);
+        chars.push_back(' ');
+        starts.push_back((int64_t)chars.size());
+        slots[j] = {h, size(), start, len};
+        return size() - 1;
+    }
 };
 
-/* Double the table, or allocate its first 1024 slots. Returns 0 when out
- * of memory, leaving the old table in place. */
-static int grow(struct slot **table, uint64_t *mask)
+extern "C" {
+
+void *word_table_new(void)
 {
-    uint64_t size = *table ? 2 * (*mask + 1) : 1024;
-    struct slot *bigger = (struct slot *)calloc(size, sizeof *bigger);
-    if (!bigger)
-        return 0;
-    if (*table) {
-        for (uint64_t i = 0; i <= *mask; i++) {
-            if (!(*table)[i].entry)
-                continue;
-            uint64_t j = (*table)[i].hash & (size - 1);
-            while (bigger[j].entry)
-                j = (j + 1) & (size - 1);
-            bigger[j] = (*table)[i];
-        }
-        free(*table);
+    try {
+        return new word_table;
+    } catch (const std::bad_alloc &) {
+        return NULL;
     }
-    *table = bigger;
-    *mask = size - 1;
-    return 1;
+}
+
+void word_table_free(void *table)
+{
+    delete (word_table *)table;
 }
 
 /* Split a chunk of documents into maximal runs of word code points (re's
- * \w+) and intern them; the compiled twin of re.findall per document plus
- * a first-appearance dict, as in text_pipeline._encode.
+ * \w+) and intern them in table, which lasts across the chunks of a
+ * corpus; the compiled twin of re.findall per document plus a
+ * first-appearance dict, as in text_pipeline._encode.
  *
  * text: the chunk's code points; document d spans doc_ends[d - 1] (0 for
  * d = 0) to doc_ends[d], so no run crosses a document end. ascii: 128 word
  * flags; wide: the n_wide non-ASCII word code points, ascending.
- * Out: codes, one per run, numbering distinct runs in order of first
- * appearance; token_ends[d], the number of runs in documents 0..d;
- * run_start and run_len, the first occurrence of each distinct run. codes,
- * run_start and run_len must hold one entry per code point of text.
- * Returns the number of distinct runs, or -1 when out of memory. */
-int64_t intern_words(const uint32_t *text, int64_t n_docs,
+ * Out: codes, one per run, numbering the table's words in order of first
+ * appearance in the corpus; token_ends[d], the number of runs in documents
+ * 0..d of the chunk. codes must hold one entry per code point of text.
+ * Returns the number of words in the table, so the words this chunk added
+ * are those numbered from the previous count on; -1 when out of memory. */
+int64_t intern_words(void *table, const uint32_t *text, int64_t n_docs,
                      const int64_t *doc_ends, const uint8_t *ascii,
                      const uint32_t *wide, int64_t n_wide, int32_t *codes,
-                     int64_t *token_ends, int64_t *run_start, int64_t *run_len)
+                     int64_t *token_ends)
 {
-    struct slot *table = NULL;
-    uint64_t mask = 0;
-    int64_t n_runs = 0, n_tokens = 0, i = 0;
-    if (!grow(&table, &mask))
-        return -1;
-    for (int64_t d = 0; d < n_docs; d++) {
-        int64_t end = doc_ends[d];
-        while (i < end) {
-            if (!is_word(text[i], ascii, wide, n_wide)) {
-                i++;
-                continue;
-            }
-            /* FNV-1a over whole code points, folded for the low bits */
-            int64_t start = i;
-            uint64_t h = 14695981039346656037ULL;
-            do
-                h = (h ^ text[i++]) * 1099511628211ULL;
-            while (i < end && is_word(text[i], ascii, wide, n_wide));
-            h ^= h >> 32;
-            int64_t len = i - start;
-            uint64_t j = h & mask;
-            while (table[j].entry) {
-                int64_t e = table[j].entry - 1;
-                if (table[j].hash == h && run_len[e] == len
-                    && same_run(text + run_start[e], text + start, len))
-                    break;
-                j = (j + 1) & mask;
-            }
-            if (!table[j].entry) {
-                /* keep at most half the slots full */
-                if (2 * (uint64_t)(n_runs + 1) > mask + 1) {
-                    if (!grow(&table, &mask)) {
-                        free(table);
-                        return -1;
-                    }
-                    j = h & mask;
-                    while (table[j].entry)
-                        j = (j + 1) & mask;
+    word_table &words = *(word_table *)table;
+    int64_t n_tokens = 0, i = 0;
+    try {
+        for (int64_t d = 0; d < n_docs; d++) {
+            int64_t end = doc_ends[d];
+            while (i < end) {
+                if (!is_word(text[i], ascii, wide, n_wide)) {
+                    i++;
+                    continue;
                 }
-                run_start[n_runs] = start;
-                run_len[n_runs] = len;
-                table[j].hash = h;
-                table[j].entry = ++n_runs;
+                /* FNV-1a over whole code points, folded for the low bits */
+                int64_t start = i;
+                uint64_t h = 14695981039346656037ULL;
+                do
+                    h = (h ^ text[i++]) * 1099511628211ULL;
+                while (i < end && is_word(text[i], ascii, wide, n_wide));
+                h ^= h >> 32;
+                /* fewer than 2**31 words: their text alone would take more
+                 * than 16 GB */
+                codes[n_tokens++] = (int32_t)words.intern(text + start, i - start, h);
             }
-            /* fewer than 2**31 distinct runs: a chunk would need billions
-             * of code points to hold more */
-            codes[n_tokens++] = (int32_t)(table[j].entry - 1);
+            token_ends[d] = n_tokens;
         }
-        token_ends[d] = n_tokens;
+    } catch (const std::bad_alloc &) {
+        return -1;
     }
-    free(table);
-    return n_runs;
+    return words.size();
+}
+
+/* The text of the table's words from number first on, each followed by a
+ * space; *size is set to its length in code points. */
+const uint32_t *word_chars(const void *table, int64_t first, int64_t *size)
+{
+    const word_table &words = *(const word_table *)table;
+    *size = (int64_t)words.chars.size() - words.starts[first];
+    return words.chars.data() + words.starts[first];
+}
+
+/* The compiled twin of text_pipeline._remap_python: every token's code
+ * through remap, keeping only those it maps to 0 or more, in order.
+ *
+ * raw: n_tokens codes below n_remap; document d owns raw[ends[d] ..
+ * ends[d + 1]), for n_docs documents. Out: codes, the kept codes (it may be
+ * raw itself), and offsets, n_docs + 1 document offsets into them. Returns
+ * the number kept, or -1 when a code or a document end is out of range. */
+int64_t remap_tokens(const int32_t *raw, int64_t n_tokens, const int64_t *ends,
+                     int64_t n_docs, const int32_t *remap, int64_t n_remap,
+                     int32_t *codes, int64_t *offsets)
+{
+    if (ends[0] != 0 || ends[n_docs] != n_tokens)
+        return -1;
+    int64_t kept = 0;
+    offsets[0] = 0;
+    for (int64_t d = 0; d < n_docs; d++) {
+        if (ends[d + 1] < ends[d] || ends[d + 1] > n_tokens)
+            return -1;
+        for (int64_t i = ends[d]; i < ends[d + 1]; i++) {
+            if ((uint64_t)(uint32_t)raw[i] >= (uint64_t)n_remap)
+                return -1;
+            int32_t c = remap[raw[i]];
+            if (c >= 0)
+                codes[kept++] = c;
+        }
+        offsets[d + 1] = kept;
+    }
+    return kept;
+}
+
+/* The compiled twin of text_pipeline._count_python: the document-term
+ * counts as CSR arrays, with the row and column totals.
+ *
+ * codes, offsets: as remap_tokens' raw and ends; column: each code's term
+ * column below p, or -1 for a code outside the vocabulary. Out: indptr
+ * (n_docs + 1), and indices and data, which must hold one entry per token;
+ * each row's columns ascend. row_totals (n_docs) and col_totals (p, zeroed
+ * by the caller) sum the counts. Returns the number of entries, -1 when a
+ * code, a column or a document end is out of range, and -2 when out of
+ * memory. */
+int64_t count_dtm(const int32_t *codes, int64_t n_tokens, const int64_t *offsets,
+                  int64_t n_docs, const int32_t *column, int64_t n_types,
+                  int64_t p, int32_t *indptr, int32_t *indices, int64_t *data,
+                  int64_t *row_totals, int64_t *col_totals)
+{
+    if (offsets[0] != 0 || offsets[n_docs] != n_tokens)
+        return -1;
+    /* a row's counts by column, the columns it holds in order met, and the
+     * same as one bit per column */
+    std::vector<int64_t> count;
+    std::vector<int32_t> seen;
+    std::vector<uint64_t> bits;
+    try {
+        count.resize(p);
+        seen.resize(p);
+        bits.resize((p + 63) / 64);
+    } catch (const std::bad_alloc &) {
+        return -2;
+    }
+    int64_t nnz = 0;
+    auto put = [&](int32_t c) {
+        indices[nnz] = c;
+        data[nnz++] = count[c];
+        col_totals[c] += count[c];
+        count[c] = 0;
+    };
+    indptr[0] = 0;
+    for (int64_t d = 0; d < n_docs; d++) {
+        if (offsets[d + 1] < offsets[d] || offsets[d + 1] > n_tokens)
+            return -1;
+        int64_t total = 0, n_seen = 0;
+        for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
+            if ((uint64_t)(uint32_t)codes[i] >= (uint64_t)n_types)
+                return -1;
+            int32_t c = column[codes[i]];
+            if (c < 0)
+                continue;
+            if (c >= p)
+                return -1;
+            if (!count[c]++) {
+                seen[n_seen++] = c;
+                bits[c >> 6] |= 1ULL << (c & 63);
+            }
+            total++;
+        }
+        /* the columns in ascending order: sorted when they are few against
+         * the width of the table, else read off the bits */
+        if ((uint64_t)n_seen * 16 < bits.size()) {
+            std::sort(seen.begin(), seen.begin() + n_seen);
+            for (int64_t s = 0; s < n_seen; s++) {
+                bits[seen[s] >> 6] = 0;
+                put(seen[s]);
+            }
+        } else {
+            for (size_t w = 0; w < bits.size(); w++) {
+                for (uint64_t b = bits[w]; b; b &= b - 1)
+                    put((int32_t)(64 * w + __builtin_ctzll(b)));
+                bits[w] = 0;
+            }
+        }
+        row_totals[d] = total;
+        indptr[d + 1] = (int32_t)nnz;
+    }
+    return nnz;
 }
 
 } /* extern "C" */

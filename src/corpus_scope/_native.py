@@ -1,7 +1,8 @@
 """The compiled kernels: one C++ source, one cached library, one loader.
 
-``_native.cpp`` holds the Gibbs sweep (``lda``), the word splitter and
-interner, and the integer and float table formatters (``text_pipeline``).
+``_native.cpp`` holds the Gibbs sweep (``lda``), and for ``text_pipeline``
+the word splitter and its corpus-wide word table, the token renumbering,
+the document-term counts, and the integer and float table formatters.
 :func:`library` compiles it on first use into the user cache and loads it
 with ctypes; when that fails it warns once and returns None, and each caller
 runs its plain-Python twin instead.
@@ -66,8 +67,18 @@ def _build() -> ctypes.CDLL:
     lib.gibbs_sweep.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
                                 f64, f64, f64]
     lib.gibbs_sweep.restype = None
-    lib.intern_words.argtypes = [ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
+    lib.word_table_new.argtypes = []
+    lib.word_table_new.restype = ptr
+    lib.word_table_free.argtypes = [ptr]
+    lib.word_table_free.restype = None
+    lib.intern_words.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
     lib.intern_words.restype = i64
+    lib.word_chars.argtypes = [ptr, i64, ctypes.POINTER(i64)]
+    lib.word_chars.restype = ptr
+    lib.remap_tokens.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
+    lib.remap_tokens.restype = i64
+    lib.count_dtm.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
+    lib.count_dtm.restype = i64
     for formatter in (lib.format_ints, lib.format_doubles):
         formatter.argtypes = [ptr, i64, ptr, i64, ctypes.c_char, ptr]
         formatter.restype = i64

@@ -38,6 +38,7 @@ import enum
 import functools
 import io
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Iterable, Iterator
 
@@ -164,7 +165,7 @@ def _split_multi(value: str | list[str] | None) -> tuple[str, ...]:
     if value is None:
         return ()
     parts = value if isinstance(value, list) else value.split(";")
-    return tuple(p for p in map(str.strip, parts) if p)
+    return tuple(filter(None, map(str.strip, parts)))
 
 
 def _parse_year(raw, row: int, errors: list[RecordError]) -> tuple[int | None, bool]:
@@ -209,50 +210,68 @@ def _wrong_type(raw: dict) -> str | None:
     return None
 
 
-def _build_document(raw: dict, row: int, errors: list[RecordError]) -> Document | None:
-    wrong = _wrong_type(raw)
-    if wrong is not None:
-        errors.append(RecordError(row, f"non-string {wrong}", dropped=True))
-        return None
-    doc_id = raw.get("id")
+# the fields a record is read into, in this order
+_FIELDS = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+
+
+def _build_document(row: int, fields: tuple, errors: list[RecordError]) -> Document | None:
+    """The document of one record's ``_FIELDS`` values (None for a missing
+    field), or None when it is dropped; problems go to ``errors``."""
+    doc_id, title, year, abstract, keywords, doc_type, countries = fields
     doc_id = "" if doc_id is None else str(doc_id).strip()
     if not doc_id:
         errors.append(RecordError(row, "empty id", dropped=True))
         return None
-    year, keep = _parse_year(raw.get("year"), row, errors)
+    year, keep = _parse_year(year, row, errors)
     if not keep:
         return None
     return Document(
         id=doc_id,
-        title=raw.get("title") or "",
-        abstract=raw.get("abstract") or "",
-        keywords=_split_multi(raw.get("keywords")),
+        title=title or "",
+        abstract=abstract or "",
+        keywords=_split_multi(keywords),
         year=year,
-        doc_type=normalize_doc_type(str(raw.get("doc_type") or "")),
-        countries=_split_multi(raw.get("countries")),
+        doc_type=normalize_doc_type(str(doc_type or "")),
+        countries=_split_multi(countries),
     )
 
 
 def _iter_csv(text: Iterable[str], errors: list[RecordError]):
+    """(row number, ``_FIELDS`` values) per CSV data row; a missing
+    optional column reads as an empty string, which means the same."""
     reader = csv.reader(text)
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("empty input: no header row") from None
+    except csv.Error as exc:
+        raise InputError(f"cannot parse the CSV header row: {exc}") from exc
     header = [h.strip().lower() for h in header]
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-    for row_num, values in enumerate(reader, start=1):
-        if not values:
-            continue
-        if len(values) != len(header):
-            errors.append(RecordError(row_num, "wrong field count", dropped=True))
-            continue
-        yield row_num, dict(zip(header, values))
+    # a repeated column name reads its last column; index -1 is the empty
+    # string appended to each row
+    column = {name: i for i, name in enumerate(header)}
+    pick = operator.itemgetter(*(column.get(name, -1) for name in _FIELDS))
+    width = len(header)
+    row_num = 0
+    try:
+        for row_num, values in enumerate(reader, start=1):
+            if not values:
+                continue
+            if len(values) != width:
+                errors.append(RecordError(row_num, "wrong field count", dropped=True))
+                continue
+            values.append("")
+            yield row_num, pick(values)
+    except csv.Error as exc:
+        raise InputError(f"cannot parse CSV data row {row_num + 1}: {exc}") from exc
 
 
 def _iter_jsonl(text: Iterable[str], errors: list[RecordError]):
+    """(row number, ``_FIELDS`` values) per JSON line whose fields have the
+    types :func:`_wrong_type` allows."""
     for row_num, line in enumerate(text, start=1):
         if not line.strip():
             continue
@@ -264,7 +283,12 @@ def _iter_jsonl(text: Iterable[str], errors: list[RecordError]):
         if not isinstance(obj, dict):
             errors.append(RecordError(row_num, "record is not an object", dropped=True))
             continue
-        yield row_num, {str(k).lower(): v for k, v in obj.items()}
+        raw = {str(k).lower(): v for k, v in obj.items()}
+        wrong = _wrong_type(raw)
+        if wrong is not None:
+            errors.append(RecordError(row_num, f"non-string {wrong}", dropped=True))
+            continue
+        yield row_num, tuple(map(raw.get, _FIELDS))
 
 
 def parse_records(
@@ -294,8 +318,8 @@ def parse_records(
 
     by_id: dict[str, Document] = {}
     try:
-        for row_num, raw in rows:
-            doc = _build_document(raw, row_num, errors)
+        for row_num, fields in rows:
+            doc = _build_document(row_num, fields, errors)
             if doc is None:
                 continue
             if doc.id in by_id:

@@ -39,7 +39,7 @@ from .errors import (
     SchemaError,
     SimplexError,
 )
-from .text_pipeline import as_token_array, int_line_chunks, write_chunks
+from .text_pipeline import as_token_array, int_line_chunks, remap_tokens, write_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .text_pipeline import TokenArray, TokenSequence, Vocabulary
@@ -151,9 +151,8 @@ def _vectorize(
     ``words[offsets[d]:offsets[d + 1]]``), int32 word ids and the dropped ids.
     """
     tokens = as_token_array(sequences)
-    ids = tokens.vocab_ids(vocab)
-    in_vocab = ids >= 0
-    lengths = np.bincount(tokens.doc_index()[in_vocab], minlength=len(tokens))
+    words, offsets = remap_tokens(tokens.codes, tokens.offsets, tokens.vocab_lookup(vocab))
+    lengths = np.diff(offsets)
     doc_ids: list[str] = []
     dropped: list[str] = []
     for doc_id, n in zip(tokens.doc_ids, lengths.tolist()):
@@ -164,8 +163,7 @@ def _vectorize(
         )
     if not doc_ids:
         raise EmptyCorpusError("no document has in-vocabulary tokens")
-    offsets = np.concatenate(([0], np.cumsum(lengths[lengths > 0])))
-    return doc_ids, offsets, ids[in_vocab].astype(np.int32), dropped
+    return doc_ids, offsets[np.concatenate(([True], lengths > 0))], words, dropped
 
 
 def _mt_stream(seed: int) -> np.random.RandomState:

@@ -256,6 +256,11 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     col_labels = tuple(dtm.terms[j] for j in keep_cols)
 
     n_rows, n_cols = X.shape
+    if min(n_rows, n_cols) < 2:
+        raise ConfigError(
+            "correspondence analysis needs at least two terms and two documents"
+            f" with counts; this table has {n_cols} term(s) and {n_rows} document(s)"
+        )
     max_dims = min(n_rows, n_cols) - 1
     if dims < 1 or dims > max_dims:
         raise ConfigError(

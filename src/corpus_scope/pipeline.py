@@ -269,18 +269,52 @@ def _config_echo(cfg: PipelineConfig) -> dict:
     return echo
 
 
+def _stoplist_path(cfg: PipelineConfig) -> tuple[Path, str] | None:
+    """The stoplist file to read and where it was named: the explicit path
+    ("file"), else CORPUS_SCOPE_STOPLIST ("env"); None for the bundled list."""
+    if cfg.stoplist is not None:
+        return cfg.stoplist, "file"
+    env = os.environ.get(STOPLIST_ENV_VAR)
+    return (Path(env), "env") if env else None
+
+
 def resolve_stoplist(cfg: PipelineConfig) -> tuple[frozenset[str], str]:
     """Stoplist resolution order: explicit path, CORPUS_SCOPE_STOPLIST, bundled."""
-    if cfg.stoplist is not None:
-        return load_stoplist(cfg.stoplist), f"file:{cfg.stoplist.name}"
-    env = os.environ.get(STOPLIST_ENV_VAR)
-    if env:
-        return load_stoplist(env), f"env:{Path(env).name}"
-    return default_stoplist(), "bundled"
+    chosen = _stoplist_path(cfg)
+    if chosen is None:
+        return default_stoplist(), "bundled"
+    path, source = chosen
+    return load_stoplist(path), f"{source}:{path.name}"
+
+
+def _check_paths(cfg: PipelineConfig) -> None:
+    """Raise InputError, before any stage runs, when the input or the
+    stoplist that :func:`resolve_stoplist` would read is not a file."""
+    if not cfg.input.is_file():
+        raise InputError(f"input path is not a readable file: {cfg.input}")
+    chosen = _stoplist_path(cfg)
+    if chosen is not None and not chosen[0].is_file():
+        raise InputError(f"stoplist path is not a readable file: {chosen[0]}")
+
+
+# where Linux reports the process's own peak RSS (VmHWM)
+_PROC_STATUS = Path("/proc/self/status")
 
 
 def _peak_rss_mb() -> float | None:
-    """The process's peak resident set size so far (``ru_maxrss``), in MB."""
+    """The process's peak resident set size so far, in MB.
+
+    Read from ``VmHWM`` where the system has it; ``ru_maxrss`` is the
+    fallback, but on Linux it survives ``execve``, so there a child started
+    from a larger parent would report the parent's peak.
+    """
+    try:
+        with open(_PROC_STATUS, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)  # in kB
+    except OSError:
+        pass
     if resource is None:  # pragma: no cover - not on Windows
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -490,7 +524,8 @@ def _lsa(run: _Run, stage: StageReport) -> None:
     n_cols = int((run.dtm.col_totals > 0).sum())
     max_dims = min(n_rows, n_cols) - 1
     dims = cfg.dims
-    if dims > max_dims:
+    # below one axis fit_ca says why the table is too small
+    if dims > max_dims >= 1:
         dims = max_dims
         stage.notes.append(f"dims reduced to {dims} for a {n_rows}x{n_cols} table")
     model = fit_ca(run.dtm, dims=dims)
@@ -776,8 +811,7 @@ def run_pipeline(
     unknown = write_stages - set(STAGES)
     if unknown:
         raise ConfigError(f"unknown stage(s): {', '.join(sorted(unknown))}")
-    if not cfg.input.is_file():
-        raise InputError(f"input path is not a readable file: {cfg.input}")
+    _check_paths(cfg)
 
     compute = {"ingest", "text"} | write_stages
     run = _Run(cfg, command, write_stages)
@@ -798,7 +832,6 @@ def compare_subsets(cfg: PipelineConfig, country: str | None = None) -> RunRepor
         cfg = replace(cfg, country=country)
     if not cfg.country:
         raise ConfigError("compare requires a country")
-    if not cfg.input.is_file():
-        raise InputError(f"input path is not a readable file: {cfg.input}")
+    _check_paths(cfg)
     run = _Run(cfg, "compare", write_stages={"compare"})
     return _run_stages(run, ["ingest", "text", "compare"])

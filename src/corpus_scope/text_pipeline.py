@@ -3,6 +3,7 @@ the sparse DTM."""
 
 from __future__ import annotations
 
+import ctypes
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -116,10 +117,11 @@ class TokenArray:
         lengths = np.diff(self.offsets)
         return np.repeat(np.arange(len(self), dtype=np.int64), lengths)
 
-    def vocab_ids(self, vocab: "Vocabulary") -> np.ndarray:
-        """Every token's column in ``vocab`` (int64); -1 when it is not in it."""
-        lookup = np.array([vocab.index.get(t, -1) for t in self.types], dtype=np.int64)
-        return lookup[self.codes]
+    def vocab_lookup(self, vocab: "Vocabulary") -> np.ndarray:
+        """Each type's column in ``vocab`` (int32, aligned with ``types``);
+        -1 when it is not in it."""
+        get = vocab.index.get
+        return np.fromiter((get(t, -1) for t in self.types), np.int32, len(self.types))
 
 
 def _first_appearance() -> defaultdict[str, int]:
@@ -146,36 +148,63 @@ def _encode(
     for tokens in token_lists:
         raw += map(seen.__getitem__, tokens)
         ends.append(len(raw))
-    return _renumber(doc_ids, seen, np.array(raw, dtype=np.int64),
+    return _renumber(doc_ids, list(seen), np.array(raw, dtype=np.int32),
                      np.array(ends, dtype=np.int64), keep)
 
 
 def _renumber(
     doc_ids: Sequence[str],
-    seen: dict[str, int],
+    seen: list[str],
     raw: np.ndarray,
     ends: np.ndarray,
     keep: Callable[[str], bool] | None,
 ) -> TokenArray:
-    """The token array of provisional codes ``raw`` (``seen`` maps each
-    distinct token to its code) whose documents end at ``ends``, with the
+    """The token array of provisional codes ``raw`` (``seen`` lists the
+    distinct tokens in code order) whose documents end at ``ends``, with the
     tokens ``keep`` rejects dropped and the rest coded in sorted order."""
     kept = sorted(seen if keep is None else filter(keep, seen))
     code = dict(zip(kept, range(len(kept))))
-    remap = np.array([code.get(t, -1) for t in seen], dtype=np.int32)
+    remap = np.fromiter((code.get(t, -1) for t in seen), np.int32, len(seen))
+    codes, offsets = remap_tokens(raw, ends, remap)
+    return TokenArray(doc_ids=tuple(doc_ids), offsets=offsets, codes=codes,
+                      types=tuple(kept))
+
+
+def remap_tokens(raw: np.ndarray, ends: np.ndarray,
+                 remap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every token's code through ``remap``, without those it maps to -1.
+
+    Document d owns ``raw[ends[d]:ends[d + 1]]``. Returns the kept codes
+    (int32) and their int64 document offsets, from ``remap_tokens`` in
+    ``_native.cpp`` or, without the library, from :func:`_remap_python`.
+    """
+    raw = np.ascontiguousarray(raw, dtype=np.int32)
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    remap = np.ascontiguousarray(remap, dtype=np.int32)
+    lib = _native.library()
+    if lib is None:
+        return _remap_python(raw, ends, remap)
+    codes = np.empty(raw.size, dtype=np.int32)
+    offsets = np.empty(ends.size, dtype=np.int64)
+    kept = lib.remap_tokens(raw.ctypes.data, raw.size, ends.ctypes.data, ends.size - 1,
+                            remap.ctypes.data, remap.size, codes.ctypes.data,
+                            offsets.ctypes.data)
+    if kept < 0:
+        raise IndexError("token code or document end out of range")
+    return codes[:kept].copy(), offsets
+
+
+def _remap_python(raw: np.ndarray, ends: np.ndarray,
+                  remap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Python twin of ``remap_tokens``."""
     codes = remap[raw]
     mask = codes >= 0
     kept_before = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
-    return TokenArray(
-        doc_ids=tuple(doc_ids),
-        offsets=kept_before[ends],
-        codes=codes[mask],
-        types=tuple(kept),
-    )
+    return codes[mask], kept_before[ends]
 
 
 # re's \w on str patterns is str.isalnum() or "_". The compiled tokenizer
-# reads it from this table below 128 and, above, from a sorted array of the
+# reads it from this table for ASCII and, above, from a sorted array of the
 # word code points of each chunk.
 _ASCII_WORD = np.array([chr(c).isalnum() or c == ord("_") for c in range(128)],
                        dtype=np.uint8)
@@ -201,51 +230,52 @@ def _encode_native(
     lib, doc_ids: Sequence[str], texts: Iterable[str], keep: Callable[[str], bool]
 ) -> TokenArray:
     """``_encode(doc_ids, map(_WORD_RE.findall, texts), keep)``, with the
-    word runs split and interned by ``intern_words`` in ``_native.c``.
+    word runs split and interned by ``intern_words`` in ``_native.cpp``.
 
     Each chunk is one UTF-32 buffer; ``surrogatepass`` lets a lone surrogate
-    through, as ingest does. C numbers the chunk's distinct runs by first
-    appearance, and only those are decoded to strings: mapping them through
-    one ``seen`` dict in that order gives the provisional codes
-    :func:`_encode` would.
+    through, as ingest does. One word table lasts the whole corpus and
+    numbers its words by first appearance, as :func:`_encode`'s dict does;
+    only the words new in a chunk are decoded to strings. The table is freed
+    however the loop ends.
     """
-    seen = _first_appearance()
+    table = lib.word_table_new()
+    if not table:
+        raise MemoryError("out of memory for the word table")
+    words: list[str] = []
     raw = [np.zeros(0, dtype=np.int32)]
     ends = [np.zeros(1, dtype=np.int64)]
     before = 0
-    for chunk in _chunks(texts):
-        encoded = "".join(chunk).encode("utf-32-le", "surrogatepass")
-        points = np.frombuffer(encoded, dtype=np.uint32)
-        wide = np.unique(points[points >= 128])
-        wide = wide[np.fromiter((chr(c).isalnum() for c in wide.tolist()), bool, wide.size)]
-        doc_ends = np.cumsum([len(t) for t in chunk], dtype=np.int64)
-        if doc_ends[-1] != points.size:
-            raise RuntimeError("tokenizer chunk is not one code point per character")
-        # a run takes at least one code point, so these hold every run
-        codes = np.empty(points.size, dtype=np.int32)
-        starts, lengths = np.empty((2, points.size), dtype=np.int64)
-        token_ends = np.empty(len(chunk), dtype=np.int64)
-        n = lib.intern_words(
-            points.ctypes.data, len(chunk), doc_ends.ctypes.data, _ASCII_WORD.ctypes.data,
-            wide.ctypes.data, wide.size, codes.ctypes.data, token_ends.ctypes.data,
-            starts.ctypes.data, lengths.ctypes.data,
-        )
-        if n < 0:
-            raise MemoryError("out of memory interning words")
-        # the distinct runs as strings, decoded in one go: each run's code
-        # points and then a space, which no run holds; the clamp keeps the
-        # space after a run that ends the chunk inside the buffer
-        sizes = lengths[:n] + 1
-        stops = np.cumsum(sizes)
-        at = np.arange(stops[-1] if n else 0) + np.repeat(starts[:n] - stops + sizes, sizes)
-        picked = points[np.minimum(at, points.size - 1)]
-        picked[stops - 1] = ord(" ")
-        runs = str(picked.tobytes(), "utf-32-le", "surrogatepass").split(" ")[:-1]
-        local = np.fromiter(map(seen.__getitem__, runs), dtype=np.int32, count=n)
-        raw.append(local[codes[: token_ends[-1]]])
-        ends.append(token_ends + before)
-        before += int(token_ends[-1])
-    return _renumber(doc_ids, seen, np.concatenate(raw), np.concatenate(ends), keep)
+    try:
+        for chunk in _chunks(texts):
+            encoded = "".join(chunk).encode("utf-32-le", "surrogatepass")
+            points = np.frombuffer(encoded, dtype=np.uint32)
+            wide = np.unique(points[points >= 128])
+            wide = wide[np.fromiter((chr(c).isalnum() for c in wide.tolist()), bool, wide.size)]
+            doc_ends = np.cumsum([len(t) for t in chunk], dtype=np.int64)
+            if doc_ends[-1] != points.size:
+                raise RuntimeError("tokenizer chunk is not one code point per character")
+            # a run takes at least one code point, so this holds every run
+            codes = np.empty(points.size, dtype=np.int32)
+            token_ends = np.empty(len(chunk), dtype=np.int64)
+            n = lib.intern_words(
+                table, points.ctypes.data, len(chunk), doc_ends.ctypes.data,
+                _ASCII_WORD.ctypes.data, wide.ctypes.data, wide.size, codes.ctypes.data,
+                token_ends.ctypes.data,
+            )
+            if n < 0:
+                raise MemoryError("out of memory interning words")
+            if n > len(words):
+                # the new words' text, each word followed by a space
+                size = ctypes.c_int64()
+                at = lib.word_chars(table, len(words), ctypes.byref(size))
+                added = ctypes.string_at(at, 4 * size.value)
+                words += str(added, "utf-32-le", "surrogatepass").split(" ")[:-1]
+            raw.append(codes[: token_ends[-1]].copy())
+            ends.append(token_ends + before)
+            before += int(token_ends[-1])
+    finally:
+        lib.word_table_free(table)
+    return _renumber(doc_ids, words, np.concatenate(raw), np.concatenate(ends), keep)
 
 
 def as_token_array(sequences: TokenArray | Iterable[TokenSequence]) -> TokenArray:
@@ -366,24 +396,65 @@ def build_dtm(
 ) -> SparseDTM:
     """Count in-vocabulary tokens per document. Out-of-vocabulary tokens are
     ignored; documents with no in-vocabulary tokens keep an all-zero row so
-    row order is stable."""
+    row order is stable.
+
+    The counts come from ``count_dtm`` in ``_native.cpp`` or, without the
+    library, from :func:`_count_python`; both give the same CSR arrays.
+    """
     tokens = as_token_array(sequences)
     n, p = len(tokens), len(vocab)
-    cols = tokens.vocab_ids(vocab)
-    in_vocab = cols >= 0
-    rows, cols = tokens.doc_index()[in_vocab], cols[in_vocab]
-    # one key per (row, column) cell, ascending in row-major order
-    cells, counts = np.unique(rows * p + cols, return_counts=True)
-    csr = sparse.csr_matrix((counts, (cells // p, cells % p)), shape=(n, p))
-    row_totals = np.bincount(rows, minlength=n)
+    lookup = tokens.vocab_lookup(vocab)
+    lib = _native.library()
+    # the compiled counts write int32 indices, as scipy picks below 2**31 entries
+    if lib is None or tokens.codes.size >= 2**31:
+        csr, row_totals, col_totals = _count_python(tokens, lookup, p)
+    else:
+        csr, row_totals, col_totals = _count_native(lib, tokens, lookup, p)
     return SparseDTM(
         doc_ids=tokens.doc_ids,
         terms=vocab.terms,
         csr=csr,
         row_totals=row_totals,
-        col_totals=np.bincount(cols, minlength=p),
+        col_totals=col_totals,
         n_total=int(row_totals.sum()),
     )
+
+
+def _count_native(lib, tokens: TokenArray, lookup: np.ndarray, p: int):
+    """The CSR matrix and the row and column totals from ``count_dtm``."""
+    n = len(tokens)
+    codes = np.ascontiguousarray(tokens.codes, dtype=np.int32)
+    offsets = np.ascontiguousarray(tokens.offsets, dtype=np.int64)
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(codes.size, dtype=np.int32)
+    data = np.empty(codes.size, dtype=np.int64)
+    row_totals = np.empty(n, dtype=np.int64)
+    col_totals = np.zeros(p, dtype=np.int64)
+    nnz = lib.count_dtm(codes.ctypes.data, codes.size, offsets.ctypes.data, n,
+                        lookup.ctypes.data, lookup.size, p, indptr.ctypes.data,
+                        indices.ctypes.data, data.ctypes.data, row_totals.ctypes.data,
+                        col_totals.ctypes.data)
+    if nnz == -2:
+        raise MemoryError("out of memory counting the document-term matrix")
+    if nnz < 0:
+        raise IndexError("token code or document offset out of range")
+    # copied out, so that the buffers sized for every token are freed
+    csr = sparse.csr_matrix((data[:nnz].copy(), indices[:nnz].copy(), indptr),
+                            shape=(n, p))
+    return csr, row_totals, col_totals
+
+
+def _count_python(tokens: TokenArray, lookup: np.ndarray, p: int):
+    """The Python twin of ``count_dtm``: the CSR matrix and the row and
+    column totals."""
+    n = len(tokens)
+    cols = lookup[tokens.codes]
+    in_vocab = cols >= 0
+    rows, cols = tokens.doc_index()[in_vocab], cols[in_vocab]
+    # one key per (row, column) cell, ascending in row-major order
+    cells, counts = np.unique(rows * p + cols, return_counts=True)
+    csr = sparse.csr_matrix((counts, (cells // p, cells % p)), shape=(n, p))
+    return csr, np.bincount(rows, minlength=n), np.bincount(cols, minlength=p)
 
 
 def export_matrixmarket(dtm: SparseDTM, comment: str = "", out=None) -> str | None:

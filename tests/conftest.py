@@ -57,12 +57,11 @@ def child_env() -> dict[str, str]:
     return env
 
 
+needs_compiler = pytest.mark.skipif(shutil.which("g++") is None,
+                                    reason="no C++ compiler to build the kernels")
+
 # the compiled and the plain-Python kernels, for tests that run under each
-BACKENDS = [
-    pytest.param("native", marks=pytest.mark.skipif(
-        shutil.which("g++") is None, reason="no C++ compiler to build the kernels")),
-    "python",
-]
+BACKENDS = [pytest.param("native", marks=needs_compiler), "python"]
 
 
 @contextlib.contextmanager
@@ -74,6 +73,14 @@ def use_backend(name):
     else:
         with mock.patch.object(_native, "library", lambda: None):
             yield
+
+
+def native_and_python(compute):
+    """``compute()`` under the compiled kernels, then under the Python twins."""
+    with use_backend("native"):
+        native = compute()
+    with use_backend("python"):
+        return native, compute()
 
 
 @pytest.fixture(scope="session", autouse=True)

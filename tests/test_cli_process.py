@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_scope
-from conftest import SRC, child_env
+from conftest import SRC, child_env, use_backend
 from corpus_scope.cli import build_parser, main
 
 PINS = SRC.parent / "perfbench" / "pinned_hashes.json"
@@ -82,6 +82,42 @@ def test_demo_bytes_do_not_depend_on_the_blas_timeout(tmp_path):
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if p.name != "run_report.json"}
         assert written == pinned, preset
+
+
+def test_demo_without_the_library_writes_the_pinned_files(tmp_path, capsys):
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))["demo"]["any"]["outputs"]
+    with use_backend("python"):
+        assert main(["run", "--input", str(DEMO), "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.name != "run_report.json"}
+    assert written == pinned
+    assert "tokenizer backend python" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM here")
+def test_stage_peak_rss_is_the_process_own_not_its_launcher():
+    """ru_maxrss survives execve on Linux, so a child started by a parent
+    that once held 200 MB would report at least that."""
+    child = "from corpus_scope.pipeline import _peak_rss_mb; print(_peak_rss_mb())"
+    parent = (
+        "import subprocess, sys\n"
+        "bloat = bytes(range(256)) * (200 << 12)  # 200 MB, every page touched\n"
+        "del bloat\n"
+        "print(subprocess.run([sys.executable, '-c', sys.argv[1]], check=True,\n"
+        "                     capture_output=True, text=True).stdout)\n"
+    )
+    child_peak = float(run_python(parent, child))
+    assert 0 < child_peak < 150
+
+
+def test_stage_peak_rss_falls_back_to_ru_maxrss(monkeypatch, tmp_path):
+    resource = pytest.importorskip("resource")
+    from corpus_scope import pipeline
+
+    monkeypatch.setattr(pipeline, "_PROC_STATUS", tmp_path / "no-such-status")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    assert pipeline._peak_rss_mb() == pytest.approx(peak / scale, abs=0.1)
 
 
 # ---------------------------------------------------------------- any argv

@@ -137,6 +137,27 @@ def test_invalid_utf8_past_the_first_decoded_chunk_is_an_input_error():
         parse_records(io.BytesIO(data), "csv")
 
 
+def test_oversized_csv_field_is_an_input_error_naming_the_data_row():
+    # csv's default field limit is 131,072 characters; a blank record counts
+    big = "x" * 200_000
+    with pytest.raises(InputError, match="CSV data row 3: field larger"):
+        parse_csv(f"id,title,year,abstract\nA1,t,2001,short\n\nA2,t,2002,{big}\n")
+    with pytest.raises(InputError, match="CSV header row"):
+        parse_csv(f"id,title,year,{big}\nA1,t,2001,short\n")
+
+
+def test_csv_columns_are_read_by_name():
+    # a repeated column reads its last value, a missing optional one is empty,
+    # and the column order is free
+    corpus, errors = parse_csv(
+        "Countries,title,ID,Year,title\n"
+        " France ; ;Spain,first,A1,2001,second\n"
+    )
+    assert errors == []
+    assert corpus.documents == (Document(id="A1", title="second", year=2001,
+                                         countries=("France", "Spain")),)
+
+
 def test_csv_records_may_end_in_a_bare_carriage_return():
     source = (
         'id,title,year,abstract\r'

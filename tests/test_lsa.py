@@ -257,6 +257,12 @@ def test_fit_ca_drops_empty_rows_and_columns():
     assert model.row_coords.shape == (2, 1)
 
 
+def test_fit_ca_names_what_a_too_small_table_lacks():
+    for table in ([[1], [2], [3]], [[1, 2, 0]], [[1, 0], [2, 0]]):
+        with pytest.raises(ConfigError, match="at least two terms and two documents"):
+            fit_ca(make_dtm(table), dims=1)
+
+
 def test_fit_ca_rejects_bad_arguments():
     dtm = make_dtm([[2, 1], [1, 2]])
     with pytest.raises(ConfigError):

@@ -339,6 +339,44 @@ def test_cli_missing_input_exits_2_without_partial_outputs(tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
+def test_cli_missing_stoplist_exits_2_before_any_stage(mini_corpus_path, tmp_path,
+                                                      capsys, monkeypatch):
+    out = tmp_path / "never"
+    ghost = tmp_path / "ghost_stop.txt"
+    assert run_cli("run", "--input", mini_corpus_path, "--out", out,
+                   "--stoplist", ghost) == 2
+    assert run_cli("compare", "--input", mini_corpus_path, "--out", out,
+                   "--stoplist", ghost, "--country", "Saudi Arabia") == 2
+    monkeypatch.setenv("CORPUS_SCOPE_STOPLIST", str(ghost))
+    assert run_cli("ingest", "--input", mini_corpus_path, "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("ghost_stop.txt") == 3 and "Traceback" not in err
+
+
+def test_cli_oversized_csv_field_fails_ingest_with_exit_2(tmp_path, capsys):
+    bad = tmp_path / "big.csv"
+    bad.write_text("id,title,year,abstract\nA1,fine,2001,short\n"
+                   f"A2,long,2002,{'word ' * 40_000}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "CSV data row 2" in err and "Traceback" not in err
+    report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+    assert report["failed_stage"] == "ingest"
+    assert report["output_files"] == {}
+
+
+def test_cli_lsa_on_one_term_says_what_ca_needs(mini_corpus_path, tmp_path, capsys):
+    assert run_cli("lsa", "--input", mini_corpus_path, "--out", tmp_path,
+                   "--vocab-size", "1") == 2
+    err = capsys.readouterr().err
+    assert "needs at least two terms and two documents with counts" in err
+    assert "dims" not in err
+    notes = stage_notes(tmp_path, "lsa")
+    assert not any(note.startswith("dims reduced") for note in notes)
+
+
 def test_cli_out_that_is_a_file_exits_2(mini_corpus_path, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BACKENDS, use_backend
+from conftest import BACKENDS, native_and_python, needs_compiler, use_backend
+from corpus_scope import text_pipeline
 from corpus_scope.bigrams import count_bigrams, export_graph, threshold_graph
 from corpus_scope.corpus_ingest import Corpus, Document, Provenance
 from corpus_scope.errors import ConfigError, EmptyCorpusError, InputError, SchemaError
 from corpus_scope.text_pipeline import (
     _TOKENIZE_CHUNK,
+    TokenArray,
     TokenSequence,
     _chunks,
     as_token_array,
@@ -27,6 +30,7 @@ from corpus_scope.text_pipeline import (
     format_float_lines,
     format_int_lines,
     load_stoplist,
+    remap_tokens,
     remove_stopwords,
     tokenize,
 )
@@ -185,6 +189,98 @@ def test_encoding_across_chunk_edges(backend):
     assert tokens.offsets.tolist() == np.cumsum([0, *map(len, expected)]).tolist()
     assert list(tokens.types) == sorted({t for doc in expected for t in doc})
     assert [tokens.types[c] for c in tokens.codes.tolist()] == [t for d in expected for t in d]
+
+
+# words that recur across many small chunks: ASCII, non-ASCII, a lone
+# surrogate, and letterless or stoplisted runs that the renumbering drops
+_WORDS = st.sampled_from(["alpha", "beta", "ΟΔΟΣ", "γάμμα", "x_1", "42", "the", "Ⅻ",
+                          "\ud800", "a\udfffb", "é", "ß"])
+_CHUNKED_TEXT = st.lists(st.one_of(_WORDS, _TEXT), max_size=8).map(" ".join)
+
+
+@needs_compiler
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CHUNKED_TEXT, max_size=12), st.integers(1, 40))
+def test_lasting_word_table_matches_the_python_encoding(texts, chunk):
+    """With chunks of a few code points, the word table lasts across many
+    of them, and each chunk adds only the words it is the first to hold."""
+    stop = frozenset({"the", "ß"})
+    corpus = make_corpus(*(Document(id=f"d{i:02d}", title=t) for i, t in enumerate(texts)))
+    with mock.patch.object(text_pipeline, "_TOKENIZE_CHUNK", chunk):
+        native, python = native_and_python(
+            lambda: build_sequences(corpus, stop, fields=("title",)))
+    assert native.types == python.types
+    assert native.doc_ids == python.doc_ids
+    for a, b in ((native.codes, python.codes), (native.offsets, python.offsets)):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@needs_compiler
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 9), max_size=12), max_size=6),
+       st.lists(st.integers(-1, 5), min_size=10, max_size=10))
+def test_remap_tokens_matches_its_python_twin(docs, remap):
+    raw = np.array([c for doc in docs for c in doc], dtype=np.int32)
+    ends = np.cumsum([0, *map(len, docs)])
+    remap = np.array(remap, dtype=np.int32)
+    native, python = native_and_python(lambda: remap_tokens(raw, ends, remap))
+    for a, b in zip(native, python):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@needs_compiler
+def test_remap_tokens_rejects_what_is_out_of_range():
+    remap = np.array([0, 1], dtype=np.int32)
+    with use_backend("native"):
+        with pytest.raises(IndexError):
+            remap_tokens(np.array([0, 2], dtype=np.int32), np.array([0, 2]), remap)
+        with pytest.raises(IndexError):
+            remap_tokens(np.array([0, 1], dtype=np.int32), np.array([0, 3]), remap)
+        with pytest.raises(IndexError):
+            remap_tokens(np.array([0, 1], dtype=np.int32), np.array([0, 9, 2]), remap)
+
+
+@needs_compiler
+def test_build_dtm_rejects_a_token_array_out_of_range():
+    vocab = build_vocabulary(seqs(["x", "y"]))
+    bad = [(np.array([0, 9]), np.array([0], dtype=np.int32)),   # offset past the end
+           (np.array([0, 2, 1]), np.array([0, 1], dtype=np.int32)),  # offsets descend
+           (np.array([0, 1]), np.array([5], dtype=np.int32))]   # code past the types
+    with use_backend("native"):
+        for offsets, codes in bad:
+            tokens = TokenArray(doc_ids=("a",) * (offsets.size - 1), offsets=offsets,
+                                codes=codes, types=("x", "y"))
+            with pytest.raises(IndexError):
+                build_dtm(tokens, vocab)
+
+
+# 3,000 types in 47 words of bits: a row with one or two columns is sorted,
+# a row with more is read off the bits
+_TYPES = tuple(f"t{i:04d}" for i in range(3000))
+_TYPE_CODE = st.integers(0, 2999) | st.integers(0, 9)
+
+
+@needs_compiler
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_TYPE_CODE, max_size=3) | st.lists(_TYPE_CODE, max_size=40),
+                min_size=1, max_size=8),
+       st.integers(1, 3000), st.booleans())
+def test_build_dtm_matches_its_python_twin(docs, cap, own_vocab):
+    tokens = as_token_array(seqs(*([_TYPES[c] for c in doc] for doc in docs)))
+    if own_vocab and tokens.codes.size:
+        vocab = build_vocabulary(tokens, cap)
+    else:
+        # a vocabulary of other documents: some terms absent, some types unknown
+        vocab = build_vocabulary(seqs(_TYPES[::-7], _TYPES[:cap]), cap)
+    native, python = native_and_python(lambda: build_dtm(tokens, vocab))
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(native.csr, name), getattr(python.csr, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    for name in ("row_totals", "col_totals"):
+        a, b = getattr(native, name), getattr(python, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert native.n_total == python.n_total
+    assert native.shape == python.shape
 
 
 def test_token_array_decodes_and_passes_through():
