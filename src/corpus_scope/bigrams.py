@@ -87,18 +87,24 @@ def count_bigrams(sequences: TokenArray | Iterable[TokenSequence]) -> BigramTabl
     max(t - 1, 0) pairs, so the table total is sum over docs of (len - 1).
     """
     tokens = as_token_array(sequences)
-    codes = tokens.codes.astype(np.int64)
-    # pair i is (codes[i], codes[i + 1]); it crosses a boundary when a
-    # document starts at i + 1
-    within = np.ones(max(codes.size - 1, 0), dtype=bool)
+    codes = tokens.codes
+    # key i is pair (codes[i], codes[i + 1]); a pair that crosses into the
+    # document starting at i + 1 gets key -1, which sorts before every pair
+    keys = codes[:-1].astype(np.int64)
+    keys *= len(tokens.types)
+    keys += codes[1:]
     starts = tokens.offsets[1:-1]
-    within[starts[(starts > 0) & (starts < codes.size)] - 1] = False
-    keys, counts = np.unique(
-        codes[:-1][within] * len(tokens.types) + codes[1:][within], return_counts=True
-    )
-    return BigramTable(
-        types=tokens.types, keys=keys, counts=counts, total_bigrams=int(within.sum())
-    )
+    keys[starts[(starts > 0) & (starts < codes.size)] - 1] = -1
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 0):]
+    total = keys.size
+    # each run of equal keys is one pair, counted by the run's length: a
+    # True marks where a run starts, and the last one where the last run ends
+    bounds = np.ones(total + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+    keys = keys[bounds[:-1]]
+    counts = np.diff(np.flatnonzero(bounds))
+    return BigramTable(types=tokens.types, keys=keys, counts=counts, total_bigrams=total)
 
 
 def threshold_graph(table: BigramTable, min_freq: int = DEFAULT_THRESHOLD) -> BigramGraph:

@@ -52,6 +52,7 @@ DEFAULT_ITERATIONS = 1000
 DEFAULT_BURN_IN = 200
 
 MODEL_FORMAT = "corpus-scope-lda v1"
+RANDRANGE_BATCH = 1 << 16  # 32-bit outputs drawn at a time for the initial topics
 
 
 @dataclass(frozen=True)
@@ -184,26 +185,23 @@ def _randrange_batch(stream: np.random.RandomState, k: int, n: int) -> np.ndarra
     """``n`` successive ``Random.randrange(k)`` values, as int32, from ``stream``.
 
     ``randrange(k)`` takes the top ``k.bit_length()`` bits of one 32-bit
-    output and draws again while the value is >= k. The same outputs are
-    drawn here in batches; the stream is then rewound and advanced by exactly
-    the outputs consumed, so it continues where ``random()`` would.
+    output and draws again while the value is >= k. Each batch here draws
+    at most one output per value still needed, so ``randrange`` would take
+    every output drawn, and the stream ends where ``random()`` goes on.
     """
     bits = k.bit_length()
     if bits > 32:
         raise ConfigError(f"k must be < 2**32, got {k}")
-    start = stream.get_state()
-    accepted = [np.empty(0, dtype=np.uint32)]
-    consumed = 0
-    while n > 0:
-        size = n * (1 << bits) // k + 64  # acceptance is k / 2**bits > 1/2
-        raw = stream.randint(0, 2**32, size=size, dtype=np.uint32) >> (32 - bits)
-        hits = np.flatnonzero(raw < k)[:n]
-        accepted.append(raw[hits])
-        consumed += int(hits[-1]) + 1 if hits.size == n else size
-        n -= hits.size
-    stream.set_state(start)
-    stream.randint(0, 2**32, size=consumed, dtype=np.uint32)
-    return np.concatenate(accepted).astype(np.int32)
+    out = np.empty(n, dtype=np.int32)
+    done = 0
+    while done < n:
+        size = min(n - done, RANDRANGE_BATCH)
+        raw = stream.randint(0, 2**32, size=size, dtype=np.uint32)
+        raw >>= 32 - bits
+        hits = raw[raw < k]
+        out[done : done + hits.size] = hits
+        done += hits.size
+    return out
 
 
 def _gammaln_table(words: np.ndarray, beta: float) -> np.ndarray:
@@ -350,10 +348,19 @@ def fit_lda(
     stream = _mt_stream(config.seed)
 
     z = _randrange_batch(stream, k, total_tokens)
-    doc_of_token = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offsets))
-    n_wk = np.bincount(words.astype(np.int64) * k + z, minlength=p * k).reshape(p, k)
-    n_dk = np.bincount(doc_of_token * k + z, minlength=n_docs * k).reshape(n_docs, k)
-    n_k = np.bincount(z, minlength=k)
+    # one int64 key per token, reused: word * k + topic, then doc * k + topic
+    # (no document is empty, so each start past the first is a distinct token)
+    key = words.astype(np.int64)
+    key *= k
+    key += z
+    n_wk = np.bincount(key, minlength=p * k).reshape(p, k)
+    key[:] = 0
+    key[offsets[1:-1]] = k
+    np.cumsum(key, out=key)
+    key += z
+    n_dk = np.bincount(key, minlength=n_docs * k).reshape(n_docs, k)
+    del key
+    n_k = n_wk.sum(axis=0)
     n_wk, n_dk, n_k = (a.astype(np.int64, copy=False) for a in (n_wk, n_dk, n_k))
 
     _check_tables(offsets, words, z, n_wk, n_dk, n_k, p, k)

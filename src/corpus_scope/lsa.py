@@ -102,11 +102,19 @@ def total_inertia(dtm: "SparseDTM") -> float:
 
 
 def _inertia(counts, a: np.ndarray, b: np.ndarray, n: float) -> float:
-    """sum_ij p_ij^2 / (a_i b_j) - 1 over the nonzero cells of ``counts``, for
-    row and column masses ``a`` and ``b`` and grand total ``n``."""
-    coo = counts.tocoo()
-    p = coo.data / n
-    return float(np.sum(p * p / (a[coo.row] * b[coo.col])) - 1.0)
+    """sum_ij p_ij^2 / (a_i b_j) - 1 over the stored cells of the CSR matrix
+    ``counts``, for row and column masses ``a`` and ``b`` and grand total ``n``.
+
+    Each cell is ``(p * p) / (a[row] * b[col])`` with ``p = count / n``,
+    built in place in two arrays of the cells' length. One ``np.sum`` over
+    all cells keeps the summation order, and so the bits, of a COO sum.
+    """
+    den = b[counts.indices]
+    den *= np.repeat(a, np.diff(counts.indptr))
+    p = counts.data / n
+    p *= p
+    p /= den
+    return float(np.sum(p) - 1.0)
 
 
 def _start_vector(dim: int, attempt: int, basis: np.ndarray | None) -> np.ndarray | None:
@@ -251,7 +259,10 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     keep_cols = np.flatnonzero(dtm.col_totals > 0)
     dropped_docs = tuple(dtm.doc_ids[i] for i in np.flatnonzero(dtm.row_totals == 0))
     dropped_terms = tuple(dtm.terms[j] for j in np.flatnonzero(dtm.col_totals == 0))
-    X = dtm.csr[keep_rows][:, keep_cols]
+    X = dtm.csr
+    dropped_any = keep_rows.size < X.shape[0] or keep_cols.size < X.shape[1]
+    if dropped_any or not X.has_canonical_format:
+        X = X[keep_rows][:, keep_cols]
     row_ids = tuple(dtm.doc_ids[i] for i in keep_rows)
     col_labels = tuple(dtm.terms[j] for j in keep_cols)
 
@@ -270,6 +281,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     n = float(dtm.n_total)
     a = np.asarray(X.sum(axis=1), dtype=np.float64).ravel() / n
     b = np.asarray(X.sum(axis=0), dtype=np.float64).ravel() / n
+    inertia = _inertia(X, a, b, n)  # before P exists, so their arrays never coexist
     sa, sb = np.sqrt(a), np.sqrt(b)
     ra, rb = 1.0 / sa, 1.0 / sb
 
@@ -284,8 +296,11 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         sigma = sigma[:dims]
         iterations = 0
     else:
-        P = (X / n).tocsr()
-        Pt = P.T.tocsr()
+        # X / n as scipy computes it, on X's own index arrays; Pt is P's CSC
+        # view, whose products add each output in ascending row order from
+        # 0.0, as a CSR copy of the transpose would
+        P = type(X)((X.data * (1.0 / n), X.indices, X.indptr), shape=X.shape)
+        Pt = P.T
 
         def s_apply(x: np.ndarray) -> np.ndarray:
             return ra * (P @ (rb * x)) - sa * float(sb @ x)
@@ -325,7 +340,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         col_coords=col_std * sigma[None, :],
         row_std_coords=row_std,
         col_std_coords=col_std,
-        total_inertia=_inertia(X, a, b, n),
+        total_inertia=inertia,
         dims=dims,
         dropped_docs=dropped_docs,
         dropped_terms=dropped_terms,
@@ -381,6 +396,9 @@ def representative_documents(model: CAModel, top_n: int = 5) -> list[tuple[str, 
     """
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
+    ids = model.row_ids
     dist = np.linalg.norm(model.row_coords, axis=1)
-    order = sorted(range(len(model.row_ids)), key=lambda i: (-dist[i], model.row_ids[i]))
-    return [(model.row_ids[i], float(dist[i])) for i in order[:top_n]]
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    order = np.lexsort((rank, -dist))[:top_n]
+    return list(zip(map(ids.__getitem__, order.tolist()), dist[order].tolist()))

@@ -124,6 +124,10 @@ class PipelineConfig:
             raise ConfigError("bigram_threshold must be >= 1")
         if self.dims < 1:
             raise ConfigError("dims must be >= 1")
+        if None not in (self.year_min, self.year_max) and self.year_min > self.year_max:
+            raise ConfigError(
+                f"year_min ({self.year_min}) must not exceed year_max ({self.year_max})"
+            )
         unknown = [f for f in self.text_fields if f not in DEFAULT_TEXT_FIELDS]
         if unknown or not self.text_fields:
             raise ConfigError(

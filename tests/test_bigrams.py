@@ -2,10 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_scope.bigrams import BigramGraph, count_bigrams, export_graph, threshold_graph
 from corpus_scope.errors import ConfigError
-from corpus_scope.text_pipeline import TokenSequence
+from corpus_scope.text_pipeline import TokenSequence, as_token_array
 
 
 def seqs(*token_lists):
@@ -57,6 +59,29 @@ def test_count_bigrams_matches_naive_oracle():
         table = count_bigrams(seqs(*docs))
         assert dict(table.pairs) == naive_count(docs)
         assert table.total_bigrams == sum(max(len(d) - 1, 0) for d in docs)
+
+
+def unique_reference(docs):
+    """The table as ``np.unique`` gives it over each document's own pairs."""
+    tokens = as_token_array(seqs(*docs))
+    width = len(tokens.types)
+    pairs = [tokens.codes[a:b].astype(np.int64) for a, b in
+             zip(tokens.offsets[:-1].tolist(), tokens.offsets[1:].tolist())]
+    keys = np.concatenate([np.zeros(0, np.int64)]
+                          + [c[:-1] * width + c[1:] for c in pairs])
+    return np.unique(keys, return_counts=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=9), max_size=8))
+def test_count_bigrams_matches_the_unique_reference(docs):
+    # empty and one-token documents, at the start, the end and side by side
+    table = count_bigrams(seqs(*docs))
+    keys, counts = unique_reference(docs)
+    assert table.keys.dtype == keys.dtype and table.counts.dtype == counts.dtype
+    assert table.keys.tolist() == keys.tolist()
+    assert table.counts.tolist() == counts.tolist()
+    assert table.total_bigrams == int(counts.sum())
 
 
 def test_count_bigrams_invariant_under_document_order():

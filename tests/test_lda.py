@@ -142,6 +142,29 @@ def test_fit_lda_counts_match_assignments_exactly():
     assert int(model.doc_topic_counts.sum()) == total
 
 
+def test_fit_lda_counts_match_assignments_around_dropped_documents():
+    # empty, out-of-vocabulary-only and one-token documents between kept ones
+    rng = np.random.default_rng(23)
+    words = [f"w{i}" for i in range(12)]
+    docs = [tuple(words[j] for j in rng.integers(0, 12, size=rng.integers(0, 6)))
+            for _ in range(40)]
+    docs[0], docs[5], docs[6], docs[-1] = ("w11",), (), ("w0",), ()
+    sequences = [TokenSequence(f"d{i:02d}", t) for i, t in enumerate(docs)]
+    vocab = build_vocabulary(sequences, 9)
+    model = fit_lda(sequences, vocab, quick_config(k=3, iterations=1, burn_in=0))
+    kept = [[vocab.index[t] for t in seq.tokens if t in vocab.index] for seq in sequences]
+    assert model.doc_ids == tuple(s.doc_id for s, ids in zip(sequences, kept) if ids)
+    n_wk = np.zeros((3, len(vocab)), dtype=np.int64)
+    n_dk = np.zeros((len(model.doc_ids), 3), dtype=np.int64)
+    for d, (ids, topics) in enumerate(zip(filter(None, kept), model.assignments)):
+        assert len(ids) == len(topics)
+        for w, z in zip(ids, topics):
+            n_wk[z, w] += 1
+            n_dk[d, z] += 1
+    assert np.array_equal(model.topic_word_counts, n_wk)
+    assert np.array_equal(model.doc_topic_counts, n_dk)
+
+
 def test_fit_lda_log_likelihood_improves_on_structured_data():
     model, *_ = fitted_planted()
     ll = model.log_likelihoods
@@ -226,6 +249,37 @@ def test_randrange_batch_reproduces_random_randrange(k):
         assert lda._randrange_batch(stream, k, 3000).tolist() == expected
         # the stream continues where random() would after the last randrange
         assert stream.random_sample(3).tolist() == [rng.random() for _ in range(3)]
+
+
+def randrange_by_rewinding(stream, k, n):
+    """The former ``_randrange_batch``: draw more outputs than needed, keep
+    the first ``n`` accepted, then rewind and redraw the ones consumed."""
+    bits = k.bit_length()
+    start = stream.get_state()
+    accepted = [np.empty(0, dtype=np.uint32)]
+    consumed = 0
+    while n > 0:
+        size = n * (1 << bits) // k + 64
+        raw = stream.randint(0, 2**32, size=size, dtype=np.uint32) >> (32 - bits)
+        hits = np.flatnonzero(raw < k)[:n]
+        accepted.append(raw[hits])
+        consumed += int(hits[-1]) + 1 if hits.size == n else size
+        n -= hits.size
+    stream.set_state(start)
+    stream.randint(0, 2**32, size=consumed, dtype=np.uint32)
+    return np.concatenate(accepted).astype(np.int32)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 9, 50, 65, 1000])
+def test_randrange_batch_matches_the_rewinding_version(k):
+    for n in (0, 1, 2 * lda.RANDRANGE_BATCH + 17):
+        ours, theirs = lda._mt_stream(7), lda._mt_stream(7)
+        values = lda._randrange_batch(ours, k, n)
+        assert values.dtype == np.int32
+        assert np.array_equal(values, randrange_by_rewinding(theirs, k, n))
+        (_, key, pos, *rest), (_, key2, pos2, *rest2) = ours.get_state(), theirs.get_state()
+        assert np.array_equal(key, key2) and (pos, rest) == (pos2, rest2)
+        assert ours.random_sample() == theirs.random_sample()
 
 
 # ------------------------------------------------------------ sweep backends

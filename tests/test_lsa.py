@@ -4,8 +4,10 @@ import logging
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import make_dtm
+from corpus_scope import lsa
 from corpus_scope.errors import ConfigError, DegenerateMarginError, NotFoundError
 from corpus_scope.lsa import (
     LANCZOS_BLOCK,
@@ -239,6 +241,63 @@ def test_lanczos_basis_growth_keeps_the_pinned_bytes():
     assert digest == "8000eb68d29e4e20708be14b2750cea2d74c2e560ef57380a33b7635f1e29b37"
 
 
+def test_scaled_counts_and_transpose_products_match_scipy_bit_for_bit():
+    # fit_ca scales X's data by 1/n on X's own index arrays and multiplies by
+    # P's CSC view; both must give the bits of X / n and of a CSR transpose
+    rng = np.random.default_rng(11)
+    for shape in [(7, 5), (40, 90), (300, 120)]:
+        X = sparse.csr_matrix(rng.poisson(rng.gamma(0.4, 1.0, size=shape)).astype(np.int64))
+        n = float(X.sum())
+        P = sparse.csr_matrix((X.data * (1.0 / n), X.indices, X.indptr), shape=X.shape)
+        assert np.shares_memory(P.indices, X.indices)
+        assert P.data.tobytes() == (X / n).data.tobytes()
+        for _ in range(3):
+            y = rng.standard_normal(shape[0])
+            assert (P.T @ y).tobytes() == (P.T.tocsr() @ y).tobytes()
+
+
+def test_inertia_matches_the_coo_sum_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        X = random_count_matrix(rng, max_rows=30, max_cols=20)
+        csr = sparse.csr_matrix(X)
+        if rng.integers(2):  # each cell split in two, shuffled within its row
+            coo = csr.tocoo()
+            half = coo.data // 2
+            rows, cols = np.repeat(coo.row, 2), np.repeat(coo.col, 2)
+            data = np.column_stack((half, coo.data - half)).ravel()
+            order = np.lexsort((rng.random(rows.size), rows))
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=X.shape[0]))))
+            csr = sparse.csr_matrix((data[order], cols[order], indptr), shape=X.shape)
+            assert not csr.has_canonical_format
+        n = float(X.sum())
+        a, b = X.sum(axis=1) / n, X.sum(axis=0) / n
+        coo = csr.tocoo()
+        p = coo.data / n
+        expected = float(np.sum(p * p / (a[coo.row] * b[coo.col])) - 1.0)
+        assert lsa._inertia(csr, a, b, n) == expected
+
+
+def test_fit_ca_without_copies_keeps_the_sliced_bytes():
+    # a canonical table with no empty margin is used as it is; flagging it
+    # non-canonical sends it through the row and column slicing instead
+    rng = np.random.default_rng(17)
+    X = rng.poisson(rng.gamma(0.5, 1.0, size=(120, 200)))
+    X[:, X.sum(axis=0) == 0] = 1
+    X[X.sum(axis=1) == 0, 0] = 1
+    direct = make_dtm(X)
+    assert direct.csr.has_canonical_format
+    sliced = make_dtm(X)
+    sliced.csr.has_canonical_format = False
+    for solver in ("lanczos", "dense"):
+        a = fit_ca(direct, dims=4, solver=solver)
+        b = fit_ca(sliced, dims=4, solver=solver)
+        for field in ("singular_values", "row_coords", "col_coords", "row_masses"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert a.total_inertia == b.total_inertia
+        assert a.iterations == b.iterations
+
+
 def test_auto_solver_uses_dense_for_small_tables():
     X = random_count_matrix(np.random.default_rng(83), min_side=3)
     assert fit_ca(make_dtm(X), dims=2).solver == "dense"
@@ -344,6 +403,22 @@ def test_representative_documents_tie_breaks_by_id():
     rigged = dataclasses.replace(model, row_coords=np.ones_like(model.row_coords))
     ranked = representative_documents(rigged, top_n=5)
     assert [doc for doc, _ in ranked] == sorted(model.row_ids)
+
+
+def test_representative_documents_keep_the_sort_key_order_on_ties():
+    # few distinct distances over many rows, ids whose string order is not
+    # their numeric order, and zero rows: the order of the former sort key
+    rng = np.random.default_rng(19)
+    model = fitted_model()
+    n = 500
+    ids = tuple(f"d{i}" for i in rng.permutation(n))
+    coords = rng.choice([0.0, 1.0, -1.0, 0.5], size=(n, 2))
+    rigged = dataclasses.replace(model, row_ids=ids, row_coords=coords)
+    dist = np.linalg.norm(coords, axis=1)
+    expected = sorted(range(n), key=lambda i: (-dist[i], ids[i]))
+    for top_n in (1, 7, n, n + 3):
+        ranked = representative_documents(rigged, top_n=top_n)
+        assert ranked == [(ids[i], float(dist[i])) for i in expected[:top_n]]
 
 
 # ---------------------------------------------------------------- integration

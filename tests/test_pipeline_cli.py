@@ -444,6 +444,26 @@ def test_cli_dims_and_text_fields_are_checked_before_any_stage(mini_corpus_path,
         quick_cfg(mini_corpus_path, out, text_fields=())
 
 
+def test_cli_inverted_year_range_is_checked_before_any_stage(mini_corpus_path,
+                                                             tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run_cli("run", "--input", mini_corpus_path, "--out", out,
+                   "--year-min", "2020", "--year-max", "2010") == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "year_min" in err and "Traceback" not in err
+    cfg_file = tmp_path / "years.ini"
+    cfg_file.write_text("[corpus_ingest]\nyear_min = 2020\nyear_max = 2010\n",
+                        encoding="utf-8")
+    assert run_cli("run", "--config", cfg_file, "--input", mini_corpus_path,
+                   "--out", out) == 2
+    assert not out.exists()
+    assert "year_max" in capsys.readouterr().err
+    # a one-year range and a one-sided bound stay valid
+    assert quick_cfg(mini_corpus_path, out, year_min=2015, year_max=2015).year_max == 2015
+    assert quick_cfg(mini_corpus_path, out, year_min=2020).year_max is None
+
+
 def test_cli_config_format_is_checked_before_any_stage(mini_corpus_path, tmp_path,
                                                        capsys):
     out = tmp_path / "never"
