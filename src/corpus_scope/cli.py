@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Subcommands: ingest, eda, lsa, lda, bigrams (each runs the pipeline up to
-what it needs and writes only that stage's files), run (everything, with
---from to rewrite only later stages), and compare (country subset vs the
-whole corpus). Exit codes: 0 success, 1 stage failure, 2 input or
-configuration error, 3 empty subset after filtering.
+The subcommands, their help and ``run --from``'s choices come from
+:mod:`corpus_scope.pipeline`, which plans what each one computes and
+writes. Exit codes: 0 success, 1 stage failure, 2 input or configuration
+error, 3 empty subset after filtering.
 """
 
 from __future__ import annotations
@@ -35,27 +34,17 @@ from .errors import (  # noqa: E402
     StageError,
 )
 from .pipeline import (  # noqa: E402
+    COMMANDS,
     STAGES,
     PipelineConfig,
-    compare_subsets,
     load_config,
     run_pipeline,
-    warn_ignored,
 )
 
 # What the imports built lives until exit: leave it out of the cyclic GC, so
 # that later collections, the interpreter's shutdown ones included, walk
 # only the run's own objects.
 gc.freeze()
-
-_STAGE_FOR_COMMAND = {
-    "ingest": "ingest",
-    "eda": "eda",
-    "lsa": "lsa",
-    "lda": "lda",
-    "bigrams": "bigrams",
-}
-
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="INI config file (flags override it)")
@@ -83,8 +72,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="minimum bigram frequency kept (default 150)")
     sub.add_argument("--country", help="country for the compare subcommand")
     sub.add_argument("--out", type=Path, dest="out_dir", help="output directory")
-    sub.add_argument("--threads", type=int,
-                     help="deprecated; accepted with a warning and has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,16 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch text mining for bibliographic abstract corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "ingest": "parse, validate, filter, and write corpus.csv",
-        "eda": "yearly counts, quadratic trend with forecast, top terms, type shares",
-        "lsa": "correspondence analysis coordinates and representative documents",
-        "lda": "topic model: lda_model.txt and lda_top_words.csv",
-        "bigrams": "adjacent word pairs above the frequency threshold",
-        "run": "all stages in order",
-        "compare": "country subset vs the whole corpus, side by side",
-    }
-    for name, desc in descriptions.items():
+    for name, desc in COMMANDS.items():
         p = sub.add_parser(name, help=desc)
         _add_common_flags(p)
         if name == "run":
@@ -110,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--from",
                 dest="from_stage",
                 choices=STAGES,
-                help="rewrite outputs from this stage on (earlier stages are "
-                "recomputed in memory but their files are left untouched)",
+                help="rewrite outputs from this stage on (the earlier stages "
+                "they need are recomputed in memory, their files left untouched)",
             )
     return parser
 
@@ -120,8 +98,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     kwargs: dict[str, object] = {}
     if args.config is not None:
         kwargs.update(load_config(args.config))
-    if args.threads is not None:
-        warn_ignored("--threads")
     for f in fields(PipelineConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -162,16 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     _route_warnings()
     try:
         cfg = _build_config(args)
-        if args.command == "compare":
-            report = compare_subsets(cfg)
-        elif args.command == "run":
-            write = set(STAGES)
-            if args.from_stage:
-                write = set(STAGES[STAGES.index(args.from_stage):])
-            report = run_pipeline(cfg, write_stages=write, command="run")
-        else:
-            stage = _STAGE_FOR_COMMAND[args.command]
-            report = run_pipeline(cfg, write_stages={stage}, command=args.command)
+        report = run_pipeline(cfg, command=args.command,
+                              from_stage=getattr(args, "from_stage", None))
     except CorpusScopeError as exc:
         print(f"corpus-scope: error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -1,7 +1,11 @@
 """End-to-end batch pipeline and the subset comparison mode.
 
-Stages run in a fixed order (ingest, text, eda, lsa, lda, bigrams), each
-writing its files into the output directory. Every run also writes
+One table, :data:`STAGE_TABLE`, says what the stages are: in execution
+order (ingest, text, eda, lsa, lda, bigrams, compare), each record names its
+runner, the stages it needs and the files it writes. A command names the
+stages whose files it writes (``run`` the first six, or those from
+``--from`` on; a subcommand its own stage); :func:`plan` adds what they need
+and :func:`run_pipeline` computes that, in table order. Every run also writes
 run_report.json, a manifest with the echoed configuration, per-stage wall
 times and notes, dropped-record lists, and a SHA-256 per output file. All
 data files are deterministic for a given (input, config) pair at a fixed BLAS
@@ -17,7 +21,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -77,8 +81,6 @@ from .text_pipeline import (
     format_float_lines,
     load_stoplist,
 )
-
-STAGES = ("ingest", "text", "eda", "lsa", "lda", "bigrams")
 
 STOPLIST_ENV_VAR = "CORPUS_SCOPE_STOPLIST"
 
@@ -171,16 +173,10 @@ _CONFIG_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
         "burn_in": int,
     },
     "bigrams": {"threshold": int},
-    "report": {"out": Path, "seed": int, "threads": int},
+    "report": {"out": Path, "seed": int},
 }
 
 _KEY_RENAMES = {"threshold": "bigram_threshold", "out": "out_dir"}
-
-
-def warn_ignored(setting: str) -> None:
-    """Tell the user on stderr that a still-accepted setting does nothing."""
-    print(f"corpus-scope: warning: {setting} is deprecated and has no effect",
-          file=sys.stderr)
 
 
 def load_config(path) -> dict[str, object]:
@@ -209,9 +205,6 @@ def load_config(path) -> dict[str, object]:
                 value = schema[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-            if key == "threads":
-                warn_ignored(f"[{section}] threads")
-                continue
             kwargs[_KEY_RENAMES.get(key, key)] = value
     return kwargs
 
@@ -343,9 +336,9 @@ class _Output:
 class _Run:
     """Mutable state shared by the stage runners of one pipeline execution."""
 
-    def __init__(self, cfg: PipelineConfig, command: str, write_stages: set[str]):
+    def __init__(self, cfg: PipelineConfig, command: str, files: tuple[str, ...]):
         self.cfg = cfg
-        self.write = write_stages
+        self.files = files  # the planned outputs, in table order
         self.report = RunReport(
             version=__version__, command=command, config=_config_echo(cfg)
         )
@@ -362,12 +355,13 @@ class _Run:
         name: str,
         payload: str | bytes | Callable[[_Output], object],
     ) -> None:
-        """Write one output of ``stage`` with :func:`_write_atomically`.
+        """Write one output of ``stage`` with :func:`_write_atomically`, if
+        the plan has it.
 
         A callable payload runs only then, writing its chunks to the
         :class:`_Output` it is given. If it raises, the report gets no hash.
         """
-        if stage.name not in self.write:
+        if name not in self.files:
             return
         digest = _write_atomically(self.cfg.out_dir / name, payload)
         stage.outputs.append(name)
@@ -590,9 +584,7 @@ def _lsa(run: _Run, stage: StageReport) -> None:
     run.emit(stage, "ca_coords.csv", write_coords)
     stage.notes.append(f"number formatter backend {_native.backend()}")
 
-    # the scatter is an extra of the lsa subcommand; `run` keeps the pinned
-    # file set and the coordinates CSV is enough to regenerate the figure
-    if run.report.command == "lsa" and model.dims >= 2:
+    if "ca_scatter.svg" in run.files and model.dims >= 2:
         reps = representative_documents(model, top_n=cfg.top_documents)
         pos = {doc_id: i for i, doc_id in enumerate(model.row_ids)}
         labels = [
@@ -673,6 +665,9 @@ def _share_percent(part: int, whole: int) -> str:
 def _compare(run: _Run, stage: StageReport) -> None:
     """compare.csv: the country subset beside the ingested corpus.
 
+    Rows are (section, key, subset, overall): corpus sizes and share, counts
+    per year, publication-type shares, top-20 terms, and per-topic top words
+    from topic models fitted separately with identical settings and seed.
     The overall column reuses the text stage's tokens, vocabulary and DTM;
     only the subset is tokenized and fitted here, with the same settings.
     """
@@ -723,119 +718,120 @@ def _compare(run: _Run, stage: StageReport) -> None:
     run.emit(stage, "compare.csv", "\n".join(lines) + "\n")
 
 
-# the files each stage writes when its files are requested; ca_scatter.svg
-# only under the lsa subcommand
-_STAGE_OUTPUTS = {
-    "ingest": ("corpus.csv",),
-    "text": ("dtm.mtx", "dtm_index.csv"),
-    "eda": ("year_counts.csv", "trend.csv", "top_terms.csv", "type_shares.csv",
-            "trend.svg"),
-    "lsa": ("ca_coords.csv", "ca_scatter.svg"),
-    "lda": ("lda_model.txt", "lda_top_words.csv"),
-    "bigrams": ("bigrams_edges.csv",),
-    "compare": ("compare.csv",),
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table: ``runner`` reads what the stages in
+    ``needs`` left on the :class:`_Run` and writes those of ``outputs`` that
+    the plan has."""
+
+    name: str
+    runner: Callable[[_Run, StageReport], None]
+    needs: tuple[str, ...]
+    outputs: tuple[str, ...]
+
+
+STAGE_TABLE = (
+    Stage("ingest", _ingest, (), ("corpus.csv",)),
+    Stage("text", _text, ("ingest",), ("dtm.mtx", "dtm_index.csv")),
+    Stage("eda", _eda, ("text",), ("year_counts.csv", "trend.csv", "top_terms.csv",
+                                   "type_shares.csv", "trend.svg")),
+    Stage("lsa", _lsa, ("text",), ("ca_coords.csv", "ca_scatter.svg")),
+    Stage("lda", _lda, ("text",), ("lda_model.txt", "lda_top_words.csv")),
+    Stage("bigrams", _bigrams, ("text",), ("bigrams_edges.csv",)),
+    Stage("compare", _compare, ("text",), ("compare.csv",)),
+)
+
+# the stages `run` writes, in order; `--from` names one of them
+STAGES = tuple(s.name for s in STAGE_TABLE if s.name != "compare")
+
+# each command with its help text: `run` writes STAGES, or those from
+# `--from` on, and every other command its own stage
+COMMANDS = {
+    "ingest": "parse, validate, filter, and write corpus.csv",
+    "eda": "yearly counts, quadratic trend with forecast, top terms, type shares",
+    "lsa": "correspondence analysis coordinates and representative documents",
+    "lda": "topic model: lda_model.txt and lda_top_words.csv",
+    "bigrams": "adjacent word pairs above the frequency threshold",
+    "run": "all stages in order",
+    "compare": "country subset vs the whole corpus, side by side",
 }
 
-_STAGE_RUNNERS = {
-    "ingest": _ingest,
-    "text": _text,
-    "eda": _eda,
-    "lsa": _lsa,
-    "lda": _lda,
-    "bigrams": _bigrams,
-    "compare": _compare,
-}
 
+def plan(cfg: PipelineConfig, command: str = "run",
+         from_stage: str | None = None) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
+    """The stages a command computes and the files it writes.
 
-def _run_stages(run: _Run, names: list[str]) -> RunReport:
-    """Run the named stages in order, timing each; the report is always written.
-
-    A stage that raises a CorpusScopeError is recorded as ``failed_stage``
-    and re-raised as StageError. Whatever a stage raises, the report's
-    ``notes`` then name the files it or a later stage would have written that
-    are still in ``--out`` from an earlier run.
+    The stages are those whose files the command writes plus everything they
+    need, in table order. The files are those stages' outputs, in the same
+    order; ``ca_scatter.svg`` only under ``lsa``, since `run` keeps the
+    pinned file set and the coordinates CSV is enough to redraw the figure.
+    Raises ConfigError for an unknown command or stage, and for ``compare``
+    without a country.
     """
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    if from_stage is not None and (command != "run" or from_stage not in STAGES):
+        raise ConfigError(f"--from {from_stage!r} names no stage of `run`")
+    if command == "compare" and not cfg.country:
+        raise ConfigError("compare requires a country")
+    if command == "run":
+        targets = STAGES[STAGES.index(from_stage):] if from_stage else STAGES
+    else:
+        targets = (command,)
+    compute = set(targets)
+    for stage in reversed(STAGE_TABLE):  # a stage needs only earlier ones
+        if stage.name in compute:
+            compute.update(stage.needs)
+    files = tuple(
+        output for s in STAGE_TABLE if s.name in targets for output in s.outputs
+        if output != "ca_scatter.svg" or command == "lsa"
+    )
+    return tuple(s for s in STAGE_TABLE if s.name in compute), files
+
+
+def run_pipeline(
+    cfg: PipelineConfig,
+    command: str = "run",
+    from_stage: str | None = None,
+) -> RunReport:
+    """Execute ``command`` as :func:`plan` lays it out, timing each stage;
+    the report is always written.
+
+    The plan and the input are checked before anything is written. A stage
+    that raises a CorpusScopeError is recorded as ``failed_stage`` and
+    re-raised as StageError; under ``compare``, an empty country subset fails
+    the compare stage with EmptyResultError (CLI exit code 3). Whatever a
+    stage raises, the report's ``notes`` then name the planned files that are
+    still in ``--out`` from an earlier run.
+    """
+    stages, files = plan(cfg, command, from_stage)
+    _check_paths(cfg)
+    run = _Run(cfg, command, files)
     try:
-        run.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {run.cfg.out_dir}: {exc}") from exc
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     try:
-        for at, name in enumerate(names):
-            stage = StageReport(name=name)
+        for planned in stages:
+            stage = StageReport(name=planned.name)
             run.report.stages.append(stage)
             started = time.perf_counter()
             try:
-                _STAGE_RUNNERS[name](run, stage)
+                planned.runner(run, stage)
             except BaseException as exc:
-                stale = _stale_outputs(run, names[at:])
+                stale = [name for name in files
+                         if name not in run.report.output_files
+                         and (cfg.out_dir / name).exists()]
                 if stale:
                     run.report.notes.append(f"stale from an earlier run: {', '.join(stale)}")
                 if not isinstance(exc, CorpusScopeError):
                     raise
-                run.report.failed_stage = name
+                run.report.failed_stage = planned.name
                 stage.notes.append(f"failed: {exc}")
-                raise StageError(name, exc, run.report) from exc
+                raise StageError(planned.name, exc, run.report) from exc
             finally:
                 stage.seconds = time.perf_counter() - started
                 stage.peak_rss_mb = _peak_rss_mb()
     finally:
         run.finish_report()
     return run.report
-
-
-def _stale_outputs(run: _Run, unfinished: list[str]) -> list[str]:
-    """Files in ``--out`` that the unfinished stages were asked to write but
-    this run did not: they are left from an earlier run."""
-    stale = []
-    for name in unfinished:
-        if name not in run.write:
-            continue
-        for output in _STAGE_OUTPUTS[name]:
-            if output == "ca_scatter.svg" and run.report.command != "lsa":
-                continue
-            if (output not in run.report.output_files
-                    and (run.cfg.out_dir / output).exists()):
-                stale.append(output)
-    return stale
-
-
-def run_pipeline(
-    cfg: PipelineConfig,
-    write_stages: set[str] | None = None,
-    command: str = "run",
-) -> RunReport:
-    """Execute the pipeline, writing files for ``write_stages`` (default all).
-
-    Stages that no requested stage depends on are skipped entirely. The input
-    is validated before anything is written; a failing stage still produces
-    run_report.json with ``failed_stage`` set, then raises StageError.
-    """
-    if write_stages is None:
-        write_stages = set(STAGES)
-    unknown = write_stages - set(STAGES)
-    if unknown:
-        raise ConfigError(f"unknown stage(s): {', '.join(sorted(unknown))}")
-    _check_paths(cfg)
-
-    compute = {"ingest", "text"} | write_stages
-    run = _Run(cfg, command, write_stages)
-    return _run_stages(run, [name for name in STAGES if name in compute])
-
-
-def compare_subsets(cfg: PipelineConfig, country: str | None = None) -> RunReport:
-    """Side-by-side country subset vs the whole corpus (compare.csv).
-
-    Rows are (section, key, subset, overall): corpus sizes and share, counts
-    per year, publication-type shares, top-20 terms, and per-topic top words
-    from topic models fitted separately with identical settings and seed.
-    ``country`` overrides ``cfg.country``. The ingest and text stages run as
-    in :func:`run_pipeline` but write nothing; an empty subset fails the
-    compare stage with EmptyResultError (CLI exit code 3).
-    """
-    if country is not None:
-        cfg = replace(cfg, country=country)
-    if not cfg.country:
-        raise ConfigError("compare requires a country")
-    _check_paths(cfg)
-    run = _Run(cfg, "compare", write_stages={"compare"})
-    return _run_stages(run, ["ingest", "text", "compare"])

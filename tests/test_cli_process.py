@@ -20,7 +20,8 @@ import corpus_scope
 from conftest import SRC, child_env, use_backend
 from corpus_scope.cli import build_parser, main
 
-PINS = SRC.parent / "perfbench" / "pinned_hashes.json"
+PERFBENCH = SRC.parent / "perfbench"
+PINS = PERFBENCH / "pinned_hashes.json"
 DEMO = SRC / "corpus_scope" / "data" / "mini_corpus.csv"
 
 
@@ -118,6 +119,24 @@ def test_stage_peak_rss_falls_back_to_ru_maxrss(monkeypatch, tmp_path):
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
     assert pipeline._peak_rss_mb() == pytest.approx(peak / scale, abs=0.1)
+
+
+def test_the_benchmark_trace_sees_each_layer_under_run_pipeline(tmp_path):
+    # perfbench/trace_run.py wraps cli.run_pipeline and the layer functions
+    # in pipeline's namespace; a run that bypassed either would lose spans
+    spans_path = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "trace_run.py"), str(spans_path), "run",
+         "--input", str(DEMO), "--out", str(tmp_path / "out"),
+         "--iters", "5", "--burn-in", "1"],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    roots = [s for s in spans if s["parent"] is None]
+    assert [s["name"] for s in roots] == ["run_pipeline"]
+    under_root = {s["name"] for s in spans if s["parent"] == roots[0]["id"]}
+    assert {"parse_file", "build_sequences", "fit_ca", "fit_lda",
+            "count_bigrams"} <= under_root
 
 
 # ---------------------------------------------------------------- any argv

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from corpus_scope.errors import (
     StageError,
 )
 from corpus_scope.lda import load_model
-from corpus_scope.pipeline import STAGES, PipelineConfig, load_config, run_pipeline
+from corpus_scope.pipeline import STAGES, PipelineConfig, load_config, plan, run_pipeline
 from corpus_scope.svgplot import line_chart, scatter_2d
 
 DATA_FILES = frozenset({
@@ -65,18 +66,6 @@ def test_rerun_is_byte_identical(mini_corpus_path, run_dir, tmp_path):
         assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
-def test_thread_count_does_not_change_bytes(mini_corpus_path, run_dir, tmp_path, capsys):
-    # --threads is deprecated: accepted with one warning, and nothing else
-    assert main(["run", "--input", str(mini_corpus_path), "--out", str(tmp_path),
-                 "--iters", "40", "--burn-in", "10", "--threads", "8"]) == 0
-    err = capsys.readouterr().err
-    assert err.count("--threads is deprecated and has no effect") == 1
-    for name in sorted(DATA_FILES):
-        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
-    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
-    assert "threads" not in report["config"]
-
-
 def stage_notes(out_dir, stage):
     report = json.loads((out_dir / "run_report.json").read_text(encoding="utf-8"))
     return next(s["notes"] for s in report["stages"] if s["name"] == stage)
@@ -116,7 +105,7 @@ def test_unloadable_kernels_fall_back_with_one_warning(mini_corpus_path, run_dir
 
 
 def test_from_flag_writes_only_later_stages(mini_corpus_path, tmp_path):
-    run_pipeline(quick_cfg(mini_corpus_path, tmp_path), write_stages=set(STAGES[4:]))
+    run_pipeline(quick_cfg(mini_corpus_path, tmp_path), from_stage="lda")
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {"lda_model.txt", "lda_top_words.csv", "bigrams_edges.csv",
                      "run_report.json"}
@@ -482,6 +471,18 @@ def test_cli_empty_result_exits_3(mini_corpus_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ingest_alone_does_not_tokenize(tmp_path, capsys):
+    # a corpus whose words are all stopwords fails only the text stage
+    stopworded = tmp_path / "allstop.csv"
+    stopworded.write_text("id,title,year\nA1,the of and,2020\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("ingest", "--input", stopworded, "--out", out) == 0
+    assert {p.name for p in out.iterdir()} == {"corpus.csv", "run_report.json"}
+    report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+    assert [s["name"] for s in report["stages"]] == ["ingest"]
+    capsys.readouterr()
+
+
 def test_cli_internal_stage_failure_exits_1(tmp_path, capsys):
     stopworded = tmp_path / "allstop.csv"
     stopworded.write_text("id,title,year\nA1,the of and,2020\n", encoding="utf-8")
@@ -527,32 +528,37 @@ def test_a_writer_that_fails_partway_leaves_no_partial_file(mini_corpus_path, ru
         (tmp_path / "ca_coords.csv").read_bytes()).hexdigest()
 
 
-def failing(stage):
+def make_fail(monkeypatch, name):
+    """Give stage ``name`` a runner that fails, in the stage table."""
     def runner(run, stage_report):
-        raise InsufficientDataError(f"{stage} cannot run")
-    return runner
+        raise InsufficientDataError(f"{name} cannot run")
+
+    table = tuple(replace(s, runner=runner) if s.name == name else s
+                  for s in pipeline.STAGE_TABLE)
+    monkeypatch.setattr(pipeline, "STAGE_TABLE", table)
 
 
+# `write` holds the command and --from, which decide the files a run writes
 @pytest.mark.parametrize("write,fails,stale", [
-    (set(STAGES), "lda", ["lda_model.txt", "lda_top_words.csv", "bigrams_edges.csv"]),
-    (set(STAGES), "text", ["dtm.mtx", "dtm_index.csv", "year_counts.csv", "trend.csv",
-                           "top_terms.csv", "type_shares.csv", "trend.svg",
-                           "ca_coords.csv", "lda_model.txt", "lda_top_words.csv",
-                           "bigrams_edges.csv"]),
+    ({"command": "run"}, "lda",
+     ["lda_model.txt", "lda_top_words.csv", "bigrams_edges.csv"]),
+    ({"command": "run"}, "text",
+     ["dtm.mtx", "dtm_index.csv", "year_counts.csv", "trend.csv", "top_terms.csv",
+      "type_shares.csv", "trend.svg", "ca_coords.csv", "lda_model.txt",
+      "lda_top_words.csv", "bigrams_edges.csv"]),
     # run --from lda: the earlier stages' files were never to be rewritten
-    (set(STAGES[4:]), "text", ["lda_model.txt", "lda_top_words.csv",
-                               "bigrams_edges.csv"]),
+    ({"command": "run", "from_stage": "lda"}, "text",
+     ["lda_model.txt", "lda_top_words.csv", "bigrams_edges.csv"]),
     # the lsa subcommand writes only its own stage's files, the scatter too
-    ({"lsa"}, "lsa", ["ca_coords.csv", "ca_scatter.svg"]),
+    ({"command": "lsa"}, "lsa", ["ca_coords.csv", "ca_scatter.svg"]),
 ])
 def test_a_failed_run_names_the_files_left_from_an_earlier_run(
         mini_corpus_path, run_dir, tmp_path, monkeypatch, write, fails, stale):
     shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
     (tmp_path / "ca_scatter.svg").write_text("<svg/>", encoding="utf-8")
-    monkeypatch.setitem(pipeline._STAGE_RUNNERS, fails, failing(fails))
+    make_fail(monkeypatch, fails)
     with pytest.raises(StageError):
-        run_pipeline(quick_cfg(mini_corpus_path, tmp_path), write_stages=write,
-                     command="lsa" if write == {"lsa"} else "run")
+        run_pipeline(quick_cfg(mini_corpus_path, tmp_path), **write)
     report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     assert report["failed_stage"] == fails
     assert report["notes"] == [f"stale from an earlier run: {', '.join(stale)}"]
@@ -569,8 +575,7 @@ def test_files_the_failed_stage_wrote_before_failing_are_not_stale(mini_corpus_p
 
     monkeypatch.setattr(pipeline, "line_chart", no_chart)
     with pytest.raises(StageError):
-        run_pipeline(quick_cfg(mini_corpus_path, tmp_path), write_stages={"eda"},
-                     command="eda")
+        run_pipeline(quick_cfg(mini_corpus_path, tmp_path), command="eda")
     report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     assert sorted(report["output_files"]) == [
         "top_terms.csv", "trend.csv", "type_shares.csv", "year_counts.csv"]
@@ -579,7 +584,7 @@ def test_files_the_failed_stage_wrote_before_failing_are_not_stale(mini_corpus_p
 
 def test_a_failed_run_into_a_fresh_directory_names_nothing_stale(mini_corpus_path,
                                                                  tmp_path, monkeypatch):
-    monkeypatch.setitem(pipeline._STAGE_RUNNERS, "eda", failing("eda"))
+    make_fail(monkeypatch, "eda")
     with pytest.raises(StageError):
         run_pipeline(quick_cfg(mini_corpus_path, tmp_path))
     report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
@@ -587,10 +592,54 @@ def test_a_failed_run_into_a_fresh_directory_names_nothing_stale(mini_corpus_pat
     assert report["notes"] == []
 
 
-def test_every_stage_output_is_listed_for_the_stale_check(run_dir):
-    report = json.loads((run_dir / "run_report.json").read_text(encoding="utf-8"))
-    for stage in report["stages"]:
-        assert set(stage["outputs"]) <= set(pipeline._STAGE_OUTPUTS[stage["name"]])
+EDA_FILES = ["year_counts.csv", "trend.csv", "top_terms.csv", "type_shares.csv",
+             "trend.svg"]
+LDA_FILES = ["lda_model.txt", "lda_top_words.csv"]
+
+
+@pytest.mark.parametrize("command,from_stage,computed,written", [
+    pytest.param("run", None, list(STAGES), None, id="run"),
+    pytest.param("run", "ingest", list(STAGES), None, id="run-from-ingest"),
+    pytest.param("run", "lda", ["ingest", "text", "lda", "bigrams"],
+                 LDA_FILES + ["bigrams_edges.csv"], id="run-from-lda"),
+    pytest.param("ingest", None, ["ingest"], ["corpus.csv"], id="ingest"),
+    pytest.param("eda", None, ["ingest", "text", "eda"], EDA_FILES, id="eda"),
+    pytest.param("lsa", None, ["ingest", "text", "lsa"],
+                 ["ca_coords.csv", "ca_scatter.svg"], id="lsa"),
+    pytest.param("lda", None, ["ingest", "text", "lda"], LDA_FILES, id="lda"),
+    pytest.param("bigrams", None, ["ingest", "text", "bigrams"],
+                 ["bigrams_edges.csv"], id="bigrams"),
+    pytest.param("compare", None, ["ingest", "text", "compare"], ["compare.csv"],
+                 id="compare"),
+])
+def test_a_command_computes_what_it_needs_and_writes_its_planned_files(
+        mini_corpus_path, run_dir, tmp_path, command, from_stage, computed, written):
+    if written is None:  # every data file, in the order the report lists them
+        report = json.loads((run_dir / "run_report.json").read_text(encoding="utf-8"))
+        written = [name for s in report["stages"] for name in s["outputs"]]
+        assert set(written) == DATA_FILES
+    cfg = quick_cfg(mini_corpus_path, tmp_path, country="Saudi Arabia")
+    stages, files = plan(cfg, command, from_stage)
+    assert [s.name for s in stages] == computed
+    assert list(files) == written
+    # a run computes and writes what its plan says, and nothing else
+    report = run_pipeline(cfg, command=command, from_stage=from_stage)
+    assert [s.name for s in report.stages] == computed
+    assert [name for s in report.stages for name in s.outputs] == written
+    assert {p.name for p in tmp_path.iterdir()} == set(written) | {"run_report.json"}
+
+
+def test_a_plan_checks_its_command_before_any_file_is_written(mini_corpus_path,
+                                                              tmp_path):
+    cfg = quick_cfg(mini_corpus_path, tmp_path / "never")
+    with pytest.raises(ConfigError, match="compare requires a country"):
+        run_pipeline(cfg, command="compare")
+    with pytest.raises(ConfigError, match="unknown command"):
+        run_pipeline(cfg, command="text")
+    for command, from_stage in [("run", "compare"), ("eda", "lda")]:
+        with pytest.raises(ConfigError, match="--from"):
+            run_pipeline(cfg, command=command, from_stage=from_stage)
+    assert not (tmp_path / "never").exists()
 
 
 # ---------------------------------------------------------------- config file
@@ -626,11 +675,19 @@ def test_config_file_drives_a_run(mini_corpus_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_config_threads_key_is_accepted_and_ignored(tmp_path, capsys):
+def test_config_threads_key_is_rejected(mini_corpus_path, tmp_path, capsys):
     cfg_file = tmp_path / "threads.ini"
     cfg_file.write_text("[report]\nseed = 3\nthreads = 4\n", encoding="utf-8")
-    assert load_config(cfg_file) == {"seed": 3}
-    assert capsys.readouterr().err.count("threads is deprecated and has no effect") == 1
+    with pytest.raises(ConfigError, match="unknown key 'threads' in section \\[report\\]"):
+        load_config(cfg_file)
+    out = tmp_path / "never"
+    assert run_cli("run", "--config", cfg_file, "--input", mini_corpus_path,
+                   "--out", out) == 2
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("run", "--input", mini_corpus_path, "--out", out, "--threads", "8")
+    assert exc_info.value.code == 2
+    assert not out.exists()
+    capsys.readouterr()
 
 
 def test_cli_flags_override_config_values(mini_corpus_path, tmp_path, capsys):
