@@ -70,7 +70,9 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="RNG seed (default 42)")
     sub.add_argument("--bigram-threshold", type=int, dest="bigram_threshold",
                      help="minimum bigram frequency kept (default 150)")
-    sub.add_argument("--country", help="country for the compare subcommand")
+    sub.add_argument("--country", help="country whose documents compare.csv sets beside "
+                     "the whole corpus (required by compare; run writes compare.csv "
+                     "too when it is given)")
     sub.add_argument("--out", type=Path, dest="out_dir", help="output directory")
 
 

@@ -13,9 +13,9 @@ so a (corpus, config) pair fully determines the result. The stream is drawn
 through numpy: the topic initialization reproduces successive
 ``randrange(k)`` calls and the sweeps the ``random()`` calls after them.
 
-Each sweep runs in a small C function (``gibbs_sweep`` in ``_native.c``) that
-is compiled on first use and loaded with ctypes (see ``_native``); when that
-fails, a plain-Python sweep runs instead. Both evaluate the same
+Each sweep runs in a small native function (``gibbs_sweep`` in
+``_native.cpp``) that is compiled on first use and loaded with ctypes (see
+``_native``); when that fails, a plain-Python sweep runs instead. Both evaluate the same
 floating-point operations in the same order on the same uniforms, so they
 produce the same chain bit for bit.
 """

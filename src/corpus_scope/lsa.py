@@ -260,9 +260,15 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     dropped_docs = tuple(dtm.doc_ids[i] for i in np.flatnonzero(dtm.row_totals == 0))
     dropped_terms = tuple(dtm.terms[j] for j in np.flatnonzero(dtm.col_totals == 0))
     X = dtm.csr
-    dropped_any = keep_rows.size < X.shape[0] or keep_cols.size < X.shape[1]
-    if dropped_any or not X.has_canonical_format:
-        X = X[keep_rows][:, keep_cols]
+    if not X.has_canonical_format or np.diff(X.indptr)[dtm.row_totals == 0].any():
+        X = X[keep_rows][:, keep_cols]  # a canonical copy of the kept cells
+    if keep_rows.size < X.shape[0]:
+        # the dropped rows store no entry, so the kept ones share X's arrays:
+        # the same bytes as X[keep_rows], without copying the cells
+        X = type(X)((X.data, X.indices, np.append(X.indptr[keep_rows], X.nnz)),
+                    shape=(keep_rows.size, X.shape[1]))
+    if keep_cols.size < X.shape[1]:
+        X = X[:, keep_cols]
     row_ids = tuple(dtm.doc_ids[i] for i in keep_rows)
     col_labels = tuple(dtm.terms[j] for j in keep_cols)
 

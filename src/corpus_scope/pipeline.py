@@ -4,12 +4,14 @@ One table, :data:`STAGE_TABLE`, says what the stages are: in execution
 order (ingest, text, eda, lsa, lda, bigrams, compare), each record names its
 runner, the stages it needs and the files it writes. A command names the
 stages whose files it writes (``run`` the first six, or those from
-``--from`` on; a subcommand its own stage); :func:`plan` adds what they need
-and :func:`run_pipeline` computes that, in table order. Every run also writes
-run_report.json, a manifest with the echoed configuration, per-stage wall
-times and notes, dropped-record lists, and a SHA-256 per output file. All
-data files are deterministic for a given (input, config) pair at a fixed BLAS
-thread count; the report's timing fields are the only thing that varies.
+``--from`` on, and compare given a country; a subcommand its own stage);
+:func:`plan` adds what they need and :func:`run_pipeline` computes that, in
+table order, so compare reads the whole corpus's topics from the lda stage
+instead of fitting them again. Every run also writes run_report.json, a
+manifest with the echoed configuration, per-stage wall times and notes,
+dropped-record lists, and a SHA-256 per output file. All data files are
+deterministic for a given (input, config) pair at a fixed BLAS thread count;
+the report's timing fields are the only thing that varies.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .corpus_ingest import (
     partition_by_country,
     require_nonempty,
     serialize_corpus,
+    tokenize,
 )
 from .eda import (
     QuadraticFit,
@@ -126,6 +129,10 @@ class PipelineConfig:
             raise ConfigError("bigram_threshold must be >= 1")
         if self.dims < 1:
             raise ConfigError("dims must be >= 1")
+        if self.country is not None and not self.country.strip():
+            raise ConfigError("country must name a country, got a blank string")
+        if self.phrase is not None and not tokenize(self.phrase):
+            raise ConfigError(f"phrase {self.phrase!r} contains no word to match")
         if None not in (self.year_min, self.year_max) and self.year_min > self.year_max:
             raise ConfigError(
                 f"year_min ({self.year_min}) must not exceed year_max ({self.year_max})"
@@ -348,6 +355,7 @@ class _Run:
         self.tokens = None
         self.vocab = None
         self.dtm = None
+        self.topic_words: list[list[str]] | None = None  # lda's top 10 per topic
 
     def emit(
         self,
@@ -631,7 +639,7 @@ def _lda(run: _Run, stage: StageReport) -> None:
     stage.notes.append(f"final log-likelihood {_float(model.log_likelihoods[-1])}")
     run.emit(stage, "lda_model.txt", lambda out: render_model(model, out=out))
 
-    words = top_words_per_topic(model, m=10)
+    run.topic_words = words = top_words_per_topic(model, m=10)
     term_index = {t: j for j, t in enumerate(model.terms)}
     lines = [f"# {run.provenance}", "topic,rank,term,phi"]
     for t, terms in enumerate(words):
@@ -668,14 +676,15 @@ def _compare(run: _Run, stage: StageReport) -> None:
     Rows are (section, key, subset, overall): corpus sizes and share, counts
     per year, publication-type shares, top-20 terms, and per-topic top words
     from topic models fitted separately with identical settings and seed.
-    The overall column reuses the text stage's tokens, vocabulary and DTM;
-    only the subset is tokenized and fitted here, with the same settings.
+    The overall column reuses the text stage's DTM and the lda stage's top
+    words; only the subset is tokenized and fitted here, with the same
+    settings.
     """
     cfg, corpus = run.cfg, run.corpus
     subset, _rest = partition_by_country(corpus, cfg.country)
     require_nonempty(subset, f"country filter {cfg.country!r}")
     stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
-    run.provenance = (
+    provenance = (
         f"corpus-scope {__version__} | input={cfg.input.name}"
         f" | compare country={cfg.country} | seed={cfg.seed}"
     )
@@ -685,7 +694,7 @@ def _compare(run: _Run, stage: StageReport) -> None:
     sub_terms = top_terms(build_dtm(sub_tokens, sub_vocab), sub_vocab, 20)
     sub_topics = top_words_per_topic(fit_lda(sub_tokens, sub_vocab, cfg.lda_config()), m=10)
     all_terms = top_terms(run.dtm, run.vocab, 20)
-    all_topics = top_words_per_topic(fit_lda(run.tokens, run.vocab, cfg.lda_config()), m=10)
+    all_topics = run.topic_words
 
     rows: list[tuple[str, str, str, str]] = [
         ("size", "documents", str(len(subset)), str(len(corpus))),
@@ -713,7 +722,7 @@ def _compare(run: _Run, stage: StageReport) -> None:
             full = all_topics[t][r] if t < len(all_topics) and r < len(all_topics[t]) else ""
             rows.append(("lda_top_words", f"topic_{t}_rank_{r + 1:02d}", sub, full))
 
-    lines = [f"# {run.provenance}", "section,key,subset,overall"]
+    lines = [f"# {provenance}", "section,key,subset,overall"]
     lines += [",".join(r) for r in rows]
     run.emit(stage, "compare.csv", "\n".join(lines) + "\n")
 
@@ -738,21 +747,21 @@ STAGE_TABLE = (
     Stage("lsa", _lsa, ("text",), ("ca_coords.csv", "ca_scatter.svg")),
     Stage("lda", _lda, ("text",), ("lda_model.txt", "lda_top_words.csv")),
     Stage("bigrams", _bigrams, ("text",), ("bigrams_edges.csv",)),
-    Stage("compare", _compare, ("text",), ("compare.csv",)),
+    Stage("compare", _compare, ("lda",), ("compare.csv",)),
 )
 
 # the stages `run` writes, in order; `--from` names one of them
 STAGES = tuple(s.name for s in STAGE_TABLE if s.name != "compare")
 
 # each command with its help text: `run` writes STAGES, or those from
-# `--from` on, and every other command its own stage
+# `--from` on, and compare given a country; every other command its own stage
 COMMANDS = {
     "ingest": "parse, validate, filter, and write corpus.csv",
     "eda": "yearly counts, quadratic trend with forecast, top terms, type shares",
     "lsa": "correspondence analysis coordinates and representative documents",
     "lda": "topic model: lda_model.txt and lda_top_words.csv",
     "bigrams": "adjacent word pairs above the frequency threshold",
-    "run": "all stages in order",
+    "run": "all stages in order, and compare given --country",
     "compare": "country subset vs the whole corpus, side by side",
 }
 
@@ -762,9 +771,10 @@ def plan(cfg: PipelineConfig, command: str = "run",
     """The stages a command computes and the files it writes.
 
     The stages are those whose files the command writes plus everything they
-    need, in table order. The files are those stages' outputs, in the same
-    order; ``ca_scatter.svg`` only under ``lsa``, since `run` keeps the
-    pinned file set and the coordinates CSV is enough to redraw the figure.
+    need, in table order; ``run`` given a country writes compare's too. The
+    files are those stages' outputs, in the same order; ``ca_scatter.svg``
+    only under ``lsa``, since `run` keeps the pinned file set and the
+    coordinates CSV is enough to redraw the figure.
     Raises ConfigError for an unknown command or stage, and for ``compare``
     without a country.
     """
@@ -776,6 +786,8 @@ def plan(cfg: PipelineConfig, command: str = "run",
         raise ConfigError("compare requires a country")
     if command == "run":
         targets = STAGES[STAGES.index(from_stage):] if from_stage else STAGES
+        if cfg.country:
+            targets += ("compare",)
     else:
         targets = (command,)
     compute = set(targets)
@@ -799,10 +811,10 @@ def run_pipeline(
 
     The plan and the input are checked before anything is written. A stage
     that raises a CorpusScopeError is recorded as ``failed_stage`` and
-    re-raised as StageError; under ``compare``, an empty country subset fails
-    the compare stage with EmptyResultError (CLI exit code 3). Whatever a
-    stage raises, the report's ``notes`` then name the planned files that are
-    still in ``--out`` from an earlier run.
+    re-raised as StageError; an empty country subset fails the compare stage
+    with EmptyResultError (CLI exit code 3). Whatever a stage raises, the
+    report's ``notes`` then name the planned files that are still in
+    ``--out`` from an earlier run.
     """
     stages, files = plan(cfg, command, from_stage)
     _check_paths(cfg)

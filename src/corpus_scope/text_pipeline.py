@@ -509,9 +509,9 @@ def int_line_chunks(values, row_ends, sep: str) -> Iterator[str]:
     """
     values = np.asarray(values).ravel()
     if values.dtype.kind not in "iu":
-        raise ConfigError(f"format_int_lines takes integers, got {values.dtype}")
+        raise ConfigError(f"int_line_chunks takes integers, got {values.dtype}")
     if values.size and (values.min() < 0 or values.max() >= 2**63):
-        raise ConfigError("format_int_lines takes non-negative int64 values only")
+        raise ConfigError("int_line_chunks takes non-negative int64 values only")
     return _line_chunks(values, _checked_ends(values, row_ends, sep), sep, np.int64, str)
 
 

@@ -279,23 +279,38 @@ def test_inertia_matches_the_coo_sum_bit_for_bit():
 
 
 def test_fit_ca_without_copies_keeps_the_sliced_bytes():
-    # a canonical table with no empty margin is used as it is; flagging it
-    # non-canonical sends it through the row and column slicing instead
+    # a canonical table is used as it is, and its empty rows are dropped by
+    # the index pointers alone; flagging it non-canonical, or storing a zero
+    # in an empty row, sends it through the row and column slicing instead
     rng = np.random.default_rng(17)
     X = rng.poisson(rng.gamma(0.5, 1.0, size=(120, 200)))
     X[:, X.sum(axis=0) == 0] = 1
     X[X.sum(axis=1) == 0, 0] = 1
-    direct = make_dtm(X)
-    assert direct.csr.has_canonical_format
-    sliced = make_dtm(X)
-    sliced.csr.has_canonical_format = False
-    for solver in ("lanczos", "dense"):
-        a = fit_ca(direct, dims=4, solver=solver)
-        b = fit_ca(sliced, dims=4, solver=solver)
-        for field in ("singular_values", "row_coords", "col_coords", "row_masses"):
-            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
-        assert a.total_inertia == b.total_inertia
-        assert a.iterations == b.iterations
+    emptied = X.copy()
+    emptied[::7] = 0
+    for table in (X, emptied):
+        direct = make_dtm(table)
+        assert direct.csr.has_canonical_format
+        sliced = make_dtm(table)
+        sliced.csr.has_canonical_format = False
+        others = [sliced]
+        if table is emptied:
+            coo = direct.csr.tocoo()
+            zero_in_row_0 = sparse.csr_matrix(
+                (np.append(coo.data, 0), (np.append(coo.row, 0), np.append(coo.col, 0))),
+                shape=table.shape)
+            assert zero_in_row_0.has_canonical_format
+            assert zero_in_row_0.nnz == direct.csr.nnz + 1
+            others.append(dataclasses.replace(direct, csr=zero_in_row_0))
+        for solver in ("lanczos", "dense"):
+            a = fit_ca(direct, dims=4, solver=solver)
+            for other in others:
+                b = fit_ca(other, dims=4, solver=solver)
+                for field in ("singular_values", "row_coords", "col_coords", "row_masses"):
+                    assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+                assert a.total_inertia == b.total_inertia
+                assert a.iterations == b.iterations
+                assert a.row_ids == b.row_ids
 
 
 def test_auto_solver_uses_dense_for_small_tables():

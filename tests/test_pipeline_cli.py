@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -407,6 +408,20 @@ def test_cli_wordless_phrase_exits_2(mini_corpus_path, tmp_path, capsys):
     assert {p.name for p in tmp_path.iterdir()} <= {"run_report.json"}
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("run", "--country", "  "),
+    ("compare", "--country", ""),
+    ("run", "--phrase", "!!"),
+])
+def test_cli_blank_country_and_wordless_phrase_exit_2_before_any_work(
+        mini_corpus_path, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "never"
+    assert run_cli(command, "--input", mini_corpus_path, "--out", out, flag, value) == 2
+    err = capsys.readouterr().err
+    assert flag[2:] in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_bigram_threshold_is_checked_before_any_stage(mini_corpus_path, tmp_path,
                                                           capsys):
     out = tmp_path / "never"
@@ -597,28 +612,35 @@ EDA_FILES = ["year_counts.csv", "trend.csv", "top_terms.csv", "type_shares.csv",
 LDA_FILES = ["lda_model.txt", "lda_top_words.csv"]
 
 
-@pytest.mark.parametrize("command,from_stage,computed,written", [
-    pytest.param("run", None, list(STAGES), None, id="run"),
-    pytest.param("run", "ingest", list(STAGES), None, id="run-from-ingest"),
-    pytest.param("run", "lda", ["ingest", "text", "lda", "bigrams"],
-                 LDA_FILES + ["bigrams_edges.csv"], id="run-from-lda"),
-    pytest.param("ingest", None, ["ingest"], ["corpus.csv"], id="ingest"),
-    pytest.param("eda", None, ["ingest", "text", "eda"], EDA_FILES, id="eda"),
-    pytest.param("lsa", None, ["ingest", "text", "lsa"],
+SAUDI = "Saudi Arabia"
+
+
+@pytest.mark.parametrize("command,from_stage,country,computed,written", [
+    pytest.param("run", None, SAUDI, [*STAGES, "compare"], None, id="run"),
+    pytest.param("run", None, None, list(STAGES), None, id="run-without-country"),
+    pytest.param("run", "ingest", SAUDI, [*STAGES, "compare"], None, id="run-from-ingest"),
+    pytest.param("run", "lda", SAUDI, ["ingest", "text", "lda", "bigrams", "compare"],
+                 LDA_FILES + ["bigrams_edges.csv", "compare.csv"], id="run-from-lda"),
+    pytest.param("ingest", None, SAUDI, ["ingest"], ["corpus.csv"], id="ingest"),
+    pytest.param("eda", None, SAUDI, ["ingest", "text", "eda"], EDA_FILES, id="eda"),
+    pytest.param("lsa", None, SAUDI, ["ingest", "text", "lsa"],
                  ["ca_coords.csv", "ca_scatter.svg"], id="lsa"),
-    pytest.param("lda", None, ["ingest", "text", "lda"], LDA_FILES, id="lda"),
-    pytest.param("bigrams", None, ["ingest", "text", "bigrams"],
+    pytest.param("lda", None, SAUDI, ["ingest", "text", "lda"], LDA_FILES, id="lda"),
+    pytest.param("bigrams", None, SAUDI, ["ingest", "text", "bigrams"],
                  ["bigrams_edges.csv"], id="bigrams"),
-    pytest.param("compare", None, ["ingest", "text", "compare"], ["compare.csv"],
-                 id="compare"),
+    pytest.param("compare", None, SAUDI, ["ingest", "text", "lda", "compare"],
+                 ["compare.csv"], id="compare"),
 ])
 def test_a_command_computes_what_it_needs_and_writes_its_planned_files(
-        mini_corpus_path, run_dir, tmp_path, command, from_stage, computed, written):
-    if written is None:  # every data file, in the order the report lists them
+        mini_corpus_path, run_dir, tmp_path, command, from_stage, country, computed,
+        written):
+    if written is None:  # a whole run's files, in the order the report lists them
         report = json.loads((run_dir / "run_report.json").read_text(encoding="utf-8"))
         written = [name for s in report["stages"] for name in s["outputs"]]
         assert set(written) == DATA_FILES
-    cfg = quick_cfg(mini_corpus_path, tmp_path, country="Saudi Arabia")
+        if country:
+            written.append("compare.csv")
+    cfg = quick_cfg(mini_corpus_path, tmp_path, country=country)
     stages, files = plan(cfg, command, from_stage)
     assert [s.name for s in stages] == computed
     assert list(files) == written
@@ -640,6 +662,22 @@ def test_a_plan_checks_its_command_before_any_file_is_written(mini_corpus_path,
         with pytest.raises(ConfigError, match="--from"):
             run_pipeline(cfg, command=command, from_stage=from_stage)
     assert not (tmp_path / "never").exists()
+
+
+def test_the_benchmark_checks_the_files_and_stages_of_a_run_without_country(
+        mini_corpus_path, tmp_path, monkeypatch):
+    # perfbench/run.py times `run` without --country and checks the bytes of
+    # each file it writes; its own lists of those files and stages must stay
+    # the plan's, so that a change to the plan cannot pass it unseen
+    bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench_dir))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench_dir / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    assert bench.DATA_FILES == plan(quick_cfg(mini_corpus_path, tmp_path), "run")[1]
+    assert bench.STAGES == STAGES
 
 
 # ---------------------------------------------------------------- config file
@@ -772,17 +810,48 @@ def test_compare_needs_a_country(mini_corpus_path, tmp_path, capsys):
     report = json.loads((tmp_path / "c2" / "run_report.json").read_text(encoding="utf-8"))
     assert report["command"] == "compare"
     assert report["failed_stage"] == "compare"
-    assert [s["name"] for s in report["stages"]] == ["ingest", "text", "compare"]
+    assert [s["name"] for s in report["stages"]] == ["ingest", "text", "lda", "compare"]
+
+
+# compare.csv of the demo at default settings, pinned byte for byte
+COMPARE_SHA256 = "03bcf5ba0f2ce9ca7e681c2a7042aee4249aa52ad54ec0f7e76c0e7cc23809f1"
 
 
 def test_compare_bytes_match_the_pinned_hash(mini_corpus_path, tmp_path, capsys):
-    # compare.csv of the demo at default settings, pinned byte for byte
     assert run_cli("compare", "--input", mini_corpus_path, "--out", tmp_path,
                    "--country", "Saudi Arabia") == 0
     capsys.readouterr()
     assert {p.name for p in tmp_path.iterdir()} == {"compare.csv", "run_report.json"}
     digest = hashlib.sha256((tmp_path / "compare.csv").read_bytes()).hexdigest()
-    assert digest == "03bcf5ba0f2ce9ca7e681c2a7042aee4249aa52ad54ec0f7e76c0e7cc23809f1"
+    assert digest == COMPARE_SHA256
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert [s["name"] for s in report["stages"]] == ["ingest", "text", "lda", "compare"]
+
+
+def test_run_with_a_country_also_writes_compare_csv_from_one_whole_corpus_fit(
+        mini_corpus_path, tmp_path, monkeypatch, capsys):
+    fits = []
+    fit_lda = pipeline.fit_lda
+
+    def counted(tokens, *args):
+        fits.append(len(tokens))
+        return fit_lda(tokens, *args)
+
+    monkeypatch.setattr(pipeline, "fit_lda", counted)
+    plain, country = tmp_path / "plain", tmp_path / "country"
+    assert run_cli("run", "--input", mini_corpus_path, "--out", plain) == 0
+    assert fits == [60]
+    fits.clear()
+    assert run_cli("run", "--input", mini_corpus_path, "--out", country,
+                   "--country", "Saudi Arabia") == 0
+    capsys.readouterr()
+    assert fits == [60, 10]  # the whole corpus once, then the subset
+    assert {p.name for p in country.iterdir()} == (
+        DATA_FILES | {"compare.csv", "run_report.json"})
+    for name in sorted(DATA_FILES):
+        assert (country / name).read_bytes() == (plain / name).read_bytes(), name
+    digest = hashlib.sha256((country / "compare.csv").read_bytes()).hexdigest()
+    assert digest == COMPARE_SHA256
 
 
 # ---------------------------------------------------------------- entry point
