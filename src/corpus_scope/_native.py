@@ -1,8 +1,10 @@
 """The compiled kernels: one C++ source, one cached library, one loader.
 
-``_native.cpp`` holds the Gibbs sweep (``lda``), and for ``text_pipeline``
+``_native.cpp`` holds the Gibbs sweep (``lda``); for ``text_pipeline``
 the word splitter and its corpus-wide word table, the token renumbering,
-the document-term counts, and the integer and float table formatters.
+the document-term counts, and the integer and float table formatters; and
+for ``lsa`` the CSR products ``csr_matvec`` (a row gather, P @ x) and
+``csr_rmatvec`` (an ascending-row scatter, P.T @ y).
 :func:`library` compiles it on first use into the user cache and loads it
 with ctypes; when that fails it warns once and returns None, and each caller
 runs its plain-Python twin instead.
@@ -79,6 +81,9 @@ def _build() -> ctypes.CDLL:
     lib.remap_tokens.restype = i64
     lib.count_dtm.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
     lib.count_dtm.restype = i64
+    for product in (lib.csr_matvec, lib.csr_rmatvec):
+        product.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr]
+        product.restype = i64
     for formatter in (lib.format_ints, lib.format_doubles):
         formatter.argtypes = [ptr, i64, ptr, i64, ctypes.c_char, ptr]
         formatter.restype = i64
@@ -93,7 +98,7 @@ def library() -> ctypes.CDLL | None:
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         logger.warning(
             "compiled kernels unavailable, running the Python sweep, "
-            "tokenizer and number formatters: %s", exc
+            "tokenizer, CSR products and number formatters: %s", exc
         )
         return None
 

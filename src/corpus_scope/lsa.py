@@ -14,9 +14,13 @@ min(n_rows, n_cols) - 1.
 
 The truncated SVD is computed without ever densifying S: a Lanczos iteration
 with full reorthogonalization runs on the Gram matrix of the smaller side,
-using S's sparse structure (a CSR product plus a rank-one correction) for
-matrix-vector products. Small problems (min side <= 64) switch to a dense
-LAPACK SVD, where iteration buys nothing. Axis signs are fixed by making the
+using S's sparse structure for matrix-vector products. Each product with S
+or S^T is one pass over P's CSR arrays plus a rank-one correction: the row
+gather ``csr_matvec`` and the ascending-row scatter ``csr_rmatvec`` in
+``_native.cpp``, or their ``np.bincount`` twins without the library, which
+add in the same order and so give the same bits. Small problems (min side
+<= 64) switch to a dense LAPACK SVD of a numpy array, where iteration buys
+nothing. Axis signs are fixed by making the
 largest-magnitude entry of each left singular vector positive, so results do
 not depend on solver internals.
 """
@@ -29,6 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
+from . import _native
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -39,7 +44,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .text_pipeline import SparseDTM
+    from .text_pipeline import CSRCounts, SparseDTM
 
 DEFAULT_DIMS = 2
 DENSE_CUTOFF = 64
@@ -101,7 +106,7 @@ def total_inertia(dtm: "SparseDTM") -> float:
     return _inertia(dtm.csr, dtm.row_totals / n, dtm.col_totals / n, n)
 
 
-def _inertia(counts, a: np.ndarray, b: np.ndarray, n: float) -> float:
+def _inertia(counts: "CSRCounts", a: np.ndarray, b: np.ndarray, n: float) -> float:
     """sum_ij p_ij^2 / (a_i b_j) - 1 over the stored cells of the CSR matrix
     ``counts``, for row and column masses ``a`` and ``b`` and grand total ``n``.
 
@@ -115,6 +120,46 @@ def _inertia(counts, a: np.ndarray, b: np.ndarray, n: float) -> float:
     p *= p
     p /= den
     return float(np.sum(p) - 1.0)
+
+
+def csr_products(counts: "CSRCounts", values: np.ndarray):
+    """The products ``x -> P @ x`` and ``y -> P.T @ y`` for the matrix P that
+    stores float64 ``values`` in the cells of ``counts``.
+
+    Each output adds its terms in ascending entry order from 0.0, as scipy's
+    ``csr_matvec`` and ``csc_matvec`` do: compiled as ``csr_matvec`` and
+    ``csr_rmatvec`` in ``_native.cpp`` or, without the library, as
+    ``np.bincount`` over the entries' rows and columns.
+    """
+    n_rows, n_cols = counts.shape
+    indptr = np.ascontiguousarray(counts.indptr)
+    indices = np.ascontiguousarray(counts.indices)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.shape != indices.shape:
+        raise ValueError(f"{values.size} values for {indices.size} entries")
+    lib = _native.library()
+    if lib is None:
+        rows = counts.rows()
+
+        def add(at: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+            # float64 even without entries, where bincount gives int64
+            return np.bincount(at, weights=terms, minlength=size).astype(np.float64, copy=False)
+
+        return (lambda x: add(rows, values * x[indices], n_rows),
+                lambda y: add(indices, values * y[rows], n_cols))
+
+    def product(kernel, v: np.ndarray, size: int, out_size: int) -> np.ndarray:
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        if v.shape != (size,):
+            raise ValueError(f"vector of shape {v.shape} for a {n_rows}x{n_cols} matrix")
+        out = np.empty(out_size)
+        if kernel(n_rows, n_cols, indices.size, indptr.ctypes.data, indices.ctypes.data,
+                  values.ctypes.data, v.ctypes.data, out.ctypes.data) < 0:
+            raise IndexError("CSR index pointer or column out of range")
+        return out
+
+    return (lambda x: product(lib.csr_matvec, x, n_cols, n_rows),
+            lambda y: product(lib.csr_rmatvec, y, n_rows, n_cols))
 
 
 def _start_vector(dim: int, attempt: int, basis: np.ndarray | None) -> np.ndarray | None:
@@ -242,6 +287,38 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _kept_cells(dtm: "SparseDTM", keep_rows: np.ndarray,
+                keep_cols: np.ndarray) -> "CSRCounts":
+    """The DTM's counts without the rows and columns outside ``keep_rows``
+    and ``keep_cols``.
+
+    When no column goes and the dropped rows store no entry, the kept rows
+    share the DTM's cell arrays and only the index pointers are new.
+    Otherwise the kept cells are copied, their columns renumbered through an
+    index map, in the order the DTM stores them.
+    """
+    X = dtm.csr
+    n_rows, n_cols = X.shape
+    if keep_rows.size == n_rows and keep_cols.size == n_cols:
+        return X
+    lengths = np.diff(X.indptr)
+    dropped = dtm.row_totals == 0
+    if keep_cols.size == n_cols and not lengths[dropped].any():
+        indptr = np.append(X.indptr[keep_rows], X.indptr[-1])
+        return type(X)(indptr, X.indices, X.data, (keep_rows.size, n_cols))
+    column = np.full(n_cols, -1, dtype=np.int32)
+    column[keep_cols] = np.arange(keep_cols.size, dtype=np.int32)
+    indices = column[X.indices]
+    kept = indices >= 0
+    kept[np.repeat(dropped, lengths)] = False
+    # kept cells before each entry; a dropped row keeps none, so a kept row
+    # ends where the next kept row begins
+    before = np.zeros(X.nnz + 1, dtype=np.int32)
+    np.cumsum(kept, dtype=np.int32, out=before[1:])
+    indptr = before[X.indptr[np.append(keep_rows, n_rows)]]
+    return type(X)(indptr, indices[kept], X.data[kept], (keep_rows.size, keep_cols.size))
+
+
 def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> CAModel:
     """Fit a correspondence analysis with ``dims`` retained axes.
 
@@ -259,16 +336,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     keep_cols = np.flatnonzero(dtm.col_totals > 0)
     dropped_docs = tuple(dtm.doc_ids[i] for i in np.flatnonzero(dtm.row_totals == 0))
     dropped_terms = tuple(dtm.terms[j] for j in np.flatnonzero(dtm.col_totals == 0))
-    X = dtm.csr
-    if not X.has_canonical_format or np.diff(X.indptr)[dtm.row_totals == 0].any():
-        X = X[keep_rows][:, keep_cols]  # a canonical copy of the kept cells
-    if keep_rows.size < X.shape[0]:
-        # the dropped rows store no entry, so the kept ones share X's arrays:
-        # the same bytes as X[keep_rows], without copying the cells
-        X = type(X)((X.data, X.indices, np.append(X.indptr[keep_rows], X.nnz)),
-                    shape=(keep_rows.size, X.shape[1]))
-    if keep_cols.size < X.shape[1]:
-        X = X[:, keep_cols]
+    X = _kept_cells(dtm, keep_rows, keep_cols)
     row_ids = tuple(dtm.doc_ids[i] for i in keep_rows)
     col_labels = tuple(dtm.terms[j] for j in keep_cols)
 
@@ -284,9 +352,10 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
             f"dims must be in [1, {max_dims}] for a {n_rows}x{n_cols} table, got {dims}"
         )
 
+    # masses from the exact integer margins: the bits of the kept cells' sums
     n = float(dtm.n_total)
-    a = np.asarray(X.sum(axis=1), dtype=np.float64).ravel() / n
-    b = np.asarray(X.sum(axis=0), dtype=np.float64).ravel() / n
+    a = dtm.row_totals[keep_rows] / n
+    b = dtm.col_totals[keep_cols] / n
     inertia = _inertia(X, a, b, n)  # before P exists, so their arrays never coexist
     sa, sb = np.sqrt(a), np.sqrt(b)
     ra, rb = 1.0 / sa, 1.0 / sb
@@ -302,17 +371,16 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         sigma = sigma[:dims]
         iterations = 0
     else:
-        # X / n as scipy computes it, on X's own index arrays; Pt is P's CSC
-        # view, whose products add each output in ascending row order from
-        # 0.0, as a CSR copy of the transpose would
-        P = type(X)((X.data * (1.0 / n), X.indices, X.indptr), shape=X.shape)
-        Pt = P.T
+        # P = X / n, one float64 value per cell of X. Each product takes a
+        # prescaled vector (rb * x): scaling the entries inside the product
+        # would round differently and move the pinned bytes
+        p_dot, pt_dot = csr_products(X, X.data * (1.0 / n))
 
         def s_apply(x: np.ndarray) -> np.ndarray:
-            return ra * (P @ (rb * x)) - sa * float(sb @ x)
+            return ra * p_dot(rb * x) - sa * float(sb @ x)
 
         def st_apply(y: np.ndarray) -> np.ndarray:
-            return rb * (Pt @ (ra * y)) - sb * float(sa @ y)
+            return rb * pt_dot(ra * y) - sb * float(sa @ y)
 
         if n_cols <= n_rows:
             vals, V, iterations = _lanczos_topk(

@@ -343,14 +343,17 @@ class _Output:
 class _Run:
     """Mutable state shared by the stage runners of one pipeline execution."""
 
-    def __init__(self, cfg: PipelineConfig, command: str, files: tuple[str, ...]):
+    def __init__(self, cfg: PipelineConfig, command: str, stages: tuple[str, ...],
+                 files: tuple[str, ...]):
         self.cfg = cfg
+        self.stages = stages  # the planned stages' names, in table order
         self.files = files  # the planned outputs, in table order
         self.report = RunReport(
             version=__version__, command=command, config=_config_echo(cfg)
         )
         self.provenance = ""
         self.corpus: Corpus | None = None
+        self.subset: Corpus | None = None  # the country subset, when compare is planned
         self.stoplist: frozenset[str] = frozenset()
         self.tokens = None
         self.vocab = None
@@ -426,6 +429,9 @@ def _ingest(run: _Run, stage: StageReport) -> None:
         corpus = filter_by_phrase(corpus, cfg.phrase)
         stage.notes.append(f"phrase filter kept {len(corpus)}")
     require_nonempty(corpus, "ingest filters")
+    if "compare" in run.stages:  # an empty subset fails before any stage writes
+        run.subset, _rest = partition_by_country(corpus, cfg.country)
+        require_nonempty(run.subset, f"country filter {cfg.country!r}")
     run.corpus = corpus
     run.provenance = (
         f"corpus-scope {__version__} | input={cfg.input.name}"
@@ -677,12 +683,10 @@ def _compare(run: _Run, stage: StageReport) -> None:
     per year, publication-type shares, top-20 terms, and per-topic top words
     from topic models fitted separately with identical settings and seed.
     The overall column reuses the text stage's DTM and the lda stage's top
-    words; only the subset is tokenized and fitted here, with the same
-    settings.
+    words, and the subset is the one ingest partitioned and found non-empty;
+    only the subset is tokenized and fitted here, with the same settings.
     """
-    cfg, corpus = run.cfg, run.corpus
-    subset, _rest = partition_by_country(corpus, cfg.country)
-    require_nonempty(subset, f"country filter {cfg.country!r}")
+    cfg, corpus, subset = run.cfg, run.corpus, run.subset
     stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
     provenance = (
         f"corpus-scope {__version__} | input={cfg.input.name}"
@@ -811,14 +815,15 @@ def run_pipeline(
 
     The plan and the input are checked before anything is written. A stage
     that raises a CorpusScopeError is recorded as ``failed_stage`` and
-    re-raised as StageError; an empty country subset fails the compare stage
-    with EmptyResultError (CLI exit code 3). Whatever a stage raises, the
-    report's ``notes`` then name the planned files that are still in
-    ``--out`` from an earlier run.
+    re-raised as StageError; when compare is planned, an empty country
+    subset fails the ingest stage, before corpus.csv is written, with
+    EmptyResultError (CLI exit code 3). Whatever a stage raises, the report's
+    ``notes`` then name the planned files that are still in ``--out`` from
+    an earlier run.
     """
     stages, files = plan(cfg, command, from_stage)
     _check_paths(cfg)
-    run = _Run(cfg, command, files)
+    run = _Run(cfg, command, tuple(s.name for s in stages), files)
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

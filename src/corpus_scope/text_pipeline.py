@@ -1,5 +1,5 @@
 """Tokenization, stopword removal, the token array, vocabulary capping, and
-the sparse DTM."""
+the sparse DTM as plain CSR arrays."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import _native
 from .errors import ConfigError, EmptyCorpusError, InputError, SchemaError
@@ -368,6 +367,56 @@ def build_vocabulary(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class CSRCounts:
+    """A count matrix in compressed sparse row form.
+
+    Row i stores ``data[indptr[i]:indptr[i + 1]]`` (int64) in the columns
+    ``indices[indptr[i]:indptr[i + 1]]`` (int32); ``indptr`` is int32. The
+    arrays are checked on construction: ``indptr`` ascends from 0 to the
+    number of entries, and each row's columns strictly ascend within
+    ``shape``, so entries are sorted and unique. A stored count may be 0.
+    """
+
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
+    shape: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        indptr, indices, data = self.indptr, self.indices, self.data
+        n_rows, n_cols = self.shape
+        if (indptr.dtype != np.int32 or indices.dtype != np.int32
+                or data.dtype != np.int64):
+            raise ValueError("CSR arrays must be int32 indptr and indices, int64 data")
+        if indptr.shape != (n_rows + 1,) or indices.ndim != 1 or data.shape != indices.shape:
+            raise ValueError(f"CSR arrays do not fit the shape {self.shape}")
+        if indptr[0] != 0 or indptr[-1] != indices.size or (np.diff(indptr) < 0).any():
+            raise ValueError("CSR indptr must ascend from 0 to the number of entries")
+        if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
+            raise ValueError(f"CSR column index out of range for {n_cols} columns")
+        # each step between neighbours ascends, except where a row begins
+        ascends = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        ascends[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+        if not ascends.all():
+            raise ValueError("CSR columns must strictly ascend within each row")
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries."""
+        return int(self.indices.size)
+
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry (int64, aligned with ``data``)."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=np.int64)
+        dense[self.rows(), self.indices] = self.data
+        return dense
+
+
 @dataclass(frozen=True)
 class SparseDTM:
     """Document-term count matrix in CSR form.
@@ -378,7 +427,7 @@ class SparseDTM:
 
     doc_ids: tuple[str, ...]
     terms: tuple[str, ...]
-    csr: sparse.csr_matrix = field(repr=False)
+    csr: CSRCounts = field(repr=False)
     row_totals: np.ndarray = field(repr=False)
     col_totals: np.ndarray = field(repr=False)
     n_total: int
@@ -402,10 +451,10 @@ def build_dtm(
     library, from :func:`_count_python`; both give the same CSR arrays.
     """
     tokens = as_token_array(sequences)
-    n, p = len(tokens), len(vocab)
+    p = len(vocab)
     lookup = tokens.vocab_lookup(vocab)
     lib = _native.library()
-    # the compiled counts write int32 indices, as scipy picks below 2**31 entries
+    # count_dtm writes int32 index pointers, so it takes fewer than 2**31 tokens
     if lib is None or tokens.codes.size >= 2**31:
         csr, row_totals, col_totals = _count_python(tokens, lookup, p)
     else:
@@ -439,9 +488,9 @@ def _count_native(lib, tokens: TokenArray, lookup: np.ndarray, p: int):
     if nnz < 0:
         raise IndexError("token code or document offset out of range")
     # copied out, so that the buffers sized for every token are freed
-    csr = sparse.csr_matrix((data[:nnz].copy(), indices[:nnz].copy(), indptr),
-                            shape=(n, p))
-    return csr, row_totals, col_totals
+    # before the CSR type checks the entries
+    indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    return CSRCounts(indptr, indices, data, (n, p)), row_totals, col_totals
 
 
 def _count_python(tokens: TokenArray, lookup: np.ndarray, p: int):
@@ -453,8 +502,11 @@ def _count_python(tokens: TokenArray, lookup: np.ndarray, p: int):
     rows, cols = tokens.doc_index()[in_vocab], cols[in_vocab]
     # one key per (row, column) cell, ascending in row-major order
     cells, counts = np.unique(rows * p + cols, return_counts=True)
-    csr = sparse.csr_matrix((counts, (cells // p, cells % p)), shape=(n, p))
-    return csr, np.bincount(rows, minlength=n), np.bincount(cols, minlength=p)
+    row_totals = np.bincount(rows, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cells // p, minlength=n))))
+    csr = CSRCounts(indptr.astype(np.int32), (cells % p).astype(np.int32),
+                    counts.astype(np.int64), (n, p))
+    return csr, row_totals, np.bincount(cols, minlength=p)
 
 
 def export_matrixmarket(dtm: SparseDTM, comment: str = "", out=None) -> str | None:
@@ -464,7 +516,7 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "", out=None) -> str | No
     are pinned so output bytes are stable across library versions. The text
     goes to ``out.write`` in bounded chunks, or is returned when ``out`` is None.
     """
-    csr = dtm.csr if dtm.csr.has_sorted_indices else dtm.csr.sorted_indices()
+    csr = dtm.csr
     n_rows, n_cols = dtm.shape
     lines = ["%%MatrixMarket matrix coordinate integer general"]
     if comment:

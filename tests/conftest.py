@@ -7,12 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import corpus_scope
 from corpus_scope import _native
 from corpus_scope.corpus_ingest import parse_file
-from corpus_scope.text_pipeline import SparseDTM, TokenSequence
+from corpus_scope.text_pipeline import CSRCounts, SparseDTM, TokenSequence
 
 
 def planted_corpus(rng, n_docs=60, doc_len=30):
@@ -35,7 +34,9 @@ def make_dtm(matrix, doc_ids=None, terms=None) -> SparseDTM:
     """Wrap a raw count matrix as a SparseDTM without going through text."""
     X = np.asarray(matrix, dtype=np.int64)
     n_docs, n_terms = X.shape
-    csr = sparse.csr_matrix(X)
+    rows, cols = np.nonzero(X)
+    indptr = np.searchsorted(rows, np.arange(n_docs + 1)).astype(np.int32)
+    csr = CSRCounts(indptr, cols.astype(np.int32), X[rows, cols], (n_docs, n_terms))
     return SparseDTM(
         doc_ids=tuple(doc_ids) if doc_ids else tuple(f"r{i}" for i in range(n_docs)),
         terms=tuple(terms) if terms else tuple(f"c{j}" for j in range(n_terms)),

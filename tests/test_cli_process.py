@@ -68,6 +68,21 @@ def test_package_import_loads_no_numpy():
     assert run_python(script).split() == ["[]", "corpus_scope.corpus_ingest"]
 
 
+def test_cli_import_and_a_demo_run_load_neither_scipy_sparse_nor_linalg(tmp_path):
+    # the DTM is plain CSR arrays, and the demo's CA takes the dense path
+    script = (
+        "import sys\n"
+        "from corpus_scope.cli import main\n"
+        "unwanted = ('scipy.sparse', 'scipy.linalg')\n"
+        "print('import', [m for m in unwanted if m in sys.modules])\n"
+        "code = main(['run', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print('run', code, [m for m in unwanted if m in sys.modules])\n"
+    )
+    lines = run_python(script, str(DEMO), str(tmp_path)).splitlines()
+    assert lines[0] == "import []"
+    assert lines[-1] == "run 0 []"
+
+
 def test_package_getattr_rejects_unknown_names():
     with pytest.raises(AttributeError, match="no_such_name"):
         corpus_scope.no_such_name  # noqa: B018

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import make_dtm
+from conftest import make_dtm, native_and_python, needs_compiler
 from corpus_scope import lsa
 from corpus_scope.errors import ConfigError, DegenerateMarginError, NotFoundError
 from corpus_scope.lsa import (
@@ -16,6 +16,7 @@ from corpus_scope.lsa import (
     representative_documents,
     total_inertia,
 )
+from corpus_scope.text_pipeline import CSRCounts
 
 
 def dense_ca_oracle(X, dims):
@@ -241,76 +242,209 @@ def test_lanczos_basis_growth_keeps_the_pinned_bytes():
     assert digest == "8000eb68d29e4e20708be14b2750cea2d74c2e560ef57380a33b7635f1e29b37"
 
 
+def as_counts(matrix) -> CSRCounts:
+    """A canonical scipy CSR matrix as the package's CSR type."""
+    return CSRCounts(matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32),
+                     matrix.data.astype(np.int64), matrix.shape)
+
+
 def test_scaled_counts_and_transpose_products_match_scipy_bit_for_bit():
-    # fit_ca scales X's data by 1/n on X's own index arrays and multiplies by
-    # P's CSC view; both must give the bits of X / n and of a CSR transpose
+    # fit_ca scales X's data by 1/n on X's own index arrays, and its products
+    # with P and P.T must give the bits of scipy's X / n and of its CSR
+    # transpose, from which the pinned CA bytes were first taken
     rng = np.random.default_rng(11)
     for shape in [(7, 5), (40, 90), (300, 120)]:
         X = sparse.csr_matrix(rng.poisson(rng.gamma(0.4, 1.0, size=shape)).astype(np.int64))
         n = float(X.sum())
-        P = sparse.csr_matrix((X.data * (1.0 / n), X.indices, X.indptr), shape=X.shape)
-        assert np.shares_memory(P.indices, X.indices)
-        assert P.data.tobytes() == (X / n).data.tobytes()
+        values = X.data * (1.0 / n)
+        assert values.tobytes() == (X / n).data.tobytes()
+        P = X / n
+        p_dot, pt_dot = lsa.csr_products(as_counts(X), values)
         for _ in range(3):
-            y = rng.standard_normal(shape[0])
-            assert (P.T @ y).tobytes() == (P.T.tocsr() @ y).tobytes()
+            x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+            assert p_dot(x).tobytes() == (P @ x).tobytes()
+            assert pt_dot(y).tobytes() == (P.T.tocsr() @ y).tobytes()
+
+
+def product_tables(rng):
+    """Count tables for the product tests: empty rows and columns, one row,
+    one column, all zeros, and random shapes."""
+    yield np.zeros((3, 4), dtype=np.int64)
+    yield np.array([[0, 3, 0, 1, 0]])
+    yield np.array([[2], [0], [5]])
+    yield np.array([[0, 0, 0], [1, 0, 2], [0, 0, 0], [0, 0, 4]])
+    for _ in range(12):
+        shape = tuple(int(v) for v in rng.integers(1, 60, size=2))
+        X = rng.poisson(rng.gamma(0.3, 1.0, size=shape))
+        X[rng.random(shape[0]) < 0.2] = 0
+        X[:, rng.random(shape[1]) < 0.2] = 0
+        yield X
+
+
+@needs_compiler
+def test_csr_products_match_their_twins_and_scipy_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for X in product_tables(rng):
+        P = sparse.csr_matrix(X.astype(np.int64)) / max(1.0, float(X.sum()))
+        counts = make_dtm(X).csr
+        x = rng.standard_normal(X.shape[1])
+        y = rng.standard_normal(X.shape[0])
+
+        def products():
+            p_dot, pt_dot = lsa.csr_products(counts, P.data)
+            return p_dot(x), pt_dot(y)
+
+        native, python = native_and_python(products)
+        expected = (P @ x, P.T @ y)
+        for got in (native, python):
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), X.shape
+
+
+@needs_compiler
+def test_lanczos_fit_is_byte_equal_under_both_backends():
+    rng = np.random.default_rng(23)
+    X = rng.poisson(rng.gamma(0.3, 1.0, size=(150, 260)))
+    X[::9] = 0
+    X[:, ::13] = 0
+    dtm = make_dtm(X)
+    native, python = native_and_python(lambda: fit_ca(dtm, dims=6, solver="lanczos"))
+    assert native.iterations == python.iterations > 6
+    for name in ("singular_values", "row_coords", "col_coords", "row_std_coords",
+                 "col_std_coords", "row_masses", "col_masses"):
+        assert getattr(native, name).tobytes() == getattr(python, name).tobytes(), name
+    assert native.total_inertia == python.total_inertia
+
+
+_I32 = np.int32
+CSR_FAULTS = {
+    "column past the end": dict(indices=np.array([0, 3, 1], _I32)),
+    "negative column": dict(indices=np.array([0, -1, 1], _I32)),
+    "indptr descends": dict(indptr=np.array([0, 2, 1], _I32)),
+    "indptr past the entries": dict(indptr=np.array([0, 2, 4], _I32)),
+    "indptr not from 0": dict(indptr=np.array([1, 2, 3], _I32)),
+    "columns not ascending": dict(indices=np.array([2, 0, 1], _I32)),
+    "duplicate column": dict(indices=np.array([0, 0, 1], _I32)),
+    "int64 indices": dict(indices=np.array([0, 2, 1], np.int64)),
+    "float data": dict(data=np.array([1.0, 2.0, 3.0])),
+}
+
+
+@pytest.mark.parametrize("fault", CSR_FAULTS)
+def test_a_malformed_csr_raises_before_any_kernel_runs(fault):
+    # the type refuses the arrays, so no product kernel is ever handed them
+    good = make_dtm([[1, 0, 2], [0, 3, 0]]).csr
+    with pytest.raises(ValueError, match="CSR"):
+        dataclasses.replace(good, **CSR_FAULTS[fault])
+
+
+def test_a_row_may_begin_below_the_column_the_last_one_ended_on():
+    good = make_dtm([[1, 0, 2], [0, 3, 0]]).csr
+    moved = dataclasses.replace(good, indices=np.array([2, 0, 1], _I32),
+                                indptr=np.array([0, 1, 3], _I32))
+    assert moved.toarray().tolist() == [[0, 0, 1], [2, 3, 0]]
+
+
+@needs_compiler
+def test_the_product_kernels_check_their_own_indices():
+    # arrays changed in place after the CSR type checked them reach the
+    # kernels, which refuse them before reading outside the vectors
+    counts = make_dtm([[1, 0, 2], [0, 3, 0]]).csr
+    for name, pos, value in (("indices", 1, 3), ("indices", 0, -1),
+                             ("indptr", 1, 5), ("indptr", 0, 1)):
+        arrays = {"indptr": counts.indptr.copy(), "indices": counts.indices.copy()}
+        bad = dataclasses.replace(counts, **arrays)
+        arrays[name][pos] = value
+        p_dot, pt_dot = lsa.csr_products(bad, np.ones(3))
+        with pytest.raises(IndexError):
+            p_dot(np.ones(3))
+        with pytest.raises(IndexError):
+            pt_dot(np.ones(2))
+
+
+def split_cells(matrix, rng):
+    """The cells of a scipy CSR matrix, each split into two counts and
+    shuffled within its row: a non-canonical matrix scipy sums back."""
+    coo = matrix.tocoo()
+    half = coo.data // 2
+    rows, cols = np.repeat(coo.row, 2), np.repeat(coo.col, 2)
+    data = np.column_stack((half, coo.data - half)).ravel()
+    order = np.lexsort((rng.random(rows.size), rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=matrix.shape[0]))))
+    return sparse.csr_matrix((data[order], cols[order], indptr), shape=matrix.shape)
 
 
 def test_inertia_matches_the_coo_sum_bit_for_bit():
+    # a non-canonical table cannot be built, and once summed it gives the
+    # same sum; zeros stored in kept cells are summed like any cell
     rng = np.random.default_rng(13)
     for _ in range(20):
         X = random_count_matrix(rng, max_rows=30, max_cols=20)
         csr = sparse.csr_matrix(X)
-        if rng.integers(2):  # each cell split in two, shuffled within its row
-            coo = csr.tocoo()
-            half = coo.data // 2
-            rows, cols = np.repeat(coo.row, 2), np.repeat(coo.col, 2)
-            data = np.column_stack((half, coo.data - half)).ravel()
-            order = np.lexsort((rng.random(rows.size), rows))
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=X.shape[0]))))
-            csr = sparse.csr_matrix((data[order], cols[order], indptr), shape=X.shape)
-            assert not csr.has_canonical_format
+        if rng.integers(2):
+            split = split_cells(csr, rng)
+            assert not split.has_canonical_format
+            with pytest.raises(ValueError, match="CSR"):
+                as_counts(split)
+            split.sum_duplicates()
+            csr = split
+        if rng.integers(2):
+            zeros = np.flatnonzero(X.ravel() == 0)[:3]
+            stored = sparse.csr_matrix(
+                (np.append(csr.tocoo().data, [0] * zeros.size),
+                 (np.append(csr.tocoo().row, zeros // X.shape[1]),
+                  np.append(csr.tocoo().col, zeros % X.shape[1]))), shape=X.shape)
+            assert stored.nnz == csr.nnz + zeros.size
+            csr = stored
+        counts = as_counts(csr)
         n = float(X.sum())
         a, b = X.sum(axis=1) / n, X.sum(axis=0) / n
         coo = csr.tocoo()
         p = coo.data / n
         expected = float(np.sum(p * p / (a[coo.row] * b[coo.col])) - 1.0)
-        assert lsa._inertia(csr, a, b, n) == expected
+        assert lsa._inertia(counts, a, b, n) == expected
 
 
 def test_fit_ca_without_copies_keeps_the_sliced_bytes():
-    # a canonical table is used as it is, and its empty rows are dropped by
-    # the index pointers alone; flagging it non-canonical, or storing a zero
-    # in an empty row, sends it through the row and column slicing instead
+    # fit_ca drops empty rows by the index pointers alone, and empty columns,
+    # or zeros stored in empty rows, through an index map; each gives the
+    # bytes of a fit on the table with those rows and columns sliced away.
+    # A table given as split cells must be summed first, and then fits alike.
     rng = np.random.default_rng(17)
     X = rng.poisson(rng.gamma(0.5, 1.0, size=(120, 200)))
     X[:, X.sum(axis=0) == 0] = 1
     X[X.sum(axis=1) == 0, 0] = 1
     emptied = X.copy()
     emptied[::7] = 0
-    for table in (X, emptied):
+    no_terms = emptied.copy()
+    no_terms[:, ::11] = 0
+    for table in (X, emptied, no_terms):
+        keep_rows, keep_cols = table.sum(axis=1) > 0, table.sum(axis=0) > 0
+        sliced = make_dtm(table[keep_rows][:, keep_cols])
         direct = make_dtm(table)
-        assert direct.csr.has_canonical_format
-        sliced = make_dtm(table)
-        sliced.csr.has_canonical_format = False
-        others = [sliced]
-        if table is emptied:
-            coo = direct.csr.tocoo()
+        split = split_cells(sparse.csr_matrix(table), rng)
+        with pytest.raises(ValueError, match="CSR"):
+            as_counts(split)
+        split.sum_duplicates()
+        others = [direct, dataclasses.replace(direct, csr=as_counts(split))]
+        if not keep_rows.all():
+            coo = sparse.csr_matrix(table).tocoo()
             zero_in_row_0 = sparse.csr_matrix(
                 (np.append(coo.data, 0), (np.append(coo.row, 0), np.append(coo.col, 0))),
                 shape=table.shape)
-            assert zero_in_row_0.has_canonical_format
             assert zero_in_row_0.nnz == direct.csr.nnz + 1
-            others.append(dataclasses.replace(direct, csr=zero_in_row_0))
+            others.append(dataclasses.replace(direct, csr=as_counts(zero_in_row_0)))
         for solver in ("lanczos", "dense"):
-            a = fit_ca(direct, dims=4, solver=solver)
+            a = fit_ca(sliced, dims=4, solver=solver)
             for other in others:
                 b = fit_ca(other, dims=4, solver=solver)
-                for field in ("singular_values", "row_coords", "col_coords", "row_masses"):
+                for field in ("singular_values", "row_coords", "col_coords", "row_masses",
+                              "col_masses"):
                     assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
                 assert a.total_inertia == b.total_inertia
                 assert a.iterations == b.iterations
-                assert a.row_ids == b.row_ids
+                assert b.row_ids == tuple(np.array(direct.doc_ids)[keep_rows])
+                assert b.col_labels == tuple(np.array(direct.terms)[keep_cols])
 
 
 def test_auto_solver_uses_dense_for_small_tables():

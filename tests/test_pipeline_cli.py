@@ -97,7 +97,7 @@ def test_unloadable_kernels_fall_back_with_one_warning(mini_corpus_path, run_dir
         _native.library.cache_clear()
     assert capsys.readouterr().err.splitlines() == [
         "corpus-scope: warning: compiled kernels unavailable, running the Python "
-        "sweep, tokenizer and number formatters: g++"
+        "sweep, tokenizer, CSR products and number formatters: g++"
     ]
     for name in sorted(DATA_FILES):
         assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
@@ -802,15 +802,18 @@ def test_compare_subcommand(mini_corpus_path, tmp_path, capsys):
 def test_compare_needs_a_country(mini_corpus_path, tmp_path, capsys):
     assert run_cli("compare", "--input", mini_corpus_path,
                    "--out", tmp_path / "c1") == 2
-    assert run_cli("compare", "--input", mini_corpus_path, "--out", tmp_path / "c2",
-                   "--country", "Atlantis") == 3  # empty subset
-    assert "Atlantis" in capsys.readouterr().err
-    # the failed compare still leaves its report, and nothing else
-    assert {p.name for p in (tmp_path / "c2").iterdir()} == {"run_report.json"}
-    report = json.loads((tmp_path / "c2" / "run_report.json").read_text(encoding="utf-8"))
-    assert report["command"] == "compare"
-    assert report["failed_stage"] == "compare"
-    assert [s["name"] for s in report["stages"]] == ["ingest", "text", "lda", "compare"]
+    # an empty subset fails ingest, before any stage writes or fits: under
+    # `run`, corpus.csv is not written either
+    for command in ("compare", "run"):
+        out = tmp_path / command
+        assert run_cli(command, "--input", mini_corpus_path, "--out", out,
+                       "--country", "Atlantis") == 3
+        assert "Atlantis" in capsys.readouterr().err
+        assert {p.name for p in out.iterdir()} == {"run_report.json"}
+        report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+        assert report["command"] == command
+        assert report["failed_stage"] == "ingest"
+        assert [s["name"] for s in report["stages"]] == ["ingest"]
 
 
 # compare.csv of the demo at default settings, pinned byte for byte
