@@ -308,56 +308,37 @@ int64_t count_dtm(const int32_t *codes, int64_t n_tokens, const int64_t *offsets
     return nnz;
 }
 
-/* The products with a CSR matrix P of n_rows x n_cols and nnz entries, for
- * lsa's Lanczos iteration; the compiled twins of lsa.csr_products' two
- * np.bincount calls. Row i of P holds values[indptr[i] .. indptr[i + 1]) in
- * the columns indices[...]. Each output starts at 0.0 and adds
- * values[jj] * v[...] in ascending entry order, as scipy's csr_matvec and
- * csc_matvec do, so all three give the same bits. Both return 0, or -1 when
- * indptr does not ascend from 0 to nnz or a column is out of range. */
+/* The products with a CSR matrix P of n_rows x n_cols, for lsa's Lanczos
+ * iteration; the compiled twins of lsa.csr_products' two np.bincount calls.
+ * Row i of P holds values[indptr[i] .. indptr[i + 1]) in the columns
+ * indices[...]. Each output starts at 0.0 and adds values[jj] * v[...] in
+ * ascending entry order, as scipy's csr_matvec and csc_matvec do, so all
+ * three give the same bits. lsa.csr_products checks once that indptr
+ * ascends from 0 to the number of entries and that every column is in
+ * range, so neither kernel checks an index. */
 
 /* The row gather y = P x: x has n_cols entries, y n_rows. */
-int64_t csr_matvec(int64_t n_rows, int64_t n_cols, int64_t nnz, const int32_t *indptr,
-                   const int32_t *indices, const double *values, const double *x,
-                   double *y)
+void csr_matvec(int64_t n_rows, int64_t /* n_cols */, const int32_t *indptr,
+                const int32_t *indices, const double *values, const double *x, double *y)
 {
-    if (indptr[0] != 0 || indptr[n_rows] != nnz)
-        return -1;
     for (int64_t i = 0; i < n_rows; i++) {
-        if (indptr[i + 1] < indptr[i] || indptr[i + 1] > nnz)
-            return -1;
         double sum = 0.0;
-        for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++) {
-            uint64_t j = (uint32_t)indices[jj];
-            if (j >= (uint64_t)n_cols)
-                return -1;
-            sum += values[jj] * x[j];
-        }
+        for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++)
+            sum += values[jj] * x[indices[jj]];
         y[i] = sum;
     }
-    return 0;
 }
 
 /* The ascending-row scatter out = P^T y: y has n_rows entries, out n_cols. */
-int64_t csr_rmatvec(int64_t n_rows, int64_t n_cols, int64_t nnz, const int32_t *indptr,
-                    const int32_t *indices, const double *values, const double *y,
-                    double *out)
+void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int32_t *indptr,
+                 const int32_t *indices, const double *values, const double *y, double *out)
 {
-    if (indptr[0] != 0 || indptr[n_rows] != nnz)
-        return -1;
     std::fill(out, out + n_cols, 0.0);
     for (int64_t i = 0; i < n_rows; i++) {
-        if (indptr[i + 1] < indptr[i] || indptr[i + 1] > nnz)
-            return -1;
         double yi = y[i];
-        for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++) {
-            uint64_t j = (uint32_t)indices[jj];
-            if (j >= (uint64_t)n_cols)
-                return -1;
-            out[j] += values[jj] * yi;
-        }
+        for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++)
+            out[indices[jj]] += values[jj] * yi;
     }
-    return 0;
 }
 
 } /* extern "C" */

@@ -82,8 +82,8 @@ def _build() -> ctypes.CDLL:
     lib.count_dtm.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
     lib.count_dtm.restype = i64
     for product in (lib.csr_matvec, lib.csr_rmatvec):
-        product.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr]
-        product.restype = i64
+        product.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr]
+        product.restype = None
     for formatter in (lib.format_ints, lib.format_doubles):
         formatter.argtypes = [ptr, i64, ptr, i64, ctypes.c_char, ptr]
         formatter.restype = i64

@@ -16,10 +16,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-# A run is one short process. When OpenBLAS loads (numpy and scipy each
-# bundle a copy, and both read this variable once, at load), its worker
-# thread busy-polls for 2**28 cycles after start-up and after every threaded
-# call, burning CPU time the run never uses and a core another process could.
+# A run is one short process. When OpenBLAS loads (numpy's copy with numpy,
+# SciPy's only when a Lanczos CA first runs; each reads this variable once,
+# at load), its worker thread busy-polls for 2**28 cycles after start-up and
+# after every threaded call, burning CPU time the run never uses and a core
+# another process could.
 # At 4 (2**4 cycles) the worker sleeps right after its job. The thread count
 # and the split of each call stay the same, so the output bytes do too. A
 # value already in the environment wins. This has to run before anything

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .errors import (
     ConfigError,
@@ -112,6 +112,35 @@ class QuadraticFit:
     x_mean: float
 
 
+def f2_survival(d: float, f: float) -> float:
+    """P(F > f) for F ~ F(2, d), bit for bit what ``scipy.special.fdtrc(2,
+    d, f)`` returns.
+
+    The survival is I_x(d/2, 1) = x^(d/2) with x = d / (d + 2f). SciPy
+    takes it from Boost's incomplete beta, whose b = 1 branch this repeats:
+    y = 1 - x is formed directly when 2f <= d (x from it otherwise), and the
+    power is x itself for d = 2, exp(d/2 * log1p(-y)) when y < 0.5, else
+    pow(x, d/2). f = 0 gives 1, f = inf gives 0, a negative or NaN f NaN.
+    """
+    if not f >= 0.0:
+        return math.nan
+    if f == 0.0:
+        return 1.0
+    if f == math.inf:
+        return 0.0
+    if 2.0 * f <= d:
+        y = 2.0 * f / (d + 2.0 * f)
+        x = 1.0 - y
+    else:
+        x = d / (d + 2.0 * f)
+        y = 1.0 - x
+    if d == 2:
+        return x
+    if y < 0.5:
+        return math.exp(d / 2.0 * math.log1p(-y))
+    return math.pow(x, d / 2.0)
+
+
 def fit_quadratic(series: YearSeries) -> QuadraticFit:
     """Fit a quadratic trend to (year, count) points by least squares.
 
@@ -152,7 +181,7 @@ def fit_quadratic(series: YearSeries) -> QuadraticFit:
             p_value = 0.0
         else:
             f_stat = ((ss_tot - ss_res) / 2.0) / (ss_res / (n - 3))
-            p_value = float(fdtrc(2, n - 3, f_stat))
+            p_value = f2_survival(n - 3, f_stat)
 
     # expand b2*(x-m)^2 + b1*(x-m) + b0 to raw-year coefficients
     a2 = b2

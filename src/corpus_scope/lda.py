@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import _native
 from .errors import (
@@ -113,6 +113,68 @@ class LdaModel:
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
+# Cephes' lgam coefficients: the Stirling correction A below 1000, and the
+# rational approximation B / C of log Gamma on [2, 3)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+
+
+def gammaln(x: float) -> float:
+    """log Gamma(x) for x > 0, bit for bit what ``scipy.special.gammaln``
+    returns: its algorithm (Cephes ``lgam``) in the same operations, on
+    ``math.log``, which is the C library's ``log`` that SciPy calls too.
+
+    Below 13 the argument is shifted into [2, 3) by the recurrence and a
+    rational approximation added; above, Stirling's series with the A
+    polynomial below 1000, three terms from 1000 and none above 1e8.
+    NaN comes back unchanged, anything above 2.556e305 gives +inf, and
+    x <= 0 raises ValueError.
+    """
+    if not 0.0 < x <= _MAXLGM:
+        if x != x:
+            return x
+        if x > 0.0:
+            return math.inf
+        raise ValueError(f"gammaln is defined here for x > 0, got {x}")
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        b, c = _LGAM_B, _LGAM_C
+        num = ((((b[0] * x + b[1]) * x + b[2]) * x + b[3]) * x + b[4]) * x + b[5]
+        den = (((((x + c[0]) * x + c[1]) * x + c[2]) * x + c[3]) * x + c[4]) * x + c[5]
+        return math.log(z) + x * num / den
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = _LGAM_A
+    return q + ((((a[0] * p + a[1]) * p + a[2]) * p + a[3]) * p + a[4]) / x
+
+
+def _gammaln_each(values: np.ndarray) -> np.ndarray:
+    """:func:`gammaln` of every value of a 1-D float array."""
+    return np.fromiter(map(gammaln, values.tolist()), np.float64, values.size)
+
+
 def dirichlet_density(
     theta: Sequence[float] | np.ndarray, alpha: Sequence[float]
 ) -> float | np.ndarray:
@@ -133,7 +195,7 @@ def dirichlet_density(
     points = t.reshape(-1, a.size)
     if np.any(points < 0.0) or np.any(np.abs(points.sum(axis=1) - 1.0) > 1e-9):
         raise SimplexError("theta must be nonnegative and sum to 1 within 1e-9")
-    log_norm = float(gammaln(a.sum()) - gammaln(a).sum())
+    log_norm = float(gammaln(a.sum()) - _gammaln_each(a).sum())
     exps = a - 1.0
     zero = points == 0.0
     log_kernel = np.where(zero, 0.0, exps * np.log(np.where(zero, 1.0, points)))
@@ -208,10 +270,10 @@ def _gammaln_table(words: np.ndarray, beta: float) -> np.ndarray:
     """``gammaln(c + beta)`` for every count ``c`` an ``n_wk`` entry can hold.
 
     No entry exceeds the largest per-word token count, so indexing the table
-    with ``n_wk`` gives exactly ``gammaln(n_wk + beta)`` without the ufunc.
+    with ``n_wk`` gives exactly ``gammaln(n_wk + beta)`` without a call per entry.
     """
     most = int(np.bincount(words, minlength=1).max())
-    return gammaln(np.arange(most + 1) + beta)
+    return _gammaln_each(np.arange(most + 1) + beta)
 
 
 def _log_likelihood(
@@ -223,7 +285,7 @@ def _log_likelihood(
     ``table`` is :func:`_gammaln_table` for the corpus and ``beta``.
     """
     val = k * (gammaln(p * beta) - p * gammaln(beta))
-    val += float(table[n_wk].sum() - gammaln(n_k + p * beta).sum())
+    val += float(table[n_wk].sum() - _gammaln_each(n_k + p * beta).sum())
     return float(val)
 
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from . import _native
+from . import _lapack, _native
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -129,7 +129,9 @@ def csr_products(counts: "CSRCounts", values: np.ndarray):
     Each output adds its terms in ascending entry order from 0.0, as scipy's
     ``csr_matvec`` and ``csc_matvec`` do: compiled as ``csr_matvec`` and
     ``csr_rmatvec`` in ``_native.cpp`` or, without the library, as
-    ``np.bincount`` over the entries' rows and columns.
+    ``np.bincount`` over the entries' rows and columns. The index pointers
+    and columns are checked here, once for all products: an array changed in
+    place after ``CSRCounts`` checked it raises IndexError.
     """
     n_rows, n_cols = counts.shape
     indptr = np.ascontiguousarray(counts.indptr)
@@ -137,6 +139,9 @@ def csr_products(counts: "CSRCounts", values: np.ndarray):
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.shape != indices.shape:
         raise ValueError(f"{values.size} values for {indices.size} entries")
+    if (indptr[0] != 0 or indptr[-1] != indices.size or (np.diff(indptr) < 0).any()
+            or indices.size and (indices.min() < 0 or indices.max() >= n_cols)):
+        raise IndexError("CSR index pointer or column out of range")
     lib = _native.library()
     if lib is None:
         rows = counts.rows()
@@ -148,14 +153,19 @@ def csr_products(counts: "CSRCounts", values: np.ndarray):
         return (lambda x: add(rows, values * x[indices], n_rows),
                 lambda y: add(indices, values * y[rows], n_cols))
 
-    def product(kernel, v: np.ndarray, size: int, out_size: int) -> np.ndarray:
+    # the matrix's addresses are taken once; only the vectors are new per call.
+    # The products hold its arrays (``values`` may be a temporary), so that
+    # the addresses stay valid for as long as the products live
+    arrays = (indptr, indices, values)
+    matrix = (n_rows, n_cols, *(a.ctypes.data for a in arrays))
+
+    def product(kernel, v: np.ndarray, size: int, out_size: int,
+                _held: tuple = arrays) -> np.ndarray:
         v = np.ascontiguousarray(v, dtype=np.float64)
         if v.shape != (size,):
             raise ValueError(f"vector of shape {v.shape} for a {n_rows}x{n_cols} matrix")
         out = np.empty(out_size)
-        if kernel(n_rows, n_cols, indices.size, indptr.ctypes.data, indices.ctypes.data,
-                  values.ctypes.data, v.ctypes.data, out.ctypes.data) < 0:
-            raise IndexError("CSR index pointer or column out of range")
+        kernel(*matrix, v.ctypes.data, out.ctypes.data)
         return out
 
     return (lambda x: product(lib.csr_matvec, x, n_cols, n_rows),
@@ -201,8 +211,6 @@ def _lanczos_topk(
     subspace triggers a deterministic orthogonal restart. Returns
     (eigenvalues desc, eigenvectors, steps).
     """
-    import scipy.linalg  # loaded only when a CA takes the Lanczos path
-
     limit = min(dim, max_iter)
     # grown LANCZOS_BLOCK columns at a time, so only used columns take memory;
     # kept in C order, because Fortran order makes numpy call the other BLAS
@@ -229,7 +237,7 @@ def _lanczos_topk(
             if m == 1:
                 evals = np.asarray(alphas)
             else:
-                evals = scipy.linalg.eigh_tridiagonal(
+                evals = _lapack.eigh_tridiagonal(
                     np.asarray(alphas), np.asarray(betas), eigvals_only=True
                 )
             # operator is a Gram matrix, so compare on the singular-value scale
@@ -265,7 +273,7 @@ def _lanczos_topk(
         evals = np.asarray(alphas)
         evecs = np.ones((1, 1))
     else:
-        evals, evecs = scipy.linalg.eigh_tridiagonal(
+        evals, evecs = _lapack.eigh_tridiagonal(
             np.asarray(alphas[:m]), np.asarray(betas[: m - 1])
         )
     order = np.argsort(evals)[::-1][:k]

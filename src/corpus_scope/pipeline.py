@@ -34,7 +34,7 @@ try:
 except ImportError:  # pragma: no cover - not on Windows
     resource = None
 
-from . import __version__, _native
+from . import __version__, _lapack, _native
 from .bigrams import (
     DEFAULT_THRESHOLD,
     count_bigrams,
@@ -542,6 +542,8 @@ def _lsa(run: _Run, stage: StageReport) -> None:
         stage.notes.append(f"dims reduced to {dims} for a {n_rows}x{n_cols} table")
     model = fit_ca(run.dtm, dims=dims)
     stage.notes.append(f"ca solver {model.solver}, {model.iterations} iterations")
+    if model.solver == "lanczos":
+        stage.notes.append(f"tridiagonal solver {_lapack.solver()}")
     if model.dropped_docs:
         stage.notes.append(f"dropped empty documents: {', '.join(model.dropped_docs)}")
     if model.dropped_terms:

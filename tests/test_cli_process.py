@@ -69,14 +69,16 @@ def test_package_import_loads_no_numpy():
 
 
 def test_cli_import_and_a_demo_run_load_neither_scipy_sparse_nor_linalg(tmp_path):
-    # the DTM is plain CSR arrays, and the demo's CA takes the dense path
+    # the DTM is plain CSR arrays, gammaln and the F test's p-value are
+    # computed in the package, and the demo's CA takes the dense path: no
+    # SciPy module at all is loaded
     script = (
         "import sys\n"
         "from corpus_scope.cli import main\n"
-        "unwanted = ('scipy.sparse', 'scipy.linalg')\n"
-        "print('import', [m for m in unwanted if m in sys.modules])\n"
+        "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print('import', scipy())\n"
         "code = main(['run', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print('run', code, [m for m in unwanted if m in sys.modules])\n"
+        "print('run', code, scipy())\n"
     )
     lines = run_python(script, str(DEMO), str(tmp_path)).splitlines()
     assert lines[0] == "import []"

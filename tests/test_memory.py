@@ -11,12 +11,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401 - imported here so that fit_ca's import is not traced
 
-from corpus_scope import lda
+from corpus_scope import _lapack, lda
 from corpus_scope.bigrams import count_bigrams
 from corpus_scope.lsa import fit_ca
 from corpus_scope.text_pipeline import TokenArray, build_dtm, build_vocabulary
+
+_lapack.dstevd()  # loaded here, so that loading the library is not traced in fit_ca
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -860,21 +861,77 @@ def test_run_with_a_country_also_writes_compare_csv_from_one_whole_corpus_fit(
 # ---------------------------------------------------------------- entry point
 
 
-def test_dense_run_loads_neither_lanczos_nor_graphml_modules(mini_corpus_path, tmp_path):
-    # scipy.linalg serves only the Lanczos CA solver, and nothing in a run
-    # writes XML beyond the hand-built SVG; a demo-sized run needs neither
+def run_and_list_modules(argv: list[str]) -> list:
+    """Run ``main(argv)`` in a fresh interpreter; return its exit code, the
+    SciPy and XML modules it loaded, and whether it loaded SciPy's LAPACK."""
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "from corpus_scope import _lapack\n"
         "from corpus_scope.cli import main\n"
-        f"code = main(['run', '--input', {str(mini_corpus_path)!r},"
-        f" '--out', {str(tmp_path / 'out')!r}, '--iters', '5', '--burn-in', '1'])\n"
-        "print(code, [m for m in ('scipy.linalg', 'xml.sax.saxutils')"
-        " if m in sys.modules])\n"
+        f"code = main({argv!r})\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m == 'xml.sax.saxutils']\n"
+        "print(json.dumps([code, loaded, _lapack.dstevd.cache_info().currsize]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_dense_run_loads_neither_lanczos_nor_graphml_modules(mini_corpus_path, tmp_path):
+    # the tridiagonal solver serves only the Lanczos CA, nothing in a run
+    # writes XML beyond the hand-built SVG, and no stage imports SciPy: a
+    # demo-sized run loads none of them
+    argv = ["run", "--input", str(mini_corpus_path), "--out", str(tmp_path / "out"),
+            "--iters", "5", "--burn-in", "1"]
+    assert run_and_list_modules(argv) == [0, [], 0]
+
+
+@pytest.fixture(scope="module")
+def lanczos_corpus(tmp_path_factory) -> Path:
+    """90 documents over 120 made-up words: both sides of the table are
+    above the dense cutoff, so the run's CA takes the Lanczos path."""
+    rng = np.random.default_rng(61)
+    words = [f"w{a}{b}x" for a in "abcdefghijkl" for b in "mnopqrstuv"]
+    path = tmp_path_factory.mktemp("lanczos") / "corpus.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(["id", "title", "year", "abstract", "keywords", "doc_type", "countries"])
+        for d in range(90):
+            text = " ".join(words[i] for i in rng.zipf(1.3, size=40) % len(words))
+            out.writerow([f"L{d:03d}", f"{words[d % len(words)]} study", 2000 + d % 12,
+                          text, "", "Research Article", "Brazil"])
+    return path
+
+
+def test_lanczos_run_loads_no_scipy_module(lanczos_corpus, tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--input", str(lanczos_corpus), "--out", str(out),
+            "--iters", "5", "--burn-in", "1"]
+    assert run_and_list_modules(argv) == [0, [], 1]
+    assert "ca solver lanczos" in " ".join(stage_notes(out, "lsa"))
+
+
+def test_lanczos_without_the_bundled_lapack_writes_the_same_bytes(lanczos_corpus, tmp_path,
+                                                                   capsys):
+    # where SciPy bundles no OpenBLAS, scipy.linalg's eigh_tridiagonal runs
+    # the same LAPACK routine and writes the same ca_coords.csv
+    from corpus_scope import _lapack
+
+    argv = ["lsa", "--input", str(lanczos_corpus)]
+    assert main([*argv, "--out", str(tmp_path / "bundled")]) == 0
+    with mock.patch.object(_lapack, "dstevd", lambda: None):
+        assert main([*argv, "--out", str(tmp_path / "fallback")]) == 0
+    capsys.readouterr()
+    solvers = {}
+    for name in ("bundled", "fallback"):
+        notes = stage_notes(tmp_path / name, "lsa")
+        solvers[name] = [n for n in notes if n.startswith("tridiagonal solver")]
+    assert solvers == {"bundled": ["tridiagonal solver lapack dstevd (scipy-openblas)"],
+                       "fallback": ["tridiagonal solver scipy.linalg.eigh_tridiagonal"]}
+    assert ((tmp_path / "bundled" / "ca_coords.csv").read_bytes()
+            == (tmp_path / "fallback" / "ca_coords.csv").read_bytes())
 
 
 def test_console_script_help():
