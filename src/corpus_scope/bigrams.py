@@ -120,8 +120,8 @@ def threshold_graph(table: BigramTable, min_freq: int = DEFAULT_THRESHOLD) -> Bi
     return BigramGraph(nodes=tuple(sorted(nodes)), edges=edges, threshold=min_freq)
 
 
-def export_graph(graph: BigramGraph, provenance: str = "") -> bytes:
-    """Serialize a graph as edge CSV bytes, edges in sorted order.
+def export_graph(graph: BigramGraph, provenance: str = "") -> str:
+    """Serialize a graph as edge CSV text, edges in sorted order.
 
     A structural comment comes first. No floats appear, so equal graphs
     always serialize to identical bytes.
@@ -132,4 +132,4 @@ def export_graph(graph: BigramGraph, provenance: str = "") -> bytes:
     lines.append("source,target,weight")
     for a, b in sorted(graph.edges):
         lines.append(f"{csv_field(a)},{csv_field(b)},{graph.edges[(a, b)]}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join(lines) + "\n"

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ConfigError, EmptyResultError, InputError, SchemaError
-from .text_pipeline import csv_field, tokenize, write_chunks
+from .text_pipeline import csv_field, tokenize
 
 INPUT_FORMATS = ("csv", "jsonl")
 REQUIRED_COLUMNS = ("id", "title", "year")
@@ -353,27 +353,23 @@ def parse_file(path, format: str | None = None) -> tuple[Corpus, list[RecordErro
         raise InputError(f"cannot read {p}: {exc}") from exc
 
 
-def serialize_corpus(corpus: Corpus, out=None) -> str | None:
+def serialize_corpus(corpus: Corpus) -> Iterator[str]:
     """Render a corpus as RFC 4180 CSV text that reparses to an equal corpus.
 
     A field is quoted only when it holds a comma, a quote, a carriage return
-    or a line feed; records end in a bare line feed. The text goes to
-    ``out.write`` in chunks of 2048 records, or is returned when ``out`` is None.
+    or a line feed; records end in a bare line feed. The text comes in
+    chunks of 2048 records.
     """
-
-    def chunks() -> Iterator[str]:
-        yield ",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) + "\n"
-        docs = corpus.documents
-        for lo in range(0, len(docs), 2048):
-            rows = []
-            for d in docs[lo:lo + 2048]:
-                year = "" if d.year is None else str(d.year)
-                fields = (d.id, d.title, year, d.abstract, ";".join(d.keywords),
-                          d.doc_type.value, ";".join(d.countries))
-                rows.append(",".join(map(csv_field, fields)) + "\n")
-            yield "".join(rows)
-
-    return write_chunks(chunks(), out)
+    yield ",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) + "\n"
+    docs = corpus.documents
+    for lo in range(0, len(docs), 2048):
+        rows = []
+        for d in docs[lo:lo + 2048]:
+            year = "" if d.year is None else str(d.year)
+            fields = (d.id, d.title, year, d.abstract, ";".join(d.keywords),
+                      d.doc_type.value, ";".join(d.countries))
+            rows.append(",".join(map(csv_field, fields)) + "\n")
+        yield "".join(rows)
 
 
 def _contains_phrase(tokens: list[str], phrase: list[str]) -> bool:

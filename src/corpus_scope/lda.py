@@ -22,7 +22,6 @@ produce the same chain bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from .errors import (
     SchemaError,
     SimplexError,
 )
-from .text_pipeline import as_token_array, int_line_chunks, remap_tokens, write_chunks
+from .text_pipeline import as_token_array, int_line_chunks, remap_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .text_pipeline import TokenArray, TokenSequence, Vocabulary
@@ -488,12 +487,9 @@ def top_words_per_topic(model: LdaModel, m: int = 10) -> list[list[str]]:
     return [[terms[j] for j in row] for row in order[:, :m].tolist()]
 
 
-def render_model(model: LdaModel, out=None) -> str | None:
-    """The versioned text format (header, labels, CSV count tables).
-
-    The text goes to ``out.write`` in bounded chunks, or is returned when
-    ``out`` is None.
-    """
+def render_model(model: LdaModel) -> Iterator[str]:
+    """The versioned text format (header, labels, CSV count tables), in
+    chunks of at most 2**16 counts."""
     cfg = model.config
     head = [
         MODEL_FORMAT,
@@ -513,15 +509,13 @@ def render_model(model: LdaModel, out=None) -> str | None:
         *model.doc_ids,
         "[topic_word_counts]",
     ]
-    return write_chunks(itertools.chain(
-        ["\n".join(head) + "\n"],
-        _csv_table(model.topic_word_counts),
-        ["[doc_topic_counts]\n"],
-        _csv_table(model.doc_topic_counts),
-        ["[assignments]\n"],
-        int_line_chunks(model.topics, model.offsets[1:], ","),
-        ["[log_likelihoods]\n", "".join(f"{v!r}\n" for v in model.log_likelihoods)],
-    ), out)
+    yield "\n".join(head) + "\n"
+    yield from _csv_table(model.topic_word_counts)
+    yield "[doc_topic_counts]\n"
+    yield from _csv_table(model.doc_topic_counts)
+    yield "[assignments]\n"
+    yield from int_line_chunks(model.topics, model.offsets[1:], ",")
+    yield "[log_likelihoods]\n" + "".join(f"{v!r}\n" for v in model.log_likelihoods)
 
 
 def _csv_table(counts: np.ndarray) -> Iterator[str]:
@@ -533,7 +527,7 @@ def _csv_table(counts: np.ndarray) -> Iterator[str]:
 def save_model(model: LdaModel, path) -> None:
     """Write :func:`render_model` output to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        render_model(model, out=fh)
+        fh.writelines(render_model(model))
 
 
 def load_model(path) -> LdaModel:

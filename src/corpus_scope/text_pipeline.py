@@ -509,12 +509,12 @@ def _count_python(tokens: TokenArray, lookup: np.ndarray, p: int):
     return csr, row_totals, np.bincount(cols, minlength=p)
 
 
-def export_matrixmarket(dtm: SparseDTM, comment: str = "", out=None) -> str | None:
+def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> Iterator[str]:
     """Serialize counts as MatrixMarket coordinate text (1-based, row-major).
 
     The writer is deliberately hand-rolled: entry order and number formatting
     are pinned so output bytes are stable across library versions. The text
-    goes to ``out.write`` in bounded chunks, or is returned when ``out`` is None.
+    comes in chunks of at most 2**16 values.
     """
     csr = dtm.csr
     n_rows, n_cols = dtm.shape
@@ -523,30 +523,17 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "", out=None) -> str | No
         for part in comment.splitlines():
             lines.append(f"% {part}")
     lines.append(f"{n_rows} {n_cols} {csr.nnz}")
-
-    def chunks() -> Iterator[str]:
-        yield "\n".join(lines) + "\n"
-        # (row, column, count) triples, a chunk at a time; entry i lies in the
-        # 1-based row that counts the indptr values <= i
-        step = _CHUNK // 3
-        for lo in range(0, csr.nnz, step):
-            hi = min(lo + step, csr.nnz)
-            entries = np.empty((hi - lo, 3), dtype=np.int64)
-            entries[:, 0] = np.searchsorted(csr.indptr, np.arange(lo, hi), "right")
-            entries[:, 1] = csr.indices[lo:hi] + 1
-            entries[:, 2] = csr.data[lo:hi]
-            yield format_int_lines(entries, np.arange(3, entries.size + 1, 3), " ")
-
-    return write_chunks(chunks(), out)
-
-
-def write_chunks(chunks: Iterable[str], out=None) -> str | None:
-    """Pass each chunk to ``out.write``; without ``out``, return them joined."""
-    if out is None:
-        return "".join(chunks)
-    for chunk in chunks:
-        out.write(chunk)
-    return None
+    yield "\n".join(lines) + "\n"
+    # (row, column, count) triples, a chunk at a time; entry i lies in the
+    # 1-based row that counts the indptr values <= i
+    step = _CHUNK // 3
+    for lo in range(0, csr.nnz, step):
+        hi = min(lo + step, csr.nnz)
+        entries = np.empty((hi - lo, 3), dtype=np.int64)
+        entries[:, 0] = np.searchsorted(csr.indptr, np.arange(lo, hi), "right")
+        entries[:, 1] = csr.indices[lo:hi] + 1
+        entries[:, 2] = csr.data[lo:hi]
+        yield format_int_lines(entries, np.arange(3, entries.size + 1, 3), " ")
 
 
 _CHUNK = 1 << 16
@@ -637,7 +624,7 @@ def _join_rows(values: list, ends: list[int], sep: str, text: Callable) -> str:
     return "".join(parts)
 
 
-def export_dtm_index(dtm: SparseDTM, comment: str = "") -> str:
+def export_dtm_index(dtm: SparseDTM, comment: str = "") -> Iterator[str]:
     """Sidecar CSV mapping 1-based matrix positions to doc ids and terms."""
     lines = []
     if comment:
@@ -647,7 +634,7 @@ def export_dtm_index(dtm: SparseDTM, comment: str = "") -> str:
         lines.append(f"doc,{i + 1},{csv_field(doc_id)},{total}")
     for j, (term, total) in enumerate(zip(dtm.terms, dtm.col_totals.tolist())):
         lines.append(f"term,{j + 1},{csv_field(term)},{total}")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
 def csv_field(value: str) -> str:

@@ -130,9 +130,9 @@ def demo_graph():
     return threshold_graph(table, min_freq=1)
 
 
-def read_edge_csv(data: bytes):
+def read_edge_csv(text: str):
     """(comment lines, csv.reader rows) of an exported edge CSV."""
-    lines = data.decode("utf-8").splitlines()
+    lines = text.splitlines()
     comments = [ln for ln in lines if ln.startswith("#")]
     return comments, list(csv.reader(ln for ln in lines if not ln.startswith("#")))
 
@@ -157,4 +157,4 @@ def test_export_edge_csv_quotes_labels():
 def test_export_is_deterministic_bytes():
     g = demo_graph()
     assert export_graph(g, provenance="p") == export_graph(g, provenance="p")
-    assert isinstance(export_graph(g), bytes)
+    assert isinstance(export_graph(g), str)

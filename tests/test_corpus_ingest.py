@@ -265,7 +265,7 @@ def test_serialize_round_trip_with_awkward_values():
                  doc_type=DocType.BOOK, countries=("Saudi Arabia",)),
         Document(id="R2", title="Plain", year=2022),
     )
-    text = serialize_corpus(corpus)
+    text = "".join(serialize_corpus(corpus))
     back, errors = parse_csv(text)
     assert back.documents == corpus.documents
     assert [e for e in errors if e.dropped] == []
@@ -288,7 +288,7 @@ def test_serialize_round_trip_random_corpora():
                 doc_type=list(DocType)[int(rng.integers(len(DocType)))],
             ))
         corpus = make_corpus(*docs)
-        back, _ = parse_csv(serialize_corpus(corpus))
+        back, _ = parse_csv("".join(serialize_corpus(corpus)))
         assert back.documents == corpus.documents
 
 
@@ -303,7 +303,7 @@ def test_serialize_quotes_carriage_returns():
     corpus, errors = parse_csv(source)
     assert errors == []
     assert [d.id for d in corpus] == ["A\r1", "A2"]
-    back, errors = parse_csv(serialize_corpus(corpus))
+    back, errors = parse_csv("".join(serialize_corpus(corpus)))
     assert errors == []
     assert back.documents == corpus.documents
     assert back.documents[0].title == "one\rtwo"
@@ -335,7 +335,7 @@ def test_serialize_corpus_reads_back_with_csv_reader(rows):
         for i, (doc_id, title, abstract, keywords, countries, year, doc_type)
         in enumerate(rows)
     ))
-    got = list(csv.reader(io.StringIO(serialize_corpus(corpus), newline="")))
+    got = list(csv.reader(io.StringIO("".join(serialize_corpus(corpus)), newline="")))
     assert got[0] == ["id", "title", "year", "abstract", "keywords", "doc_type",
                       "countries"]
     assert got[1:] == [

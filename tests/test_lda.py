@@ -392,7 +392,7 @@ def test_chain_matches_the_pinned_reference():
     sequences, _ = planted_corpus(np.random.default_rng(2024), n_docs=40)
     config = LdaConfig(k=3, iterations=30, burn_in=10, seed=42)
     model = fit_lda(sequences, build_vocabulary(sequences), config)
-    digest = hashlib.sha256(render_model(model).encode()).hexdigest()
+    digest = hashlib.sha256("".join(render_model(model)).encode()).hexdigest()
     assert digest == "15a8d7ec9c1026d1cda718054644e9a3c55865284f3050e9a4d089f5898a41d2"
 
 
@@ -402,7 +402,7 @@ def test_burn_in_is_recorded_but_does_not_change_the_estimates():
     for burn_in in (0, config.iterations - 1):
         other = fit_lda(sequences, vocab, LdaConfig(iterations=60, burn_in=burn_in, seed=7))
         assert_same_chain(base, other)
-        assert render_model(other) == render_model(base).replace(
+        assert "".join(render_model(other)) == "".join(render_model(base)).replace(
             f"\nburn_in={config.burn_in}\n", f"\nburn_in={burn_in}\n")
 
 
@@ -442,7 +442,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert back.assignments == model.assignments
     assert back.topics.dtype == np.int32 and back.offsets.dtype == np.int64
     assert np.array_equal(back.topic_word_counts, model.topic_word_counts)
-    assert render_model(back) == render_model(model)
+    assert "".join(render_model(back)) == "".join(render_model(model))
 
 
 def test_render_model_count_sections_match_str_join():
@@ -457,12 +457,12 @@ def test_render_model_count_sections_match_str_join():
             ("assignments", model.assignments),
         )
     )
-    assert expected + "[log_likelihoods]\n" in render_model(model)
+    assert expected + "[log_likelihoods]\n" in "".join(render_model(model))
 
 
 def test_load_model_rejects_sample_averaged_files(tmp_path):
     model, *_ = fitted_planted(seed=19)
-    text = render_model(model)
+    text = "".join(render_model(model))
     assert "\nsample_averaging=0\n" in text
     path = tmp_path / "avg.txt"
     path.write_text(text.replace("\nsample_averaging=0\n", "\nsample_averaging=1\n"),

@@ -481,6 +481,25 @@ def test_cli_config_format_is_checked_before_any_stage(mini_corpus_path, tmp_pat
     assert quick_cfg(mini_corpus_path, out, format=" CSV ").format == " CSV "
 
 
+def test_cli_forecast_years_past_the_trusted_window_exit_2_before_any_stage(
+        mini_corpus_path, tmp_path, capsys):
+    out = tmp_path / "never"
+    cfg_file = tmp_path / "forecast.ini"
+    cfg_file.write_text("[eda]\nforecast_years = 11\n", encoding="utf-8")
+    assert run_cli("eda", "--config", cfg_file, "--input", mini_corpus_path,
+                   "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "forecast_years" in err and "Traceback" not in err
+    # the last year eda forecasts, 10 past the data, still runs
+    cfg_file.write_text("[eda]\nforecast_years = 10\n", encoding="utf-8")
+    assert run_cli("eda", "--config", cfg_file, "--input", mini_corpus_path,
+                   "--out", out) == 0
+    kv = dict(row.split(",", 1) for row in read_rows(out / "trend.csv"))
+    assert f"forecast_{int(kv['x_max']) + 10}" in kv
+    capsys.readouterr()
+
+
 def test_cli_empty_result_exits_3(mini_corpus_path, tmp_path, capsys):
     assert run_cli("run", "--input", mini_corpus_path, "--out", tmp_path,
                    "--phrase", "quantum blockchain grandmothers") == 3
@@ -525,8 +544,8 @@ def test_a_writer_that_fails_partway_leaves_no_partial_file(mini_corpus_path, ru
     previous = (run_dir / "lda_model.txt").read_bytes()
     (tmp_path / "lda_model.txt").write_bytes(previous)
 
-    def fails_partway(model, out=None):
-        out.write("corpus-scope-lda\n")
+    def fails_partway(model):
+        yield "corpus-scope-lda\n"
         raise OSError("disk full")
 
     monkeypatch.setattr(pipeline, "render_model", fails_partway)
@@ -542,6 +561,23 @@ def test_a_writer_that_fails_partway_leaves_no_partial_file(mini_corpus_path, ru
     assert report["notes"] == ["stale from an earlier run: lda_model.txt"]
     assert report["output_files"]["ca_coords.csv"] == hashlib.sha256(
         (tmp_path / "ca_coords.csv").read_bytes()).hexdigest()
+
+
+def test_a_writer_whose_file_is_not_planned_never_starts(mini_corpus_path, tmp_path,
+                                                         monkeypatch):
+    def unplanned(*args, **kwargs):
+        raise AssertionError("a writer ran for a file the plan does not have")
+        yield  # a generator function: the body runs at the first next
+
+    monkeypatch.setattr(pipeline, "serialize_corpus", unplanned)
+    monkeypatch.setattr(pipeline, "export_matrixmarket", unplanned)
+    out = tmp_path / "from_lda"
+    run_pipeline(quick_cfg(mini_corpus_path, out), from_stage="lda")
+    assert {p.name for p in out.iterdir()} == {
+        "lda_model.txt", "lda_top_words.csv", "bigrams_edges.csv", "run_report.json"}
+    # the patch bites where the files are planned
+    with pytest.raises(AssertionError, match="the plan does not have"):
+        run_pipeline(quick_cfg(mini_corpus_path, tmp_path / "full"))
 
 
 def make_fail(monkeypatch, name):
@@ -751,6 +787,16 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="nonsense"):
         load_config(bad)
     assert main(["run", "--config", str(bad)]) == 2
+
+
+def test_readme_lists_every_config_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [line.split("|") for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `[")]
+    listed = {(cells[1].strip(" `[]"), cells[2].strip(" `")) for cells in rows}
+    schema = {(section, key) for section, keys in pipeline._CONFIG_SCHEMA.items()
+              for key in keys}
+    assert listed == schema
 
 
 # ---------------------------------------------------------------- stoplist

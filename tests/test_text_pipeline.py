@@ -311,10 +311,11 @@ def test_encoded_path_writes_the_same_bytes_as_token_sequences(mini_corpus):
     def digests(sequences):
         dtm = build_dtm(sequences, build_vocabulary(sequences, p=40))
         graph = threshold_graph(count_bigrams(sequences), min_freq=3)
-        mtx = export_matrixmarket(dtm, comment="mini")
+        mtx = "".join(export_matrixmarket(dtm, comment="mini"))
         edges = export_graph(graph, provenance="mini")
         assert graph.edges and dtm.n_total
-        return hashlib.sha256(mtx.encode()).hexdigest(), hashlib.sha256(edges).hexdigest()
+        return (hashlib.sha256(mtx.encode()).hexdigest(),
+                hashlib.sha256(edges.encode()).hexdigest())
 
     assert digests(encoded) == digests(by_hand)
 
@@ -425,7 +426,7 @@ def test_matrixmarket_export_format_and_round_trip():
     sequences = seqs(["data", "science", "data"], ["science", "methods"])
     vocab = build_vocabulary(sequences)
     dtm = build_dtm(sequences, vocab)
-    text = export_matrixmarket(dtm, comment="demo")
+    text = "".join(export_matrixmarket(dtm, comment="demo"))
     lines = text.splitlines()
     assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
     assert lines[1] == "% demo"
@@ -441,7 +442,7 @@ def test_dtm_index_lists_rows_then_columns():
     sequences = seqs(["data", "science", "data"], ["science", "methods"])
     vocab = build_vocabulary(sequences)
     dtm = build_dtm(sequences, vocab)
-    lines = export_dtm_index(dtm, comment="demo").splitlines()
+    lines = "".join(export_dtm_index(dtm, comment="demo")).splitlines()
     assert lines[0] == "# demo"
     assert lines[1] == "kind,position,label,total"
     assert lines[2] == "doc,1,d0,3"
