@@ -1,9 +1,10 @@
 /* The package's compiled kernels, built into one C++17 library by
- * _native.py: the Gibbs sweep (lda), the word splitter and word table, the
- * token renumbering and the document-term counts (text_pipeline), the CSR
- * row gather and ascending-row scatter (lsa), and the integer and float
- * table formatters. Each has a Python twin that is its reference and its
- * fallback, and both give the same results bit for bit. */
+ * _native.py: the Gibbs chain with its random stream and log Gamma (lda),
+ * the word splitter and word table, the token renumbering and the
+ * document-term counts (text_pipeline), the CSR row gather and
+ * ascending-row scatter (lsa), and the integer and float table formatters.
+ * Each has a Python twin that is its reference and its fallback, and both
+ * give the same results bit for bit. */
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -12,44 +13,265 @@
 #include <stdint.h>
 #include <vector>
 
+/* MT19937 as random.Random and numpy's RandomState run it. The state is
+ * random.Random.getstate()[1] as 625 words: the 624-word key, then the
+ * position of the next output in it (624 when the key is used up). */
+struct mt19937 {
+    uint32_t key[624];
+    uint32_t pos;
+
+    explicit mt19937(const uint32_t *state) : pos(state[624])
+    {
+        std::copy(state, state + 624, key);
+    }
+
+    void save(uint32_t *state) const
+    {
+        std::copy(key, key + 624, state);
+        state[624] = pos;
+    }
+
+    /* genrand_uint32 */
+    uint32_t next()
+    {
+        if (pos >= 624)
+            twist();
+        uint32_t y = key[pos++];
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        return y ^ (y >> 18);
+    }
+
+    /* genrand_res53: a double in [0, 1) from two outputs, as random.random()
+     * and numpy's random_sample build it */
+    double uniform()
+    {
+        uint32_t a = next() >> 5, b = next() >> 6;
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    }
+
+    void twist()
+    {
+        const uint32_t mag[2] = {0, 0x9908b0dfU};
+        int i = 0;
+        for (; i < 624 - 397; i++) {
+            uint32_t y = (key[i] & 0x80000000U) | (key[i + 1] & 0x7fffffffU);
+            key[i] = key[i + 397] ^ (y >> 1) ^ mag[y & 1];
+        }
+        for (; i < 623; i++) {
+            uint32_t y = (key[i] & 0x80000000U) | (key[i + 1] & 0x7fffffffU);
+            key[i] = key[i + 397 - 624] ^ (y >> 1) ^ mag[y & 1];
+        }
+        uint32_t y = (key[623] & 0x80000000U) | (key[0] & 0x7fffffffU);
+        key[623] = key[396] ^ (y >> 1) ^ mag[y & 1];
+        pos = 0;
+    }
+};
+
+/* Cephes lgam, log Gamma(x), operation for operation as lda.gammaln: the
+ * recurrence into [2, 3) and a rational approximation below 13, Stirling's
+ * series above. NaN comes back unchanged, anything above 2.556e305 gives
+ * +inf, and x <= 0, where lda.gammaln raises, gives NaN. */
+static double lgam(double x)
+{
+    static const double A[] = {8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                               7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                               8.33333333333331927722e-2};
+    static const double B[] = {-1.37825152569120859100e3, -3.88016315134637840924e4,
+                               -3.31612992738871184744e5, -1.16237097492762307383e6,
+                               -1.72173700820839662146e6, -8.53555664245765465627e5};
+    static const double C[] = {-3.51815701436523470549e2, -1.70642106651881159223e4,
+                               -2.20528590553854454839e5, -1.13933444367982507207e6,
+                               -2.53252307177582951285e6, -2.01889141433532773231e6};
+    const double LS2PI = 0.91893853320467274178; /* log(sqrt(2 pi)) */
+    if (!(0.0 < x && x <= 2.556348e305)) {
+        if (x != x)
+            return x;
+        return x > 0.0 ? HUGE_VAL : NAN;
+    }
+    if (x < 13.0) {
+        double z = 1.0, p = 0.0, u = x;
+        while (u >= 3.0) {
+            p -= 1.0;
+            u = x + p;
+            z *= u;
+        }
+        while (u < 2.0) {
+            z /= u;
+            p += 1.0;
+            u = x + p;
+        }
+        if (u == 2.0)
+            return std::log(z);
+        x += p - 2.0;
+        double num = ((((B[0] * x + B[1]) * x + B[2]) * x + B[3]) * x + B[4]) * x + B[5];
+        double den = (((((x + C[0]) * x + C[1]) * x + C[2]) * x + C[3]) * x + C[4]) * x + C[5];
+        return std::log(z) + x * num / den;
+    }
+    double q = (x - 0.5) * std::log(x) - x + LS2PI;
+    if (x > 1.0e8)
+        return q;
+    double p = 1.0 / (x * x);
+    if (x >= 1000.0)
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x;
+    return q + ((((A[0] * p + A[1]) * p + A[2]) * p + A[3]) * p + A[4]) / x;
+}
+
+/* at(start) + ... + at(start + n - 1) in numpy's pairwise order: one by one
+ * below 8 values, 8 interleaved accumulators up to 128, and above that the
+ * two halves, split at n / 2 rounded down to a multiple of 8. */
+template <typename At>
+static double pairwise_sum(const At &at, int64_t start, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += at(start + i);
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = at(start + j);
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += at(start + i + j);
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += at(start + i);
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(at, start, half) + pairwise_sum(at, start + half, n - half);
+}
+
 extern "C" {
 
-/* One collapsed Gibbs sweep over flat count tables; the compiled twin of
- * lda._sweep_python. Each sampling weight is evaluated in the same order as
- * the Python loop, and the library is built with -ffp-contract=off, so every
- * double rounds exactly as in Python and the two produce the same chain.
+/* n successive random.Random.randrange(k) values into z, for 1 <= k < 2**32:
+ * the top k.bit_length() bits of one output, drawn again while >= k; the
+ * compiled twin of lda._randrange_batch. state (625 words) is advanced in
+ * place. */
+void draw_topics(uint32_t *state, int64_t k, int64_t n, int32_t *z)
+{
+    mt19937 mt(state);
+    int shift = __builtin_clzll((uint64_t)k) - 32;
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t r;
+        do
+            r = mt.next() >> shift;
+        while (r >= (uint64_t)k);
+        z[i] = (int32_t)r;
+    }
+    mt.save(state);
+}
+
+/* n successive random.Random.random() values into out; state as in
+ * draw_topics. */
+void draw_uniforms(uint32_t *state, int64_t n, double *out)
+{
+    mt19937 mt(state);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = mt.uniform();
+    mt.save(state);
+}
+
+/* lgam of each of values[0..n) into out. */
+void lgam_each(const double *values, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = lgam(values[i]);
+}
+
+/* The sum of table[index[j]] over j < n, from 0.0 in numpy's pairwise
+ * order, so equal to np.sum(table[index]) without the gathered array. */
+double sum_at(const double *table, const int64_t *index, int64_t n)
+{
+    return 0.0 + pairwise_sum([&](int64_t j) { return table[index[j]]; }, 0, n);
+}
+
+/* A block of collapsed Gibbs sweeps over flat count tables; the compiled
+ * twin of lda._sweep_python plus fit_lda's checks and log-likelihood. Each
+ * token's uniform is drawn from state (as in draw_topics) where it is read,
+ * and each sampling weight is evaluated in the same order as the Python
+ * loop; the library is built with -ffp-contract=off, so every double rounds
+ * exactly as in Python and the two produce the same chain.
  *
  * offsets: n_docs + 1 token offsets; words, z: one entry per token;
- * n_wk: p x k; n_dk: n_docs x k; n_k: k; u: one uniform in [0, 1) per token;
- * cum: k doubles of scratch. The caller checks every index is in range. */
-void gibbs_sweep(int64_t n_docs, const int64_t *offsets, const int32_t *words,
-                 int32_t *z, int64_t k, int64_t *n_wk, int64_t *n_dk,
-                 int64_t *n_k, const double *u, double *cum, double alpha,
-                 double beta, double vbeta)
+ * n_wk: p x k; n_dk: n_docs x k; n_k: k; cum: k doubles of scratch. The
+ * caller checks every index is in range. table: lgam(c + beta) for every
+ * count c up to the largest per-word token count, n_table entries.
+ *
+ * After each sweep s the three margins must each re-add to the token total,
+ * and every n_wk entry must lie in table; then log_likelihoods[s] is
+ * constant + (sum of table[n_wk] - sum of lgam(n_k + vbeta)), both sums in
+ * numpy's order. Returns 0 after all sweeps, or at the first failed check
+ * 3 * s + 1 (n_k's total), 3 * s + 2 (n_wk's or n_dk's total) or 3 * s + 3
+ * (an n_wk entry outside table). */
+int64_t gibbs_chain(int64_t n_docs, const int64_t *offsets, const int32_t *words,
+                    int32_t *z, int64_t p, int64_t k, int64_t *n_wk, int64_t *n_dk,
+                    int64_t *n_k, double *cum, double alpha, double beta,
+                    double vbeta, uint32_t *state, const double *table,
+                    int64_t n_table, double constant, int64_t sweeps,
+                    double *log_likelihoods)
 {
-    for (int64_t d = 0; d < n_docs; d++) {
-        int64_t *ndk = n_dk + d * k;
-        for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
-            int64_t *nwk = n_wk + (int64_t)words[i] * k;
-            int32_t old = z[i];
-            nwk[old]--;
-            ndk[old]--;
-            n_k[old]--;
-            double total = 0.0;
-            for (int64_t t = 0; t < k; t++) {
-                total += (nwk[t] + beta) / (n_k[t] + vbeta) * (ndk[t] + alpha);
-                cum[t] = total;
+    mt19937 mt(state);
+    const int64_t n_tokens = offsets[n_docs];
+    int64_t status = 0;
+    for (int64_t s = 0; s < sweeps && !status; s++) {
+        for (int64_t d = 0; d < n_docs; d++) {
+            int64_t *ndk = n_dk + d * k;
+            for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
+                int64_t *nwk = n_wk + (int64_t)words[i] * k;
+                int32_t old = z[i];
+                nwk[old]--;
+                ndk[old]--;
+                n_k[old]--;
+                double total = 0.0;
+                for (int64_t t = 0; t < k; t++) {
+                    total += (nwk[t] + beta) / (n_k[t] + vbeta) * (ndk[t] + alpha);
+                    cum[t] = total;
+                }
+                double x = mt.uniform() * total;
+                int64_t pick = 0;
+                while (pick < k - 1 && cum[pick] < x)
+                    pick++;
+                z[i] = (int32_t)pick;
+                nwk[pick]++;
+                ndk[pick]++;
+                n_k[pick]++;
             }
-            double x = u[i] * total;
-            int64_t pick = 0;
-            while (pick < k - 1 && cum[pick] < x)
-                pick++;
-            z[i] = (int32_t)pick;
-            nwk[pick]++;
-            ndk[pick]++;
-            n_k[pick]++;
+        }
+
+        int64_t sum_k = 0, sum_wk = 0, sum_dk = 0;
+        bool in_table = true;
+        for (int64_t t = 0; t < k; t++)
+            sum_k += n_k[t];
+        for (int64_t j = 0; j < p * k; j++) {
+            sum_wk += n_wk[j];
+            in_table &= (uint64_t)n_wk[j] < (uint64_t)n_table;
+        }
+        for (int64_t j = 0; j < n_docs * k; j++)
+            sum_dk += n_dk[j];
+        if (sum_k != n_tokens)
+            status = 3 * s + 1;
+        else if (sum_wk != n_tokens || sum_dk != n_tokens)
+            status = 3 * s + 2;
+        else if (!in_table)
+            status = 3 * s + 3;
+        else {
+            for (int64_t t = 0; t < k; t++)
+                cum[t] = lgam(n_k[t] + vbeta);
+            double words_part = sum_at(table, n_wk, p * k);
+            double topics_part = 0.0 + pairwise_sum([&](int64_t t) { return cum[t]; }, 0, k);
+            log_likelihoods[s] = constant + (words_part - topics_part);
         }
     }
+    mt.save(state);
+    return status;
 }
 
 /* Whether code point c matches re's \w: a 128-entry table below 128, else

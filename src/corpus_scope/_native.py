@@ -1,6 +1,9 @@
 """The compiled kernels: one C++ source, one cached library, one loader.
 
-``_native.cpp`` holds the Gibbs sweep (``lda``); for ``text_pipeline``
+``_native.cpp`` holds, for ``lda``, the Gibbs chain (``draw_topics`` and
+``gibbs_chain``, on the Mersenne Twister state of a ``random.Random``, with
+``lgam_each`` for its log Gamma table, and ``draw_uniforms`` and ``sum_at``
+as its generator and pairwise sum alone, for the tests); for ``text_pipeline``
 the word splitter and its corpus-wide word table, the token renumbering,
 the document-term counts, and the integer and float table formatters; and
 for ``lsa`` the CSR products ``csr_matvec`` (a row gather, P @ x) and
@@ -66,9 +69,17 @@ def _build() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     # plain addresses: each caller checks dtypes, layout and ranges itself
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.gibbs_sweep.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
-                                f64, f64, f64]
-    lib.gibbs_sweep.restype = None
+    lib.gibbs_chain.argtypes = [i64, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
+                                f64, f64, f64, ptr, ptr, i64, f64, i64, ptr]
+    lib.gibbs_chain.restype = i64
+    lib.draw_topics.argtypes = [ptr, i64, i64, ptr]
+    lib.draw_topics.restype = None
+    lib.draw_uniforms.argtypes = [ptr, i64, ptr]
+    lib.draw_uniforms.restype = None
+    lib.lgam_each.argtypes = [ptr, i64, ptr]
+    lib.lgam_each.restype = None
+    lib.sum_at.argtypes = [ptr, ptr, i64]
+    lib.sum_at.restype = f64
     lib.word_table_new.argtypes = []
     lib.word_table_new.restype = ptr
     lib.word_table_free.argtypes = [ptr]

@@ -159,7 +159,7 @@ def fit_quadratic(series: YearSeries) -> QuadraticFit:
         raise InsufficientDataError(f"need at least 4 points, got {n}")
     x = np.asarray(series.years(), dtype=np.float64)
     y = np.asarray(series.counts(), dtype=np.float64)
-    if len(np.unique(x)) < 3:
+    if len(set(x.tolist())) < 3:  # np.unique would import numpy.ma
         raise DegenerateDesignError("fewer than 3 distinct x values")
 
     m = float(x.mean())

@@ -9,15 +9,18 @@ where n_wt counts word w in topic t, n_t all tokens in topic t, and n_dt
 tokens of document d in topic t, all excluding the token being resampled.
 Randomness is the Mersenne Twister stream of a stdlib ``random.Random(seed)``,
 which is documented to be reproducible across Python versions and platforms,
-so a (corpus, config) pair fully determines the result. The stream is drawn
-through numpy: the topic initialization reproduces successive
-``randrange(k)`` calls and the sweeps the ``random()`` calls after them.
+so a (corpus, config) pair fully determines the result: the topic
+initialization reproduces successive ``randrange(k)`` calls and the sweeps
+the ``random()`` calls after them.
 
-Each sweep runs in a small native function (``gibbs_sweep`` in
-``_native.cpp``) that is compiled on first use and loaded with ctypes (see
-``_native``); when that fails, a plain-Python sweep runs instead. Both evaluate the same
-floating-point operations in the same order on the same uniforms, so they
-produce the same chain bit for bit.
+The chain runs in native functions (``draw_topics`` and ``gibbs_chain`` in
+``_native.cpp``) that are compiled on first use and loaded with ctypes (see
+``_native``). They take over the generator's state and run the sweeps, the
+count checks and the log-likelihoods in blocks of about 2**22 token-sweeps
+per call. When the library is unavailable, a plain-Python loop draws the
+same stream through numpy's ``RandomState`` and runs one sweep at a time.
+Both evaluate the same floating-point operations in the same order on the
+same uniforms, so they produce the same chain bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +55,15 @@ DEFAULT_BURN_IN = 200
 
 MODEL_FORMAT = "corpus-scope-lda v1"
 RANDRANGE_BATCH = 1 << 16  # 32-bit outputs drawn at a time for the initial topics
+# token-sweeps per native chain call (at least one sweep), so that Python,
+# and Ctrl-C, gets control back about every 0.1 s at k=6
+CHAIN_TOKENS = 1 << 22
+# fit_lda's messages for gibbs_chain's failed checks 1, 2 and 3
+_CHECK_ERRORS = (
+    "count conservation violated at sweep {}",
+    "count table margin mismatch at sweep {}",
+    "count table entry out of range at sweep {}",
+)
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,8 @@ class LdaConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.k >= 2**32:  # randrange(k) takes the top bits of one 32-bit output
+            raise ConfigError(f"k must be < 2**32, got {self.k}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 50.0 / self.k)
         if self.alpha <= 0.0 or self.beta <= 0.0:
@@ -249,10 +263,9 @@ def _randrange_batch(stream: np.random.RandomState, k: int, n: int) -> np.ndarra
     output and draws again while the value is >= k. Each batch here draws
     at most one output per value still needed, so ``randrange`` would take
     every output drawn, and the stream ends where ``random()`` goes on.
+    ``k`` is below 2**32 (:class:`LdaConfig` checks).
     """
     bits = k.bit_length()
-    if bits > 32:
-        raise ConfigError(f"k must be < 2**32, got {k}")
     out = np.empty(n, dtype=np.int32)
     done = 0
     while done < n:
@@ -265,14 +278,27 @@ def _randrange_batch(stream: np.random.RandomState, k: int, n: int) -> np.ndarra
     return out
 
 
-def _gammaln_table(words: np.ndarray, beta: float) -> np.ndarray:
+def _gammaln_table(n_wk: np.ndarray, beta: float) -> np.ndarray:
     """``gammaln(c + beta)`` for every count ``c`` an ``n_wk`` entry can hold.
 
-    No entry exceeds the largest per-word token count, so indexing the table
-    with ``n_wk`` gives exactly ``gammaln(n_wk + beta)`` without a call per entry.
+    A sweep moves counts only within a word's row, so no entry exceeds the
+    largest row total, and indexing the table with ``n_wk`` gives exactly
+    ``gammaln(n_wk + beta)`` without a call per entry. The native
+    ``lgam_each`` fills it in place when the library is available.
     """
-    most = int(np.bincount(words, minlength=1).max())
-    return _gammaln_each(np.arange(most + 1) + beta)
+    most = int(n_wk.sum(axis=1).max(initial=0))
+    table = np.arange(most + 1, dtype=np.float64)
+    table += beta
+    lib = _native.library()
+    if lib is None:
+        return _gammaln_each(table)
+    lib.lgam_each(table.ctypes.data, table.size, table.ctypes.data)
+    return table
+
+
+def _log_likelihood_constant(k: int, p: int, beta: float) -> float:
+    """The part of :func:`_log_likelihood` that no sweep changes."""
+    return k * (gammaln(p * beta) - p * gammaln(beta))
 
 
 def _log_likelihood(
@@ -283,13 +309,13 @@ def _log_likelihood(
 
     ``table`` is :func:`_gammaln_table` for the corpus and ``beta``.
     """
-    val = k * (gammaln(p * beta) - p * gammaln(beta))
+    val = _log_likelihood_constant(k, p, beta)
     val += float(table[n_wk].sum() - _gammaln_each(n_k + p * beta).sum())
     return float(val)
 
 
 def gibbs_backend() -> str:
-    """The sweep :func:`fit_lda` runs in this process: ``native`` or ``python``."""
+    """The chain :func:`fit_lda` runs in this process: ``native`` or ``python``."""
     return _native.backend()
 
 
@@ -308,11 +334,12 @@ def _sweep_python(
     beta: float,
     vbeta: float,
 ) -> None:
-    """One Gibbs sweep in place, in plain Python: the reference for ``gibbs_sweep``.
+    """One Gibbs sweep in place, in plain Python, on uniforms drawn ahead:
+    the reference for a sweep of ``gibbs_chain``.
 
-    Takes the C function's arguments. The tables are copied to nested lists
-    for the loop, because numpy scalar indexing would dominate it, and
-    written back at the end; a list also replaces the ``cum`` scratch array.
+    The tables are copied to nested lists for the loop, because numpy scalar
+    indexing would dominate it, and written back at the end; a list also
+    replaces the ``cum`` scratch array.
     """
     nwk, ndk, nk = n_wk.tolist(), n_dk.tolist(), n_k.tolist()
     zs, ws, us, bounds = z.tolist(), words.tolist(), u.tolist(), offsets.tolist()
@@ -355,9 +382,9 @@ def _check_tables(
     p: int,
     k: int,
 ) -> None:
-    """Dtypes, layout, shapes and index ranges the C sweep relies on.
+    """Dtypes, layout, shapes and index ranges the C chain relies on.
 
-    The sweep gets raw addresses, so every table must have the dtype it
+    The chain gets raw addresses, so every table must have the dtype it
     reads, be C-contiguous, and be writable where the sweep writes.
     """
     for name, array, dtype, written in (
@@ -406,9 +433,16 @@ def fit_lda(
     vbeta = p * beta
     n_docs = len(doc_ids)
     total_tokens = int(words.size)
-    stream = _mt_stream(config.seed)
+    lib = _native.library()
+    if lib is None:
+        stream = _mt_stream(config.seed)
+        z = _randrange_batch(stream, k, total_tokens)
+    else:
+        # random.Random's key and position, advanced in place by each call
+        state = np.array(Random(config.seed).getstate()[1], dtype=np.uint32)
+        z = np.empty(total_tokens, dtype=np.int32)
+        lib.draw_topics(state.ctypes.data, k, total_tokens, z.ctypes.data)
 
-    z = _randrange_batch(stream, k, total_tokens)
     # one int64 key per token, reused: word * k + topic, then doc * k + topic
     # (no document is empty, so each start past the first is a distinct token)
     key = words.astype(np.int64)
@@ -426,35 +460,34 @@ def fit_lda(
 
     _check_tables(offsets, words, z, n_wk, n_dk, n_k, p, k)
     cum = np.zeros(k)
-    lib = _native.library()
+    table = _gammaln_table(n_wk, beta)
+    log_likelihoods = np.empty(config.iterations)
     if lib is None:
-        def sweep(u: np.ndarray) -> None:
-            _sweep_python(n_docs, offsets, words, z, k, n_wk, n_dk, n_k, u, cum,
-                          alpha, beta, vbeta)
+        for it in range(config.iterations):
+            _sweep_python(n_docs, offsets, words, z, k, n_wk, n_dk, n_k,
+                          stream.random_sample(total_tokens), cum, alpha, beta, vbeta)
+            # exact conservation check: every margin must re-add to the token total
+            if int(n_k.sum()) != total_tokens:
+                raise RuntimeError(_CHECK_ERRORS[0].format(it))
+            if int(n_wk.sum()) != total_tokens or int(n_dk.sum()) != total_tokens:
+                raise RuntimeError(_CHECK_ERRORS[1].format(it))
+            if n_wk.min() < 0 or n_wk.max() >= table.size:
+                raise RuntimeError(_CHECK_ERRORS[2].format(it))
+            log_likelihoods[it] = _log_likelihood(n_wk, n_k, k, p, beta, table)
     else:
         # the tables are updated in place for the whole chain, so their
-        # addresses are taken once; only the uniforms are new each sweep
-        off_p, words_p, z_p, nwk_p, ndk_p, nk_p, cum_p = (
-            a.ctypes.data for a in (offsets, words, z, n_wk, n_dk, n_k, cum)
-        )
-        kernel = lib.gibbs_sweep
-
-        def sweep(u: np.ndarray) -> None:
-            kernel(n_docs, off_p, words_p, z_p, k, nwk_p, ndk_p, nk_p, u.ctypes.data,
-                   cum_p, alpha, beta, vbeta)
-    table = _gammaln_table(words, beta)
-
-    log_likelihoods: list[float] = []
-    for it in range(config.iterations):
-        sweep(stream.random_sample(total_tokens))
-
-        # exact conservation check: every margin must re-add to the token total
-        if int(n_k.sum()) != total_tokens:
-            raise RuntimeError(f"count conservation violated at sweep {it}")
-        if int(n_wk.sum()) != total_tokens or int(n_dk.sum()) != total_tokens:
-            raise RuntimeError(f"count table margin mismatch at sweep {it}")
-
-        log_likelihoods.append(_log_likelihood(n_wk, n_k, k, p, beta, table))
+        # addresses are taken once; each call runs a block of sweeps
+        chain = (n_docs, offsets.ctypes.data, words.ctypes.data, z.ctypes.data, p, k,
+                 n_wk.ctypes.data, n_dk.ctypes.data, n_k.ctypes.data, cum.ctypes.data,
+                 alpha, beta, vbeta, state.ctypes.data, table.ctypes.data, table.size,
+                 _log_likelihood_constant(k, p, beta))
+        block = max(1, CHAIN_TOKENS // total_tokens)
+        for first in range(0, config.iterations, block):
+            sweeps = min(block, config.iterations - first)
+            failed = lib.gibbs_chain(*chain, sweeps, log_likelihoods.ctypes.data + 8 * first)
+            if failed:
+                it, check = divmod(failed - 1, 3)
+                raise RuntimeError(_CHECK_ERRORS[check].format(first + it))
 
     phi = (n_wk.T + beta) / (n_k.astype(np.float64) + vbeta)[:, None]
     lens = n_dk.sum(axis=1).astype(np.float64)
@@ -471,7 +504,7 @@ def fit_lda(
         offsets=offsets,
         topics=z,
         dropped_ids=tuple(dropped),
-        log_likelihoods=tuple(log_likelihoods),
+        log_likelihoods=tuple(log_likelihoods.tolist()),
     )
 
 
@@ -535,7 +568,12 @@ def load_model(path) -> LdaModel:
 
     phi/theta are recomputed from the counts through the same arithmetic as
     the fit. Files with ``sample_averaging=1`` (averaged estimates, no longer
-    produced) raise SchemaError.
+    produced) raise SchemaError, as does any file that is not a whole,
+    consistent model: a header value or section that is missing or does not
+    parse, a count table of the wrong shape or with a negative count, count
+    tables whose topic totals differ, or assignments for another number of
+    documents, with a topic outside ``0..k-1`` or whose per-document topic
+    counts differ from ``[doc_topic_counts]``.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -559,43 +597,82 @@ def load_model(path) -> LdaModel:
             current.append(lines[i])
         i += 1
 
-    cfg = LdaConfig(
-        k=int(header["k"]),
-        alpha=float(header["alpha"]),
-        beta=float(header["beta"]),
-        iterations=int(header["iterations"]),
-        burn_in=int(header["burn_in"]),
-        seed=int(header["seed"]),
-    )
-    n_docs, n_terms = int(header["n_docs"]), int(header["n_terms"])
-    terms = tuple(sections["terms"])
-    doc_ids = tuple(sections["documents"])
+    def number(key: str, parse):
+        if key not in header:
+            raise SchemaError(f"model header has no {key}= line")
+        try:
+            return parse(header[key])
+        except ValueError:
+            raise SchemaError(f"model header {key}={header[key]!r} does not parse") from None
+
+    def section(name: str) -> list[str]:
+        if name not in sections:
+            raise SchemaError(f"model file has no [{name}] section")
+        return sections[name]
+
+    def int_rows(name: str, rows: int) -> list[list[int]]:
+        raw = section(name)
+        if len(raw) != rows:
+            raise SchemaError(f"section {name} has {len(raw)} rows, expected {rows}")
+        try:
+            return [[int(v) for v in ln.split(",")] if ln else [] for ln in raw]
+        except ValueError:
+            raise SchemaError(f"section {name} holds a value that is not an integer") from None
+
+    def count_table(name: str, rows: int, cols: int) -> np.ndarray:
+        values = int_rows(name, rows)
+        if any(len(row) != cols for row in values):
+            raise SchemaError(f"section {name} is not {rows}x{cols}")
+        try:
+            arr = np.array(values, dtype=np.int64).reshape(rows, cols)
+        except OverflowError:
+            raise SchemaError(f"section {name} holds a count beyond int64") from None
+        if (arr < 0).any():
+            raise SchemaError(f"section {name} holds a negative count")
+        return arr
+
+    try:
+        cfg = LdaConfig(
+            k=number("k", int),
+            alpha=number("alpha", float),
+            beta=number("beta", float),
+            iterations=number("iterations", int),
+            burn_in=number("burn_in", int),
+            seed=number("seed", int),
+        )
+    except ConfigError as exc:
+        raise SchemaError(f"model header: {exc}") from None
+    n_docs, n_terms = number("n_docs", int), number("n_terms", int)
+    terms = tuple(section("terms"))
+    doc_ids = tuple(section("documents"))
     if len(terms) != n_terms or len(doc_ids) != n_docs:
         raise SchemaError("label sections do not match the declared sizes")
 
-    def int_table(name: str, rows: int, cols: int) -> np.ndarray:
-        raw = sections[name]
-        if len(raw) != rows:
-            raise SchemaError(f"section {name} has {len(raw)} rows, expected {rows}")
-        arr = np.array([[int(v) for v in ln.split(",")] for ln in raw], dtype=np.int64)
-        if arr.shape != (rows, cols):
-            raise ConfigError(f"section {name} is not {rows}x{cols}")
-        return arr
-
-    nwk = int_table("topic_word_counts", cfg.k, n_terms)
-    ndk = int_table("doc_topic_counts", n_docs, cfg.k)
-    topics: list[int] = []
-    offsets = [0]
-    for ln in sections["assignments"]:
-        if ln:
-            topics.extend(int(v) for v in ln.split(","))
-        offsets.append(len(topics))
+    k = cfg.k
+    nwk = count_table("topic_word_counts", k, n_terms)
+    ndk = count_table("doc_topic_counts", n_docs, k)
+    if not np.array_equal(nwk.sum(axis=1), ndk.sum(axis=0)):
+        raise SchemaError("topic_word_counts and doc_topic_counts differ in topic totals")
+    rows = int_rows("assignments", n_docs)
+    flat = [t for row in rows for t in row]
+    if flat and not (0 <= min(flat) and max(flat) < k):
+        raise SchemaError(f"assignments hold a topic outside 0..{k - 1}")
+    topics = np.array(flat, dtype=np.int32)
+    lengths = [len(row) for row in rows]
+    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    if not np.array_equal(
+        np.bincount(doc_of * k + topics, minlength=n_docs * k).reshape(n_docs, k), ndk
+    ):
+        raise SchemaError("assignments differ from doc_topic_counts")
     vbeta = n_terms * cfg.beta
     nk = nwk.sum(axis=1).astype(np.float64)
     phi = (nwk + cfg.beta) / (nk + vbeta)[:, None]
     lens = ndk.sum(axis=1).astype(np.float64)
-    theta = (ndk + cfg.alpha) / (lens + cfg.k * cfg.alpha)[:, None]
-    lls = tuple(float(v) for v in sections.get("log_likelihoods", []))
+    theta = (ndk + cfg.alpha) / (lens + k * cfg.alpha)[:, None]
+    try:
+        lls = tuple(float(v) for v in sections.get("log_likelihoods", []))
+    except ValueError:
+        raise SchemaError("section log_likelihoods holds a value that is not a number") from None
     dropped = tuple(x for x in header.get("dropped", "").split(";") if x)
     return LdaModel(
         config=cfg,
@@ -605,8 +682,8 @@ def load_model(path) -> LdaModel:
         theta=theta,
         topic_word_counts=nwk,
         doc_topic_counts=ndk,
-        offsets=np.array(offsets, dtype=np.int64),
-        topics=np.array(topics, dtype=np.int32),
+        offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        topics=topics,
         dropped_ids=dropped,
         log_likelihoods=lls,
     )

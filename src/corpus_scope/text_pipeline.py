@@ -248,7 +248,10 @@ def _encode_native(
         for chunk in _chunks(texts):
             encoded = "".join(chunk).encode("utf-32-le", "surrogatepass")
             points = np.frombuffer(encoded, dtype=np.uint32)
-            wide = np.unique(points[points >= 128])
+            # the distinct code points above ASCII, ascending (np.unique
+            # would import numpy.ma)
+            wide = np.sort(points[points >= 128])
+            wide = wide[np.diff(wide, prepend=0) != 0]
             wide = wide[np.fromiter((chr(c).isalnum() for c in wide.tolist()), bool, wide.size)]
             doc_ends = np.cumsum([len(t) for t in chunk], dtype=np.int64)
             if doc_ends[-1] != points.size:

@@ -84,6 +84,23 @@ def native_and_python(compute):
         return native, compute()
 
 
+class ChainSpy:
+    """The compiled library, recording the sweeps of each ``gibbs_chain``
+    call on ``blocks`` and calling ``after()`` when the call returns."""
+
+    def __init__(self, after=lambda: None):
+        self.lib, self.blocks, self.after = _native.library(), [], after
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def gibbs_chain(self, *args):
+        status = self.lib.gibbs_chain(*args)
+        self.blocks.append(args[-2])
+        self.after()
+        return status
+
+
 @pytest.fixture(scope="session", autouse=True)
 def kernel_cache(tmp_path_factory):
     """Build the compiled kernels into a per-session cache directory."""

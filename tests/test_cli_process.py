@@ -71,14 +71,16 @@ def test_package_import_loads_no_numpy():
 def test_cli_import_and_a_demo_run_load_neither_scipy_sparse_nor_linalg(tmp_path):
     # the DTM is plain CSR arrays, gammaln and the F test's p-value are
     # computed in the package, and the demo's CA takes the dense path: no
-    # SciPy module at all is loaded
+    # SciPy module at all is loaded. Nor are numpy.ma (which a flagless
+    # np.unique imports) and numpy.random (only the Python Gibbs chain's)
     script = (
         "import sys\n"
         "from corpus_scope.cli import main\n"
-        "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "print('import', scipy())\n"
+        "def unwanted(): return [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                        or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])]\n"
+        "print('import', unwanted())\n"
         "code = main(['run', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print('run', code, scipy())\n"
+        "print('run', code, unwanted())\n"
     )
     lines = run_python(script, str(DEMO), str(tmp_path)).splitlines()
     assert lines[0] == "import []"

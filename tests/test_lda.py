@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from conftest import planted_corpus
+from conftest import BACKENDS, ChainSpy, needs_compiler, planted_corpus, use_backend
 from corpus_scope import _native, lda
 from corpus_scope.errors import (
     ConfigError,
@@ -303,20 +303,89 @@ def backend_case(case):
     elif case == "empty_document":
         sequences = [*sequences[:5], TokenSequence("empty", ()), *sequences[5:]]
         config = quick_config()
+    elif case == "many_topics":
+        # 10 terms x 50 topics: the sum over n_wk takes numpy's recursive branch
+        config = LdaConfig(k=50, iterations=40, burn_in=10, seed=3)
     return sequences, build_vocabulary(sequences), config
 
 
-@pytest.mark.parametrize("case", ["defaults", "single_topic", "empty_document"])
+def in_vocabulary_tokens(sequences, vocab):
+    return lda._vectorize(sequences, vocab)[2].size
+
+
+@pytest.mark.parametrize("case", ["defaults", "single_topic", "empty_document",
+                                  "many_topics", "blocks"])
 def test_native_sweep_reproduces_the_python_sweep(case, monkeypatch):
     if shutil.which("g++") is None:
         pytest.skip("no C++ compiler to build the native sweep")
     assert gibbs_backend() == "native"
     sequences, vocab, config = backend_case(case)
+    if case == "blocks":  # 60 sweeps in calls of 7, the last one of 4
+        tokens = in_vocabulary_tokens(sequences, vocab)
+        monkeypatch.setattr(lda, "CHAIN_TOKENS", 7 * tokens + tokens - 1)
     native = fit_lda(sequences, vocab, config)
     monkeypatch.setattr(_native, "library", lambda: None)
     assert gibbs_backend() == "python"
     python = fit_lda(sequences, vocab, config)
     assert_same_chain(native, python)
+
+
+@needs_compiler
+def test_a_chain_run_in_blocks_matches_one_call(monkeypatch):
+    sequences, vocab, config = backend_case("defaults")
+    tokens = in_vocabulary_tokens(sequences, vocab)
+    lib = ChainSpy()
+    monkeypatch.setattr(_native, "library", lambda: lib)
+    whole = fit_lda(sequences, vocab, config)
+    assert lib.blocks == [60] and 60 * tokens < lda.CHAIN_TOKENS
+    for chain_tokens, blocks in ((1, [1] * 60), (9 * tokens, [9] * 6 + [6])):
+        monkeypatch.setattr(lda, "CHAIN_TOKENS", chain_tokens)
+        lib.blocks = []
+        assert_same_chain(fit_lda(sequences, vocab, config), whole)
+        assert lib.blocks == blocks
+
+
+def spoil_after_check(monkeypatch, spoil):
+    """Have fit_lda's tables pass their check, then apply ``spoil`` to them."""
+    check = lda._check_tables
+
+    def checked(offsets, words, z, n_wk, n_dk, n_k, p, k):
+        check(offsets, words, z, n_wk, n_dk, n_k, p, k)
+        spoil(words, n_wk, n_dk, n_k)
+
+    monkeypatch.setattr(lda, "_check_tables", checked)
+
+
+def add_one_to_n_k(words, n_wk, n_dk, n_k):
+    n_k[0] += 1
+
+
+def add_one_to_n_dk(words, n_wk, n_dk, n_k):
+    n_dk[0, 0] += 1
+
+
+def move_counts_below_zero(words, n_wk, n_dk, n_k):
+    # more than the rarest word's tokens can win back in one sweep, so its
+    # topic-0 count is still negative after it; the row and margins add up
+    rarest = int(np.argmin(np.bincount(words)))
+    shift = 2 * int(np.bincount(words)[rarest]) + 2
+    n_wk[rarest, 0] -= shift
+    n_wk[rarest, 1] += shift
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("spoil,message", [
+    (add_one_to_n_k, "count conservation violated at sweep 0"),
+    (add_one_to_n_dk, "count table margin mismatch at sweep 0"),
+    (move_counts_below_zero, "count table entry out of range at sweep 0"),
+])
+def test_a_broken_count_table_stops_the_chain_at_sweep_0(backend, spoil, message,
+                                                       monkeypatch):
+    sequences, vocab, config = backend_case("defaults")
+    spoil_after_check(monkeypatch, spoil)
+    with use_backend(backend), pytest.raises(RuntimeError) as raised:
+        fit_lda(sequences, vocab, config)
+    assert str(raised.value) == message
 
 
 def test_unbuildable_kernel_falls_back_to_the_python_sweep(monkeypatch, caplog):
@@ -371,8 +440,8 @@ def test_gammaln_table_log_likelihood_is_bit_identical():
     rng = np.random.default_rng(17)
     for beta, p, k in [(0.01, 50, 6), (0.37, 7, 3), (1e-3, 200, 50)]:
         words = rng.integers(0, p, size=4000).astype(np.int32)
-        table = lda._gammaln_table(words, beta)
         most = np.bincount(words).max()
+        table = lda._gammaln_table(np.bincount(words)[:, None], beta)  # row totals
         assert table.size == most + 1
         n_wk = rng.integers(0, most + 1, size=(p, k))
         n_wk[rng.integers(p), rng.integers(k)] = most  # the largest count
@@ -381,7 +450,7 @@ def test_gammaln_table_log_likelihood_is_bit_identical():
         expected = k * (gammaln(p * beta) - p * gammaln(beta))
         expected += float(gammaln(n_wk + beta).sum() - gammaln(n_k + p * beta).sum())
         assert lda._log_likelihood(n_wk, n_k, k, p, beta, table) == expected
-    assert lda._gammaln_table(np.zeros(0, np.int32), 0.5).tolist() == [gammaln(0.5)]
+    assert lda._gammaln_table(np.zeros((0, 2), np.int64), 0.5).tolist() == [gammaln(0.5)]
 
 
 def test_chain_matches_the_pinned_reference():
@@ -476,3 +545,53 @@ def test_load_model_rejects_foreign_payloads(tmp_path):
     bad.write_text("not-a-model v9\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         load_model(bad)
+
+
+def edit_section(text, name, edit):
+    """``text`` with the lines of section ``[name]`` replaced by ``edit(lines)``."""
+    head, rest = text.split(f"[{name}]\n")
+    body, sep, tail = rest.partition("\n[")
+    return head + f"[{name}]\n" + "\n".join(edit(body.split("\n"))) + sep + tail
+
+
+def first_value(lines, value):
+    return [value + lines[0][lines[0].index(","):], *lines[1:]]
+
+
+def move_first_assignment(lines):
+    topic = int(lines[0].split(",")[0])
+    return first_value(lines, str((topic + 1) % 3))
+
+
+MALFORMED = {
+    "missing_k": lambda t: t.replace("\nk=3\n", "\n"),
+    "ragged_row": lambda t: edit_section(t, "topic_word_counts",
+                                         lambda ls: [ls[0].rsplit(",", 1)[0], *ls[1:]]),
+    "non_integer_count": lambda t: edit_section(t, "doc_topic_counts",
+                                                lambda ls: first_value(ls, "1.5")),
+    "negative_count": lambda t: edit_section(t, "doc_topic_counts",
+                                             lambda ls: first_value(ls, "-1")),
+    "wide_table": lambda t: edit_section(t, "topic_word_counts",
+                                         lambda ls: [ln + ",0" for ln in ls]),
+    "topic_totals": lambda t: edit_section(t, "topic_word_counts",
+                                           lambda ls: first_value(ls, "99")),
+    "nine_assignment_lines": lambda t: edit_section(t, "assignments", lambda ls: ls[:-1]),
+    "topic_out_of_range": lambda t: edit_section(t, "assignments",
+                                                 lambda ls: first_value(ls, "9")),
+    "assignments_disagree": lambda t: edit_section(t, "assignments", move_first_assignment),
+    "missing_section": lambda t: t.replace("[documents]\n", "[docs]\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_model_rejects_malformed_files(case, tmp_path):
+    model, *_ = fitted_planted(n_docs=10, k=3, iterations=20, burn_in=5)
+    text = "".join(render_model(model))
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    assert "".join(render_model(load_model(path))) == text
+    broken = MALFORMED[case](text)
+    assert broken != text
+    path.write_text(broken, encoding="utf-8")
+    with pytest.raises(SchemaError):
+        load_model(path)

@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corpus_scope import _lapack, lda
+from conftest import ChainSpy, needs_compiler
+from corpus_scope import _lapack, _native, lda
 from corpus_scope.bigrams import count_bigrams
 from corpus_scope.lsa import fit_ca
 from corpus_scope.text_pipeline import TokenArray, build_dtm, build_vocabulary
@@ -89,6 +90,33 @@ def test_fit_lda_set_up_holds_at_most_two_token_arrays(tokens, monkeypatch):
                                                                      burn_in=0)))
     token_arrays = (seen["peak"] - seen["start"]) / (8 * seen["tokens"])
     assert token_arrays < 2.0, f"fit_lda set-up peak {token_arrays:.2f} token arrays"
+
+
+@needs_compiler
+def test_fit_lda_chain_holds_less_than_half_a_token_array(tokens, monkeypatch):
+    # measured from the first check of the tables to the end of the last
+    # native call, over the gammaln table and three sweeps in one call and
+    # in three: the uniforms are drawn where they are read
+    seen = {}
+    check = lda._check_tables
+
+    def checked(*args, **kwargs):
+        check(*args, **kwargs)
+        tracemalloc.reset_peak()
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+
+    monkeypatch.setattr(lda, "_check_tables", checked)
+    vocab = build_vocabulary(tokens, 300)
+    config = lda.LdaConfig(k=6, iterations=3, burn_in=0)
+    n_tokens = lda._vectorize(tokens, vocab)[2].size
+    for chain_tokens, blocks in ((lda.CHAIN_TOKENS, [3]), (n_tokens, [1, 1, 1])):
+        spy = ChainSpy(after=lambda: seen.update(peak=tracemalloc.get_traced_memory()[1]))
+        monkeypatch.setattr(_native, "library", lambda: spy)
+        monkeypatch.setattr(lda, "CHAIN_TOKENS", chain_tokens)
+        traced_peak(lambda: lda.fit_lda(tokens, vocab, config))
+        assert spy.blocks == blocks
+        token_arrays = (seen["peak"] - seen["start"]) / (8 * n_tokens)
+        assert token_arrays < 0.5, f"fit_lda chain peak {token_arrays:.2f} token arrays"
 
 
 def test_count_bigrams_holds_at_most_two_token_arrays(tokens):

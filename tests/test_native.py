@@ -2,10 +2,15 @@ import fnmatch
 import shutil
 import subprocess
 from pathlib import Path
+from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus_scope import _native
+from conftest import needs_compiler
+from corpus_scope import _native, lda
 
 
 @pytest.mark.skipif(shutil.which("g++") is None, reason="no C++ compiler")
@@ -23,3 +28,110 @@ def test_wheel_ships_the_native_source():
     config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
     patterns = config["tool"]["setuptools"]["package-data"]["corpus_scope"]
     assert any(fnmatch.fnmatch(_native.SOURCE.name, p) for p in patterns), patterns
+
+
+# ------------------------------------------------------------ the chain's pieces
+# Oracles for the pieces the native Gibbs chain is built from: each must give
+# the bits of the Python function or the numpy call it replaces.
+
+
+def native_library():
+    lib = _native.library()
+    assert lib is not None
+    return lib
+
+
+def lgam_each(values):
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.empty_like(values)
+    native_library().lgam_each(values.ctypes.data, values.size, out.ctypes.data)
+    return out
+
+
+def python_gammaln(values):
+    return np.array([lda.gammaln(v) for v in values.tolist()])
+
+
+@needs_compiler
+def test_lgam_matches_gammaln_bit_for_bit_on_every_branch():
+    values = np.array([
+        5e-324, 1e-300, 1e-8, 0.01, 0.5, 1.0, 1.5, 1.9999999999999998, 2.0, 2.5,
+        3.0, 3.0000000000000004, 7.25, 12.999999999999998, 13.0, 13.5, 999.9999999999999,
+        1000.0, 1234.5, 99999999.99999999, 1e8, 1.0000000000000002e8, 3.7e150,
+        2.556348e305, 2.5563480000000004e305, 1e308, np.inf, np.nan,
+    ])
+    assert lgam_each(values).tobytes() == python_gammaln(values).tobytes()
+    for beta in (0.01, 0.37, 1e-3, 0.5):
+        values = np.arange(20000) + beta
+        assert lgam_each(values).tobytes() == python_gammaln(values).tobytes()
+    # lda.gammaln raises below and at 0; the native twin gives NaN
+    assert np.isnan(lgam_each([0.0, -1.0, -np.inf])).all()
+
+
+@needs_compiler
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=5e-324, max_value=1e306), max_size=50))
+def test_lgam_matches_gammaln_on_any_positive_double(values):
+    values = np.array(values, dtype=np.float64)
+    assert lgam_each(values).tobytes() == python_gammaln(values).tobytes()
+
+
+def sum_at(table, index):
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    index = np.ascontiguousarray(index, dtype=np.int64)
+    return native_library().sum_at(table.ctypes.data, index.ctypes.data, index.size)
+
+
+def spread_values(seed, n):
+    """n doubles over twelve orders of magnitude, so the order of a sum shows."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+
+
+@needs_compiler
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(0, 2000), st.sampled_from([7, 8, 128, 129, 136, 8191, 8192, 8193])),
+       st.integers(0, 2**32 - 1))
+def test_sum_at_adds_in_numpys_order(n, seed):
+    values = spread_values(seed, n)
+    assert sum_at(values, np.arange(n)) == np.sum(values)
+
+
+@needs_compiler
+@pytest.mark.parametrize("shape", [(85, 6), (5000, 50), (12799, 6)])
+def test_sum_at_over_a_count_table_matches_the_gathered_sum(shape):
+    # the log-likelihood's sum of table[n_wk], read in place
+    rng = np.random.default_rng(shape[0])
+    table = spread_values(shape[1], 500)
+    counts = rng.integers(0, table.size, size=shape)
+    assert sum_at(table, counts) == table[counts].sum()
+
+
+def mt_state(seed):
+    return np.array(Random(seed).getstate()[1], dtype=np.uint32)
+
+
+def assert_same_state(state, stream):
+    _, key, pos, *_ = stream.get_state()
+    assert np.array_equal(state[:624], key) and int(state[624]) == pos
+
+
+@needs_compiler
+@pytest.mark.parametrize("k", [1, 2, 6, 50, 1000, 2**32 - 1])
+def test_native_topics_uniforms_and_state_follow_the_mersenne_twister(k):
+    lib = native_library()
+    for seed, n, m in [(0, 0, 0), (42, 1, 1), (7, 311, 312), (7, 624, 313), (2024, 5000, 1000)]:
+        state, stream = mt_state(seed), lda._mt_stream(seed)
+        topics = np.empty(n, dtype=np.int32)
+        lib.draw_topics(state.ctypes.data, k, n, topics.ctypes.data)
+        assert np.array_equal(topics, lda._randrange_batch(stream, k, n))
+        assert_same_state(state, stream)
+        uniforms = np.empty(m)
+        lib.draw_uniforms(state.ctypes.data, m, uniforms.ctypes.data)
+        assert uniforms.tobytes() == stream.random_sample(m).tobytes()
+        assert_same_state(state, stream)
+        # and the state is random.Random's after the same calls
+        rng = Random(seed)
+        [rng.randrange(k) for _ in range(n)]
+        [rng.random() for _ in range(m)]
+        assert tuple(state.tolist()) == rng.getstate()[1]
