@@ -13,7 +13,7 @@
 #include <stdint.h>
 #include <vector>
 
-/* MT19937 as random.Random and numpy's RandomState run it. The state is
+/* MT19937 as random.Random runs it. The state is
  * random.Random.getstate()[1] as 625 words: the 624-word key, then the
  * position of the next output in it (624 when the key is used up). */
 struct mt19937 {
@@ -44,7 +44,7 @@ struct mt19937 {
     }
 
     /* genrand_res53: a double in [0, 1) from two outputs, as random.random()
-     * and numpy's random_sample build it */
+     * builds it */
     double uniform()
     {
         uint32_t a = next() >> 5, b = next() >> 6;
@@ -153,7 +153,7 @@ extern "C" {
 
 /* n successive random.Random.randrange(k) values into z, for 1 <= k < 2**32:
  * the top k.bit_length() bits of one output, drawn again while >= k; the
- * compiled twin of lda._randrange_batch. state (625 words) is advanced in
+ * compiled twin of lda._draw_topics_python. state (625 words) is advanced in
  * place. */
 void draw_topics(uint32_t *state, int64_t k, int64_t n, int32_t *z)
 {
@@ -194,7 +194,7 @@ double sum_at(const double *table, const int64_t *index, int64_t n)
 }
 
 /* A block of collapsed Gibbs sweeps over flat count tables; the compiled
- * twin of lda._sweep_python plus fit_lda's checks and log-likelihood. Each
+ * twin of lda._chain_python, with its checks and log-likelihoods. Each
  * token's uniform is drawn from state (as in draw_topics) where it is read,
  * and each sampling weight is evaluated in the same order as the Python
  * loop; the library is built with -ffp-contract=off, so every double rounds

@@ -8,19 +8,20 @@ and resamples each token's topic assignment z from
 where n_wt counts word w in topic t, n_t all tokens in topic t, and n_dt
 tokens of document d in topic t, all excluding the token being resampled.
 Randomness is the Mersenne Twister stream of a stdlib ``random.Random(seed)``,
-which is documented to be reproducible across Python versions and platforms,
-so a (corpus, config) pair fully determines the result: the topic
-initialization reproduces successive ``randrange(k)`` calls and the sweeps
-the ``random()`` calls after them.
+so a (corpus, config) pair fully determines the result. Each initial topic
+is the top ``k.bit_length()`` bits of one 32-bit output (``getrandbits``),
+drawn again while >= k, and each sweep reads one ``random()`` per token.
+Python documents only ``random()`` as reproducible across versions, so the
+topic draw is spelled out rather than left to ``randrange``.
 
-The chain runs in native functions (``draw_topics`` and ``gibbs_chain`` in
-``_native.cpp``) that are compiled on first use and loaded with ctypes (see
-``_native``). They take over the generator's state and run the sweeps, the
-count checks and the log-likelihoods in blocks of about 2**22 token-sweeps
-per call. When the library is unavailable, a plain-Python loop draws the
-same stream through numpy's ``RandomState`` and runs one sweep at a time.
-Both evaluate the same floating-point operations in the same order on the
-same uniforms, so they produce the same chain bit for bit.
+The chain advances the generator's 625-word state (``getstate()[1]``) in
+blocks of about 2**22 token-sweeps, each running the sweeps, the count checks
+and the log-likelihoods: in ``draw_topics`` and ``gibbs_chain`` of
+``_native.cpp`` (compiled on first use, see ``_native``), or, when that
+library is unavailable, in their plain-Python twins :func:`_draw_topics_python`
+and :func:`_chain_python`. Both evaluate the same floating-point operations in
+the same order on the same uniforms, so they produce the same chain bit for
+bit.
 """
 
 from __future__ import annotations
@@ -54,11 +55,10 @@ DEFAULT_ITERATIONS = 1000
 DEFAULT_BURN_IN = 200
 
 MODEL_FORMAT = "corpus-scope-lda v1"
-RANDRANGE_BATCH = 1 << 16  # 32-bit outputs drawn at a time for the initial topics
-# token-sweeps per native chain call (at least one sweep), so that Python,
-# and Ctrl-C, gets control back about every 0.1 s at k=6
+# token-sweeps per chain call (at least one sweep), so that Python, and
+# Ctrl-C, gets control back from the native chain about every 0.1 s at k=6
 CHAIN_TOKENS = 1 << 22
-# fit_lda's messages for gibbs_chain's failed checks 1, 2 and 3
+# fit_lda's messages for a chain's failed checks 1, 2 and 3
 _CHECK_ERRORS = (
     "count conservation violated at sweep {}",
     "count table margin mismatch at sweep {}",
@@ -88,8 +88,9 @@ class LdaConfig:
             raise ConfigError(f"k must be < 2**32, got {self.k}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 50.0 / self.k)
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ConfigError("alpha and beta must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):  # and not NaN
+            raise ConfigError(f"alpha and beta must be finite and positive, got"
+                              f" {self.alpha} and {self.beta}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
@@ -242,42 +243,6 @@ def _vectorize(
     return doc_ids, offsets[np.concatenate(([True], lengths > 0))], words, dropped
 
 
-def _mt_stream(seed: int) -> np.random.RandomState:
-    """A numpy generator at ``random.Random(seed)``'s Mersenne Twister state.
-
-    ``random_sample`` and ``Random.random`` both build a double from two
-    32-bit outputs the same way (genrand_res53), so a batch drawn from it
-    holds exactly the values successive ``random()`` calls would return.
-    """
-    _, internal, _ = Random(seed).getstate()
-    stream = np.random.RandomState(0)
-    key, pos = np.array(internal[:-1], dtype=np.uint32), internal[-1]
-    stream.set_state(("MT19937", key, pos))
-    return stream
-
-
-def _randrange_batch(stream: np.random.RandomState, k: int, n: int) -> np.ndarray:
-    """``n`` successive ``Random.randrange(k)`` values, as int32, from ``stream``.
-
-    ``randrange(k)`` takes the top ``k.bit_length()`` bits of one 32-bit
-    output and draws again while the value is >= k. Each batch here draws
-    at most one output per value still needed, so ``randrange`` would take
-    every output drawn, and the stream ends where ``random()`` goes on.
-    ``k`` is below 2**32 (:class:`LdaConfig` checks).
-    """
-    bits = k.bit_length()
-    out = np.empty(n, dtype=np.int32)
-    done = 0
-    while done < n:
-        size = min(n - done, RANDRANGE_BATCH)
-        raw = stream.randint(0, 2**32, size=size, dtype=np.uint32)
-        raw >>= 32 - bits
-        hits = raw[raw < k]
-        out[done : done + hits.size] = hits
-        done += hits.size
-    return out
-
-
 def _gammaln_table(n_wk: np.ndarray, beta: float) -> np.ndarray:
     """``gammaln(c + beta)`` for every count ``c`` an ``n_wk`` entry can hold.
 
@@ -314,62 +279,92 @@ def _log_likelihood(
     return float(val)
 
 
-def gibbs_backend() -> str:
-    """The chain :func:`fit_lda` runs in this process: ``native`` or ``python``."""
-    return _native.backend()
+def _generator(state: np.ndarray) -> Random:
+    """A ``random.Random`` at ``state``, its 625-word ``getstate()[1]``."""
+    rng = Random()
+    rng.setstate((3, tuple(state.tolist()), None))
+    return rng
 
 
-def _sweep_python(
-    n_docs: int,
+def _draw_topics_python(state: np.ndarray, k: int, n: int) -> np.ndarray:
+    """``n`` topics as ``randrange(k)`` draws them, advancing ``state`` in
+    place: the twin of the native ``draw_topics``, whose int32 bits it
+    returns. ``k`` is below 2**32 (:class:`LdaConfig` checks).
+    """
+    rng = _generator(state)
+    draw, bits = rng.getrandbits, k.bit_length()
+    topics = []
+    for _ in range(n):
+        r = draw(bits)
+        while r >= k:
+            r = draw(bits)
+        topics.append(r)
+    state[:] = rng.getstate()[1]
+    return np.array(topics, dtype=np.uint32).view(np.int32)
+
+
+def _chain_python(
     offsets: np.ndarray,
     words: np.ndarray,
     z: np.ndarray,
-    k: int,
     n_wk: np.ndarray,
     n_dk: np.ndarray,
     n_k: np.ndarray,
-    u: np.ndarray,
-    cum: np.ndarray,
     alpha: float,
     beta: float,
-    vbeta: float,
-) -> None:
-    """One Gibbs sweep in place, in plain Python, on uniforms drawn ahead:
-    the reference for a sweep of ``gibbs_chain``.
+    state: np.ndarray,
+    table: np.ndarray,
+    log_likelihoods: np.ndarray,
+) -> int:
+    """A block of ``log_likelihoods.size`` Gibbs sweeps in place, advancing
+    ``state``: the twin of the native ``gibbs_chain``, with its checks after
+    each sweep and its return value (0, or 3 * sweep + the failed check).
 
-    The tables are copied to nested lists for the loop, because numpy scalar
-    indexing would dominate it, and written back at the end; a list also
-    replaces the ``cum`` scratch array.
+    The sweeps run on nested lists, because numpy scalar indexing would
+    dominate them, written back to the tables for the checks and
+    :func:`_log_likelihood`.
     """
+    p, k = n_wk.shape
+    vbeta, total = p * beta, int(offsets[-1])
     nwk, ndk, nk = n_wk.tolist(), n_dk.tolist(), n_k.tolist()
-    zs, ws, us, bounds = z.tolist(), words.tolist(), u.tolist(), offsets.tolist()
-    topics = range(k)
-    last = k - 1
-    cum = [0.0] * k
-    for d in range(n_docs):
-        ndk_d = ndk[d]
-        for i in range(bounds[d], bounds[d + 1]):
-            nwk_w = nwk[ws[i]]
-            old = zs[i]
-            nwk_w[old] -= 1
-            ndk_d[old] -= 1
-            nk[old] -= 1
-            total = 0.0
-            for t in topics:
-                total += (nwk_w[t] + beta) / (nk[t] + vbeta) * (ndk_d[t] + alpha)
-                cum[t] = total
-            x = us[i] * total
-            new = 0
-            while new < last and cum[new] < x:
-                new += 1
-            zs[i] = new
-            nwk_w[new] += 1
-            ndk_d[new] += 1
-            nk[new] += 1
-    n_wk[...] = nwk
-    n_dk[...] = ndk
-    n_k[...] = nk
+    zs, ws, bounds = z.tolist(), words.tolist(), offsets.tolist()
+    rng = _generator(state)
+    uniform, topics, last, cum = rng.random, range(k), k - 1, [0.0] * k
+    status = 0
+    for s in range(log_likelihoods.size):
+        for d in range(len(bounds) - 1):
+            ndk_d = ndk[d]
+            for i in range(bounds[d], bounds[d + 1]):
+                nwk_w = nwk[ws[i]]
+                old = zs[i]
+                nwk_w[old] -= 1
+                ndk_d[old] -= 1
+                nk[old] -= 1
+                weight = 0.0
+                for t in topics:
+                    weight += (nwk_w[t] + beta) / (nk[t] + vbeta) * (ndk_d[t] + alpha)
+                    cum[t] = weight
+                x = uniform() * weight
+                new = 0
+                while new < last and cum[new] < x:
+                    new += 1
+                zs[i] = new
+                nwk_w[new] += 1
+                ndk_d[new] += 1
+                nk[new] += 1
+        n_wk[...], n_dk[...], n_k[...] = nwk, ndk, nk
+        if int(n_k.sum()) != total:
+            status = 3 * s + 1
+        elif int(n_wk.sum()) != total or int(n_dk.sum()) != total:
+            status = 3 * s + 2
+        elif n_wk.min() < 0 or n_wk.max() >= table.size:
+            status = 3 * s + 3
+        if status:
+            break
+        log_likelihoods[s] = _log_likelihood(n_wk, n_k, k, p, beta, table)
     z[...] = zs
+    state[:] = rng.getstate()[1]
+    return status
 
 
 def _check_tables(
@@ -434,12 +429,11 @@ def fit_lda(
     n_docs = len(doc_ids)
     total_tokens = int(words.size)
     lib = _native.library()
+    # random.Random's key and position, advanced in place by each call
+    state = np.array(Random(config.seed).getstate()[1], dtype=np.uint32)
     if lib is None:
-        stream = _mt_stream(config.seed)
-        z = _randrange_batch(stream, k, total_tokens)
+        z = _draw_topics_python(state, k, total_tokens)
     else:
-        # random.Random's key and position, advanced in place by each call
-        state = np.array(Random(config.seed).getstate()[1], dtype=np.uint32)
         z = np.empty(total_tokens, dtype=np.int32)
         lib.draw_topics(state.ctypes.data, k, total_tokens, z.ctypes.data)
 
@@ -462,32 +456,23 @@ def fit_lda(
     cum = np.zeros(k)
     table = _gammaln_table(n_wk, beta)
     log_likelihoods = np.empty(config.iterations)
-    if lib is None:
-        for it in range(config.iterations):
-            _sweep_python(n_docs, offsets, words, z, k, n_wk, n_dk, n_k,
-                          stream.random_sample(total_tokens), cum, alpha, beta, vbeta)
-            # exact conservation check: every margin must re-add to the token total
-            if int(n_k.sum()) != total_tokens:
-                raise RuntimeError(_CHECK_ERRORS[0].format(it))
-            if int(n_wk.sum()) != total_tokens or int(n_dk.sum()) != total_tokens:
-                raise RuntimeError(_CHECK_ERRORS[1].format(it))
-            if n_wk.min() < 0 or n_wk.max() >= table.size:
-                raise RuntimeError(_CHECK_ERRORS[2].format(it))
-            log_likelihoods[it] = _log_likelihood(n_wk, n_k, k, p, beta, table)
-    else:
-        # the tables are updated in place for the whole chain, so their
-        # addresses are taken once; each call runs a block of sweeps
-        chain = (n_docs, offsets.ctypes.data, words.ctypes.data, z.ctypes.data, p, k,
-                 n_wk.ctypes.data, n_dk.ctypes.data, n_k.ctypes.data, cum.ctypes.data,
-                 alpha, beta, vbeta, state.ctypes.data, table.ctypes.data, table.size,
-                 _log_likelihood_constant(k, p, beta))
-        block = max(1, CHAIN_TOKENS // total_tokens)
-        for first in range(0, config.iterations, block):
-            sweeps = min(block, config.iterations - first)
-            failed = lib.gibbs_chain(*chain, sweeps, log_likelihoods.ctypes.data + 8 * first)
-            if failed:
-                it, check = divmod(failed - 1, 3)
-                raise RuntimeError(_CHECK_ERRORS[check].format(first + it))
+    # the tables are updated in place for the whole chain, so the native
+    # chain takes their addresses once; each call runs a block of sweeps
+    chain = (n_docs, offsets.ctypes.data, words.ctypes.data, z.ctypes.data, p, k,
+             n_wk.ctypes.data, n_dk.ctypes.data, n_k.ctypes.data, cum.ctypes.data,
+             alpha, beta, vbeta, state.ctypes.data, table.ctypes.data, table.size,
+             _log_likelihood_constant(k, p, beta))
+    block = max(1, CHAIN_TOKENS // total_tokens)
+    for first in range(0, config.iterations, block):
+        out = log_likelihoods[first : first + block]
+        if lib is None:
+            failed = _chain_python(offsets, words, z, n_wk, n_dk, n_k, alpha, beta,
+                                   state, table, out)
+        else:
+            failed = lib.gibbs_chain(*chain, out.size, out.ctypes.data)
+        if failed:
+            it, check = divmod(failed - 1, 3)
+            raise RuntimeError(_CHECK_ERRORS[check].format(first + it))
 
     phi = (n_wk.T + beta) / (n_k.astype(np.float64) + vbeta)[:, None]
     lens = n_dk.sum(axis=1).astype(np.float64)

@@ -69,7 +69,7 @@ from .errors import (
     InsufficientDataError,
     StageError,
 )
-from .lda import LdaConfig, fit_lda, gibbs_backend, render_model, top_words_per_topic
+from .lda import LdaConfig, fit_lda, render_model, top_words_per_topic
 from .lsa import fit_ca, project_supplementary, representative_documents
 from .svgplot import line_chart, scatter_2d
 from .text_pipeline import (
@@ -296,14 +296,22 @@ def resolve_stoplist(cfg: PipelineConfig) -> tuple[frozenset[str], str]:
     return load_stoplist(path), f"{source}:{path.name}"
 
 
-def _check_paths(cfg: PipelineConfig) -> None:
+def _check_paths(cfg: PipelineConfig, files: tuple[str, ...]) -> None:
     """Raise InputError, before any stage runs, when the input or the
-    stoplist that :func:`resolve_stoplist` would read is not a file."""
+    stoplist that :func:`resolve_stoplist` would read is not a file, or is
+    one of the planned ``files`` or ``run_report.json`` in ``--out``, which
+    the run would overwrite."""
     if not cfg.input.is_file():
         raise InputError(f"input path is not a readable file: {cfg.input}")
     chosen = _stoplist_path(cfg)
     if chosen is not None and not chosen[0].is_file():
         raise InputError(f"stoplist path is not a readable file: {chosen[0]}")
+    read = [("input", cfg.input)] + ([("stoplist", chosen[0])] if chosen else [])
+    for what, path in read:
+        for name in (*files, "run_report.json"):
+            target = cfg.out_dir / name
+            if target.is_file() and os.path.samefile(path, target):
+                raise InputError(f"{what} {path} is the output {name} this run would overwrite")
 
 
 # where Linux reports the process's own peak RSS (VmHWM)
@@ -408,6 +416,12 @@ def _float_rows(matrix: np.ndarray) -> list[str]:
     return format_float_lines(matrix, ends, ",").split("\n")[:-1]
 
 
+def _one_line(text: str) -> str:
+    """``text`` with its line breaks written as ``\\r`` and ``\\n``, so that it
+    stays one ``# `` comment line above a file's header."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _ingest(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
     corpus, errors = parse_file(cfg.input, cfg.format)
@@ -426,7 +440,7 @@ def _ingest(run: _Run, stage: StageReport) -> None:
         run.subset, _rest = partition_by_country(corpus, cfg.country)
         require_nonempty(run.subset, f"country filter {cfg.country!r}")
     run.corpus = corpus
-    run.provenance = (
+    run.provenance = _one_line(
         f"corpus-scope {__version__} | input={cfg.input.name}"
         f" | filters={'; '.join(corpus.provenance.filters) or 'none'}"
         f" | seed={cfg.seed}"
@@ -630,7 +644,7 @@ def _lsa(run: _Run, stage: StageReport) -> None:
 def _lda(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
     model = fit_lda(run.tokens, run.vocab, cfg.lda_config())
-    stage.notes.append(f"gibbs backend {gibbs_backend()}")
+    stage.notes.append(f"gibbs backend {_native.backend()}")
     if model.dropped_ids:
         stage.notes.append(
             f"dropped documents without vocabulary tokens: {', '.join(model.dropped_ids)}"
@@ -677,7 +691,7 @@ def _compare(run: _Run, stage: StageReport) -> None:
     """
     cfg, corpus, subset = run.cfg, run.corpus, run.subset
     stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
-    provenance = (
+    provenance = _one_line(
         f"corpus-scope {__version__} | input={cfg.input.name}"
         f" | compare country={cfg.country} | seed={cfg.seed}"
     )
@@ -811,7 +825,7 @@ def run_pipeline(
     an earlier run.
     """
     stages, files = plan(cfg, command, from_stage)
-    _check_paths(cfg)
+    _check_paths(cfg, files)
     run = _Run(cfg, command, tuple(s.name for s in stages), files)
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

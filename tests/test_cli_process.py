@@ -72,7 +72,7 @@ def test_cli_import_and_a_demo_run_load_neither_scipy_sparse_nor_linalg(tmp_path
     # the DTM is plain CSR arrays, gammaln and the F test's p-value are
     # computed in the package, and the demo's CA takes the dense path: no
     # SciPy module at all is loaded. Nor are numpy.ma (which a flagless
-    # np.unique imports) and numpy.random (only the Python Gibbs chain's)
+    # np.unique imports) and numpy.random (which nothing in the package uses)
     script = (
         "import sys\n"
         "from corpus_scope.cli import main\n"
@@ -112,6 +112,32 @@ def test_demo_without_the_library_writes_the_pinned_files(tmp_path, capsys):
                for p in tmp_path.iterdir() if p.name != "run_report.json"}
     assert written == pinned
     assert "tokenizer backend python" in capsys.readouterr().out
+
+
+def test_a_process_without_a_compiler_runs_the_demo_on_the_python_twins(tmp_path):
+    # no g++ on PATH and an empty kernel cache: the library cannot be built,
+    # so every kernel runs its Python twin, which needs no numpy.random
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))["demo"]["any"]["outputs"]
+    (tmp_path / "bin").mkdir()
+    env = child_env()
+    env["PATH"] = str(tmp_path / "bin")
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    script = (
+        "import sys\n"
+        "from corpus_scope.cli import main\n"
+        "code = main(['run', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", script, str(DEMO), str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert "gibbs backend python" in proc.stdout
+    assert proc.stderr.count("compiled kernels unavailable") == 1, proc.stderr
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "run_report.json"}
+    assert written == pinned
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM here")

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 
 from conftest import BACKENDS, ChainSpy, needs_compiler, planted_corpus, use_backend
 from corpus_scope import _native, lda
+from corpus_scope._native import backend as gibbs_backend
 from corpus_scope.errors import (
     ConfigError,
     DomainError,
@@ -21,7 +22,6 @@ from corpus_scope.lda import (
     LdaConfig,
     dirichlet_density,
     fit_lda,
-    gibbs_backend,
     load_model,
     render_model,
     save_model,
@@ -237,49 +237,94 @@ def test_lda_config_validation():
         quick_config(iterations=10, burn_in=10)
 
 
+@pytest.mark.parametrize("prior", [{"alpha": math.nan}, {"alpha": math.inf},
+                                   {"beta": math.inf}, {"beta": math.nan},
+                                   {"alpha": -math.inf}])
+def test_lda_config_rejects_non_finite_priors(prior):
+    with pytest.raises(ConfigError, match="finite"):
+        quick_config(**prior)
+
+
+@pytest.mark.parametrize("line", ["alpha=nan", "alpha=inf", "beta=inf", "beta=nan"])
+def test_load_model_rejects_a_non_finite_prior(tmp_path, line):
+    model, *_ = fitted_planted(seed=19)
+    text = "".join(render_model(model))
+    key = line.partition("=")[0]
+    old = f"\n{key}={getattr(model.config, key)!r}\n"
+    assert old in text
+    path = tmp_path / "prior.txt"
+    path.write_text(text.replace(old, f"\n{line}\n"), encoding="utf-8")
+    with pytest.raises(SchemaError, match="finite"):
+        load_model(path)
+
+
 # ------------------------------------------------------------ initial state
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8, 50, 1000])
-def test_randrange_batch_reproduces_random_randrange(k):
+def test_draw_topics_python_reproduces_random_randrange(k):
     for seed in (0, 42, 2024):
         rng = Random(seed)
         expected = [rng.randrange(k) for _ in range(3000)]
-        stream = lda._mt_stream(seed)
-        assert lda._randrange_batch(stream, k, 3000).tolist() == expected
-        # the stream continues where random() would after the last randrange
-        assert stream.random_sample(3).tolist() == [rng.random() for _ in range(3)]
+        state = np.array(Random(seed).getstate()[1], dtype=np.uint32)
+        assert lda._draw_topics_python(state, k, 3000).tolist() == expected
+        # the state continues where random() would after the last randrange
+        after = lda._generator(state)
+        assert [after.random() for _ in range(3)] == [rng.random() for _ in range(3)]
 
 
-def randrange_by_rewinding(stream, k, n):
-    """The former ``_randrange_batch``: draw more outputs than needed, keep
-    the first ``n`` accepted, then rewind and redraw the ones consumed."""
-    bits = k.bit_length()
-    start = stream.get_state()
-    accepted = [np.empty(0, dtype=np.uint32)]
-    consumed = 0
-    while n > 0:
-        size = n * (1 << bits) // k + 64
-        raw = stream.randint(0, 2**32, size=size, dtype=np.uint32) >> (32 - bits)
-        hits = np.flatnonzero(raw < k)[:n]
-        accepted.append(raw[hits])
-        consumed += int(hits[-1]) + 1 if hits.size == n else size
-        n -= hits.size
-    stream.set_state(start)
-    stream.randint(0, 2**32, size=consumed, dtype=np.uint32)
-    return np.concatenate(accepted).astype(np.int32)
+def count_tables(offsets, words, z, p, k):
+    """The n_wk, n_dk and n_k tables of assignments ``z``, counted one by one."""
+    n_wk = np.zeros((p, k), np.int64)
+    n_dk = np.zeros((offsets.size - 1, k), np.int64)
+    for d in range(offsets.size - 1):
+        for i in range(offsets[d], offsets[d + 1]):
+            n_wk[words[i], z[i]] += 1
+            n_dk[d, z[i]] += 1
+    return n_wk, n_dk, n_wk.sum(axis=0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 9, 50, 65, 1000])
-def test_randrange_batch_matches_the_rewinding_version(k):
-    for n in (0, 1, 2 * lda.RANDRANGE_BATCH + 17):
-        ours, theirs = lda._mt_stream(7), lda._mt_stream(7)
-        values = lda._randrange_batch(ours, k, n)
-        assert values.dtype == np.int32
-        assert np.array_equal(values, randrange_by_rewinding(theirs, k, n))
-        (_, key, pos, *rest), (_, key2, pos2, *rest2) = ours.get_state(), theirs.get_state()
-        assert np.array_equal(key, key2) and (pos, rest) == (pos2, rest2)
-        assert ours.random_sample() == theirs.random_sample()
+@pytest.mark.parametrize("k", [1, 2, 6, 50, 1000, 2**32 - 1])
+def test_python_twins_leave_the_state_where_random_random_is(k):
+    # 700 topics and 3 sweeps over them: a fresh state twists at its first
+    # output, and these draws cross several more twists
+    n, sweeps = 700, 3
+    for seed in (0, 42):
+        rng = Random(seed)
+        state = np.array(rng.getstate()[1], dtype=np.uint32)
+        topics = lda._draw_topics_python(state, k, n)
+        assert topics.dtype == np.int32  # the native draw's type, wrapping past 2**31
+        assert topics.view(np.uint32).tolist() == [rng.randrange(k) for _ in range(n)]
+        assert tuple(state.tolist()) == rng.getstate()[1]
+
+        chain_k = min(k, 50)  # the count tables hold p x k entries
+        offsets = np.array([0, 300, 301, n], np.int64)
+        words = (np.arange(n) % 7).astype(np.int32)
+        z = (topics % chain_k).astype(np.int32)
+        n_wk, n_dk, n_k = count_tables(offsets, words, z, 7, chain_k)
+        table = lda._gammaln_table(n_wk, 0.1)
+        log_likelihoods = np.full(sweeps, np.nan)
+        assert lda._chain_python(offsets, words, z, n_wk, n_dk, n_k, 0.5, 0.1, state,
+                                 table, log_likelihoods) == 0
+        assert np.isfinite(log_likelihoods).all()
+        for mine, counted in zip((n_wk, n_dk, n_k), count_tables(offsets, words, z, 7, chain_k)):
+            assert np.array_equal(mine, counted)
+        [rng.random() for _ in range(sweeps * n)]  # one uniform per token and sweep
+        assert tuple(state.tolist()) == rng.getstate()[1]
+
+
+def test_the_python_chain_saves_the_state_when_a_check_fails():
+    state = np.array(Random(3).getstate()[1], dtype=np.uint32)
+    offsets, words = np.array([0, 4], np.int64), np.array([0, 1, 0, 1], np.int32)
+    z = np.zeros(4, np.int32)
+    n_wk, n_dk, n_k = count_tables(offsets, words, z, 2, 2)
+    n_k[1] += 1  # one token too many in the topic totals
+    table = lda._gammaln_table(n_wk, 0.1)
+    assert lda._chain_python(offsets, words, z, n_wk, n_dk, n_k, 0.5, 0.1, state,
+                             table, np.empty(5)) == 1
+    rng = Random(3)
+    [rng.random() for _ in range(4)]  # the one sweep that ran
+    assert tuple(state.tolist()) == rng.getstate()[1]
 
 
 # ------------------------------------------------------------ sweep backends
@@ -457,7 +502,7 @@ def test_chain_matches_the_pinned_reference():
     # SHA-256 of the model file (assignments, counts, log-likelihoods) of the
     # chain the nested-list Python sampler ran before the flat-array sweeps
     # replaced it: both must continue that chain, including the hand-over
-    # from Random.randrange to numpy's uniforms
+    # from the initial topics to the sweeps' random() uniforms
     sequences, _ = planted_corpus(np.random.default_rng(2024), n_docs=40)
     config = LdaConfig(k=3, iterations=30, burn_in=10, seed=42)
     model = fit_lda(sequences, build_vocabulary(sequences), config)

@@ -401,6 +401,65 @@ def test_cli_lda_settings_are_checked_before_any_stage(mini_corpus_path, tmp_pat
     assert "burn_in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                        ("--beta", "inf"), ("--beta", "nan")])
+def test_cli_non_finite_lda_priors_exit_2_before_out_is_created(
+        mini_corpus_path, tmp_path, capsys, flag, value):
+    out = tmp_path / "never"
+    assert run_cli("run", "--input", mini_corpus_path, "--out", out, flag, value) == 2
+    cfg_file = tmp_path / "prior.ini"
+    cfg_file.write_text(f"[lda]\n{flag[2:]} = {value}\n", encoding="utf-8")
+    assert run_cli("run", "--config", cfg_file, "--input", mini_corpus_path,
+                   "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("alpha and beta must be finite and positive") == 2 and "Traceback" not in err
+
+
+def test_a_run_never_overwrites_its_own_input(mini_corpus_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    own = out / "corpus.csv"
+    own.write_text(mini_corpus_path.read_text(encoding="utf-8")
+                   + "D99,A record to keep,not a year,Words,,Research Article,Oman\n",
+                   encoding="utf-8")
+    before = own.read_bytes()
+    # the same file under another name, and a stoplist that is an output
+    (tmp_path / "link.csv").symlink_to(own)
+    (out / "run_report.json").write_text("stop\n", encoding="utf-8")
+    for args in (("run", "--input", own), ("ingest", "--input", tmp_path / "link.csv"),
+                 ("eda", "--input", mini_corpus_path, "--stoplist", out / "run_report.json")):
+        assert run_cli(*args, "--out", out) == 2
+    assert {p.name for p in out.iterdir()} == {"corpus.csv", "run_report.json"}
+    assert own.read_bytes() == before
+    err = capsys.readouterr().err
+    assert err.count("this run would overwrite") == 3 and "Traceback" not in err
+    # run --from lda plans no corpus.csv, so it may read it
+    assert run_cli("run", "--input", own, "--out", out, "--from", "lda",
+                   "--iters", "20", "--burn-in", "5") == 0
+    assert own.read_bytes() == before
+    capsys.readouterr()
+
+
+def test_provenance_comments_stay_one_line(mini_corpus_path, tmp_path):
+    odd = tmp_path / "mini\ncorpus.csv"
+    shutil.copyfile(mini_corpus_path, odd)
+    plain_out, odd_out = tmp_path / "plain", tmp_path / "odd"
+    run_pipeline(quick_cfg(mini_corpus_path, plain_out, country="Saudi Arabia"))
+    run_pipeline(quick_cfg(odd, odd_out, country="Saudi Arabia\r\n"))
+    names = {p.name for p in plain_out.iterdir()} - {"run_report.json", "corpus.csv"}
+    assert "compare.csv" in names and len(names) == 12
+    for name in sorted(names):
+        plain = (plain_out / name).read_text(encoding="utf-8")
+        text = (odd_out / name).read_text(encoding="utf-8")
+        assert "\r" not in text and text.count("\n") == plain.count("\n"), name
+        assert text.replace("input=mini\\ncorpus.csv", "input=mini_corpus.csv").replace(
+            "country=Saudi Arabia\\r\\n", "country=Saudi Arabia") == plain, name
+        if name.endswith(".csv"):  # no reader sees a piece of the comment as a record
+            for row in csv.reader(text.splitlines()):
+                assert "corpus.csv" not in ",".join(row) or row[0].startswith("# "), name
+
+
 def test_cli_wordless_phrase_exits_2(mini_corpus_path, tmp_path, capsys):
     assert run_cli("run", "--input", mini_corpus_path, "--out", tmp_path,
                    "--phrase", "!!!") == 2
