@@ -69,7 +69,8 @@ class StageError(CorpusScopeError):
     """A pipeline stage failed; carries the stage name and partial report."""
 
     def __init__(self, stage: str, cause: Exception, report=None):
-        super().__init__(f"stage '{stage}' failed: {cause}")
+        # a bare MemoryError has no message
+        super().__init__(f"stage '{stage}' failed: {str(cause) or type(cause).__name__}")
         self.stage = stage
         self.cause = cause
         self.report = report

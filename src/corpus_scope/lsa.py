@@ -12,17 +12,23 @@ the sum of all squared singular values. Subtracting the rank-one term a b^T
 removes the trivial unit singular triplet up front, so S has rank at most
 min(n_rows, n_cols) - 1.
 
-The truncated SVD is computed without ever densifying S: a Lanczos iteration
-with full reorthogonalization runs on the Gram matrix of the smaller side,
-using S's sparse structure for matrix-vector products. Each product with S
-or S^T is one pass over P's CSR arrays plus a rank-one correction: the row
-gather ``csr_matvec`` and the ascending-row scatter ``csr_rmatvec`` in
+The truncated SVD of a table whose smaller side has more than 64 rows or
+columns is computed without ever densifying S: a Lanczos iteration with full
+reorthogonalization runs on the Gram matrix of the smaller side, using S's
+sparse structure for matrix-vector products. Each product with S or S^T is
+one pass over P's CSR arrays plus a rank-one correction: the row gather
+``csr_matvec`` and the ascending-row scatter ``csr_rmatvec`` in
 ``_native.cpp``, or their ``np.bincount`` twins without the library, which
-add in the same order and so give the same bits. Small problems (min side
-<= 64) switch to a dense LAPACK SVD of a numpy array, where iteration buys
-nothing. Axis signs are fixed by making the
-largest-magnitude entry of each left singular vector positive, so results do
-not depend on solver internals.
+add in the same order and so give the same bits. The iteration runs once,
+from one fixed start vector. Smaller tables, where iteration buys nothing,
+take a dense LAPACK SVD of a numpy array, and so, with a warning, does a
+table the iteration cannot settle: one whose Krylov space closes before the
+top singular values settle (a table of low rank), or whose top singular
+value comes within 1e-9 of 1 before the whole space is seen. Only a table
+that splits into unlinked groups has the singular value 1, once per group
+but the first, and a Krylov space sees each value once. Axis signs are
+fixed by making the largest-magnitude entry of each left singular vector
+positive, so results do not depend on solver internals.
 """
 
 from __future__ import annotations
@@ -172,60 +178,40 @@ def csr_products(counts: "CSRCounts", values: np.ndarray):
             lambda y: product(lib.csr_rmatvec, y, n_rows, n_cols))
 
 
-def _start_vector(dim: int, attempt: int, basis: np.ndarray | None) -> np.ndarray | None:
-    """Deterministic unit start vector, orthogonalized against ``basis``.
-
-    Closed-form ramps (no RNG) keep runs bit-identical everywhere; falls back
-    to coordinate vectors before giving up.
-    """
-    idx = np.arange(1, dim + 1, dtype=np.float64)
-    candidates = attempt + dim + 2
-    for trial in range(attempt, candidates):
-        if trial < dim + 2:
-            v = np.sin(idx * (0.7 * trial + 1.0)) + 0.1 * np.cos(idx * (trial + 0.5))
-        else:
-            v = np.zeros(dim)
-            v[(trial - dim - 2) % dim] = 1.0
-        if basis is not None and basis.size:
-            v = v - basis @ (basis.T @ v)
-            v = v - basis @ (basis.T @ v)
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-8:
-            return v / nrm
-    return None
-
-
 def _lanczos_topk(
     matvec,
     dim: int,
     k: int,
     tol: float = LANCZOS_TOL,
     max_iter: int = LANCZOS_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Top-k eigenpairs of a symmetric PSD operator by Lanczos iteration.
 
-    Full reorthogonalization against all previous basis vectors keeps the
-    basis numerically orthonormal (the classic three-term recurrence loses
-    orthogonality as Ritz values converge). Convergence is declared when the
-    top-k Ritz values move less than ``tol`` between steps; an invariant
-    subspace triggers a deterministic orthogonal restart. Returns
-    (eigenvalues desc, eigenvectors, steps).
+    The iteration starts from the fixed unit ramp ``sin(i) + 0.1 cos(i / 2)``
+    (no RNG), so runs are bit-identical everywhere. Full reorthogonalization
+    against all previous basis vectors keeps the basis numerically
+    orthonormal (the classic three-term recurrence loses orthogonality as
+    Ritz values converge). Convergence is declared when the top-k Ritz values
+    move less than ``tol`` between steps, or when the basis spans the whole
+    space. Returns (eigenvalues desc, eigenvectors, steps), or None when the
+    Krylov space closes (an invariant subspace, beta < 1e-13) before the
+    top-k Ritz values settle: the start vector then misses part of the
+    spectrum, as on a table of low rank or one with a repeated eigenvalue,
+    and the caller must solve another way. Raises ConvergenceError after
+    ``max_iter`` steps short of the whole space.
     """
     limit = min(dim, max_iter)
     # grown LANCZOS_BLOCK columns at a time, so only used columns take memory;
     # kept in C order, because Fortran order makes numpy call the other BLAS
     # gemv variant, which rounds differently
     Q = np.zeros((dim, min(limit, LANCZOS_BLOCK)))
+    idx = np.arange(1, dim + 1, dtype=np.float64)
+    q = np.sin(idx) + 0.1 * np.cos(idx * 0.5)
+    Q[:, 0] = q / np.linalg.norm(q)
     alphas: list[float] = []
     betas: list[float] = []
-    q = _start_vector(dim, 0, None)
-    if q is None:  # pragma: no cover - dim >= 1 always yields a vector
-        raise ConvergenceError("could not build a start vector")
-    Q[:, 0] = q
     m = 0
-    restarts = 1
     prev_top: np.ndarray | None = None
-    converged = False
     while True:
         w = matvec(Q[:, m])
         alphas.append(float(Q[:, m] @ w))
@@ -234,48 +220,29 @@ def _lanczos_topk(
         beta = float(np.linalg.norm(w))
         m += 1
         if m >= k:
-            if m == 1:
-                evals = np.asarray(alphas)
-            else:
-                evals = _lapack.eigh_tridiagonal(
-                    np.asarray(alphas), np.asarray(betas), eigvals_only=True
-                )
+            evals = _lapack.eigh_tridiagonal(
+                np.asarray(alphas), np.asarray(betas), eigvals_only=True
+            )
             # operator is a Gram matrix, so compare on the singular-value scale
             top = np.sqrt(np.clip(np.sort(evals)[::-1][:k], 0.0, None))
-            if prev_top is not None and prev_top.shape == top.shape:
-                if float(np.max(np.abs(top - prev_top))) < tol:
-                    converged = True
-                    break
+            if prev_top is not None and float(np.max(np.abs(top - prev_top))) < tol:
+                break
             prev_top = top
         if m >= limit:
-            converged = m >= dim  # full Krylov space is exact
-            break
+            if m < dim:
+                raise ConvergenceError(
+                    f"Lanczos did not stabilize top-{k} singular values after {m} iterations"
+                )
+            break  # the full Krylov space is exact
+        if beta < 1e-13:
+            return None
         if m == Q.shape[1]:
             wider = np.zeros((dim, min(limit, m + LANCZOS_BLOCK)))
             wider[:, :m] = Q
             Q = wider
-        if beta < 1e-13:
-            q = _start_vector(dim, restarts, Q[:, :m])
-            restarts += 1
-            if q is None:
-                converged = True  # space exhausted: decomposition is complete
-                break
-            betas.append(0.0)
-            Q[:, m] = q
-        else:
-            betas.append(beta)
-            Q[:, m] = w / beta
-    if not converged:
-        raise ConvergenceError(
-            f"Lanczos did not stabilize top-{k} singular values after {m} iterations"
-        )
-    if m == 1:
-        evals = np.asarray(alphas)
-        evecs = np.ones((1, 1))
-    else:
-        evals, evecs = _lapack.eigh_tridiagonal(
-            np.asarray(alphas[:m]), np.asarray(betas[: m - 1])
-        )
+        betas.append(beta)
+        Q[:, m] = w / beta
+    evals, evecs = _lapack.eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
     order = np.argsort(evals)[::-1][:k]
     vals = evals[order]
     vecs = Q[:, :m] @ evecs[:, order]
@@ -333,7 +300,9 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     All-zero rows (documents with no in-vocabulary tokens) and all-zero
     columns are dropped before fitting and reported on the model. ``solver``
     is "auto" (dense below the small-problem cutoff, Lanczos above),
-    "lanczos", or "dense". Requires 1 <= dims <= min(kept rows, kept cols)-1.
+    "lanczos", or "dense"; a table Lanczos cannot settle is solved dense, and
+    the model's ``solver`` says so. Requires
+    1 <= dims <= min(kept rows, kept cols) - 1.
     """
     if solver not in ("auto", "lanczos", "dense"):
         raise ConfigError(f"unknown solver: {solver!r}")
@@ -371,14 +340,8 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     if solver == "auto":
         solver = "dense" if min(n_rows, n_cols) <= DENSE_CUTOFF else "lanczos"
 
-    if solver == "dense":
-        P = X.toarray() / n
-        S = (ra[:, None] * (P - np.outer(a, b))) * rb[None, :]
-        U, sigma, Vt = np.linalg.svd(S, full_matrices=False)
-        U, V = U[:, :dims], Vt[:dims].T
-        sigma = sigma[:dims]
-        iterations = 0
-    else:
+    iterations = 0
+    if solver == "lanczos":
         # P = X / n, one float64 value per cell of X. Each product takes a
         # prescaled vector (rb * x): scaling the entries inside the product
         # would round differently and move the pinned bytes
@@ -390,24 +353,37 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         def st_apply(y: np.ndarray) -> np.ndarray:
             return rb * pt_dot(ra * y) - sb * float(sa @ y)
 
-        if n_cols <= n_rows:
-            vals, V, iterations = _lanczos_topk(
-                lambda x: st_apply(s_apply(x)), n_cols, dims
-            )
+        # Lanczos runs on the Gram matrix of the smaller side; each vector of
+        # the other side is then one product away
+        wide = n_rows < n_cols
+        to_other, back = (st_apply, s_apply) if wide else (s_apply, st_apply)
+        side = min(n_rows, n_cols)
+        found = _lanczos_topk(lambda x: back(to_other(x)), side, dims)
+        if found is not None:
+            vals, vecs, iterations = found
             sigma = np.sqrt(np.clip(vals, 0.0, None))
-            U = np.zeros((n_rows, dims))
-            for i in range(dims):
-                if sigma[i] > 1e-13:
-                    U[:, i] = s_apply(V[:, i]) / sigma[i]
+        # a connected table has no unit singular value; a disconnected one has
+        # one per extra group, and the Krylov space short of the whole space
+        # may see fewer copies than there are
+        if found is None or (1.0 - sigma[0] < 1e-9 and iterations < side):
+            logger.warning(
+                "Lanczos cannot settle %d axes of this %dx%d table, which is"
+                " disconnected or of low rank; solving it with the dense SVD",
+                dims, n_rows, n_cols)
+            solver, iterations = "dense", 0
         else:
-            vals, U, iterations = _lanczos_topk(
-                lambda y: s_apply(st_apply(y)), n_rows, dims
-            )
-            sigma = np.sqrt(np.clip(vals, 0.0, None))
-            V = np.zeros((n_cols, dims))
+            others = np.zeros((max(n_rows, n_cols), dims))
             for i in range(dims):
                 if sigma[i] > 1e-13:
-                    V[:, i] = st_apply(U[:, i]) / sigma[i]
+                    others[:, i] = to_other(vecs[:, i]) / sigma[i]
+            U, V = (vecs, others) if wide else (others, vecs)
+
+    if solver == "dense":
+        P = X.toarray() / n
+        S = (ra[:, None] * (P - np.outer(a, b))) * rb[None, :]
+        U, sigma, Vt = np.linalg.svd(S, full_matrices=False)
+        U, V = U[:, :dims], Vt[:dims].T
+        sigma = sigma[:dims]
 
     U, V = _fix_signs(U, V)
     row_std = ra[:, None] * U

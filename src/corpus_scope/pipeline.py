@@ -300,16 +300,19 @@ def _check_paths(cfg: PipelineConfig, files: tuple[str, ...]) -> None:
     """Raise InputError, before any stage runs, when the input or the
     stoplist that :func:`resolve_stoplist` would read is not a file, or is
     one of the planned ``files`` or ``run_report.json`` in ``--out``, which
-    the run would overwrite."""
+    the run would overwrite, or when one of those outputs exists and is not
+    a file."""
     if not cfg.input.is_file():
         raise InputError(f"input path is not a readable file: {cfg.input}")
     chosen = _stoplist_path(cfg)
     if chosen is not None and not chosen[0].is_file():
         raise InputError(f"stoplist path is not a readable file: {chosen[0]}")
     read = [("input", cfg.input)] + ([("stoplist", chosen[0])] if chosen else [])
-    for what, path in read:
-        for name in (*files, "run_report.json"):
-            target = cfg.out_dir / name
+    for name in (*files, "run_report.json"):
+        target = cfg.out_dir / name
+        if target.exists() and not target.is_file():
+            raise InputError(f"output {target} exists and is not a file")
+        for what, path in read:
             if target.is_file() and os.path.samefile(path, target):
                 raise InputError(f"{what} {path} is the output {name} this run would overwrite")
 
@@ -478,7 +481,7 @@ def _eda(run: _Run, stage: StageReport) -> None:
     try:
         fit = fit_quadratic(series)
     except (InsufficientDataError, DegenerateDesignError) as exc:
-        trend.append(f"status,skipped: {exc}")
+        trend.append(f"status,{csv_field(f'skipped: {exc}')}")
         stage.notes.append(f"trend fit skipped: {exc}")
     forecasts: list[tuple[int, float, bool]] = []
     if fit is not None:
@@ -817,8 +820,8 @@ def run_pipeline(
     the report is always written.
 
     The plan and the input are checked before anything is written. A stage
-    that raises a CorpusScopeError is recorded as ``failed_stage`` and
-    re-raised as StageError; when compare is planned, an empty country
+    that raises a CorpusScopeError, a MemoryError or an OSError is recorded
+    as ``failed_stage`` and re-raised as StageError; when compare is planned, an empty country
     subset fails the ingest stage, before corpus.csv is written, with
     EmptyResultError (CLI exit code 3). Whatever a stage raises, the report's
     ``notes`` then name the planned files that are still in ``--out`` from
@@ -844,7 +847,7 @@ def run_pipeline(
                          and (cfg.out_dir / name).exists()]
                 if stale:
                     run.report.notes.append(f"stale from an earlier run: {', '.join(stale)}")
-                if not isinstance(exc, CorpusScopeError):
+                if not isinstance(exc, (CorpusScopeError, MemoryError, OSError)):
                     raise
                 run.report.failed_stage = planned.name
                 stage.notes.append(f"failed: {exc}")

@@ -8,7 +8,12 @@ from scipy import sparse
 
 from conftest import BACKENDS, make_dtm, native_and_python, needs_compiler, use_backend
 from corpus_scope import lsa
-from corpus_scope.errors import ConfigError, DegenerateMarginError, NotFoundError
+from corpus_scope.errors import (
+    ConfigError,
+    ConvergenceError,
+    DegenerateMarginError,
+    NotFoundError,
+)
 from corpus_scope.lsa import (
     LANCZOS_BLOCK,
     fit_ca,
@@ -240,6 +245,64 @@ def test_lanczos_basis_growth_keeps_the_pinned_bytes():
     arrays = (model.singular_values, model.row_coords, model.col_coords)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
     assert digest == "8000eb68d29e4e20708be14b2750cea2d74c2e560ef57380a33b7635f1e29b37"
+
+
+def disjoint_blocks(rng, groups, rows, cols):
+    """A table of ``groups`` unlinked blocks of ``rows`` x ``cols`` counts in
+    1..5: its singular value 1 comes once per group but the first."""
+    X = np.zeros((groups * rows, groups * cols), dtype=np.int64)
+    for g in range(groups):
+        X[g * rows:(g + 1) * rows, g * cols:(g + 1) * cols] = rng.integers(1, 6, (rows, cols))
+    return X
+
+
+def three_profile_table():
+    """100 x 80, every row a multiple of one of 3 profiles: connected, but S
+    has rank 2, so the Krylov space closes after 3 steps."""
+    profiles = np.random.default_rng(5).integers(1, 10, size=(3, 80))
+    return profiles[np.arange(100) % 3] * (1 + np.arange(100) % 4)[:, None]
+
+
+# from one start vector Lanczos sees each eigenvalue once: it settles on
+# [1, 1, 1, 0.344, 0.319] for the first table and on [1, 0.462, 0.392] for the
+# second, where the dense SVD gives all ones, and on the third its Krylov
+# space closes before 5 values settle
+UNSETTLED_TABLES = {
+    "14 disjoint 8x5 blocks, auto": (disjoint_blocks(np.random.default_rng(3), 14, 8, 5),
+                                     5, "auto"),
+    "4 disjoint 3x3 blocks stacked twice": (
+        np.vstack([disjoint_blocks(np.random.default_rng(1), 4, 3, 3)] * 2), 3, "lanczos"),
+    "3 row profiles, rank 2": (three_profile_table(), 5, "lanczos"),
+}
+
+
+@pytest.mark.parametrize("name", UNSETTLED_TABLES)
+def test_tables_lanczos_cannot_settle_go_to_the_dense_svd(name, caplog):
+    X, dims, solver = UNSETTLED_TABLES[name]
+    dtm = make_dtm(X)
+    with caplog.at_level(logging.WARNING, logger="corpus_scope.lsa"):
+        model = fit_ca(dtm, dims=dims, solver=solver)
+    dense = fit_ca(dtm, dims=dims, solver="dense")
+    assert model.solver == "dense" and model.iterations == 0
+    for field in ("singular_values", "row_coords", "col_coords", "row_std_coords",
+                  "col_std_coords"):
+        assert getattr(model, field).tobytes() == getattr(dense, field).tobytes(), field
+    assert len(caplog.records) == 1
+    assert "dense SVD" in caplog.records[0].getMessage()
+
+
+def test_lanczos_keeps_a_disconnected_table_whose_whole_space_it_saw():
+    X = disjoint_blocks(np.random.default_rng(2), 2, 3, 2)
+    model = fit_ca(make_dtm(X), dims=2, solver="lanczos")
+    assert model.solver == "lanczos" and model.iterations == 4
+    assert np.allclose(model.singular_values, dense_ca_oracle(X, 2)[0][:2], atol=1e-12)
+    assert abs(model.singular_values[0] - 1.0) < 1e-12
+
+
+def test_lanczos_step_limit_raises_convergence_error():
+    spectrum = np.linspace(1.0, 2.0, 50)
+    with pytest.raises(ConvergenceError, match="after 4 iterations"):
+        lsa._lanczos_topk(lambda x: spectrum * x, 50, 3, max_iter=4)
 
 
 def as_counts(matrix) -> CSRCounts:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import importlib.util
 import json
@@ -179,6 +180,22 @@ def test_trend_file(run_dir):
     assert float(kv["p_value"]) < 1e-6
     assert "forecast_2023" in kv and "forecast_2024" in kv
     assert float(kv["forecast_2023"]) >= 0
+
+
+def test_skipped_trend_status_is_one_quoted_field(mini_corpus, tmp_path):
+    # two years are too few for the quadratic fit, whose reason has a comma
+    two_years = tmp_path / "two_years.csv"
+    with open(two_years, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "title", "year", "abstract"])
+        for doc in mini_corpus:
+            if doc.year in (2010, 2011):
+                writer.writerow([doc.id, doc.title, doc.year, doc.abstract])
+    run_pipeline(quick_cfg(two_years, tmp_path / "out"), command="eda")
+    rows = list(csv.reader(read_rows(tmp_path / "out" / "trend.csv")))
+    assert rows[0] == ["key", "value"]
+    assert {len(row) for row in rows} == {2}
+    assert rows[1] == ["status", "skipped: need at least 4 points, got 2"]
 
 
 def test_type_shares_file(run_dir):
@@ -368,11 +385,58 @@ def test_cli_lsa_on_one_term_says_what_ca_needs(mini_corpus_path, tmp_path, caps
     assert not any(note.startswith("dims reduced") for note in notes)
 
 
+def test_cli_notes_for_reduced_dims_and_dropped_documents(mini_corpus_path, tmp_path,
+                                                          capsys):
+    # three terms leave D14 without a token and a 59x3 table for the CA
+    assert run_cli("run", "--input", mini_corpus_path, "--out", tmp_path,
+                   "--vocab-size", "3", "--dims", "5", "--iters", "20",
+                   "--burn-in", "0") == 0
+    assert capsys.readouterr().err == (
+        "corpus-scope: warning: dropping 1 document(s) with no in-vocabulary tokens\n")
+    lsa_notes = stage_notes(tmp_path, "lsa")
+    assert "dims reduced to 2 for a 59x3 table" in lsa_notes
+    assert "dropped empty documents: D14" in lsa_notes
+    assert "dropped documents without vocabulary tokens: D14" in stage_notes(tmp_path, "lda")
+
+
 def test_cli_out_that_is_a_file_exits_2(mini_corpus_path, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")
     assert run_cli("eda", "--input", mini_corpus_path, "--out", taken) == 2
     assert "cannot create output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,taken", [("ingest", "corpus.csv"),
+                                           ("eda", "run_report.json")])
+def test_cli_output_that_is_a_directory_exits_2_before_any_stage(
+        mini_corpus_path, tmp_path, capsys, command, taken):
+    (tmp_path / taken).mkdir()
+    assert run_cli(command, "--input", mini_corpus_path, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{taken} exists and is not a file" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 63.3 GiB for an array"),
+    OSError(errno.ENOSPC, "No space left on device"),
+], ids=["memory", "disk"])
+def test_cli_stage_out_of_memory_or_disk_exits_1_with_a_report(
+        mini_corpus_path, run_dir, tmp_path, monkeypatch, capsys, error):
+    shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
+
+    def runner(run, stage_report):
+        raise error
+
+    monkeypatch.setattr(pipeline, "STAGE_TABLE", tuple(
+        replace(s, runner=runner) if s.name == "lda" else s for s in pipeline.STAGE_TABLE))
+    assert run_cli("lda", "--input", mini_corpus_path, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err == f"corpus-scope: error: stage 'lda' failed: {error}\n"
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert report["failed_stage"] == "lda"
+    assert report["notes"] == ["stale from an earlier run: lda_model.txt, lda_top_words.csv"]
+    assert stage_notes(tmp_path, "lda") == [f"failed: {error}"]
 
 
 def test_cli_input_error_exits_2(mini_corpus_path, tmp_path, capsys):
@@ -608,8 +672,9 @@ def test_a_writer_that_fails_partway_leaves_no_partial_file(mini_corpus_path, ru
         raise OSError("disk full")
 
     monkeypatch.setattr(pipeline, "render_model", fails_partway)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(StageError, match="disk full") as exc_info:
         run_pipeline(quick_cfg(mini_corpus_path, tmp_path))
+    assert exc_info.value.stage == "lda" and isinstance(exc_info.value.cause, OSError)
     # the earlier output stays whole, and no temporary file is left behind
     assert (tmp_path / "lda_model.txt").read_bytes() == previous
     names = {p.name for p in tmp_path.iterdir()}
