@@ -2,8 +2,9 @@
 
 The subcommands, their help and ``run --from``'s choices come from
 :mod:`corpus_scope.pipeline`, which plans what each one computes and
-writes. Exit codes: 0 success, 1 stage failure, 2 input or configuration
-error, 3 empty subset after filtering.
+writes; each setting's flag from its ``PipelineConfig`` field. Exit codes:
+0 success, 1 stage failure, 2 input or configuration error, 3 empty subset
+after filtering.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import gc
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 # A run is one short process. When OpenBLAS loads (numpy's copy with numpy,
@@ -49,32 +50,14 @@ gc.freeze()
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="INI config file (flags override it)")
-    sub.add_argument("--input", type=Path, help="input records (CSV or JSON-Lines)")
-    sub.add_argument("--format", choices=["csv", "jsonl"], help="input format "
-                     "(default: inferred from the file suffix)")
-    sub.add_argument("--phrase", help="keep only documents containing this phrase")
-    sub.add_argument("--year-min", type=int, dest="year_min", help="earliest year kept")
-    sub.add_argument("--year-max", type=int, dest="year_max", help="latest year kept")
-    sub.add_argument("--stoplist", type=Path, help="stopword file, one term per line")
-    sub.add_argument("--vocab-size", type=int, dest="vocab_size",
-                     help="vocabulary cap (default 1000)")
-    sub.add_argument("--dims", type=int, help="correspondence-analysis axes (default 2)")
-    sub.add_argument("--topics", type=int, help="LDA topic count (default 6)")
-    sub.add_argument("--alpha", type=float, help="LDA document prior (default 50/topics)")
-    sub.add_argument("--beta", type=float, help="LDA word prior (default 0.01)")
-    sub.add_argument("--iters", type=int, dest="iterations",
-                     help="Gibbs sweeps (default 1000)")
-    sub.add_argument("--burn-in", type=int, dest="burn_in",
-                     help="burn-in sweeps, checked (< --iters) and recorded in the "
-                     "model file; the estimates come from the final sweep, so it "
-                     "does not change them (default 200)")
-    sub.add_argument("--seed", type=int, help="RNG seed (default 42)")
-    sub.add_argument("--bigram-threshold", type=int, dest="bigram_threshold",
-                     help="minimum bigram frequency kept (default 150)")
-    sub.add_argument("--country", help="country whose documents compare.csv sets beside "
-                     "the whole corpus (required by compare; run writes compare.csv "
-                     "too when it is given)")
-    sub.add_argument("--out", type=Path, dest="out_dir", help="output directory")
+    for f in fields(PipelineConfig):
+        if f.metadata["flag"] is None:
+            continue
+        help = f.metadata["help"]
+        if f.default is not MISSING and f.default is not None:
+            help += f" (default {f.default})"
+        sub.add_argument(f.metadata["flag"], dest=f.name, type=f.metadata["parse"],
+                         choices=f.metadata["choices"], help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,10 +88,10 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             kwargs[f.name] = value
-    if "input" not in kwargs:
-        raise ConfigError("no input given: pass --input or set it in the config file")
-    if "out_dir" not in kwargs:
-        raise ConfigError("no output directory given: pass --out or set it in the config file")
+        elif f.default is MISSING and f.name not in kwargs:
+            meta = f.metadata
+            raise ConfigError(f"no {meta['flag']} given: pass it or set [{meta['section']}]"
+                              f" {meta['key'] or f.name} in the config file")
     return PipelineConfig(**kwargs)
 
 

@@ -10,8 +10,10 @@ table order, so compare reads the whole corpus's topics from the lda stage
 instead of fitting them again. Every run also writes run_report.json, a
 manifest with the echoed configuration, per-stage wall times and notes,
 dropped-record lists, and a SHA-256 per output file. All data files are
-deterministic for a given (input, config) pair at a fixed BLAS thread count;
-the report's timing fields are the only thing that varies.
+deterministic for a given (input, config) pair; ca_coords.csv and trend.csv,
+which BLAS and LAPACK compute, only for a fixed BLAS thread count and the
+same OpenBLAS CPU kernels (``OPENBLAS_CORETYPE``). The report's timing
+fields are the only thing that varies between runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -69,8 +71,17 @@ from .errors import (
     InsufficientDataError,
     StageError,
 )
-from .lda import LdaConfig, fit_lda, render_model, top_words_per_topic
-from .lsa import fit_ca, project_supplementary, representative_documents
+from .lda import (
+    DEFAULT_BETA,
+    DEFAULT_BURN_IN,
+    DEFAULT_ITERATIONS,
+    DEFAULT_TOPICS,
+    LdaConfig,
+    fit_lda,
+    render_model,
+    top_words_per_topic,
+)
+from .lsa import DEFAULT_DIMS, fit_ca, project_supplementary, representative_documents
 from .svgplot import line_chart, scatter_2d
 from .text_pipeline import (
     DEFAULT_TEXT_FIELDS,
@@ -89,31 +100,57 @@ from .text_pipeline import (
 STOPLIST_ENV_VAR = "CORPUS_SCOPE_STOPLIST"
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything a run needs; CLI flags and the INI file both build this."""
+def _setting(section: str, default, parse: Callable[[str], object], flag: str | None = None,
+             help: str = "", *, key: str | None = None, choices: tuple[str, ...] | None = None):
+    """A :class:`PipelineConfig` field: its INI ``section`` and ``key`` (the
+    field's name unless given), the ``parse`` that reads the file's text and
+    the flag's alike, before argparse checks ``choices``, its ``flag`` (None
+    when only the file sets it) and the flag's ``help`` without the default."""
+    return field(default=default, metadata=dict(
+        section=section, key=key, parse=parse, flag=flag, help=help, choices=choices))
 
-    input: Path
-    out_dir: Path
-    format: str | None = None
-    phrase: str | None = None
-    year_min: int | None = None
-    year_max: int | None = None
-    country: str | None = None
-    stoplist: Path | None = None
-    text_fields: tuple[str, ...] = DEFAULT_TEXT_FIELDS
-    vocab_size: int = DEFAULT_VOCAB_SIZE
-    top_terms: int = 30
-    forecast_years: int = 2
-    dims: int = 2
-    top_documents: int = 5
-    topics: int = 6
-    alpha: float | None = None
-    beta: float = 0.01
-    iterations: int = 1000
-    burn_in: int = 200
-    bigram_threshold: int = DEFAULT_THRESHOLD
-    seed: int = 42
+
+@dataclass(frozen=True, kw_only=True)
+class PipelineConfig:
+    """Everything a run needs. Each setting is declared once, here: its
+    field's metadata (see :func:`_setting`) gives the INI schema
+    :func:`load_config` reads and the CLI's flags, in ``--help``'s order."""
+
+    input: Path = _setting("corpus_ingest", MISSING, Path, "--input",
+                           "input records (CSV or JSON-Lines)")
+    format: str | None = _setting("corpus_ingest", None, lambda v: v.strip().lower(), "--format",
+                                  "input format (default: inferred from the file suffix)",
+                                  choices=INPUT_FORMATS)
+    phrase: str | None = _setting("corpus_ingest", None, str, "--phrase",
+                                  "keep only documents containing this phrase")
+    year_min: int | None = _setting("corpus_ingest", None, int, "--year-min", "earliest year kept")
+    year_max: int | None = _setting("corpus_ingest", None, int, "--year-max", "latest year kept")
+    stoplist: Path | None = _setting("text_pipeline", None, Path, "--stoplist",
+                                     "stopword file, one term per line")
+    text_fields: tuple[str, ...] = _setting(
+        "text_pipeline", DEFAULT_TEXT_FIELDS,
+        lambda v: tuple(s.strip() for s in v.split(",") if s.strip()))
+    vocab_size: int = _setting("text_pipeline", DEFAULT_VOCAB_SIZE, int, "--vocab-size",
+                               "vocabulary cap")
+    top_terms: int = _setting("eda", 30, int)
+    forecast_years: int = _setting("eda", 2, int)
+    dims: int = _setting("lsa", DEFAULT_DIMS, int, "--dims", "correspondence-analysis axes")
+    top_documents: int = _setting("lsa", 5, int)
+    topics: int = _setting("lda", DEFAULT_TOPICS, int, "--topics", "LDA topic count")
+    alpha: float | None = _setting("lda", None, float, "--alpha",
+                                   "LDA document prior (default 50/topics)")
+    beta: float = _setting("lda", DEFAULT_BETA, float, "--beta", "LDA word prior")
+    iterations: int = _setting("lda", DEFAULT_ITERATIONS, int, "--iters", "Gibbs sweeps")
+    burn_in: int = _setting("lda", DEFAULT_BURN_IN, int, "--burn-in", "burn-in sweeps, checked "
+                            "(< --iters) and recorded in the model file; the estimates come "
+                            "from the final sweep, so it does not change them")
+    seed: int = _setting("report", 42, int, "--seed", "RNG seed")
+    bigram_threshold: int = _setting("bigrams", DEFAULT_THRESHOLD, int, "--bigram-threshold",
+                                     "minimum bigram frequency kept", key="threshold")
+    country: str | None = _setting("corpus_ingest", None, str, "--country", "country whose "
+                                   "documents compare.csv sets beside the whole corpus (required "
+                                   "by compare; run writes compare.csv too when it is given)")
+    out_dir: Path = _setting("report", MISSING, Path, "--out", "output directory", key="out")
 
     def __post_init__(self):
         if self.format is not None and self.format.strip().lower() not in INPUT_FORMATS:
@@ -161,36 +198,6 @@ class PipelineConfig:
         )
 
 
-_CONFIG_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
-    "corpus_ingest": {
-        "input": Path,
-        "format": str,
-        "phrase": str,
-        "country": str,
-        "year_min": int,
-        "year_max": int,
-    },
-    "text_pipeline": {
-        "stoplist": Path,
-        "vocab_size": int,
-        "text_fields": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    },
-    "eda": {"top_terms": int, "forecast_years": int},
-    "lsa": {"dims": int, "top_documents": int},
-    "lda": {
-        "topics": int,
-        "alpha": float,
-        "beta": float,
-        "iterations": int,
-        "burn_in": int,
-    },
-    "bigrams": {"threshold": int},
-    "report": {"out": Path, "seed": int},
-}
-
-_KEY_RENAMES = {"threshold": "bigram_threshold", "out": "out_dir"}
-
-
 def load_config(path) -> dict[str, object]:
     """Parse an INI config with sections mirroring the module names.
 
@@ -205,19 +212,21 @@ def load_config(path) -> dict[str, object]:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    schema: dict[str, dict] = {}
+    for f in fields(PipelineConfig):
+        schema.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = f
     kwargs: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in schema:
             raise ConfigError(f"unknown config section [{section}]")
-        schema = _CONFIG_SCHEMA[section]
         for key, raw in parser.items(section):
-            if key not in schema:
+            if key not in schema[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            f = schema[section][key]
             try:
-                value = schema[key](raw)
+                kwargs[f.name] = f.metadata["parse"](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-            kwargs[_KEY_RENAMES.get(key, key)] = value
     return kwargs
 
 
@@ -236,7 +245,7 @@ class RunReport:
 
     version: str
     command: str
-    config: dict
+    config: PipelineConfig
     stages: list[StageReport] = field(default_factory=list)
     output_files: dict[str, str] = field(default_factory=dict)
     record_errors: list[dict] = field(default_factory=list)
@@ -244,38 +253,7 @@ class RunReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "command": self.command,
-            "config": self.config,
-            "stages": [
-                {
-                    "name": s.name,
-                    "seconds": round(s.seconds, 6),
-                    "outputs": s.outputs,
-                    "notes": s.notes,
-                    "peak_rss_mb": s.peak_rss_mb,
-                }
-                for s in self.stages
-            ],
-            "output_files": self.output_files,
-            "record_errors": self.record_errors,
-            "failed_stage": self.failed_stage,
-            "notes": self.notes,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _config_echo(cfg: PipelineConfig) -> dict:
-    echo = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, Path):
-            value = str(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        echo[f.name] = value
-    return echo
+        return json.dumps(asdict(self), indent=2, sort_keys=True, default=os.fspath) + "\n"
 
 
 def _stoplist_path(cfg: PipelineConfig) -> tuple[Path, str] | None:
@@ -350,9 +328,7 @@ class _Run:
         self.cfg = cfg
         self.stages = stages  # the planned stages' names, in table order
         self.files = files  # the planned outputs, in table order
-        self.report = RunReport(
-            version=__version__, command=command, config=_config_echo(cfg)
-        )
+        self.report = RunReport(version=__version__, command=command, config=cfg)
         self.provenance = ""
         self.corpus: Corpus | None = None
         self.subset: Corpus | None = None  # the country subset, when compare is planned
@@ -785,8 +761,9 @@ def plan(cfg: PipelineConfig, command: str = "run",
     files are those stages' outputs, in the same order; ``ca_scatter.svg``
     only under ``lsa``, since `run` keeps the pinned file set and the
     coordinates CSV is enough to redraw the figure.
-    Raises ConfigError for an unknown command or stage, and for ``compare``
-    without a country.
+    Raises ConfigError for an unknown command or stage, for ``compare``
+    without a country, and for lsa with a vocabulary cap below two terms,
+    which correspondence analysis needs.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -804,6 +781,9 @@ def plan(cfg: PipelineConfig, command: str = "run",
     for stage in reversed(STAGE_TABLE):  # a stage needs only earlier ones
         if stage.name in compute:
             compute.update(stage.needs)
+    if "lsa" in compute and cfg.vocab_size < 2:
+        raise ConfigError("correspondence analysis needs at least two terms and two documents"
+                          f" with counts, and vocab_size {cfg.vocab_size} keeps one term")
     files = tuple(
         output for s in STAGE_TABLE if s.name in targets for output in s.outputs
         if output != "ca_scatter.svg" or command == "lsa"
@@ -853,7 +833,7 @@ def run_pipeline(
                 stage.notes.append(f"failed: {exc}")
                 raise StageError(planned.name, exc, run.report) from exc
             finally:
-                stage.seconds = time.perf_counter() - started
+                stage.seconds = round(time.perf_counter() - started, 6)
                 stage.peak_rss_mb = _peak_rss_mb()
     finally:
         run.finish_report()

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 import corpus_scope
 from conftest import SRC, child_env, use_backend
-from corpus_scope.cli import build_parser, main
+from corpus_scope.cli import _build_config, _exit_code, build_parser, main
+from corpus_scope.errors import CorpusScopeError
+from corpus_scope.pipeline import PipelineConfig
 
 PERFBENCH = SRC.parent / "perfbench"
 PINS = PERFBENCH / "pinned_hashes.json"
@@ -222,3 +225,42 @@ def test_main_returns_an_exit_code_or_exits_through_argparse(argv):
             assert code in (0, 1, 2, 3)
         finally:
             os.chdir(cwd)
+
+
+# ---------------------------------------------------------------- flag and file
+
+_FLAGGED = [f for f in fields(PipelineConfig) if f.metadata["flag"] is not None]
+# what both sides read the same way: no line breaks, and no outer blanks, which
+# configparser strips from a value
+_SETTING_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "-3", "1_000", "2.5", "1e3", "nan", "inf", "CSV", "xml",
+                     "jsonl", "data science", "Saudi Arabia", "out", str(DEMO)]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=6),
+).map(str.strip)
+
+
+def _config_or_exit_code(argv):
+    try:
+        return _build_config(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse refused the flag
+        return exc.code
+    except CorpusScopeError as exc:
+        return _exit_code(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FLAGGED), _SETTING_TEXT)
+def test_a_flag_and_its_ini_key_set_the_same_value(f, text):
+    section, key = f.metadata["section"], f.metadata["key"] or f.name
+    ini = {"corpus_ingest": {"input": str(DEMO)}, "report": {"out": "out"}}
+    ini.setdefault(section, {})[key] = text
+    with tempfile.TemporaryDirectory() as scratch:
+        cfg_file = os.path.join(scratch, "run.ini")
+        with open(cfg_file, "w", encoding="utf-8") as fh:
+            for name, values in ini.items():
+                fh.write(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        from_file = _config_or_exit_code(["run", "--config", cfg_file])
+    from_flag = _config_or_exit_code(["run", "--input", str(DEMO), "--out", "out",
+                                      f"{f.metadata['flag']}={text}"])
+    assert from_flag == from_file
+    assert isinstance(from_flag, PipelineConfig) or from_flag == 2

@@ -7,7 +7,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -376,13 +376,30 @@ def test_cli_oversized_csv_field_fails_ingest_with_exit_2(tmp_path, capsys):
 
 
 def test_cli_lsa_on_one_term_says_what_ca_needs(mini_corpus_path, tmp_path, capsys):
+    # the cap is checked with the plan, so no stage runs and nothing is written
     assert run_cli("lsa", "--input", mini_corpus_path, "--out", tmp_path,
                    "--vocab-size", "1") == 2
     err = capsys.readouterr().err
     assert "needs at least two terms and two documents with counts" in err
     assert "dims" not in err
-    notes = stage_notes(tmp_path, "lsa")
-    assert not any(note.startswith("dims reduced") for note in notes)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--from", "text"], ["run", "--from", "lsa"]])
+def test_a_vocabulary_cap_below_two_terms_stops_lsa_before_out_is_created(
+        argv, mini_corpus_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--input", mini_corpus_path, "--out", out, "--vocab-size", "1") == 2
+    assert "vocab_size 1 keeps one term" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lda", "bigrams"])
+def test_a_one_term_vocabulary_still_runs_the_stages_without_lsa(command, mini_corpus_path,
+                                                                 tmp_path, capsys):
+    assert run_cli(command, "--input", mini_corpus_path, "--out", tmp_path,
+                   "--vocab-size", "1", "--iters", "5", "--burn-in", "1") == 0
+    capsys.readouterr()
 
 
 def test_cli_notes_for_reduced_dims_and_dropped_documents(mini_corpus_path, tmp_path,
@@ -602,6 +619,29 @@ def test_cli_config_format_is_checked_before_any_stage(mini_corpus_path, tmp_pat
     assert not out.exists()
     assert "format" in capsys.readouterr().err
     assert quick_cfg(mini_corpus_path, out, format=" CSV ").format == " CSV "
+
+
+@pytest.mark.parametrize("value,code", [("CSV", 0), ("xml", 2)])
+def test_format_flag_and_file_take_the_same_values(value, code, mini_corpus_path, tmp_path,
+                                                   capsys):
+    cfg_file = tmp_path / "fmt.ini"
+    cfg_file.write_text(f"[corpus_ingest]\nformat = {value}\n", encoding="utf-8")
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    try:
+        flag_code = run_cli("ingest", "--input", mini_corpus_path, "--out", by_flag,
+                            "--format", value)
+    except SystemExit as exc:  # argparse's refusal
+        flag_code = exc.code
+    file_code = run_cli("ingest", "--config", cfg_file, "--input", mini_corpus_path,
+                        "--out", by_file)
+    assert flag_code == file_code == code
+    assert by_flag.exists() == by_file.exists() == (code == 0)
+    if code == 0:
+        for out in (by_flag, by_file):
+            report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+            assert report["config"]["format"] == "csv"
+        assert (by_flag / "corpus.csv").read_bytes() == (by_file / "corpus.csv").read_bytes()
+    capsys.readouterr()
 
 
 def test_cli_forecast_years_past_the_trusted_window_exit_2_before_any_stage(
@@ -915,12 +955,22 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 def test_readme_lists_every_config_key():
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    rows = [line.split("|") for line in readme.read_text(encoding="utf-8").splitlines()
+    rows = [[cell.strip(" `") for cell in line.split("|")[1:5]]
+            for line in readme.read_text(encoding="utf-8").splitlines()
             if line.startswith("| `[")]
-    listed = {(cells[1].strip(" `[]"), cells[2].strip(" `")) for cells in rows}
-    schema = {(section, key) for section, keys in pipeline._CONFIG_SCHEMA.items()
-              for key in keys}
-    assert listed == schema
+    listed = {(section.strip("[]"), key): (flag, default)
+              for section, key, flag, default in rows}
+    declared = {(f.metadata["section"], f.metadata["key"] or f.name): f
+                for f in fields(PipelineConfig)}
+    assert len(rows) == len(listed)
+    assert listed.keys() == declared.keys()
+    for ini_key, f in declared.items():
+        flag, default = listed[ini_key]
+        assert flag == (f.metadata["flag"] or "file only"), ini_key
+        if isinstance(f.default, (int, float)):
+            assert default == str(f.default), ini_key
+        elif isinstance(f.default, tuple):
+            assert default == ",".join(f.default), ini_key
 
 
 # ---------------------------------------------------------------- stoplist
