@@ -39,7 +39,7 @@ import functools
 import io
 import json
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ConfigError, EmptyResultError, InputError, SchemaError
@@ -117,19 +117,12 @@ class Document:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Where a corpus came from and which filters produced it."""
-
-    source: str
-    filters: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Corpus:
-    """An ordered, id-sorted collection of documents."""
+    """An ordered, id-sorted collection of documents, with the filters that
+    produced it from the parsed input, in the order they ran."""
 
     documents: tuple[Document, ...]
-    provenance: Provenance
+    filters: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -141,11 +134,8 @@ class Corpus:
         return tuple(d.id for d in self.documents)
 
     def derive(self, documents: Iterable[Document], filter_desc: str) -> "Corpus":
-        """Return a sub-corpus with ``filter_desc`` appended to provenance."""
-        prov = replace(
-            self.provenance, filters=self.provenance.filters + (filter_desc,)
-        )
-        return Corpus(documents=tuple(documents), provenance=prov)
+        """Return a sub-corpus with ``filter_desc`` appended to its filters."""
+        return Corpus(documents=tuple(documents), filters=self.filters + (filter_desc,))
 
 
 @dataclass(frozen=True)
@@ -291,11 +281,7 @@ def _iter_jsonl(text: Iterable[str], errors: list[RecordError]):
         yield row_num, tuple(map(raw.get, _FIELDS))
 
 
-def parse_records(
-    stream: BinaryIO,
-    format: str,
-    source: str = "",
-) -> tuple[Corpus, list[RecordError]]:
+def parse_records(stream: BinaryIO, format: str) -> tuple[Corpus, list[RecordError]]:
     """Parse a byte stream of records into a Corpus plus per-record errors.
 
     ``format`` is ``"csv"`` or ``"jsonl"``. The corpus is sorted by id; for
@@ -332,8 +318,7 @@ def parse_records(
         raise InputError(f"input is not valid UTF-8: {exc}") from exc
 
     documents = tuple(sorted(by_id.values(), key=lambda d: d.id))
-    corpus = Corpus(documents=documents, provenance=Provenance(source=source or fmt))
-    return corpus, errors
+    return Corpus(documents=documents), errors
 
 
 def parse_file(path, format: str | None = None) -> tuple[Corpus, list[RecordError]]:
@@ -348,7 +333,7 @@ def parse_file(path, format: str | None = None) -> tuple[Corpus, list[RecordErro
             raise SchemaError(f"cannot infer format from suffix {suffix!r}")
     try:
         with open(p, "rb") as fh:
-            return parse_records(fh, format, source=p.name)
+            return parse_records(fh, format)
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
 

@@ -1,12 +1,17 @@
-"""Exploratory statistics: yearly counts, quadratic trend, shares, top terms."""
+"""Exploratory statistics: yearly counts, quadratic trend, shares, top terms.
+
+The trend is fitted in raw calendar years and forecast at most
+:data:`EXTRAPOLATION_MARGIN` years past the fitted range; the top terms are
+the vocabulary's first entries, which it already ranks by frequency.
+"""
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,7 +26,7 @@ from .errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .corpus_ingest import Corpus, DocType
-    from .text_pipeline import SparseDTM, Vocabulary
+    from .text_pipeline import Vocabulary
 
 EXTRAPOLATION_MARGIN = 10
 
@@ -73,10 +78,6 @@ def counts_per_year(corpus: "Corpus") -> YearSeries:
     return YearSeries(points=points, missing_year_count=missing)
 
 
-class XEncoding(enum.Enum):
-    RAW_YEAR = "raw_year"
-
-
 @dataclass(frozen=True)
 class QuadraticFit:
     """Least-squares quadratic y = a2*x^2 + a1*x + a0 with fit diagnostics.
@@ -84,20 +85,16 @@ class QuadraticFit:
     Attributes
     ----------
     a2, a1, a0 : float
-        Coefficients in the ``x_encoding`` coordinates.
+        Coefficients in raw calendar years.
     r_squared : float
         Coefficient of determination, clamped to [0, 1].
     p_value : float
         Overall F-test p-value on (2, n-3) degrees of freedom.
-    x_encoding : XEncoding
-        RAW_YEAR: x is the calendar year itself.
     degenerate : bool
         True when the response had zero variance (R^2 reported as 1.0 by
         convention and the p-value as 1.0).
     x_min, x_max : int
         Fitted year range, used to guard forecasts.
-    x_mean : float
-        Mean fitted year (the centering offset of the solve).
     """
 
     a2: float
@@ -105,11 +102,9 @@ class QuadraticFit:
     a0: float
     r_squared: float
     p_value: float
-    x_encoding: XEncoding
     degenerate: bool
     x_min: int
     x_max: int
-    x_mean: float
 
 
 def f2_survival(d: float, f: float) -> float:
@@ -145,7 +140,7 @@ def fit_quadratic(series: YearSeries) -> QuadraticFit:
     """Fit a quadratic trend to (year, count) points by least squares.
 
     The solve runs on centered years for conditioning and the coefficients
-    are then expanded to raw-year form, so ``x_encoding`` is RAW_YEAR.
+    are then expanded to raw-year form.
 
     Raises
     ------
@@ -193,66 +188,43 @@ def fit_quadratic(series: YearSeries) -> QuadraticFit:
         a0=a0,
         r_squared=r2,
         p_value=p_value,
-        x_encoding=XEncoding.RAW_YEAR,
         degenerate=degenerate,
         x_min=int(x.min()),
         x_max=int(x.max()),
-        x_mean=m,
     )
 
 
-def _evaluate(fit: QuadraticFit, year: int) -> float:
-    x = float(year)
-    return (fit.a2 * x + fit.a1) * x + fit.a0
+def forecast_point(fit: QuadraticFit, year: int) -> tuple[float, bool]:
+    """Evaluate the fitted curve at ``year``: the value, clamped to 0 when
+    negative, and whether it was clamped.
 
-
-def forecast(fit: QuadraticFit, year: int, allow_extrapolation: bool = False) -> float:
-    """Evaluate the fitted curve at ``year``, clamping negative values to 0.
-
-    Years more than 10 beyond the fitted range raise ExtrapolationError
-    unless ``allow_extrapolation`` is set.
+    Years more than :data:`EXTRAPOLATION_MARGIN` beyond the fitted range
+    raise ExtrapolationError.
     """
-    value, _ = forecast_point(fit, year, allow_extrapolation)
-    return value
-
-
-def forecast_point(
-    fit: QuadraticFit, year: int, allow_extrapolation: bool = False
-) -> tuple[float, bool]:
-    """Like :func:`forecast` but also reports whether clamping occurred."""
     lo = fit.x_min - EXTRAPOLATION_MARGIN
     hi = fit.x_max + EXTRAPOLATION_MARGIN
-    if not allow_extrapolation and not lo <= year <= hi:
-        raise ExtrapolationError(
-            f"year {year} outside trusted window [{lo}, {hi}]; "
-            "pass allow_extrapolation=True to override"
-        )
-    raw = _evaluate(fit, year)
+    if not lo <= year <= hi:
+        raise ExtrapolationError(f"year {year} outside trusted window [{lo}, {hi}]")
+    x = float(year)
+    raw = (fit.a2 * x + fit.a1) * x + fit.a0
     return (raw, False) if raw >= 0.0 else (0.0, True)
 
 
-def top_terms(
-    dtm: "SparseDTM", vocab: "Vocabulary", k: int
-) -> list[tuple[str, int, float]]:
-    """Rank terms by corpus frequency.
+def top_terms(vocab: "Vocabulary", k: int) -> list[tuple[str, int, float]]:
+    """The vocabulary's first ``k`` terms, which rank by corpus frequency
+    with ties broken lexicographically.
 
     Returns (term, count, cumulative_share) triples where cumulative_share is
-    the running fraction of all counted tokens, so the k-th entry answers
-    "what share of the corpus do the top k terms absorb". Ties break
-    lexicographically. ``k`` exceeding the vocabulary just returns everything.
+    the running fraction of all in-vocabulary tokens, so the k-th entry
+    answers "what share of the counted corpus do the top k terms absorb".
+    ``k`` exceeding the vocabulary just returns everything.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    totals = dtm.col_totals
-    order = sorted(range(len(dtm.terms)), key=lambda j: (-int(totals[j]), dtm.terms[j]))
-    out: list[tuple[str, int, float]] = []
-    running = 0
-    grand = dtm.n_total
-    for j in order[:k]:
-        running += int(totals[j])
-        share = running / grand if grand else 0.0
-        out.append((dtm.terms[j], int(totals[j]), share))
-    return out
+    grand = sum(vocab.frequencies)
+    counts = vocab.frequencies[:k]
+    return [(term, count, running / grand)
+            for term, count, running in zip(vocab.terms, counts, accumulate(counts))]
 
 
 def type_shares(corpus: "Corpus") -> dict["DocType", int]:

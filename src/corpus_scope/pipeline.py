@@ -9,11 +9,13 @@ stages whose files it writes (``run`` the first six, or those from
 table order, so compare reads the whole corpus's topics from the lda stage
 instead of fitting them again. Every run also writes run_report.json, a
 manifest with the echoed configuration, per-stage wall times and notes,
-dropped-record lists, and a SHA-256 per output file. All data files are
-deterministic for a given (input, config) pair; ca_coords.csv and trend.csv,
-which BLAS and LAPACK compute, only for a fixed BLAS thread count and the
-same OpenBLAS CPU kernels (``OPENBLAS_CORETYPE``). The report's timing
-fields are the only thing that varies between runs.
+dropped-record lists, and a SHA-256 per output file. Settings come from
+:class:`PipelineConfig` alone, never from the environment, so the echoed
+configuration is all that chose the data files. These are deterministic for
+a given (input, config) pair; ca_coords.csv and trend.csv, which BLAS and
+LAPACK compute, only for a fixed BLAS thread count and the same OpenBLAS CPU
+kernels (``OPENBLAS_CORETYPE``). The report's timing fields are the only
+thing that varies between runs.
 """
 
 from __future__ import annotations
@@ -97,8 +99,6 @@ from .text_pipeline import (
     load_stoplist,
 )
 
-STOPLIST_ENV_VAR = "CORPUS_SCOPE_STOPLIST"
-
 
 def _setting(section: str, default, parse: Callable[[str], object], flag: str | None = None,
              help: str = "", *, key: str | None = None, choices: tuple[str, ...] | None = None):
@@ -153,10 +153,14 @@ class PipelineConfig:
     out_dir: Path = _setting("report", MISSING, Path, "--out", "output directory", key="out")
 
     def __post_init__(self):
-        if self.format is not None and self.format.strip().lower() not in INPUT_FORMATS:
-            raise ConfigError(
-                f"format must be one of {', '.join(INPUT_FORMATS)}, got {self.format!r}"
-            )
+        if self.format is not None:
+            fmt = self.format.strip().lower()
+            if fmt not in INPUT_FORMATS:
+                raise ConfigError(
+                    f"format must be one of {', '.join(INPUT_FORMATS)}, got {self.format!r}"
+                )
+            # stored as the flag and the INI key give it, so the report echoes that
+            object.__setattr__(self, "format", fmt)
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be >= 1")
         if not 0 <= self.forecast_years <= EXTRAPOLATION_MARGIN:
@@ -256,36 +260,24 @@ class RunReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True, default=os.fspath) + "\n"
 
 
-def _stoplist_path(cfg: PipelineConfig) -> tuple[Path, str] | None:
-    """The stoplist file to read and where it was named: the explicit path
-    ("file"), else CORPUS_SCOPE_STOPLIST ("env"); None for the bundled list."""
-    if cfg.stoplist is not None:
-        return cfg.stoplist, "file"
-    env = os.environ.get(STOPLIST_ENV_VAR)
-    return (Path(env), "env") if env else None
-
-
 def resolve_stoplist(cfg: PipelineConfig) -> tuple[frozenset[str], str]:
-    """Stoplist resolution order: explicit path, CORPUS_SCOPE_STOPLIST, bundled."""
-    chosen = _stoplist_path(cfg)
-    if chosen is None:
+    """The stoplist and where it came from: the file ``cfg.stoplist`` names,
+    else the bundled list."""
+    if cfg.stoplist is None:
         return default_stoplist(), "bundled"
-    path, source = chosen
-    return load_stoplist(path), f"{source}:{path.name}"
+    return load_stoplist(cfg.stoplist), f"file:{cfg.stoplist.name}"
 
 
 def _check_paths(cfg: PipelineConfig, files: tuple[str, ...]) -> None:
     """Raise InputError, before any stage runs, when the input or the
-    stoplist that :func:`resolve_stoplist` would read is not a file, or is
-    one of the planned ``files`` or ``run_report.json`` in ``--out``, which
-    the run would overwrite, or when one of those outputs exists and is not
-    a file."""
+    stoplist is not a file, or is one of the planned ``files`` or
+    ``run_report.json`` in ``--out``, which the run would overwrite, or when
+    one of those outputs exists and is not a file."""
     if not cfg.input.is_file():
         raise InputError(f"input path is not a readable file: {cfg.input}")
-    chosen = _stoplist_path(cfg)
-    if chosen is not None and not chosen[0].is_file():
-        raise InputError(f"stoplist path is not a readable file: {chosen[0]}")
-    read = [("input", cfg.input)] + ([("stoplist", chosen[0])] if chosen else [])
+    if cfg.stoplist is not None and not cfg.stoplist.is_file():
+        raise InputError(f"stoplist path is not a readable file: {cfg.stoplist}")
+    read = [("input", cfg.input)] + ([("stoplist", cfg.stoplist)] if cfg.stoplist else [])
     for name in (*files, "run_report.json"):
         target = cfg.out_dir / name
         if target.exists() and not target.is_file():
@@ -421,7 +413,7 @@ def _ingest(run: _Run, stage: StageReport) -> None:
     run.corpus = corpus
     run.provenance = _one_line(
         f"corpus-scope {__version__} | input={cfg.input.name}"
-        f" | filters={'; '.join(corpus.provenance.filters) or 'none'}"
+        f" | filters={'; '.join(corpus.filters) or 'none'}"
         f" | seed={cfg.seed}"
     )
     run.emit(stage, "corpus.csv", serialize_corpus(corpus))
@@ -468,7 +460,7 @@ def _eda(run: _Run, stage: StageReport) -> None:
             f"a0,{_float(fit.a0)}",
             f"r_squared,{_float(fit.r_squared)}",
             f"p_value,{_float(fit.p_value)}",
-            f"x_encoding,{fit.x_encoding.value}",
+            "x_encoding,raw_year",
             f"degenerate,{int(fit.degenerate)}",
             f"x_min,{fit.x_min}",
             f"x_max,{fit.x_max}",
@@ -481,7 +473,7 @@ def _eda(run: _Run, stage: StageReport) -> None:
             trend.append(f"forecast_{year}_clamped,{int(clamped)}")
     run.emit(stage, "trend.csv", "\n".join(trend) + "\n")
 
-    ranked = top_terms(run.dtm, run.vocab, cfg.top_terms)
+    ranked = top_terms(run.vocab, cfg.top_terms)
     lines = [f"# {run.provenance}", "rank,term,count,cumulative_share"]
     lines += [
         f"{i},{term},{count},{_float(share)}"
@@ -539,12 +531,8 @@ def _lsa(run: _Run, stage: StageReport) -> None:
         + ", ".join(_float(v) for v in model.explained_inertia())
     )
 
-    ranking = {
-        doc_id: rank
-        for rank, (doc_id, _) in enumerate(
-            representative_documents(model, top_n=len(model.row_ids)), start=1
-        )
-    }
+    ranked = [doc_id for doc_id, _ in representative_documents(model, len(model.row_ids))]
+    ranking = {doc_id: rank for rank, doc_id in enumerate(ranked, start=1)}
     by_year: dict[str, list[str]] = {}
     years = {d.id: d.year for d in run.corpus}
     for doc_id in model.row_ids:
@@ -585,16 +573,8 @@ def _lsa(run: _Run, stage: StageReport) -> None:
     stage.notes.append(f"number formatter backend {_native.backend()}")
 
     if "ca_scatter.svg" in run.files and model.dims >= 2:
-        reps = representative_documents(model, top_n=cfg.top_documents)
-        pos = {doc_id: i for i, doc_id in enumerate(model.row_ids)}
-        labels = [
-            (
-                float(model.row_coords[pos[doc_id]][0]),
-                float(model.row_coords[pos[doc_id]][1]),
-                doc_id,
-            )
-            for doc_id, _ in reps
-        ]
+        xy = dict(zip(model.row_ids, model.row_coords[:, :2].tolist()))
+        labels = [(*xy[doc_id], doc_id) for doc_id in ranked[:cfg.top_documents]]
         groups = [
             ("documents", "#225599",
              [(float(x), float(y)) for x, y, *_ in model.row_coords]),
@@ -664,9 +644,10 @@ def _compare(run: _Run, stage: StageReport) -> None:
     Rows are (section, key, subset, overall): corpus sizes and share, counts
     per year, publication-type shares, top-20 terms, and per-topic top words
     from topic models fitted separately with identical settings and seed.
-    The overall column reuses the text stage's DTM and the lda stage's top
-    words, and the subset is the one ingest partitioned and found non-empty;
-    only the subset is tokenized and fitted here, with the same settings.
+    The overall column reuses the text stage's vocabulary and the lda stage's
+    top words, and the subset is the one ingest partitioned and found
+    non-empty; only the subset is tokenized, counted and fitted here, with
+    the same settings.
     """
     cfg, corpus, subset = run.cfg, run.corpus, run.subset
     stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
@@ -677,9 +658,9 @@ def _compare(run: _Run, stage: StageReport) -> None:
 
     sub_tokens = build_sequences(subset, run.stoplist, fields=cfg.text_fields)
     sub_vocab = build_vocabulary(sub_tokens, cfg.vocab_size)
-    sub_terms = top_terms(build_dtm(sub_tokens, sub_vocab), sub_vocab, 20)
+    sub_terms = top_terms(sub_vocab, 20)
     sub_topics = top_words_per_topic(fit_lda(sub_tokens, sub_vocab, cfg.lda_config()), m=10)
-    all_terms = top_terms(run.dtm, run.vocab, 20)
+    all_terms = top_terms(run.vocab, 20)
     all_topics = run.topic_words
 
     rows: list[tuple[str, str, str, str]] = [

@@ -335,7 +335,6 @@ class Vocabulary:
 
     terms: tuple[str, ...]
     frequencies: tuple[int, ...]
-    cap: int
     index: dict[str, int] = field(repr=False)
 
     def __len__(self) -> int:
@@ -365,7 +364,6 @@ def build_vocabulary(
     return Vocabulary(
         terms=terms,
         frequencies=tuple(counts[top].tolist()),
-        cap=p,
         index={t: i for i, t in enumerate(terms)},
     )
 

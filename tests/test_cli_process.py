@@ -117,6 +117,21 @@ def test_demo_without_the_library_writes_the_pinned_files(tmp_path, capsys):
     assert "tokenizer backend python" in capsys.readouterr().out
 
 
+def test_the_environment_cannot_change_a_run(tmp_path, capsys, monkeypatch):
+    # a stoplist named by a variable, not by --stoplist or the INI file, is
+    # not read: the demo's data files stay the pinned ones
+    stop = tmp_path / "stop.txt"
+    stop.write_text("data\n", encoding="utf-8")
+    monkeypatch.setenv("CORPUS_SCOPE_STOPLIST", str(stop))
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))["demo"]["any"]["outputs"]
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(DEMO), "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "run_report.json"}
+    assert written == pinned
+    capsys.readouterr()
+
+
 def test_a_process_without_a_compiler_runs_the_demo_on_the_python_twins(tmp_path):
     # no g++ on PATH and an empty kernel cache: the library cannot be built,
     # so every kernel runs its Python twin, which needs no numpy.random

@@ -11,7 +11,6 @@ from corpus_scope.corpus_ingest import (
     Corpus,
     DocType,
     Document,
-    Provenance,
     filter_by_phrase,
     filter_by_years,
     normalize_doc_type,
@@ -39,8 +38,7 @@ def parse_jsonl(text: str):
 
 
 def make_corpus(*docs: Document) -> Corpus:
-    return Corpus(documents=tuple(sorted(docs, key=lambda d: d.id)),
-                  provenance=Provenance(source="test"))
+    return Corpus(documents=tuple(sorted(docs, key=lambda d: d.id)))
 
 
 # ---------------------------------------------------------------- parsing
@@ -408,7 +406,7 @@ def test_filter_by_phrase_matches_title_abstract_and_keywords():
     kept = filter_by_phrase(corpus, "data science")
     # P4 has the words in the wrong order; P5 never has them adjacent in one field
     assert kept.ids() == ("P1", "P2", "P3")
-    assert kept.provenance.filters[-1] == "phrase='data science'"
+    assert kept.filters[-1] == "phrase='data science'"
 
 
 def test_filter_by_phrase_is_case_and_punctuation_insensitive():

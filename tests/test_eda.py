@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus_scope.corpus_ingest import Corpus, DocType, Document, Provenance
+from corpus_scope.corpus_ingest import Corpus, DocType, Document
 from corpus_scope.eda import (
     QuadraticFit,
-    XEncoding,
     YearSeries,
     counts_per_year,
     fit_quadratic,
-    forecast,
     forecast_point,
     top_terms,
     type_shares,
@@ -25,8 +25,7 @@ from corpus_scope.text_pipeline import TokenSequence, build_dtm, build_vocabular
 
 
 def make_corpus(*docs):
-    return Corpus(documents=tuple(sorted(docs, key=lambda d: d.id)),
-                  provenance=Provenance(source="test"))
+    return Corpus(documents=tuple(sorted(docs, key=lambda d: d.id)))
 
 
 def series(years, counts, missing=0):
@@ -93,7 +92,6 @@ def solve_normal_equations(xs, ys):
 def test_fit_quadratic_exact_recovery_small_x():
     ys = series(range(11), [3 * x * x - 5 * x + 7 for x in range(11)])
     fit = fit_quadratic(ys)
-    assert fit.x_encoding is XEncoding.RAW_YEAR
     assert abs(fit.a2 - 3) < 1e-9
     assert abs(fit.a1 + 5) < 1e-9
     assert abs(fit.a0 - 7) < 1e-9
@@ -111,7 +109,7 @@ def test_fit_quadratic_exact_recovery_calendar_years():
     assert abs(fit.a1 + 8064.0) < 1e-5
     assert abs(fit.a0 - 8128517.0) < 1e-2  # |a0| ~ 8e6: float expansion noise
     assert fit.r_squared > 1.0 - 1e-12
-    assert (fit.x_min, fit.x_max, fit.x_mean) == (2010, 2022, 2016.0)
+    assert (fit.x_min, fit.x_max) == (2010, 2022)
 
 
 def test_fit_quadratic_matches_exact_normal_equations():
@@ -172,14 +170,13 @@ def test_fit_quadratic_needs_four_points():
 
 def parabola_fit(a2, a1, a0, x_min, x_max):
     return QuadraticFit(a2=a2, a1=a1, a0=a0, r_squared=1.0, p_value=0.0,
-                        x_encoding=XEncoding.RAW_YEAR, degenerate=False,
-                        x_min=x_min, x_max=x_max, x_mean=(x_min + x_max) / 2)
+                        degenerate=False, x_min=x_min, x_max=x_max)
 
 
 def test_forecast_evaluates_the_curve():
     fit = parabola_fit(1.0, -2.0, 3.0, 0, 10)
-    assert forecast(fit, 4) == pytest.approx(4 * 4 - 2 * 4 + 3)
     value, clamped = forecast_point(fit, 4)
+    assert value == pytest.approx(4 * 4 - 2 * 4 + 3)
     assert not clamped
 
 
@@ -187,18 +184,16 @@ def test_forecast_clamps_negative_predictions_to_zero():
     fit = parabola_fit(-1.0, 0.0, 4.0, 0, 4)
     assert forecast_point(fit, 5) == (0.0, True)     # raw value is -21
     assert forecast_point(fit, 2) == (0.0, False)    # exactly zero: no clamp
-    assert forecast(fit, 5) == 0.0
 
 
 def test_forecast_extrapolation_window():
     fit = parabola_fit(0.0, 1.0, 0.0, 2000, 2010)
-    assert forecast(fit, 2020) == 2020.0            # exactly 10 beyond: fine
-    assert forecast(fit, 1990) == 1990.0
+    assert forecast_point(fit, 2020) == (2020.0, False)  # exactly 10 beyond: fine
+    assert forecast_point(fit, 1990) == (1990.0, False)
     with pytest.raises(ExtrapolationError, match="2021"):
-        forecast(fit, 2021)
+        forecast_point(fit, 2021)
     with pytest.raises(ExtrapolationError):
-        forecast(fit, 1989)
-    assert forecast(fit, 2040, allow_extrapolation=True) == 2040.0
+        forecast_point(fit, 1989)
 
 
 def test_forecast_matches_fit_on_observed_years():
@@ -208,39 +203,59 @@ def test_forecast_matches_fit_on_observed_years():
     for y in years:
         expect = fit.a2 * y * y + fit.a1 * y + fit.a0
         if expect >= 0:
-            assert forecast(fit, y) == pytest.approx(expect, abs=1e-9)
+            assert forecast_point(fit, y)[0] == pytest.approx(expect, abs=1e-9)
 
 
 # ------------------------------------------------------------ top terms
 
 
-def build_example_dtm():
-    sequences = [
+def test_top_terms_ranking_and_cumulative_share():
+    vocab = build_vocabulary([
         TokenSequence(doc_id="d0", tokens=("data", "data", "science")),
         TokenSequence(doc_id="d1", tokens=("data", "mining")),
-    ]
-    vocab = build_vocabulary(sequences)
-    return build_dtm(sequences, vocab), vocab
-
-
-def test_top_terms_ranking_and_cumulative_share():
-    dtm, vocab = build_example_dtm()
-    out = top_terms(dtm, vocab, k=2)
+    ])
+    out = top_terms(vocab, k=2)
     assert out == [("data", 3, 0.6), ("mining", 1, 0.8)]
-    everything = top_terms(dtm, vocab, k=99)
+    everything = top_terms(vocab, k=99)
     assert [t for t, _, _ in everything] == ["data", "mining", "science"]
     assert everything[-1][2] == pytest.approx(1.0)
     shares = [s for _, _, s in everything]
     assert shares == sorted(shares)
     with pytest.raises(ConfigError):
-        top_terms(dtm, vocab, k=0)
+        top_terms(vocab, k=0)
 
 
 def test_top_terms_breaks_frequency_ties_alphabetically():
     sequences = [TokenSequence(doc_id="d0", tokens=("zeta", "alpha", "zeta", "alpha"))]
     vocab = build_vocabulary(sequences)
-    dtm = build_dtm(sequences, vocab)
-    assert [t for t, _, _ in top_terms(dtm, vocab, 2)] == ["alpha", "zeta"]
+    assert [t for t, _, _ in top_terms(vocab, 2)] == ["alpha", "zeta"]
+
+
+def dtm_ranking(dtm, k):
+    """Top terms as they were once computed: every DTM column sorted by
+    (count desc, term), with running shares over the DTM's total."""
+    totals = dtm.col_totals
+    order = sorted(range(len(dtm.terms)), key=lambda j: (-int(totals[j]), dtm.terms[j]))
+    out, running = [], 0
+    for j in order[:k]:
+        running += int(totals[j])
+        out.append((dtm.terms[j], int(totals[j]), running / dtm.n_total))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "ab", "ba", "c", "z", "zz"]), max_size=12),
+             min_size=1, max_size=6).filter(lambda docs: any(docs)),
+    st.integers(1, 9),
+    st.integers(1, 12),
+)
+def test_top_terms_are_the_dtm_ranking(docs, cap, k):
+    # few words in few documents make frequency ties common, the cap may
+    # drop terms, and k may run past the vocabulary
+    sequences = [TokenSequence(doc_id=f"d{i}", tokens=tuple(t)) for i, t in enumerate(docs)]
+    vocab = build_vocabulary(sequences, cap)
+    assert top_terms(vocab, k) == dtm_ranking(build_dtm(sequences, vocab), k)
 
 
 # ------------------------------------------------------------ type shares

@@ -347,16 +347,15 @@ def test_cli_missing_input_exits_2_without_partial_outputs(tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
-def test_cli_missing_stoplist_exits_2_before_any_stage(mini_corpus_path, tmp_path,
-                                                      capsys, monkeypatch):
+def test_cli_missing_stoplist_exits_2_before_any_stage(mini_corpus_path, tmp_path, capsys):
     out = tmp_path / "never"
     ghost = tmp_path / "ghost_stop.txt"
     assert run_cli("run", "--input", mini_corpus_path, "--out", out,
                    "--stoplist", ghost) == 2
     assert run_cli("compare", "--input", mini_corpus_path, "--out", out,
                    "--stoplist", ghost, "--country", "Saudi Arabia") == 2
-    monkeypatch.setenv("CORPUS_SCOPE_STOPLIST", str(ghost))
-    assert run_cli("ingest", "--input", mini_corpus_path, "--out", out) == 2
+    assert run_cli("ingest", "--input", mini_corpus_path, "--out", out,
+                   "--stoplist", ghost) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("ghost_stop.txt") == 3 and "Traceback" not in err
@@ -618,7 +617,8 @@ def test_cli_config_format_is_checked_before_any_stage(mini_corpus_path, tmp_pat
                    "--out", out) == 2
     assert not out.exists()
     assert "format" in capsys.readouterr().err
-    assert quick_cfg(mini_corpus_path, out, format=" CSV ").format == " CSV "
+    # stored normalised, so run_report.json echoes it as the flag and the file do
+    assert quick_cfg(mini_corpus_path, out, format=" CSV ").format == "csv"
 
 
 @pytest.mark.parametrize("value,code", [("CSV", 0), ("xml", 2)])
@@ -976,27 +976,20 @@ def test_readme_lists_every_config_key():
 # ---------------------------------------------------------------- stoplist
 
 
-def test_stoplist_env_var_and_flag_precedence(mini_corpus_path, tmp_path,
-                                              monkeypatch, capsys):
-    env_stop = tmp_path / "env_stop.txt"
-    env_stop.write_text("data\n", encoding="utf-8")
+def test_stoplist_flag_replaces_the_bundled_list(mini_corpus_path, tmp_path, capsys):
     flag_stop = tmp_path / "flag_stop.txt"
     flag_stop.write_text("science\n", encoding="utf-8")
-
-    out_env = tmp_path / "env_run"
-    monkeypatch.setenv("CORPUS_SCOPE_STOPLIST", str(env_stop))
-    assert run_cli("run", "--input", mini_corpus_path, "--out", out_env,
-                   "--iters", "20", "--burn-in", "4") == 0
-    env_terms = {r.split(",")[2] for r in read_rows(out_env / "dtm_index.csv")[1:]
-                 if r.startswith("term,")}
-    assert "data" not in env_terms and "science" in env_terms
-
-    out_flag = tmp_path / "flag_run"
-    assert run_cli("run", "--input", mini_corpus_path, "--out", out_flag,
+    out = tmp_path / "flag_run"
+    assert run_cli("run", "--input", mini_corpus_path, "--out", out,
                    "--stoplist", flag_stop, "--iters", "20", "--burn-in", "4") == 0
-    flag_terms = {r.split(",")[2] for r in read_rows(out_flag / "dtm_index.csv")[1:]
-                  if r.startswith("term,")}
-    assert "science" not in flag_terms and "data" in flag_terms  # flag wins
+    terms = {r.split(",")[2] for r in read_rows(out / "dtm_index.csv")[1:]
+             if r.startswith("term,")}
+    # the flag's file replaces the bundled list, whose "the" is now counted
+    assert "science" not in terms and "data" in terms and "the" in terms
+    report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+    assert report["config"]["stoplist"] == str(flag_stop)
+    text = next(s for s in report["stages"] if s["name"] == "text")
+    assert "stoplist=file:flag_stop.txt (1 terms)" in text["notes"]
     capsys.readouterr()
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import BACKENDS, native_and_python, needs_compiler, use_backend
 from corpus_scope import text_pipeline
 from corpus_scope.bigrams import count_bigrams, export_graph, threshold_graph
-from corpus_scope.corpus_ingest import Corpus, Document, Provenance
+from corpus_scope.corpus_ingest import Corpus, Document
 from corpus_scope.errors import ConfigError, EmptyCorpusError, InputError, SchemaError
 from corpus_scope.text_pipeline import (
     _TOKENIZE_CHUNK,
@@ -99,8 +99,7 @@ def test_load_stoplist_ignores_comments(tmp_path):
 
 
 def make_corpus(*docs):
-    return Corpus(documents=tuple(sorted(docs, key=lambda d: d.id)),
-                  provenance=Provenance(source="test"))
+    return Corpus(documents=tuple(sorted(docs, key=lambda d: d.id)))
 
 
 def test_build_sequences_joins_fields_and_applies_stoplist():
@@ -344,7 +343,6 @@ def test_build_vocabulary_breaks_many_ties_alphabetically():
 def test_build_vocabulary_cap():
     vocab = build_vocabulary(seqs(["b", "a", "b", "c"]), p=2)
     assert vocab.terms == ("b", "a")
-    assert vocab.cap == 2
 
 
 def test_build_vocabulary_empty_raises():
