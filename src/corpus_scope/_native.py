@@ -21,8 +21,6 @@ import hashlib
 import logging
 import os
 import platform
-import subprocess
-import tempfile
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -53,6 +51,10 @@ def _build() -> ctypes.CDLL:
     cache = Path(base) / "corpus-scope"
     path = cache / f"native-{key[:24]}.so"
     if not path.is_file():
+        # imported here: a run that finds the library cached never loads them
+        import subprocess
+        import tempfile
+
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=cache)
         os.close(fd)
@@ -63,6 +65,8 @@ def _build() -> ctypes.CDLL:
         except subprocess.CalledProcessError as exc:
             detail = exc.stderr.decode(errors="replace").strip()
             raise OSError(f"g++ failed: {detail}") from exc
+        except subprocess.SubprocessError as exc:  # the timeout
+            raise OSError(f"g++ failed: {exc}") from exc
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -106,7 +110,7 @@ def library() -> ctypes.CDLL | None:
     """The compiled kernels, or None (after one warning) when unavailable."""
     try:
         return _build()
-    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+    except (OSError, AttributeError) as exc:
         logger.warning(
             "compiled kernels unavailable, running the Python sweep, "
             "tokenizer, CSR products and number formatters: %s", exc

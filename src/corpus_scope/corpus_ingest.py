@@ -130,9 +130,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(d.id for d in self.documents)
-
     def derive(self, documents: Iterable[Document], filter_desc: str) -> "Corpus":
         """Return a sub-corpus with ``filter_desc`` appended to its filters."""
         return Corpus(documents=tuple(documents), filters=self.filters + (filter_desc,))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -51,9 +50,6 @@ class YearSeries:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.points)
-
-    def total(self) -> int:
-        return sum(self.counts())
 
 
 def counts_per_year(corpus: "Corpus") -> YearSeries:
@@ -239,13 +235,13 @@ def type_shares(corpus: "Corpus") -> dict["DocType", int]:
         raise EmptyCorpusError("cannot compute type shares of an empty corpus")
     tally = Counter(doc.doc_type for doc in corpus)
     n = sum(tally.values())
-    exact = {t: Fraction(100 * c, n) for t, c in tally.items()}
-    floors = {t: int(v) for t, v in exact.items()}  # Fraction.__int__ floors
+    # 100 c / n = floor + remainder / n, and every remainder shares the
+    # denominator n, so ordering by remainder orders the exact fractions
+    floors, remainders = {}, {}
+    for t, c in tally.items():
+        floors[t], remainders[t] = divmod(100 * c, n)
     leftover = 100 - sum(floors.values())
-    by_remainder = sorted(
-        tally,
-        key=lambda t: (-(exact[t] - floors[t]), -tally[t], t.value),
-    )
+    by_remainder = sorted(tally, key=lambda t: (-remainders[t], -tally[t], t.value))
     shares = dict(floors)
     for t in by_remainder[:leftover]:
         shares[t] += 1

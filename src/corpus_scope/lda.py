@@ -500,9 +500,33 @@ def top_words_per_topic(model: LdaModel, m: int = 10) -> list[list[str]]:
     terms = model.terms
     rank = np.empty(len(terms), dtype=np.int64)
     rank[sorted(range(len(terms)), key=terms.__getitem__)] = np.arange(len(terms))
-    counts = model.topic_word_counts
-    order = np.lexsort((np.broadcast_to(rank, counts.shape), -counts), axis=-1)
-    return [[terms[j] for j in row] for row in order[:, :m].tolist()]
+    best = _top_columns(model.topic_word_counts, rank, m)
+    return [[terms[j] for j in row] for row in best.tolist()]
+
+
+def _top_columns(counts: np.ndarray, rank: np.ndarray, m: int) -> np.ndarray:
+    """The columns of each row's ``m`` largest ``counts``, count desc then
+    ``rank`` asc: the order of ``np.lexsort((rank, -counts))``, cut at m.
+
+    ``counts`` are non-negative integers over V columns and ``rank`` is a
+    permutation of 0..V-1. Each entry gets one int64 key,
+    count * V + (V - 1 - rank), distinct within its row; the m largest keys
+    per row are taken by ``np.argpartition``, and only they are sorted. A
+    key fits while (count + 1) * V <= 2**63; a larger count raises
+    OverflowError.
+    """
+    n_rows, v = counts.shape
+    m = min(m, v)
+    if m == 0:
+        return np.zeros((n_rows, 0), dtype=np.intp)
+    if counts.size and int(counts.max()) >= 2**63 // v:
+        raise OverflowError(f"a count of {int(counts.max())} over {v} columns"
+                            " passes the int64 sort key")
+    keys = counts.astype(np.int64) * v
+    keys += v - 1 - rank
+    best = np.argpartition(keys, v - m, axis=1)[:, v - m:]
+    order = np.argsort(-np.take_along_axis(keys, best, axis=1), axis=1)
+    return np.take_along_axis(best, order, axis=1)
 
 
 def render_model(model: LdaModel) -> Iterator[str]:

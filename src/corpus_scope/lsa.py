@@ -34,8 +34,9 @@ positive, so results do not depend on solver internals.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,8 @@ class CAModel:
     dropped_terms: tuple[str, ...]
     solver: str
     iterations: int
+    tridiagonal_solves: int  # Lanczos only: exact eigen-solves of its T_m
+    bounded_steps: int  # Lanczos only: steps bisection bounds showed no stop
 
     def explained_inertia(self) -> np.ndarray:
         """Share of total inertia carried by each retained axis."""
@@ -178,13 +181,23 @@ def csr_products(counts: "CSRCounts", values: np.ndarray):
             lambda y: product(lib.csr_rmatvec, y, n_rows, n_cols))
 
 
+class LanczosFit(NamedTuple):
+    """What :func:`_lanczos_topk` found, and how much solving it took."""
+
+    values: np.ndarray  # the top-k eigenvalues, descending
+    vectors: np.ndarray  # their eigenvectors, as columns
+    steps: int
+    solves: int  # exact tridiagonal eigen-solves, the final one included
+    bounded: int  # steps that bisection bounds showed to be no stop
+
+
 def _lanczos_topk(
     matvec,
     dim: int,
     k: int,
     tol: float = LANCZOS_TOL,
     max_iter: int = LANCZOS_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray, int] | None:
+) -> LanczosFit | None:
     """Top-k eigenpairs of a symmetric PSD operator by Lanczos iteration.
 
     The iteration starts from the fixed unit ramp ``sin(i) + 0.1 cos(i / 2)``
@@ -193,12 +206,23 @@ def _lanczos_topk(
     orthonormal (the classic three-term recurrence loses orthogonality as
     Ritz values converge). Convergence is declared when the top-k Ritz values
     move less than ``tol`` between steps, or when the basis spans the whole
-    space. Returns (eigenvalues desc, eigenvectors, steps), or None when the
-    Krylov space closes (an invariant subspace, beta < 1e-13) before the
-    top-k Ritz values settle: the start vector then misses part of the
-    spectrum, as on a table of low rank or one with a repeated eigenvalue,
-    and the caller must solve another way. Raises ConvergenceError after
-    ``max_iter`` steps short of the whole space.
+    space. Returns the fit, or None when the Krylov space closes (an
+    invariant subspace, beta < 1e-13) before the top-k Ritz values settle:
+    the start vector then misses part of the spectrum, as on a table of low
+    rank or one with a repeated eigenvalue, and the caller must solve another
+    way. Raises ConvergenceError after ``max_iter`` steps short of the whole
+    space.
+
+    The Ritz values of step m are the eigenvalues of the tridiagonal T_m.
+    Rather than solve it whole at every step, each step first brackets T_m's
+    k-th largest eigenvalue by bisection
+    (:func:`_lapack.eigenvalue_interval`). When that bracket lies more than
+    ``tol`` above the one of T_{m-1}, on the singular-value scale, the exact
+    values move by more than ``tol`` too, and the step cannot stop. Only the
+    other steps solve T_{m-1} and T_m exactly and compare all k values, so
+    the iteration stops at the same step, with the same bits, as one that
+    solves at every step. Without the bundled LAPACK no bracket is found,
+    and every step solves.
     """
     limit = min(dim, max_iter)
     # grown LANCZOS_BLOCK columns at a time, so only used columns take memory;
@@ -210,8 +234,20 @@ def _lanczos_topk(
     Q[:, 0] = q / np.linalg.norm(q)
     alphas: list[float] = []
     betas: list[float] = []
-    m = 0
-    prev_top: np.ndarray | None = None
+    tops: dict[int, np.ndarray] = {}  # step -> its exact top-k Ritz values
+
+    def top(n: int) -> np.ndarray:
+        """T_n's top-k Ritz values on the singular-value scale (the operator
+        is a Gram matrix), solved once."""
+        if n not in tops:
+            evals = _lapack.eigh_tridiagonal(
+                np.asarray(alphas[:n]), np.asarray(betas[: n - 1]), eigvals_only=True
+            )
+            tops[n] = np.sqrt(np.clip(np.sort(evals)[::-1][:k], 0.0, None))
+        return tops[n]
+
+    m = bounded = 0
+    prev_bracket: list[float] | None = None
     while True:
         w = matvec(Q[:, m])
         alphas.append(float(Q[:, m] @ w))
@@ -220,14 +256,16 @@ def _lanczos_topk(
         beta = float(np.linalg.norm(w))
         m += 1
         if m >= k:
-            evals = _lapack.eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas), eigvals_only=True
-            )
-            # operator is a Gram matrix, so compare on the singular-value scale
-            top = np.sqrt(np.clip(np.sort(evals)[::-1][:k], 0.0, None))
-            if prev_top is not None and float(np.max(np.abs(top - prev_top))) < tol:
+            interval = _lapack.eigenvalue_interval(np.asarray(alphas), np.asarray(betas), m - k)
+            # sqrt and clip round monotonically, so the bracket holds on
+            # this scale too, and a difference above tol here is one there
+            bracket = None if interval is None else [math.sqrt(max(v, 0.0)) for v in interval]
+            if (bracket is not None and prev_bracket is not None
+                    and bracket[0] - prev_bracket[1] > tol):
+                bounded += 1
+            elif m > k and float(np.max(np.abs(top(m) - top(m - 1)))) < tol:
                 break
-            prev_top = top
+            prev_bracket = bracket
         if m >= limit:
             if m < dim:
                 raise ConvergenceError(
@@ -247,7 +285,7 @@ def _lanczos_topk(
     vals = evals[order]
     vecs = Q[:, :m] @ evecs[:, order]
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-    return vals, vecs, m
+    return LanczosFit(vals, vecs, m, len(tops) + 1, bounded)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +378,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     if solver == "auto":
         solver = "dense" if min(n_rows, n_cols) <= DENSE_CUTOFF else "lanczos"
 
-    iterations = 0
+    iterations = solves = bounded = 0
     if solver == "lanczos":
         # P = X / n, one float64 value per cell of X. Each product takes a
         # prescaled vector (rb * x): scaling the entries inside the product
@@ -360,7 +398,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         side = min(n_rows, n_cols)
         found = _lanczos_topk(lambda x: back(to_other(x)), side, dims)
         if found is not None:
-            vals, vecs, iterations = found
+            vals, vecs, iterations, solves, bounded = found
             sigma = np.sqrt(np.clip(vals, 0.0, None))
         # a connected table has no unit singular value; a disconnected one has
         # one per extra group, and the Krylov space short of the whole space
@@ -370,7 +408,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
                 "Lanczos cannot settle %d axes of this %dx%d table, which is"
                 " disconnected or of low rank; solving it with the dense SVD",
                 dims, n_rows, n_cols)
-            solver, iterations = "dense", 0
+            solver, iterations, solves, bounded = "dense", 0, 0, 0
         else:
             others = np.zeros((max(n_rows, n_cols), dims))
             for i in range(dims):
@@ -404,6 +442,8 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         dropped_terms=dropped_terms,
         solver=solver,
         iterations=iterations,
+        tridiagonal_solves=solves,
+        bounded_steps=bounded,
     )
 
 

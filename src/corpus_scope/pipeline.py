@@ -20,7 +20,6 @@ thing that varies between runs.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
 import os
@@ -32,11 +31,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-
-try:
-    import resource
-except ImportError:  # pragma: no cover - not on Windows
-    resource = None
 
 from . import __version__, _lapack, _native
 from .bigrams import (
@@ -208,6 +202,8 @@ def load_config(path) -> dict[str, object]:
     Returns a kwargs dict for :class:`PipelineConfig`; unknown sections or
     keys raise ConfigError so typos never silently fall back to defaults.
     """
+    import configparser  # here, so that a run without a config never loads it
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -305,7 +301,9 @@ def _peak_rss_mb() -> float | None:
                     return round(int(line.split()[1]) / 1024.0, 1)  # in kB
     except OSError:
         pass
-    if resource is None:  # pragma: no cover - not on Windows
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - not on Windows
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports KiB, macOS bytes
@@ -520,6 +518,8 @@ def _lsa(run: _Run, stage: StageReport) -> None:
     stage.notes.append(f"ca solver {model.solver}, {model.iterations} iterations")
     if model.solver == "lanczos":
         stage.notes.append(f"tridiagonal solver {_lapack.solver()}")
+        stage.notes.append(f"{model.tridiagonal_solves} tridiagonal solves,"
+                           f" {model.bounded_steps} steps decided by bounds")
     if model.dropped_docs:
         stage.notes.append(f"dropped empty documents: {', '.join(model.dropped_docs)}")
     if model.dropped_terms:

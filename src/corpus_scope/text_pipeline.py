@@ -340,9 +340,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
 
 def build_vocabulary(
     sequences: TokenArray | Iterable[TokenSequence], p: int = DEFAULT_VOCAB_SIZE

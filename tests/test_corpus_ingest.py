@@ -29,6 +29,10 @@ from corpus_scope.errors import (
 )
 
 
+def ids(corpus: Corpus) -> tuple[str, ...]:
+    return tuple(d.id for d in corpus.documents)
+
+
 def parse_csv(text: str):
     return parse_records(io.BytesIO(text.encode("utf-8")), "csv")
 
@@ -51,7 +55,7 @@ def test_parse_basic_csv():
         "A1,First paper,2020,,,Conference Proceeding,France;Spain\n"
     )
     assert errors == []
-    assert corpus.ids() == ("A1", "A2")  # sorted by id, not file order
+    assert ids(corpus) == ("A1", "A2")  # sorted by id, not file order
     d = corpus.documents[1]
     assert d.title == "Second paper"
     assert d.year == 2021
@@ -68,7 +72,7 @@ def test_unparseable_year_drops_row_with_data_row_number():
         "A2,Second,2002\n"
         "A3,Third,circa 2003\n"
     )
-    assert corpus.ids() == ("A1", "A2")
+    assert ids(corpus) == ("A1", "A2")
     assert len(errors) == 1
     err = errors[0]
     assert err.row == 3
@@ -78,7 +82,7 @@ def test_unparseable_year_drops_row_with_data_row_number():
 
 def test_missing_year_is_kept_and_flagged():
     corpus, errors = parse_csv("id,title,year\nA1,First,\nA2,Second,2002\n")
-    assert corpus.ids() == ("A1", "A2")
+    assert ids(corpus) == ("A1", "A2")
     assert corpus.documents[0].year is None
     assert [(e.row, e.dropped) for e in errors] == [(1, False)]
 
@@ -94,7 +98,7 @@ def test_duplicate_id_keeps_first_occurrence():
     corpus, errors = parse_csv(
         "id,title,year\nB2,Original,2005\nB2,Copy,2006\nB1,Other,2007\n"
     )
-    assert corpus.ids() == ("B1", "B2")
+    assert ids(corpus) == ("B1", "B2")
     assert corpus.documents[1].title == "Original"
     assert any("duplicate" in e.reason and e.row == 2 for e in errors)
 
@@ -106,7 +110,7 @@ def test_empty_id_and_wrong_field_count_are_dropped():
         "A1,Short row\n"
         "A2,Fine,2002\n"
     )
-    assert corpus.ids() == ("A2",)
+    assert ids(corpus) == ("A2",)
     reasons = sorted(e.reason for e in errors)
     assert reasons == ["empty id", "wrong field count"]
 
@@ -195,7 +199,7 @@ def test_parse_jsonl_records():
         json.dumps([1, 2, 3]),
     ]
     corpus, errors = parse_jsonl("\n".join(lines) + "\n")
-    assert corpus.ids() == ("J1", "J2")
+    assert ids(corpus) == ("J1", "J2")
     assert corpus.documents[0].doc_type is DocType.CONFERENCE_PROCEEDING
     assert corpus.documents[1].keywords == ("alpha", "beta")
     assert corpus.documents[1].countries == ("India", "China")
@@ -238,7 +242,7 @@ def test_jsonl_values_of_the_wrong_type_drop_the_record():
         (13, "invalid JSON", True),
     ]
     # an integer id keeps its decimal form; null text fields are empty
-    assert corpus.ids() == ("0", "7")
+    assert ids(corpus) == ("0", "7")
     seven = corpus.documents[1]
     assert (seven.title, seven.abstract) == ("", "")
     assert seven.keywords == ("a", "b") and seven.countries == ("India",)
@@ -248,7 +252,7 @@ def test_parse_file_infers_format_and_wraps_io_errors(tmp_path):
     f = tmp_path / "small.csv"
     f.write_text("id,title,year\nA1,Hello,2020\n", encoding="utf-8")
     corpus, errors = parse_file(f)
-    assert corpus.ids() == ("A1",) and errors == []
+    assert ids(corpus) == ("A1",) and errors == []
 
     with pytest.raises(SchemaError, match="suffix"):
         parse_file(tmp_path / "mystery.dat")
@@ -405,13 +409,13 @@ def test_filter_by_phrase_matches_title_abstract_and_keywords():
     corpus = make_corpus(*PHRASE_DOCS)
     kept = filter_by_phrase(corpus, "data science")
     # P4 has the words in the wrong order; P5 never has them adjacent in one field
-    assert kept.ids() == ("P1", "P2", "P3")
+    assert ids(kept) == ("P1", "P2", "P3")
     assert kept.filters[-1] == "phrase='data science'"
 
 
 def test_filter_by_phrase_is_case_and_punctuation_insensitive():
     corpus = make_corpus(Document(id="Q1", title="DATA-SCIENCE: a review", year=2001))
-    assert filter_by_phrase(corpus, "Data Science!").ids() == ("Q1",)
+    assert ids(filter_by_phrase(corpus, "Data Science!")) == ("Q1",)
 
 
 def test_filter_by_phrase_idempotent_and_rejects_empty():
@@ -427,10 +431,10 @@ def test_filter_by_years():
     docs = [Document(id=f"Y{y}", title="t", year=y) for y in (2000, 2005, 2010)]
     docs.append(Document(id="Y0", title="no year", year=None))
     corpus = make_corpus(*docs)
-    assert filter_by_years(corpus).ids() == corpus.ids()  # no bounds: unchanged
-    assert filter_by_years(corpus, year_min=2001).ids() == ("Y2005", "Y2010")
-    assert filter_by_years(corpus, year_max=2005).ids() == ("Y2000", "Y2005")
-    assert filter_by_years(corpus, 2001, 2009).ids() == ("Y2005",)
+    assert ids(filter_by_years(corpus)) == ids(corpus)  # no bounds: unchanged
+    assert ids(filter_by_years(corpus, year_min=2001)) == ("Y2005", "Y2010")
+    assert ids(filter_by_years(corpus, year_max=2005)) == ("Y2000", "Y2005")
+    assert ids(filter_by_years(corpus, 2001, 2009)) == ("Y2005",)
 
 
 def test_partition_by_country_is_exact_and_disjoint():
@@ -441,10 +445,10 @@ def test_partition_by_country_is_exact_and_disjoint():
         Document(id="C4", title="t", countries=()),
     )
     inside, outside = partition_by_country(corpus, "Saudi Arabia")
-    assert inside.ids() == ("C1", "C2")
-    assert outside.ids() == ("C3", "C4")
-    assert set(inside.ids()) | set(outside.ids()) == set(corpus.ids())
-    assert set(inside.ids()) & set(outside.ids()) == set()
+    assert ids(inside) == ("C1", "C2")
+    assert ids(outside) == ("C3", "C4")
+    assert set(ids(inside)) | set(ids(outside)) == set(ids(corpus))
+    assert set(ids(inside)) & set(ids(outside)) == set()
     with pytest.raises(ConfigError):
         partition_by_country(corpus, "  ")
 
@@ -463,7 +467,7 @@ def test_partition_random_corpora_always_covers_everything():
         ]
         corpus = make_corpus(*docs)
         inside, outside = partition_by_country(corpus, "Japan")
-        assert sorted(inside.ids() + outside.ids()) == sorted(corpus.ids())
+        assert sorted(ids(inside) + ids(outside)) == sorted(ids(corpus))
         assert all("japan" in [c.casefold() for c in d.countries] for d in inside)
 
 

@@ -47,7 +47,6 @@ def test_counts_per_year_tallies_and_flags_missing():
     assert ys.missing_year_count == 1
     assert ys.years() == (2001, 2003)
     assert ys.counts() == (2, 1)
-    assert ys.total() == 3
 
 
 def test_counts_per_year_empty_cases():
@@ -308,6 +307,24 @@ def test_type_shares_random_always_sum_to_100():
             for t2, c2 in counts.items():
                 if c1 > c2:
                     assert shares[t1] >= shares[t2]
+
+
+def fraction_type_shares(counts):
+    """Largest remainder on exact fractions: the reference for type_shares."""
+    n = sum(counts.values())
+    exact = {t: Fraction(100 * c, n) for t, c in counts.items()}
+    floors = {t: int(v) for t, v in exact.items()}
+    order = sorted(counts, key=lambda t: (-(exact[t] - floors[t]), -counts[t], t.value))
+    for t in order[:100 - sum(floors.values())]:
+        floors[t] += 1
+    return sorted(floors.items(), key=lambda item: (-item[1], item[0].value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(list(DocType)), st.integers(1, 150), min_size=1))
+def test_type_shares_match_exact_fractions(counts):
+    shares = type_shares(corpus_with_type_counts(counts))
+    assert list(shares.items()) == fraction_type_shares(counts)
 
 
 def test_type_shares_empty_corpus():

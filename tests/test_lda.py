@@ -6,6 +6,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from conftest import BACKENDS, ChainSpy, needs_compiler, planted_corpus, use_backend
@@ -20,6 +22,7 @@ from corpus_scope.errors import (
 )
 from corpus_scope.lda import (
     LdaConfig,
+    _top_columns,
     dirichlet_density,
     fit_lda,
     load_model,
@@ -537,6 +540,40 @@ def test_top_words_per_topic_respects_counts_and_ties():
     assert all(len(words) == len(model.terms) for words in everything)
     with pytest.raises(ConfigError):
         top_words_per_topic(model, m=0)
+
+
+def lexsort_top(counts, rank, m):
+    """The order _top_columns must give: a full lexsort of every row."""
+    return np.lexsort((np.broadcast_to(rank, counts.shape), -counts), axis=-1)[:, :m]
+
+
+@st.composite
+def topic_count_rows(draw):
+    """Few distinct counts, so that ties are common; one row or several, and
+    m below, at and above the number of columns."""
+    k, v = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    counts = draw(st.lists(st.integers(0, 3), min_size=k * v, max_size=k * v))
+    rank = draw(st.permutations(range(v)))
+    m = draw(st.integers(1, v + 5))
+    return np.array(counts, dtype=np.int64).reshape(k, v), np.array(rank, dtype=np.int64), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(topic_count_rows())
+def test_top_columns_is_the_lexsort_order(case):
+    counts, rank, m = case
+    assert _top_columns(counts, rank, m).tolist() == lexsort_top(counts, rank, m).tolist()
+
+
+def test_top_columns_keys_fit_int64_up_to_the_stated_bound():
+    v = 7
+    largest = 2**63 // v - 1  # (largest + 1) * v <= 2**63
+    counts = np.array([[largest, largest, 0, largest - 1, 5, largest, 1]], dtype=np.int64)
+    rank = np.array([3, 0, 6, 1, 5, 2, 4])
+    assert _top_columns(counts, rank, 4).tolist() == lexsort_top(counts, rank, 4).tolist()
+    counts[0, 2] = largest + 1
+    with pytest.raises(OverflowError, match="int64 sort key"):
+        _top_columns(counts, rank, 4)
 
 
 # ------------------------------------------------------------ persistence

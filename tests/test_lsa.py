@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import BACKENDS, make_dtm, native_and_python, needs_compiler, use_backend
-from corpus_scope import lsa
+from corpus_scope import _lapack, lsa
 from corpus_scope.errors import (
     ConfigError,
     ConvergenceError,
@@ -15,6 +18,7 @@ from corpus_scope.errors import (
     NotFoundError,
 )
 from corpus_scope.lsa import (
+    DENSE_CUTOFF,
     LANCZOS_BLOCK,
     fit_ca,
     project_supplementary,
@@ -297,6 +301,51 @@ def test_lanczos_keeps_a_disconnected_table_whose_whole_space_it_saw():
     assert model.solver == "lanczos" and model.iterations == 4
     assert np.allclose(model.singular_values, dense_ca_oracle(X, 2)[0][:2], atol=1e-12)
     assert abs(model.singular_values[0] - 1.0) < 1e-12
+
+
+def connected_table(rng, n_rows, n_cols):
+    """Gamma-Poisson counts plus a staircase of ones that links every row and
+    column into one group."""
+    X = rng.poisson(rng.gamma(0.5, 1.0, size=(n_rows, n_cols)))
+    j = np.arange(max(n_rows, n_cols))
+    X[j % n_rows, j % n_cols] += 1
+    X[j % n_rows, (j + 1) % n_cols] += 1
+    return X
+
+
+def lanczos_fits(dtm, dims):
+    """What ``_lanczos_topk`` returns inside ``fit_ca(dtm, dims)``, first with
+    the bisection bounds and then without them."""
+    fits = []
+    real = lsa._lanczos_topk
+
+    def spy(*args, **kwargs):
+        fits.append(real(*args, **kwargs))
+        return fits[-1]
+
+    with mock.patch.object(lsa, "_lanczos_topk", spy):
+        fit_ca(dtm, dims=dims, solver="lanczos")
+        with mock.patch.object(_lapack, "dstebz", lambda: None):
+            fit_ca(dtm, dims=dims, solver="lanczos")
+    return fits
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_rows=st.integers(DENSE_CUTOFF + 1, 110),
+       n_cols=st.integers(DENSE_CUTOFF + 1, 110),
+       dims=st.integers(1, 20))
+def test_bisection_bounds_keep_the_stopping_step_and_the_bits(seed, n_rows, n_cols, dims):
+    X = connected_table(np.random.default_rng(seed), n_rows, n_cols)
+    bounded, solved = lanczos_fits(make_dtm(X), dims)
+    assert bounded.steps == solved.steps
+    assert bounded.values.tobytes() == solved.values.tobytes()
+    assert bounded.vectors.tobytes() == solved.vectors.tobytes()
+    # without bounds each step from dims on solves once, and the final solve
+    # adds one; with them, each step is decided by a bound or by solving
+    assert solved.bounded == 0 and solved.solves == solved.steps - dims + 2
+    assert bounded.bounded + bounded.solves - 1 >= bounded.steps - dims
+    assert bounded.solves <= solved.solves
 
 
 def test_lanczos_step_limit_raises_convergence_error():

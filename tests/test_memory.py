@@ -54,7 +54,7 @@ def test_fit_ca_holds_at_most_two_and_a_half_cell_arrays(tokens):
     # type, so fit_ca drops their empty rows and keeps every column
     emptied = range(100, len(tokens), 43)
     codes = tokens.codes.copy()
-    oov = next(c for c, t in enumerate(tokens.types) if t not in vocab)
+    oov = next(c for c, t in enumerate(tokens.types) if t not in vocab.index)
     for d in emptied:
         codes[tokens.offsets[d]:tokens.offsets[d + 1]] = oov
     for sequences, empty_rows in ((tokens, 0), (replace(tokens, codes=codes), len(emptied))):

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import importlib.util
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -1124,6 +1125,27 @@ def test_lanczos_run_loads_no_scipy_module(lanczos_corpus, tmp_path):
             "--iters", "5", "--burn-in", "1"]
     assert run_and_list_modules(argv) == [0, [], 1]
     assert "ca solver lanczos" in " ".join(stage_notes(out, "lsa"))
+
+
+def test_the_synth_wide_fit_reports_few_tridiagonal_solves(tmp_path, capsys):
+    # the benchmark's synth-wide corpus takes 182 Lanczos steps for 20 axes;
+    # bisection bounds show nearly all of them to be no stop, and the notes
+    # count the exact solves that the others took, the final one included
+    bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", bench_dir / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    corpus = synth.write_corpus(tmp_path / "corpus.jsonl", 3000, 1, "jsonl")
+    out = tmp_path / "out"
+    assert main(["lsa", "--input", str(corpus), "--out", str(out),
+                 "--vocab-size", "5000", "--dims", "20"]) == 0
+    capsys.readouterr()
+    notes = stage_notes(out, "lsa")
+    steps = int(re.fullmatch(r"ca solver lanczos, (\d+) iterations", notes[0])[1])
+    counts = re.fullmatch(r"(\d+) tridiagonal solves, (\d+) steps decided by bounds", notes[2])
+    solves, bounded = int(counts[1]), int(counts[2])
+    assert steps > 100 and solves <= 10
+    assert bounded + solves - 1 >= steps - 20
 
 
 def test_lanczos_without_the_bundled_lapack_writes_the_same_bytes(lanczos_corpus, tmp_path,

@@ -3,7 +3,9 @@
 ``lda.gammaln``, ``eda.f2_survival`` and ``_lapack.eigh_tridiagonal``
 replace ``scipy.special.gammaln``, ``scipy.special.fdtrc(2, d, f)`` and
 ``scipy.linalg.eigh_tridiagonal``, and the pinned output bytes rest on their
-being bit-equal to them. SciPy stays the reference here.
+being bit-equal to them. ``_lapack.eigenvalue_interval`` decides most Lanczos
+steps without a solve, so it must hold the eigenvalue that
+``eigh_tridiagonal`` computes. SciPy stays the reference here.
 """
 
 import numpy as np
@@ -92,3 +94,49 @@ def test_dstevd_keeps_the_wrappers_checks():
         _lapack.eigh_tridiagonal([1.0, 2.0], [np.inf])
     with pytest.raises(ValueError, match="off-diagonal"):
         _lapack.eigh_tridiagonal([1.0, 2.0], [0.5, 0.5])
+
+
+def bisection_cases():
+    """Tridiagonals where bisection is hardest to bound: off-diagonals that
+    are zero or tiny (the matrix splits), clustered and repeated spectra, and
+    scales far from 1."""
+    rng = np.random.default_rng(47)
+    for n in range(1, 121):
+        d = rng.standard_normal(n)
+        e = rng.standard_normal(n - 1)
+        kind = n % 6
+        if kind == 1:
+            e[rng.random(n - 1) < 0.3] = 0.0
+        elif kind == 2:
+            e *= 10.0 ** rng.uniform(-300, -8, n - 1)
+        elif kind == 3:  # a cluster of nearly equal values, loosely coupled
+            d = 1.0 + 1e-13 * rng.standard_normal(n)
+            e *= 1e-14
+        elif kind == 4:  # repeated values: identical decoupled blocks
+            d = np.tile([2.0, -1.0, 0.5], n)[:n]
+            e = np.tile([0.3, 0.7, 0.0], n)[: n - 1]
+        elif kind == 5:
+            d, e = d * 10.0 ** rng.uniform(-10, 10), e * 10.0 ** rng.uniform(-10, 10)
+        yield n, d, e
+
+
+def test_eigenvalue_interval_holds_the_eigenvalue_both_solvers_compute():
+    if _lapack.dstebz() is None:
+        pytest.skip("this SciPy bundles no OpenBLAS; the Lanczos CA solves every step")
+    for n, d, e in bisection_cases():
+        every = linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+        for index in sorted({0, n // 3, n // 2, n - 1}):
+            lo, hi = _lapack.eigenvalue_interval(d, e, index)
+            one = linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                          select_range=(index, index))
+            assert lo <= one[0] <= hi, (n, index)
+            assert lo <= every[index] <= hi, (n, index)
+
+
+def test_eigenvalue_interval_checks_its_index():
+    if _lapack.dstebz() is None:
+        pytest.skip("this SciPy bundles no OpenBLAS")
+    with pytest.raises(ValueError, match="index 2"):
+        _lapack.eigenvalue_interval([1.0, 2.0], [0.5], 2)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _lapack.eigenvalue_interval([1.0, np.nan], [0.5], 0)
