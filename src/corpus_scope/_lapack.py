@@ -36,7 +36,8 @@ ROUNDING_SLACK = 1e-12
 
 @functools.cache
 def _bundled() -> ctypes.CDLL | None:
-    """SciPy's bundled OpenBLAS, or None where there is none.
+    """SciPy's bundled OpenBLAS with ``dstevd`` and ``dstebz`` declared, or
+    None where there is none.
 
     ``find_spec`` locates the package without running its ``__init__``.
     """
@@ -50,43 +51,24 @@ def _bundled() -> ctypes.CDLL | None:
         except OSError:
             continue
         if hasattr(lib, "scipy_dstevd_") and hasattr(lib, "scipy_dstebz_"):
-            return lib
-    return None
-
-
-@functools.cache
-def dstevd():
-    """``dstevd`` from SciPy's bundled OpenBLAS, or None where there is none."""
-    lib = _bundled()
-    if lib is None:
+            break
+    else:
         return None
-    routine = lib.scipy_dstevd_
-    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO (LP64
-    # integers by reference), then the hidden length of JOBZ
-    routine.argtypes = [ctypes.c_char_p, *[ctypes.c_void_p] * 10, ctypes.c_size_t]
-    routine.restype = None
-    return routine
-
-
-@functools.cache
-def dstebz():
-    """``dstebz`` from SciPy's bundled OpenBLAS, or None where there is none."""
-    lib = _bundled()
-    if lib is None:
-        return None
-    routine = lib.scipy_dstebz_
-    # RANGE, ORDER, then N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W,
-    # IBLOCK, ISPLIT, WORK, IWORK, INFO by reference, then the hidden
-    # lengths of RANGE and ORDER
-    routine.argtypes = [ctypes.c_char_p, ctypes.c_char_p, *[ctypes.c_void_p] * 16,
-                        ctypes.c_size_t, ctypes.c_size_t]
-    routine.restype = None
-    return routine
+    # every argument by reference (LP64 integers), then the hidden lengths
+    # of the character arguments. dstevd: JOBZ, N, D, E, Z, LDZ, WORK,
+    # LWORK, IWORK, LIWORK, INFO. dstebz: RANGE, ORDER, N, VL, VU, IL, IU,
+    # ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO
+    char, ptr, size = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+    lib.scipy_dstevd_.argtypes = [char, *[ptr] * 10, size]
+    lib.scipy_dstevd_.restype = None
+    lib.scipy_dstebz_.argtypes = [char, char, *[ptr] * 16, size, size]
+    lib.scipy_dstebz_.restype = None
+    return lib
 
 
 def solver() -> str:
     """The name of the solver :func:`eigh_tridiagonal` runs in this process."""
-    if dstevd() is None:
+    if _bundled() is None:
         return "scipy.linalg.eigh_tridiagonal"
     return "lapack dstevd (scipy-openblas)"
 
@@ -111,8 +93,8 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, eigvals_only: bool = False):
     matrix with diagonal ``d`` and off-diagonal ``e``: the bits of
     ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=eigvals_only)``.
     """
-    routine = dstevd()
-    if routine is None:
+    lib = _bundled()
+    if lib is None:
         import scipy.linalg
 
         return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=eigvals_only)
@@ -128,9 +110,9 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, eigvals_only: bool = False):
     iwork = np.empty(liwork, dtype=np.intc)
     ints = [ctypes.c_int(v) for v in (n, ldz, lwork, liwork, 0)]
     n_p, ldz_p, lwork_p, liwork_p, info_p = map(ctypes.byref, ints)
-    routine(b"N" if eigvals_only else b"V", n_p, w.ctypes.data, off.ctypes.data,
-            z.ctypes.data, ldz_p, work.ctypes.data, lwork_p, iwork.ctypes.data,
-            liwork_p, info_p, 1)
+    lib.scipy_dstevd_(b"N" if eigvals_only else b"V", n_p, w.ctypes.data,
+                      off.ctypes.data, z.ctypes.data, ldz_p, work.ctypes.data, lwork_p,
+                      iwork.ctypes.data, liwork_p, info_p, 1)
     info = ints[-1].value
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed (LAPACK info={info})")
@@ -147,8 +129,8 @@ def eigenvalue_interval(d: np.ndarray, e: np.ndarray, index: int) -> tuple[float
     Returns None where no bundled library loads or ``dstebz`` reports a
     failure: the caller then solves exactly.
     """
-    routine = dstebz()
-    if routine is None:
+    lib = _bundled()
+    if lib is None:
         return None
     d, e = _checked(d, e)
     n = d.size
@@ -169,9 +151,9 @@ def eigenvalue_interval(d: np.ndarray, e: np.ndarray, index: int) -> tuple[float
     vl_p, vu_p, abstol_p = map(ctypes.byref, doubles)
     base = iwork.ctypes.data
     size = iwork.itemsize
-    routine(b"I", b"E", n_p, vl_p, vu_p, il_p, iu_p, abstol_p, d.ctypes.data,
-            off.ctypes.data, m_p, nsplit_p, w.ctypes.data, base, base + n * size,
-            work.ctypes.data, base + 2 * n * size, info_p, 1, 1)
+    lib.scipy_dstebz_(b"I", b"E", n_p, vl_p, vu_p, il_p, iu_p, abstol_p, d.ctypes.data,
+                      off.ctypes.data, m_p, nsplit_p, w.ctypes.data, base, base + n * size,
+                      work.ctypes.data, base + 2 * n * size, info_p, 1, 1)
     if ints[-1].value != 0 or ints[3].value != 1:
         return None
     slack = (BISECTION_TOL + ROUNDING_SLACK) * norm

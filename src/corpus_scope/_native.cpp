@@ -471,30 +471,21 @@ int64_t count_dtm(const int32_t *codes, int64_t n_tokens, const int64_t *offsets
 {
     if (offsets[0] != 0 || offsets[n_docs] != n_tokens)
         return -1;
-    /* a row's counts by column, the columns it holds in order met, and the
-     * same as one bit per column */
+    /* a row's counts by column, and its columns as one bit each */
     std::vector<int64_t> count;
-    std::vector<int32_t> seen;
     std::vector<uint64_t> bits;
     try {
         count.resize(p);
-        seen.resize(p);
         bits.resize((p + 63) / 64);
     } catch (const std::bad_alloc &) {
         return -2;
     }
     int64_t nnz = 0;
-    auto put = [&](int32_t c) {
-        indices[nnz] = c;
-        data[nnz++] = count[c];
-        col_totals[c] += count[c];
-        count[c] = 0;
-    };
     indptr[0] = 0;
     for (int64_t d = 0; d < n_docs; d++) {
         if (offsets[d + 1] < offsets[d] || offsets[d + 1] > n_tokens)
             return -1;
-        int64_t total = 0, n_seen = 0;
+        int64_t total = 0;
         for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
             if ((uint64_t)(uint32_t)codes[i] >= (uint64_t)n_types)
                 return -1;
@@ -503,26 +494,20 @@ int64_t count_dtm(const int32_t *codes, int64_t n_tokens, const int64_t *offsets
                 continue;
             if (c >= p)
                 return -1;
-            if (!count[c]++) {
-                seen[n_seen++] = c;
+            if (!count[c]++)
                 bits[c >> 6] |= 1ULL << (c & 63);
-            }
             total++;
         }
-        /* the columns in ascending order: sorted when they are few against
-         * the width of the table, else read off the bits */
-        if ((uint64_t)n_seen * 16 < bits.size()) {
-            std::sort(seen.begin(), seen.begin() + n_seen);
-            for (int64_t s = 0; s < n_seen; s++) {
-                bits[seen[s] >> 6] = 0;
-                put(seen[s]);
+        /* the columns in ascending order, read off the bits */
+        for (size_t w = 0; w < bits.size(); w++) {
+            for (uint64_t b = bits[w]; b; b &= b - 1) {
+                int32_t c = (int32_t)(64 * w + __builtin_ctzll(b));
+                indices[nnz] = c;
+                data[nnz++] = count[c];
+                col_totals[c] += count[c];
+                count[c] = 0;
             }
-        } else {
-            for (size_t w = 0; w < bits.size(); w++) {
-                for (uint64_t b = bits[w]; b; b &= b - 1)
-                    put((int32_t)(64 * w + __builtin_ctzll(b)));
-                bits[w] = 0;
-            }
+            bits[w] = 0;
         }
         row_totals[d] = total;
         indptr[d + 1] = (int32_t)nnz;

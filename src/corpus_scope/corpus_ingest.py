@@ -18,7 +18,8 @@ countries  affiliation countries, ';'-separated (optional)
 
 CSV input follows RFC 4180 quoting. JSON-Lines input holds one object per
 line with the same field names; ``keywords`` and ``countries`` may be either
-arrays or ';'-separated strings, and ``year`` may be a number or a string.
+arrays or strings, each string or item ';'-separated as in CSV, and ``year``
+may be a number or a string.
 
 Validation is per-record and non-fatal wherever possible. Rows with an
 unparseable or out-of-range year, an empty id, or a duplicate id are dropped
@@ -40,12 +41,15 @@ import io
 import json
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ConfigError, EmptyResultError, InputError, SchemaError
 from .text_pipeline import csv_field, tokenize
 
 INPUT_FORMATS = ("csv", "jsonl")
+# the format each file suffix names, in any case
+SUFFIX_FORMATS = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}
 REQUIRED_COLUMNS = ("id", "title", "year")
 OPTIONAL_COLUMNS = ("abstract", "keywords", "doc_type", "countries")
 
@@ -149,10 +153,12 @@ class RecordError:
 
 
 def _split_multi(value: str | list[str] | None) -> tuple[str, ...]:
+    """The stripped non-blank ';'-separated parts of a string or list items."""
     if value is None:
         return ()
-    parts = value if isinstance(value, list) else value.split(";")
-    return tuple(filter(None, map(str.strip, parts)))
+    if isinstance(value, list):
+        value = ";".join(value)
+    return tuple(filter(None, map(str.strip, value.split(";"))))
 
 
 def _parse_year(raw, row: int, errors: list[RecordError]) -> tuple[int | None, bool]:
@@ -318,16 +324,19 @@ def parse_records(stream: BinaryIO, format: str) -> tuple[Corpus, list[RecordErr
     return Corpus(documents=documents), errors
 
 
+def infer_format(path) -> str:
+    """The input format ``path``'s suffix names; SchemaError when it names none."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in SUFFIX_FORMATS:
+        raise SchemaError(f"cannot infer format from suffix {suffix!r}")
+    return SUFFIX_FORMATS[suffix]
+
+
 def parse_file(path, format: str | None = None) -> tuple[Corpus, list[RecordError]]:
     """Open ``path`` in binary mode and parse it, inferring format from suffix."""
-    from pathlib import Path
-
     p = Path(path)
     if format is None:
-        suffix = p.suffix.lower()
-        format = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}.get(suffix)
-        if format is None:
-            raise SchemaError(f"cannot infer format from suffix {suffix!r}")
+        format = infer_format(p)
     try:
         with open(p, "rb") as fh:
             return parse_records(fh, format)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateDesignError,
     EmptyCorpusError,
     ExtrapolationError,
     InsufficientDataError,
@@ -136,23 +135,19 @@ def fit_quadratic(series: YearSeries) -> QuadraticFit:
     """Fit a quadratic trend to (year, count) points by least squares.
 
     The solve runs on centered years for conditioning and the coefficients
-    are then expanded to raw-year form.
+    are then expanded to raw-year form. A series' years strictly increase,
+    so 4 points hold at least 3 distinct years and the design has full rank.
 
     Raises
     ------
     InsufficientDataError
         Fewer than 4 points (no residual degree of freedom for the F test).
-    DegenerateDesignError
-        Fewer than 3 distinct years (singular normal equations).
     """
     n = len(series.points)
     if n < 4:
         raise InsufficientDataError(f"need at least 4 points, got {n}")
     x = np.asarray(series.years(), dtype=np.float64)
     y = np.asarray(series.counts(), dtype=np.float64)
-    if len(set(x.tolist())) < 3:  # np.unique would import numpy.ma
-        raise DegenerateDesignError("fewer than 3 distinct x values")
-
     m = float(x.mean())
     xc = x - m
     design = np.column_stack([xc * xc, xc, np.ones_like(xc)])

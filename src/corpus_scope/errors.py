@@ -37,10 +37,6 @@ class InsufficientDataError(CorpusScopeError):
     """Too few points to fit the requested model."""
 
 
-class DegenerateDesignError(CorpusScopeError):
-    """The regression design matrix is singular (fewer than three distinct x)."""
-
-
 class ExtrapolationError(CorpusScopeError):
     """A forecast year lies outside the trusted window around the fitted range."""
 

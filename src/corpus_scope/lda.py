@@ -474,23 +474,33 @@ def fit_lda(
             it, check = divmod(failed - 1, 3)
             raise RuntimeError(_CHECK_ERRORS[check].format(first + it))
 
-    phi = (n_wk.T + beta) / (n_k.astype(np.float64) + vbeta)[:, None]
-    lens = n_dk.sum(axis=1).astype(np.float64)
-    theta = (n_dk + alpha) / (lens + k * alpha)[:, None]
-
+    topic_word_counts = n_wk.T.copy()
+    phi, theta = _estimates(topic_word_counts, n_dk, alpha, beta)
     return LdaModel(
         config=config,
         doc_ids=tuple(doc_ids),
         terms=vocab.terms,
         phi=phi,
         theta=theta,
-        topic_word_counts=n_wk.T.copy(),
+        topic_word_counts=topic_word_counts,
         doc_topic_counts=n_dk,
         offsets=offsets,
         topics=z,
         dropped_ids=tuple(dropped),
         log_likelihoods=tuple(log_likelihoods.tolist()),
     )
+
+
+def _estimates(topic_word_counts: np.ndarray, doc_topic_counts: np.ndarray,
+               alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """phi (k x p) and theta (n x k) from a model's count tables, for both
+    :func:`fit_lda` and :func:`load_model`, so a reload gives the same bits."""
+    k, p = topic_word_counts.shape
+    n_k = topic_word_counts.sum(axis=1).astype(np.float64)
+    phi = (topic_word_counts + beta) / (n_k + p * beta)[:, None]
+    lens = doc_topic_counts.sum(axis=1).astype(np.float64)
+    theta = (doc_topic_counts + alpha) / (lens + k * alpha)[:, None]
+    return phi, theta
 
 
 def top_words_per_topic(model: LdaModel, m: int = 10) -> list[list[str]]:
@@ -575,8 +585,8 @@ def save_model(model: LdaModel, path) -> None:
 def load_model(path) -> LdaModel:
     """Reload a model written by :func:`save_model`; phi/theta reproduce exactly.
 
-    phi/theta are recomputed from the counts through the same arithmetic as
-    the fit. Files with ``sample_averaging=1`` (averaged estimates, no longer
+    phi/theta are recomputed from the counts by the fit's own :func:`_estimates`.
+    Files with ``sample_averaging=1`` (averaged estimates, no longer
     produced) raise SchemaError, as does any file that is not a whole,
     consistent model: a header value or section that is missing or does not
     parse, a count table of the wrong shape or with a negative count, count
@@ -673,11 +683,7 @@ def load_model(path) -> LdaModel:
         np.bincount(doc_of * k + topics, minlength=n_docs * k).reshape(n_docs, k), ndk
     ):
         raise SchemaError("assignments differ from doc_topic_counts")
-    vbeta = n_terms * cfg.beta
-    nk = nwk.sum(axis=1).astype(np.float64)
-    phi = (nwk + cfg.beta) / (nk + vbeta)[:, None]
-    lens = ndk.sum(axis=1).astype(np.float64)
-    theta = (ndk + cfg.alpha) / (lens + k * cfg.alpha)[:, None]
+    phi, theta = _estimates(nwk, ndk, cfg.alpha, cfg.beta)
     try:
         lls = tuple(float(v) for v in sections.get("log_likelihoods", []))
     except ValueError:

@@ -44,6 +44,7 @@ from .corpus_ingest import (
     Corpus,
     filter_by_phrase,
     filter_by_years,
+    infer_format,
     parse_file,
     partition_by_country,
     require_nonempty,
@@ -62,7 +63,6 @@ from .eda import (
 from .errors import (
     ConfigError,
     CorpusScopeError,
-    DegenerateDesignError,
     InputError,
     InsufficientDataError,
     StageError,
@@ -204,7 +204,9 @@ def load_config(path) -> dict[str, object]:
     """
     import configparser  # here, so that a run without a config never loads it
 
-    parser = configparser.ConfigParser(interpolation=None)
+    # a section named "\n" cannot be written, so [DEFAULT] is an unknown
+    # section like any other instead of lending its keys to every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -266,11 +268,14 @@ def resolve_stoplist(cfg: PipelineConfig) -> tuple[frozenset[str], str]:
 
 def _check_paths(cfg: PipelineConfig, files: tuple[str, ...]) -> None:
     """Raise InputError, before any stage runs, when the input or the
-    stoplist is not a file, or is one of the planned ``files`` or
-    ``run_report.json`` in ``--out``, which the run would overwrite, or when
-    one of those outputs exists and is not a file."""
+    stoplist is not a file, when no ``format`` is given and the input's
+    suffix names none, when the input or the stoplist is one of the planned
+    ``files`` or ``run_report.json`` in ``--out``, which the run would
+    overwrite, or when one of those outputs exists and is not a file."""
     if not cfg.input.is_file():
         raise InputError(f"input path is not a readable file: {cfg.input}")
+    if cfg.format is None:
+        infer_format(cfg.input)
     if cfg.stoplist is not None and not cfg.stoplist.is_file():
         raise InputError(f"stoplist path is not a readable file: {cfg.stoplist}")
     read = [("input", cfg.input)] + ([("stoplist", cfg.stoplist)] if cfg.stoplist else [])
@@ -322,7 +327,8 @@ class _Run:
         self.provenance = ""
         self.corpus: Corpus | None = None
         self.subset: Corpus | None = None  # the country subset, when compare is planned
-        self.stoplist: frozenset[str] = frozenset()
+        self.stoplist: frozenset[str] = frozenset()  # read before --out is created
+        self.stoplist_origin = ""
         self.tokens = None
         self.vocab = None
         self.dtm = None
@@ -419,8 +425,7 @@ def _ingest(run: _Run, stage: StageReport) -> None:
 
 def _text(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
-    run.stoplist, origin = resolve_stoplist(cfg)
-    stage.notes.append(f"stoplist={origin} ({len(run.stoplist)} terms)")
+    stage.notes.append(f"stoplist={run.stoplist_origin} ({len(run.stoplist)} terms)")
     run.tokens = build_sequences(run.corpus, run.stoplist, fields=cfg.text_fields)
     stage.notes.append(f"tokenizer backend {_native.backend()}")
     run.vocab = build_vocabulary(run.tokens, cfg.vocab_size)
@@ -446,7 +451,7 @@ def _eda(run: _Run, stage: StageReport) -> None:
     trend = [f"# {run.provenance}", "key,value"]
     try:
         fit = fit_quadratic(series)
-    except (InsufficientDataError, DegenerateDesignError) as exc:
+    except InsufficientDataError as exc:
         trend.append(f"status,{csv_field(f'skipped: {exc}')}")
         stage.notes.append(f"trend fit skipped: {exc}")
     forecasts: list[tuple[int, float, bool]] = []
@@ -780,9 +785,10 @@ def run_pipeline(
     """Execute ``command`` as :func:`plan` lays it out, timing each stage;
     the report is always written.
 
-    The plan and the input are checked before anything is written. A stage
-    that raises a CorpusScopeError, a MemoryError or an OSError is recorded
-    as ``failed_stage`` and re-raised as StageError; when compare is planned, an empty country
+    The plan, the input and the stoplist are checked, and the stoplist read,
+    before anything is written. A stage that raises a CorpusScopeError, a
+    MemoryError or an OSError is recorded as ``failed_stage`` and re-raised
+    as StageError; when compare is planned, an empty country
     subset fails the ingest stage, before corpus.csv is written, with
     EmptyResultError (CLI exit code 3). Whatever a stage raises, the report's
     ``notes`` then name the planned files that are still in ``--out`` from
@@ -791,6 +797,8 @@ def run_pipeline(
     stages, files = plan(cfg, command, from_stage)
     _check_paths(cfg, files)
     run = _Run(cfg, command, tuple(s.name for s in stages), files)
+    if "text" in run.stages:
+        run.stoplist, run.stoplist_origin = resolve_stoplist(cfg)
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -58,12 +58,15 @@ def _parse_stoplist(text: str) -> frozenset[str]:
 
 def load_stoplist(path) -> frozenset[str]:
     """Read one term per line; '#' starts a comment, blanks are ignored.
-    Terms are normalized to lowercase."""
+    Terms are normalized to lowercase. A file that does not read or is not
+    UTF-8 raises InputError."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read stoplist {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"stoplist {p} is not valid UTF-8: {exc}") from exc
     return _parse_stoplist(text)
 
 

@@ -273,6 +273,23 @@ def test_serialize_round_trip_with_awkward_values():
     assert [e for e in errors if e.dropped] == []
 
 
+def test_jsonl_list_items_split_on_semicolons_as_csv_fields_do():
+    # a list item holding ';' reads as the CSV field corpus.csv writes it
+    # back to, so the corpus survives the round trip and the country filter
+    # finds each country of the item
+    line = json.dumps({"id": "J1", "title": "t", "year": 2001,
+                       "keywords": ["x;y", " z ", ";"],
+                       "countries": ["Saudi Arabia; Egypt"]})
+    corpus, errors = parse_jsonl(line + "\n")
+    assert errors == []
+    doc = corpus.documents[0]
+    assert doc.keywords == ("x", "y", "z") and doc.countries == ("Saudi Arabia", "Egypt")
+    back, _ = parse_csv("".join(serialize_corpus(corpus)))
+    assert back.documents == corpus.documents
+    inside, _ = partition_by_country(corpus, "Saudi Arabia")
+    assert ids(inside) == ("J1",)
+
+
 def test_serialize_round_trip_random_corpora():
     rng = np.random.default_rng(1234)
     letters = list("abcdefg ,;\"'-")

@@ -325,7 +325,7 @@ def lanczos_fits(dtm, dims):
 
     with mock.patch.object(lsa, "_lanczos_topk", spy):
         fit_ca(dtm, dims=dims, solver="lanczos")
-        with mock.patch.object(_lapack, "dstebz", lambda: None):
+        with mock.patch.object(_lapack, "eigenvalue_interval", lambda *args: None):
             fit_ca(dtm, dims=dims, solver="lanczos")
     return fits
 

@@ -18,7 +18,7 @@ from corpus_scope.bigrams import count_bigrams
 from corpus_scope.lsa import fit_ca
 from corpus_scope.text_pipeline import TokenArray, build_dtm, build_vocabulary
 
-_lapack.dstevd()  # loaded here, so that loading the library is not traced in fit_ca
+_lapack._bundled()  # loaded here, so that loading the library is not traced in fit_ca
 
 
 @pytest.fixture(scope="module")

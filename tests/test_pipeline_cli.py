@@ -362,6 +362,44 @@ def test_cli_missing_stoplist_exits_2_before_any_stage(mini_corpus_path, tmp_pat
     assert err.count("ghost_stop.txt") == 3 and "Traceback" not in err
 
 
+# one user mistake per row: the files it writes into tmp_path ("{tmp}" in
+# its argv), its argv (the demo is the input unless it names one) and a
+# phrase the error must hold
+USER_MISTAKES = {
+    "stoplist-not-utf8": ({"stop.txt": b"the\n\xff\n"},
+                          ["run", "--stoplist", "{tmp}/stop.txt"], "not valid UTF-8"),
+    "missing-stoplist": ({}, ["run", "--stoplist", "{tmp}/ghost.txt"], "ghost.txt"),
+    "suffix-names-no-format": ({"records.json": b"id,title,year\nA1,t,2001\n"},
+                               ["run", "--input", "{tmp}/records.json"], "suffix '.json'"),
+    "ini-default-section": ({"c.ini": b"[DEFAULT]\nseed = 3\n"},
+                            ["run", "--config", "{tmp}/c.ini"], "section [DEFAULT]"),
+    "ini-default-beside-lda": ({"c.ini": b"[DEFAULT]\nseed = 3\n[lda]\ntopics = 4\n"},
+                               ["run", "--config", "{tmp}/c.ini"], "section [DEFAULT]"),
+    "blank-country": ({}, ["run", "--country", " "], "country"),
+    "wordless-phrase": ({}, ["run", "--phrase", "!!!"], "phrase"),
+    "bigram-threshold-0": ({}, ["run", "--bigram-threshold", "0"], "bigram_threshold"),
+    "vocab-size-1": ({}, ["run", "--vocab-size", "1"], "vocab_size 1"),
+    "dims-0": ({}, ["run", "--dims", "0"], "dims"),
+    "forecast-years-11": ({"c.ini": b"[eda]\nforecast_years = 11\n"},
+                          ["eda", "--config", "{tmp}/c.ini"], "forecast_years"),
+}
+
+
+@pytest.mark.parametrize("files,argv,says", USER_MISTAKES.values(), ids=USER_MISTAKES)
+def test_each_user_mistake_exits_2_before_out_is_created(files, argv, says, mini_corpus_path,
+                                                         tmp_path, capsys):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--input" not in argv:
+        argv += ["--input", str(mini_corpus_path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert says in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_oversized_csv_field_fails_ingest_with_exit_2(tmp_path, capsys):
     bad = tmp_path / "big.csv"
     bad.write_text("id,title,year,abstract\nA1,fine,2001,short\n"
@@ -541,14 +579,6 @@ def test_provenance_comments_stay_one_line(mini_corpus_path, tmp_path):
                 assert "corpus.csv" not in ",".join(row) or row[0].startswith("# "), name
 
 
-def test_cli_wordless_phrase_exits_2(mini_corpus_path, tmp_path, capsys):
-    assert run_cli("run", "--input", mini_corpus_path, "--out", tmp_path,
-                   "--phrase", "!!!") == 2
-    err = capsys.readouterr().err
-    assert "phrase" in err and "Traceback" not in err
-    assert {p.name for p in tmp_path.iterdir()} <= {"run_report.json"}
-
-
 @pytest.mark.parametrize("command,flag,value", [
     ("run", "--country", "  "),
     ("compare", "--country", ""),
@@ -561,15 +591,6 @@ def test_cli_blank_country_and_wordless_phrase_exit_2_before_any_work(
     err = capsys.readouterr().err
     assert flag[2:] in err and "Traceback" not in err
     assert not out.exists()
-
-
-def test_cli_bigram_threshold_is_checked_before_any_stage(mini_corpus_path, tmp_path,
-                                                          capsys):
-    out = tmp_path / "never"
-    assert run_cli("run", "--input", mini_corpus_path, "--out", out,
-                   "--bigram-threshold", "0") == 2
-    assert not out.exists()
-    assert "bigram_threshold" in capsys.readouterr().err
 
 
 def test_cli_dims_and_text_fields_are_checked_before_any_stage(mini_corpus_path,
@@ -1085,7 +1106,7 @@ def run_and_list_modules(argv: list[str]) -> list:
         f"code = main({argv!r})\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'"
         " or m == 'xml.sax.saxutils']\n"
-        "print(json.dumps([code, loaded, _lapack.dstevd.cache_info().currsize]))\n"
+        "print(json.dumps([code, loaded, _lapack._bundled.cache_info().currsize]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env())
@@ -1156,7 +1177,7 @@ def test_lanczos_without_the_bundled_lapack_writes_the_same_bytes(lanczos_corpus
 
     argv = ["lsa", "--input", str(lanczos_corpus)]
     assert main([*argv, "--out", str(tmp_path / "bundled")]) == 0
-    with mock.patch.object(_lapack, "dstevd", lambda: None):
+    with mock.patch.object(_lapack, "_bundled", lambda: None):
         assert main([*argv, "--out", str(tmp_path / "fallback")]) == 0
     capsys.readouterr()
     solvers = {}

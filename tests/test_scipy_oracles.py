@@ -76,7 +76,7 @@ def tridiagonals():
 
 
 def test_dstevd_is_eigh_tridiagonal_bit_for_bit():
-    if _lapack.dstevd() is None:
+    if _lapack._bundled() is None:
         pytest.skip("this SciPy bundles no OpenBLAS; eigh_tridiagonal runs itself")
     for n, d, e in tridiagonals():
         w, v = _lapack.eigh_tridiagonal(d, e)
@@ -121,7 +121,7 @@ def bisection_cases():
 
 
 def test_eigenvalue_interval_holds_the_eigenvalue_both_solvers_compute():
-    if _lapack.dstebz() is None:
+    if _lapack._bundled() is None:
         pytest.skip("this SciPy bundles no OpenBLAS; the Lanczos CA solves every step")
     for n, d, e in bisection_cases():
         every = linalg.eigh_tridiagonal(d, e, eigvals_only=True)
@@ -134,7 +134,7 @@ def test_eigenvalue_interval_holds_the_eigenvalue_both_solvers_compute():
 
 
 def test_eigenvalue_interval_checks_its_index():
-    if _lapack.dstebz() is None:
+    if _lapack._bundled() is None:
         pytest.skip("this SciPy bundles no OpenBLAS")
     with pytest.raises(ValueError, match="index 2"):
         _lapack.eigenvalue_interval([1.0, 2.0], [0.5], 2)

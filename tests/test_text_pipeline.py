@@ -253,8 +253,8 @@ def test_build_dtm_rejects_a_token_array_out_of_range():
                 build_dtm(tokens, vocab)
 
 
-# 3,000 types in 47 words of bits: a row with one or two columns is sorted,
-# a row with more is read off the bits
+# 3,000 types in 47 words of bits: rows of a few columns, far apart in the
+# bits, and rows of many
 _TYPES = tuple(f"t{i:04d}" for i in range(3000))
 _TYPE_CODE = st.integers(0, 2999) | st.integers(0, 9)
 
