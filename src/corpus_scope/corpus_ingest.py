@@ -299,8 +299,9 @@ def parse_records(stream: BinaryIO, format: str) -> tuple[Corpus, list[RecordErr
     # StringIO, which holds 4 bytes per character). CSV lines end at \n, \r
     # or \r\n and csv.reader joins quoted line breaks back; JSON Lines split
     # at \n only, because JSON strings may hold U+2028, U+2029 and U+0085 raw.
+    # A leading byte-order mark, as spreadsheet exports write, is no text.
     text = io.TextIOWrapper(
-        io.BytesIO(stream.read()), encoding="utf-8", newline="" if fmt == "csv" else "\n"
+        io.BytesIO(stream.read()), encoding="utf-8-sig", newline="" if fmt == "csv" else "\n"
     )
     errors: list[RecordError] = []
     rows = _iter_csv(text, errors) if fmt == "csv" else _iter_jsonl(text, errors)

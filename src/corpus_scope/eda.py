@@ -55,8 +55,8 @@ def counts_per_year(corpus: "Corpus") -> YearSeries:
     """Tally documents per publication year.
 
     Documents without a year are excluded from the points but reported in
-    ``missing_year_count``. Raises EmptyCorpusError for an empty corpus or
-    one where every document lacks a year.
+    ``missing_year_count``; when no document has a year the series has no
+    points. Raises EmptyCorpusError for an empty corpus.
     """
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot count years of an empty corpus")
@@ -67,8 +67,6 @@ def counts_per_year(corpus: "Corpus") -> YearSeries:
             missing += 1
         else:
             tally[doc.year] += 1
-    if not tally:
-        raise EmptyCorpusError("no document has a year")
     points = tuple(sorted(tally.items()))
     return YearSeries(points=points, missing_year_count=missing)
 
@@ -141,11 +139,13 @@ def fit_quadratic(series: YearSeries) -> QuadraticFit:
     Raises
     ------
     InsufficientDataError
-        Fewer than 4 points (no residual degree of freedom for the F test).
+        Fewer than 4 points (no residual degree of freedom for the F test),
+        or none because no document has a year.
     """
     n = len(series.points)
     if n < 4:
-        raise InsufficientDataError(f"need at least 4 points, got {n}")
+        raise InsufficientDataError(f"need at least 4 points, got {n}" if n
+                                    else "no document has a year")
     x = np.asarray(series.years(), dtype=np.float64)
     y = np.asarray(series.counts(), dtype=np.float64)
     m = float(x.mean())

@@ -35,13 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _native
-from .errors import (
-    ConfigError,
-    DomainError,
-    EmptyCorpusError,
-    SchemaError,
-    SimplexError,
-)
+from .errors import ConfigError, DomainError, EmptyCorpusError, SimplexError
 from .text_pipeline import as_token_array, int_line_chunks, remap_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -103,9 +97,11 @@ class LdaModel:
 
     ``phi`` is k x p (topics over terms), ``theta`` is n x k (documents over
     topics); both are smoothed point estimates from the final counts. Count
-    tables and per-token assignments are retained so a model can be
-    persisted and reloaded exactly. The assignments are kept flat:
-    document d's tokens have topics ``topics[offsets[d]:offsets[d + 1]]``.
+    tables and per-token assignments are retained for :func:`render_model`,
+    which writes the whole model; nothing reads that file back, since the
+    same input, config and seed give the same model. The assignments are
+    kept flat: document d's tokens have topics
+    ``topics[offsets[d]:offsets[d + 1]]``.
     """
 
     config: LdaConfig
@@ -119,12 +115,6 @@ class LdaModel:
     topics: np.ndarray = field(repr=False)  # int32, one per token
     dropped_ids: tuple[str, ...]
     log_likelihoods: tuple[float, ...] = field(repr=False)
-
-    @property
-    def assignments(self) -> tuple[tuple[int, ...], ...]:
-        """Each document's token topics, decoded from the flat arrays."""
-        flat, bounds = self.topics.tolist(), self.offsets.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 # Cephes' lgam coefficients: the Stirling correction A below 1000, and the
@@ -417,11 +407,16 @@ def fit_lda(
     """Run the collapsed Gibbs sampler and return point estimates.
 
     Documents with no in-vocabulary tokens are dropped (with a warning) and
-    listed on ``dropped_ids``. Count tables are cross-checked for exact
-    conservation after every sweep.
+    listed on ``dropped_ids``. More topics than in-vocabulary tokens raise
+    ConfigError, since some would stay empty, before any count table is
+    allocated. Count tables are cross-checked for exact conservation after
+    every sweep.
     """
     doc_ids, offsets, words, dropped = _vectorize(sequences, vocab)
     k = config.k
+    if k > words.size:
+        raise ConfigError(f"{k} topics exceed the {words.size} in-vocabulary tokens,"
+                          " so some topics would stay empty")
     p = len(vocab)
     alpha = float(config.alpha)
     beta = float(config.beta)
@@ -475,7 +470,8 @@ def fit_lda(
             raise RuntimeError(_CHECK_ERRORS[check].format(first + it))
 
     topic_word_counts = n_wk.T.copy()
-    phi, theta = _estimates(topic_word_counts, n_dk, alpha, beta)
+    phi = (topic_word_counts + beta) / (topic_word_counts.sum(axis=1) + vbeta)[:, None]
+    theta = (n_dk + alpha) / (n_dk.sum(axis=1) + k * alpha)[:, None]
     return LdaModel(
         config=config,
         doc_ids=tuple(doc_ids),
@@ -489,18 +485,6 @@ def fit_lda(
         dropped_ids=tuple(dropped),
         log_likelihoods=tuple(log_likelihoods.tolist()),
     )
-
-
-def _estimates(topic_word_counts: np.ndarray, doc_topic_counts: np.ndarray,
-               alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """phi (k x p) and theta (n x k) from a model's count tables, for both
-    :func:`fit_lda` and :func:`load_model`, so a reload gives the same bits."""
-    k, p = topic_word_counts.shape
-    n_k = topic_word_counts.sum(axis=1).astype(np.float64)
-    phi = (topic_word_counts + beta) / (n_k + p * beta)[:, None]
-    lens = doc_topic_counts.sum(axis=1).astype(np.float64)
-    theta = (doc_topic_counts + alpha) / (lens + k * alpha)[:, None]
-    return phi, theta
 
 
 def top_words_per_topic(model: LdaModel, m: int = 10) -> list[list[str]]:
@@ -574,131 +558,3 @@ def _csv_table(counts: np.ndarray) -> Iterator[str]:
     """A count matrix as one comma-separated line per row, in chunks."""
     rows, cols = counts.shape
     return int_line_chunks(counts, np.arange(cols, rows * cols + 1, cols), ",")
-
-
-def save_model(model: LdaModel, path) -> None:
-    """Write :func:`render_model` output to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(render_model(model))
-
-
-def load_model(path) -> LdaModel:
-    """Reload a model written by :func:`save_model`; phi/theta reproduce exactly.
-
-    phi/theta are recomputed from the counts by the fit's own :func:`_estimates`.
-    Files with ``sample_averaging=1`` (averaged estimates, no longer
-    produced) raise SchemaError, as does any file that is not a whole,
-    consistent model: a header value or section that is missing or does not
-    parse, a count table of the wrong shape or with a negative count, count
-    tables whose topic totals differ, or assignments for another number of
-    documents, with a topic outside ``0..k-1`` or whose per-document topic
-    counts differ from ``[doc_topic_counts]``.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != MODEL_FORMAT:
-        raise SchemaError(f"not a {MODEL_FORMAT} file: {path}")
-    header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("["):
-        key, _, value = lines[i].partition("=")
-        header[key] = value
-        i += 1
-    if header.get("sample_averaging", "0") != "0":
-        raise SchemaError("sample-averaged models are not supported")
-
-    sections: dict[str, list[str]] = {}
-    current: list[str] = []
-    while i < len(lines):
-        if lines[i].startswith("[") and lines[i].endswith("]"):
-            current = sections.setdefault(lines[i][1:-1], [])
-        else:
-            current.append(lines[i])
-        i += 1
-
-    def number(key: str, parse):
-        if key not in header:
-            raise SchemaError(f"model header has no {key}= line")
-        try:
-            return parse(header[key])
-        except ValueError:
-            raise SchemaError(f"model header {key}={header[key]!r} does not parse") from None
-
-    def section(name: str) -> list[str]:
-        if name not in sections:
-            raise SchemaError(f"model file has no [{name}] section")
-        return sections[name]
-
-    def int_rows(name: str, rows: int) -> list[list[int]]:
-        raw = section(name)
-        if len(raw) != rows:
-            raise SchemaError(f"section {name} has {len(raw)} rows, expected {rows}")
-        try:
-            return [[int(v) for v in ln.split(",")] if ln else [] for ln in raw]
-        except ValueError:
-            raise SchemaError(f"section {name} holds a value that is not an integer") from None
-
-    def count_table(name: str, rows: int, cols: int) -> np.ndarray:
-        values = int_rows(name, rows)
-        if any(len(row) != cols for row in values):
-            raise SchemaError(f"section {name} is not {rows}x{cols}")
-        try:
-            arr = np.array(values, dtype=np.int64).reshape(rows, cols)
-        except OverflowError:
-            raise SchemaError(f"section {name} holds a count beyond int64") from None
-        if (arr < 0).any():
-            raise SchemaError(f"section {name} holds a negative count")
-        return arr
-
-    try:
-        cfg = LdaConfig(
-            k=number("k", int),
-            alpha=number("alpha", float),
-            beta=number("beta", float),
-            iterations=number("iterations", int),
-            burn_in=number("burn_in", int),
-            seed=number("seed", int),
-        )
-    except ConfigError as exc:
-        raise SchemaError(f"model header: {exc}") from None
-    n_docs, n_terms = number("n_docs", int), number("n_terms", int)
-    terms = tuple(section("terms"))
-    doc_ids = tuple(section("documents"))
-    if len(terms) != n_terms or len(doc_ids) != n_docs:
-        raise SchemaError("label sections do not match the declared sizes")
-
-    k = cfg.k
-    nwk = count_table("topic_word_counts", k, n_terms)
-    ndk = count_table("doc_topic_counts", n_docs, k)
-    if not np.array_equal(nwk.sum(axis=1), ndk.sum(axis=0)):
-        raise SchemaError("topic_word_counts and doc_topic_counts differ in topic totals")
-    rows = int_rows("assignments", n_docs)
-    flat = [t for row in rows for t in row]
-    if flat and not (0 <= min(flat) and max(flat) < k):
-        raise SchemaError(f"assignments hold a topic outside 0..{k - 1}")
-    topics = np.array(flat, dtype=np.int32)
-    lengths = [len(row) for row in rows]
-    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    if not np.array_equal(
-        np.bincount(doc_of * k + topics, minlength=n_docs * k).reshape(n_docs, k), ndk
-    ):
-        raise SchemaError("assignments differ from doc_topic_counts")
-    phi, theta = _estimates(nwk, ndk, cfg.alpha, cfg.beta)
-    try:
-        lls = tuple(float(v) for v in sections.get("log_likelihoods", []))
-    except ValueError:
-        raise SchemaError("section log_likelihoods holds a value that is not a number") from None
-    dropped = tuple(x for x in header.get("dropped", "").split(";") if x)
-    return LdaModel(
-        config=cfg,
-        doc_ids=doc_ids,
-        terms=terms,
-        phi=phi,
-        theta=theta,
-        topic_word_counts=nwk,
-        doc_topic_counts=ndk,
-        offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-        topics=topics,
-        dropped_ids=dropped,
-        log_likelihoods=lls,
-    )

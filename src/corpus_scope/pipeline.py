@@ -78,7 +78,7 @@ from .lda import (
     top_words_per_topic,
 )
 from .lsa import DEFAULT_DIMS, fit_ca, project_supplementary, representative_documents
-from .svgplot import line_chart, scatter_2d
+from .svgplot import empty_chart, line_chart, scatter_2d
 from .text_pipeline import (
     DEFAULT_TEXT_FIELDS,
     DEFAULT_VOCAB_SIZE,
@@ -201,6 +201,7 @@ def load_config(path) -> dict[str, object]:
 
     Returns a kwargs dict for :class:`PipelineConfig`; unknown sections or
     keys raise ConfigError so typos never silently fall back to defaults.
+    A leading byte-order mark is skipped.
     """
     import configparser  # here, so that a run without a config never loads it
 
@@ -208,7 +209,7 @@ def load_config(path) -> dict[str, object]:
     # section like any other instead of lending its keys to every section
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
@@ -498,14 +499,11 @@ def _eda(run: _Run, stage: StageReport) -> None:
         for year in range(fit.x_min, last + 1):
             value, _ = forecast_point(fit, year)
             fitted_pts.append((float(year), value))
-    svg = line_chart(
-        observed,
-        fitted=fitted_pts,
-        forecast=forecast_pts,
-        title="Documents per year",
-        x_label="year",
-        y_label="documents",
-    )
+    labels = dict(title="Documents per year", x_label="year", y_label="documents")
+    if observed:
+        svg = line_chart(observed, fitted=fitted_pts, forecast=forecast_pts, **labels)
+    else:
+        svg = empty_chart(**labels)
     run.emit(stage, "trend.svg", svg)
 
 

@@ -155,6 +155,12 @@ def line_chart(
     return _document(body)
 
 
+def empty_chart(title: str = "", x_label: str = "year", y_label: str = "documents") -> str:
+    """The axes of a :func:`line_chart` with no series, over the unit square:
+    the chart of a series with no observed point."""
+    return _document(_axes(_Frame((0.0, 1.0), (0.0, 1.0)), title, x_label, y_label))
+
+
 def scatter_2d(
     groups: Sequence[tuple[str, str, Sequence[tuple[float, float]]]],
     labels: Sequence[tuple[float, float, str]] = (),

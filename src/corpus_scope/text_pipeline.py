@@ -58,11 +58,11 @@ def _parse_stoplist(text: str) -> frozenset[str]:
 
 def load_stoplist(path) -> frozenset[str]:
     """Read one term per line; '#' starts a comment, blanks are ignored.
-    Terms are normalized to lowercase. A file that does not read or is not
-    UTF-8 raises InputError."""
+    Terms are normalized to lowercase; a leading byte-order mark is skipped.
+    A file that does not read or is not UTF-8 raises InputError."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read stoplist {p}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -127,6 +127,17 @@ def test_unknown_format_rejected():
         parse_records(io.BytesIO(b"id,title,year\n"), "xml")
 
 
+@pytest.mark.parametrize("fmt,text", [
+    ("csv", "id,title,year,abstract\nA1,First,2020,text\nA2,Second,,more\n"),
+    ("jsonl", '{"id": "A1", "title": "First", "year": 2020}\n{"id": "A2", "title": "Second"}\n'),
+], ids=["csv", "jsonl"])
+def test_a_leading_byte_order_mark_reads_as_no_text(fmt, text):
+    # spreadsheet exports ("CSV UTF-8") start with U+FEFF
+    plain = parse_records(io.BytesIO(text.encode("utf-8")), fmt)
+    assert ids(plain[0]) == ("A1", "A2")
+    assert parse_records(io.BytesIO(("\ufeff" + text).encode("utf-8")), fmt) == plain
+
+
 def test_non_utf8_input_is_an_input_error():
     with pytest.raises(InputError, match="UTF-8"):
         parse_records(io.BytesIO(b"id,title,year\nA1,\xff\xfe,2001\n"), "csv")

@@ -52,8 +52,11 @@ def test_counts_per_year_tallies_and_flags_missing():
 def test_counts_per_year_empty_cases():
     with pytest.raises(EmptyCorpusError):
         counts_per_year(make_corpus())
-    with pytest.raises(EmptyCorpusError):
-        counts_per_year(make_corpus(Document(id="A", title="t", year=None)))
+    # a corpus without years is valid input: a series of no points
+    ys = counts_per_year(make_corpus(Document(id="A", title="t", year=None)))
+    assert ys.points == () and ys.missing_year_count == 1
+    with pytest.raises(InsufficientDataError, match="no document has a year"):
+        fit_quadratic(ys)
 
 
 def test_year_series_must_increase():

@@ -13,21 +13,13 @@ from scipy.special import gammaln
 from conftest import BACKENDS, ChainSpy, needs_compiler, planted_corpus, use_backend
 from corpus_scope import _native, lda
 from corpus_scope._native import backend as gibbs_backend
-from corpus_scope.errors import (
-    ConfigError,
-    DomainError,
-    EmptyCorpusError,
-    SchemaError,
-    SimplexError,
-)
+from corpus_scope.errors import ConfigError, DomainError, EmptyCorpusError, SimplexError
 from corpus_scope.lda import (
     LdaConfig,
     _top_columns,
     dirichlet_density,
     fit_lda,
-    load_model,
     render_model,
-    save_model,
     top_words_per_topic,
 )
 from corpus_scope.text_pipeline import TokenSequence, build_vocabulary
@@ -37,6 +29,12 @@ def quick_config(**overrides):
     kwargs = dict(k=2, iterations=120, burn_in=30, seed=7)
     kwargs.update(overrides)
     return LdaConfig(**kwargs)
+
+
+def per_document(model):
+    """Each kept document's token topics, cut from the flat arrays."""
+    flat, bounds = model.topics.tolist(), model.offsets.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def fitted_planted(seed=7, n_docs=60, **overrides):
@@ -114,11 +112,13 @@ def test_fit_lda_is_deterministic_for_a_seed():
     m2, *_ = fitted_planted(seed=3)
     assert np.array_equal(m1.phi, m2.phi)
     assert np.array_equal(m1.theta, m2.theta)
-    assert m1.assignments == m2.assignments
+    assert np.array_equal(m1.topics, m2.topics)
+    assert np.array_equal(m1.offsets, m2.offsets)
     assert m1.log_likelihoods == m2.log_likelihoods
 
     m3, *_ = fitted_planted(seed=4)
-    assert m3.assignments != m1.assignments
+    assert np.array_equal(m3.offsets, m1.offsets)
+    assert not np.array_equal(m3.topics, m1.topics)
 
 
 def test_fit_lda_distributions_are_normalized():
@@ -133,7 +133,7 @@ def test_fit_lda_counts_match_assignments_exactly():
     k = model.config.k
     n_wk = np.zeros((k, len(vocab)), dtype=np.int64)
     n_dk = np.zeros((len(sequences), k), dtype=np.int64)
-    for d, (seq, labels) in enumerate(zip(sequences, model.assignments)):
+    for d, (seq, labels) in enumerate(zip(sequences, per_document(model))):
         assert len(seq.tokens) == len(labels)
         for tok, z in zip(seq.tokens, labels):
             n_wk[z, vocab.index[tok]] += 1
@@ -159,7 +159,7 @@ def test_fit_lda_counts_match_assignments_around_dropped_documents():
     assert model.doc_ids == tuple(s.doc_id for s, ids in zip(sequences, kept) if ids)
     n_wk = np.zeros((3, len(vocab)), dtype=np.int64)
     n_dk = np.zeros((len(model.doc_ids), 3), dtype=np.int64)
-    for d, (ids, topics) in enumerate(zip(filter(None, kept), model.assignments)):
+    for d, (ids, topics) in enumerate(zip(filter(None, kept), per_document(model))):
         assert len(ids) == len(topics)
         for w, z in zip(ids, topics):
             n_wk[z, w] += 1
@@ -248,19 +248,6 @@ def test_lda_config_rejects_non_finite_priors(prior):
         quick_config(**prior)
 
 
-@pytest.mark.parametrize("line", ["alpha=nan", "alpha=inf", "beta=inf", "beta=nan"])
-def test_load_model_rejects_a_non_finite_prior(tmp_path, line):
-    model, *_ = fitted_planted(seed=19)
-    text = "".join(render_model(model))
-    key = line.partition("=")[0]
-    old = f"\n{key}={getattr(model.config, key)!r}\n"
-    assert old in text
-    path = tmp_path / "prior.txt"
-    path.write_text(text.replace(old, f"\n{line}\n"), encoding="utf-8")
-    with pytest.raises(SchemaError, match="finite"):
-        load_model(path)
-
-
 # ------------------------------------------------------------ initial state
 
 
@@ -334,7 +321,8 @@ def test_the_python_chain_saves_the_state_when_a_check_fails():
 
 
 def assert_same_chain(a, b):
-    assert a.assignments == b.assignments
+    assert np.array_equal(a.topics, b.topics)
+    assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.topic_word_counts, b.topic_word_counts)
     assert np.array_equal(a.doc_topic_counts, b.doc_topic_counts)
     assert a.log_likelihoods == b.log_likelihoods
@@ -576,104 +564,28 @@ def test_top_columns_keys_fit_int64_up_to_the_stated_bound():
         _top_columns(counts, rank, 4)
 
 
-# ------------------------------------------------------------ persistence
+# ------------------------------------------------------------ the model file
 
 
-def test_save_load_round_trip_is_exact(tmp_path):
-    model, *_ = fitted_planted(seed=17)
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    assert path.read_text(encoding="utf-8").startswith("corpus-scope-lda v1")
-    back = load_model(path)
-    assert back.config == model.config
-    assert back.doc_ids == model.doc_ids
-    assert back.terms == model.terms
-    assert np.array_equal(back.phi, model.phi)
-    assert np.array_equal(back.theta, model.theta)
-    assert back.assignments == model.assignments
-    assert back.topics.dtype == np.int32 and back.offsets.dtype == np.int64
-    assert np.array_equal(back.topic_word_counts, model.topic_word_counts)
-    assert "".join(render_model(back)) == "".join(render_model(model))
-
-
-def test_render_model_count_sections_match_str_join():
-    model, *_ = fitted_planted(seed=23)
-    assert model.topics.dtype == np.int32
-    assert model.offsets.tolist() == [0, *np.cumsum([len(a) for a in model.assignments])]
-    expected = "".join(
-        f"[{name}]\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
-        for name, rows in (
-            ("topic_word_counts", model.topic_word_counts.tolist()),
-            ("doc_topic_counts", model.doc_topic_counts.tolist()),
-            ("assignments", model.assignments),
-        )
-    )
-    assert expected + "[log_likelihoods]\n" in "".join(render_model(model))
-
-
-def test_load_model_rejects_sample_averaged_files(tmp_path):
-    model, *_ = fitted_planted(seed=19)
-    text = "".join(render_model(model))
-    assert "\nsample_averaging=0\n" in text
-    path = tmp_path / "avg.txt"
-    path.write_text(text.replace("\nsample_averaging=0\n", "\nsample_averaging=1\n"),
-                    encoding="utf-8")
-    with pytest.raises(SchemaError, match="sample-averaged"):
-        load_model(path)
-
-
-def test_load_model_rejects_foreign_payloads(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not-a-model v9\n", encoding="utf-8")
-    with pytest.raises(SchemaError):
-        load_model(bad)
-
-
-def edit_section(text, name, edit):
-    """``text`` with the lines of section ``[name]`` replaced by ``edit(lines)``."""
-    head, rest = text.split(f"[{name}]\n")
-    body, sep, tail = rest.partition("\n[")
-    return head + f"[{name}]\n" + "\n".join(edit(body.split("\n"))) + sep + tail
-
-
-def first_value(lines, value):
-    return [value + lines[0][lines[0].index(","):], *lines[1:]]
-
-
-def move_first_assignment(lines):
-    topic = int(lines[0].split(",")[0])
-    return first_value(lines, str((topic + 1) % 3))
-
-
-MALFORMED = {
-    "missing_k": lambda t: t.replace("\nk=3\n", "\n"),
-    "ragged_row": lambda t: edit_section(t, "topic_word_counts",
-                                         lambda ls: [ls[0].rsplit(",", 1)[0], *ls[1:]]),
-    "non_integer_count": lambda t: edit_section(t, "doc_topic_counts",
-                                                lambda ls: first_value(ls, "1.5")),
-    "negative_count": lambda t: edit_section(t, "doc_topic_counts",
-                                             lambda ls: first_value(ls, "-1")),
-    "wide_table": lambda t: edit_section(t, "topic_word_counts",
-                                         lambda ls: [ln + ",0" for ln in ls]),
-    "topic_totals": lambda t: edit_section(t, "topic_word_counts",
-                                           lambda ls: first_value(ls, "99")),
-    "nine_assignment_lines": lambda t: edit_section(t, "assignments", lambda ls: ls[:-1]),
-    "topic_out_of_range": lambda t: edit_section(t, "assignments",
-                                                 lambda ls: first_value(ls, "9")),
-    "assignments_disagree": lambda t: edit_section(t, "assignments", move_first_assignment),
-    "missing_section": lambda t: t.replace("[documents]\n", "[docs]\n"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_load_model_rejects_malformed_files(case, tmp_path):
-    model, *_ = fitted_planted(n_docs=10, k=3, iterations=20, burn_in=5)
-    text = "".join(render_model(model))
-    path = tmp_path / "model.txt"
-    path.write_text(text, encoding="utf-8")
-    assert "".join(render_model(load_model(path))) == text
-    broken = MALFORMED[case](text)
-    assert broken != text
-    path.write_text(broken, encoding="utf-8")
-    with pytest.raises(SchemaError):
-        load_model(path)
+def test_render_model_writes_every_field_of_the_model():
+    # the file is written, never read back, so every field must reach it
+    sequences, _ = planted_corpus(np.random.default_rng(17), n_docs=20)
+    sequences += [TokenSequence("doc-empty", ()), TokenSequence("doc-void", ())]
+    model = fit_lda(sequences, build_vocabulary(sequences),
+                    quick_config(k=3, iterations=5, burn_in=1))
+    assert model.dropped_ids == ("doc-empty", "doc-void")
+    assert model.topics.dtype == np.int32 and model.offsets.dtype == np.int64
+    cfg = model.config
+    lines = [
+        "corpus-scope-lda v1", f"k={cfg.k}", f"alpha={cfg.alpha!r}", f"beta={cfg.beta!r}",
+        f"iterations={cfg.iterations}", f"burn_in={cfg.burn_in}", f"seed={cfg.seed}",
+        "sample_averaging=0", f"n_docs={len(model.doc_ids)}",
+        f"n_terms={len(model.terms)}", "dropped=doc-empty;doc-void",
+        "[terms]", *model.terms, "[documents]", *model.doc_ids,
+    ]
+    for name, rows in (("topic_word_counts", model.topic_word_counts.tolist()),
+                       ("doc_topic_counts", model.doc_topic_counts.tolist()),
+                       ("assignments", per_document(model))):
+        lines += [f"[{name}]", *(",".join(map(str, row)) for row in rows)]
+    lines += ["[log_likelihoods]", *map(repr, model.log_likelihoods)]
+    assert "".join(render_model(model)) == "\n".join(lines) + "\n"

@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import errno
 import hashlib
 import importlib.util
+import io
 import json
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,6 +18,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BACKENDS, child_env, use_backend
 from corpus_scope import _native, pipeline
@@ -26,7 +31,6 @@ from corpus_scope.errors import (
     InsufficientDataError,
     StageError,
 )
-from corpus_scope.lda import load_model
 from corpus_scope.pipeline import STAGES, PipelineConfig, load_config, plan, run_pipeline
 from corpus_scope.svgplot import line_chart, scatter_2d
 
@@ -199,6 +203,65 @@ def test_skipped_trend_status_is_one_quoted_field(mini_corpus, tmp_path):
     assert rows[1] == ["status", "skipped: need at least 4 points, got 2"]
 
 
+def write_without_years(corpus, path, blank=lambda doc: True):
+    """``corpus`` as a CSV whose year is empty for each document ``blank`` picks."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "title", "year", "abstract", "countries"])
+        for doc in corpus:
+            writer.writerow([doc.id, doc.title, "" if blank(doc) else doc.year,
+                             doc.abstract, ";".join(doc.countries)])
+
+
+def test_a_corpus_without_years_runs_to_the_end(mini_corpus, tmp_path, capsys):
+    no_years = tmp_path / "no_years.csv"
+    write_without_years(mini_corpus, no_years)
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", no_years, "--out", out, "--iters", "5",
+                   "--burn-in", "0") == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert {p.name for p in out.iterdir()} == DATA_FILES | {"run_report.json"}
+    assert read_rows(out / "year_counts.csv") == ["year,count"]
+    assert read_rows(out / "trend.csv") == ["key,value", "status,skipped: no document has a year"]
+    svg = ET.fromstring((out / "trend.svg").read_text(encoding="utf-8"))
+    assert svg.find("{http://www.w3.org/2000/svg}rect") is not None  # the axes
+    assert svg.find("{http://www.w3.org/2000/svg}polyline") is None  # no series
+    assert len(read_rows(out / "top_terms.csv")) == 31
+    assert stage_notes(out, "eda")[0] == "60 document(s) without a year"
+
+
+def test_a_country_subset_without_years_still_writes_compare_csv(mini_corpus, tmp_path,
+                                                                 capsys):
+    src = tmp_path / "subset_no_years.csv"
+    write_without_years(mini_corpus, src, lambda doc: "Saudi Arabia" in doc.countries)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--input", src, "--out", out, "--country", "Saudi Arabia",
+                   "--iters", "5", "--burn-in", "0", "--topics", "2") == 0
+    rows = [r.split(",") for r in read_rows(out / "compare.csv")]
+    years = [r for r in rows if r[0] == "years"]
+    assert years and all(r[2] == "0" for r in years)
+    dated = [d for d in mini_corpus if d.year and "Saudi Arabia" not in d.countries]
+    assert sum(int(r[3]) for r in years) == len(dated)
+    capsys.readouterr()
+
+
+def test_more_topics_than_tokens_exits_2_before_the_chain(tmp_path, capsys):
+    three = tmp_path / "three.csv"
+    three.write_text("id,title,year,abstract\nA,data graph,2001,network\n"
+                     "B,model,2002,data text\nC,graph,2003,mining\n", encoding="utf-8")
+    out = tmp_path / "out"
+    # eight in-vocabulary tokens: eight topics fit, nine would leave one empty
+    assert run_cli("lda", "--input", three, "--out", out, "--topics", "8", "--iters", "2",
+                   "--burn-in", "0") == 0
+    assert run_cli("lda", "--input", three, "--out", out, "--topics", "9", "--iters", "2",
+                   "--burn-in", "0") == 2
+    err = capsys.readouterr().err
+    assert "9 topics exceed the 8 in-vocabulary tokens" in err and "Traceback" not in err
+    report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+    assert report["failed_stage"] == "lda"
+    assert report["notes"] == ["stale from an earlier run: lda_model.txt, lda_top_words.csv"]
+
+
 def test_type_shares_file(run_dir):
     rows = read_rows(run_dir / "type_shares.csv")
     assert rows[0] == "doc_type,count,share_percent"
@@ -257,15 +320,15 @@ def test_ca_coords_rows_parse_to_the_header_width(tmp_path):
 
 
 def test_lda_outputs(run_dir):
-    model = load_model(run_dir / "lda_model.txt")
-    assert model.config.k == 6
-    assert model.config.iterations == 40
+    model = (run_dir / "lda_model.txt").read_text(encoding="utf-8").split("\n")
+    assert {"k=6", "iterations=40"} <= set(model[:model.index("[terms]")])
+    terms = model[model.index("[terms]") + 1:model.index("[documents]")]
     rows = [r.split(",") for r in read_rows(run_dir / "lda_top_words.csv")]
     assert rows[0] == ["topic", "rank", "term", "phi"]
     assert len(rows) == 1 + 6 * 10
     for r in rows[1:]:
         assert 0.0 < float(r[3]) < 1.0
-        assert r[2] in model.terms
+        assert r[2] in terms
 
 
 def test_bigram_edges_file(run_dir):
@@ -903,6 +966,100 @@ def test_the_benchmark_checks_the_files_and_stages_of_a_run_without_country(
     assert bench.STAGES == STAGES
 
 
+# ---------------------------------------------------------------- any input
+
+WORDS = ("data", "graph", "model", "network", "mining", "science", "the", "and")
+FLAGS = {f.name: f.metadata["flag"] for f in fields(PipelineConfig)}
+
+
+@st.composite
+def cli_cases(draw):
+    """A small generated corpus (its file name and bytes), a command, its
+    ``--from`` stage and the settings its flags set."""
+    dated = draw(st.sampled_from(("all", "some", "none")))
+    records, tokens = [], 0
+    for i in range(draw(st.integers(1, 6))):
+        title, abstract = (draw(st.lists(st.sampled_from(WORDS), max_size=n)) for n in (3, 8))
+        tokens += len(title) + len(abstract)
+        year = None
+        if dated == "all" or dated == "some" and draw(st.booleans()):
+            year = draw(st.integers(2000, 2005))
+        records.append({"id": f"D{i}", "title": " ".join(title), "year": year,
+                        "abstract": " ".join(abstract),
+                        "countries": draw(st.sampled_from(("", "Saudi Arabia", "Egypt")))})
+    if draw(st.booleans()):
+        name, lines = "records.csv", ["id,title,year,abstract,countries"] + [
+            ",".join("" if v is None else str(v) for v in r.values()) for r in records]
+    else:
+        name, lines = "records.jsonl", [json.dumps(r) for r in records]
+    data = (draw(st.sampled_from(("", "\ufeff"))) + "\n".join(lines) + "\n").encode("utf-8")
+    command = draw(st.sampled_from(("run", "run", "compare")))
+    from_stage = draw(st.none() | st.sampled_from(STAGES)) if command == "run" else None
+    optional = {
+        "topics": st.integers(1, tokens + 3),
+        "vocab_size": st.integers(1, 8),
+        "dims": st.integers(1, 3),
+        "bigram_threshold": st.integers(0, 3),
+        "year_min": st.integers(1999, 2006),
+        "year_max": st.integers(1999, 2006),
+        "phrase": st.sampled_from(("data", "graph model", "science")),
+        "country": st.sampled_from(("Saudi Arabia", "Egypt", " ")),
+    }
+    chosen = {key: draw(value) for key, value in optional.items() if draw(st.booleans())}
+    return name, data, command, from_stage, chosen
+
+
+def run_quietly(argv):
+    """``main(argv)``'s exit code and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(cli_cases())
+def test_any_small_corpus_and_flag_set_exits_cleanly_and_reproducibly(case):
+    name, data, command, from_stage, chosen = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        source = tmp / name
+        source.write_bytes(data)
+        argv = [command, "--input", source, "--iters", "2", "--burn-in", "0",
+                *(["--from", from_stage] if from_stage else []),
+                *(arg for key, value in chosen.items() for arg in (FLAGS[key], value))]
+
+        def run(out):
+            code, err = run_quietly([*argv, "--out", out])
+            assert code in (0, 1, 2, 3) and "Traceback" not in err
+            if not out.exists():
+                assert code == 2  # a mistake found before any work
+                return code, None, None
+            report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+            assert (code == 0) == (report["failed_stage"] is None)
+            if code:
+                assert f"stage {report['failed_stage']!r} failed" in err
+            data_files = {p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "run_report.json"}
+            return code, report, data_files
+
+        code, report, written = run(tmp / "a")
+        assert report is None or report["notes"] == []  # nothing stale in a fresh --out
+        assert run(tmp / "b")[::2] == (code, written)
+        if code == 0 or report is None:
+            return
+        # the same failure where every file a run can write is left from before
+        old = tmp / "old"
+        old.mkdir()
+        for stale in (*DATA_FILES, "compare.csv"):
+            (old / stale).write_bytes(b"old\n")
+        again = run(old)[1]
+        assert again["failed_stage"] == report["failed_stage"]
+        cfg = PipelineConfig(input=source, out_dir=old, iterations=2, burn_in=0, **chosen)
+        left = [f for f in plan(cfg, command, from_stage)[1] if f not in again["output_files"]]
+        assert again["notes"] == [f"stale from an earlier run: {', '.join(left)}"] * bool(left)
+
+
 # ---------------------------------------------------------------- config file
 
 
@@ -973,6 +1130,13 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="nonsense"):
         load_config(bad)
     assert main(["run", "--config", str(bad)]) == 2
+
+
+def test_config_file_with_a_byte_order_mark_reads_the_same(tmp_path):
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_text("[lda]\ntopics = 4\n[report]\nseed = 3\n", encoding="utf-8")
+    marked.write_text("\ufeff[lda]\ntopics = 4\n[report]\nseed = 3\n", encoding="utf-8")
+    assert load_config(marked) == load_config(plain) == {"topics": 4, "seed": 3}
 
 
 def test_readme_lists_every_config_key():

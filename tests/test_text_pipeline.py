@@ -95,6 +95,13 @@ def test_load_stoplist_ignores_comments(tmp_path):
         load_stoplist(tmp_path / "missing.txt")
 
 
+def test_load_stoplist_skips_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("data\nthe\n", encoding="utf-8")
+    marked.write_text("\ufeffdata\nthe\n", encoding="utf-8")
+    assert load_stoplist(marked) == load_stoplist(plain) == frozenset({"data", "the"})
+
+
 # ---------------------------------------------------------------- sequences
 
 
