@@ -567,6 +567,22 @@ def test_top_columns_keys_fit_int64_up_to_the_stated_bound():
 # ------------------------------------------------------------ the model file
 
 
+def test_render_model_count_sections_match_str_join():
+    model, *_ = fitted_planted(seed=23)
+    assert model.topics.dtype == np.int32
+    lengths = model.doc_topic_counts.sum(axis=1)
+    assert model.offsets.tolist() == [0, *np.cumsum(lengths).tolist()]
+    expected = "".join(
+        f"[{name}]\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+        for name, rows in (
+            ("topic_word_counts", model.topic_word_counts.tolist()),
+            ("doc_topic_counts", model.doc_topic_counts.tolist()),
+            ("assignments", per_document(model)),
+        )
+    )
+    assert expected + "[log_likelihoods]\n" in "".join(render_model(model))
+
+
 def test_render_model_writes_every_field_of_the_model():
     # the file is written, never read back, so every field must reach it
     sequences, _ = planted_corpus(np.random.default_rng(17), n_docs=20)
