@@ -2,9 +2,9 @@
 
 The subcommands, their help and ``run --from``'s choices come from
 :mod:`corpus_scope.pipeline`, which plans what each one computes and
-writes; each setting's flag from its ``PipelineConfig`` field. Exit codes:
-0 success, 1 stage failure, 2 input or configuration error, 3 empty subset
-after filtering.
+writes; each setting's flag from its ``PipelineConfig`` field. A run exits
+0 on success and otherwise with its error's ``exit_code``: 2 for an
+InputError or ConfigError, 3 for an EmptyResultError, 1 for any other.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from pathlib import Path
 # imports numpy.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .errors import (  # noqa: E402
-    ConfigError,
-    CorpusScopeError,
-    EmptyResultError,
-    InputError,
-    StageError,
-)
+from .errors import ConfigError, CorpusScopeError  # noqa: E402
 from .pipeline import (  # noqa: E402
     COMMANDS,
     STAGES,
@@ -95,15 +89,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
-def _exit_code(exc: CorpusScopeError) -> int:
-    cause = exc.cause if isinstance(exc, StageError) else exc
-    if isinstance(cause, (InputError, ConfigError)):
-        return 2
-    if isinstance(cause, EmptyResultError):
-        return 3
-    return 1
-
-
 class _StderrWarnings(logging.Handler):
     """Prints the toolkit's logged warnings as the CLI prints its own, to
     whatever ``sys.stderr`` is when each one arrives."""
@@ -128,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
                               from_stage=getattr(args, "from_stage", None))
     except CorpusScopeError as exc:
         print(f"corpus-scope: error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     for stage in report.stages:
         for note in stage.notes:
             print(f"[{stage.name}] {note}")

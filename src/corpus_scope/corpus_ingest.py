@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from .errors import ConfigError, EmptyResultError, InputError, SchemaError
+from .errors import ConfigError, EmptyResultError, InputError
 from .text_pipeline import csv_field, tokenize
 
 INPUT_FORMATS = ("csv", "jsonl")
@@ -236,13 +236,13 @@ def _iter_csv(text: Iterable[str], errors: list[RecordError]):
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError("empty input: no header row") from None
+        raise InputError("empty input: no header row") from None
     except csv.Error as exc:
         raise InputError(f"cannot parse the CSV header row: {exc}") from exc
     header = [h.strip().lower() for h in header]
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
-        raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+        raise InputError(f"missing required column(s): {', '.join(missing)}")
     # a repeated column name reads its last column; index -1 is the empty
     # string appended to each row
     column = {name: i for i, name in enumerate(header)}
@@ -289,12 +289,12 @@ def parse_records(stream: BinaryIO, format: str) -> tuple[Corpus, list[RecordErr
 
     ``format`` is ``"csv"`` or ``"jsonl"``. The corpus is sorted by id; for
     duplicate ids the first occurrence wins and later ones are reported.
-    Structural problems raise :class:`SchemaError` and invalid UTF-8
-    :class:`InputError`; I/O errors propagate as raised by the stream.
+    Structural problems and invalid UTF-8 raise :class:`InputError`; I/O
+    errors propagate as raised by the stream.
     """
     fmt = format.strip().lower()
     if fmt not in INPUT_FORMATS:
-        raise SchemaError(f"unknown input format: {format!r}")
+        raise InputError(f"unknown input format: {format!r}")
     # Lines are decoded a chunk at a time rather than into one string (or a
     # StringIO, which holds 4 bytes per character). CSV lines end at \n, \r
     # or \r\n and csv.reader joins quoted line breaks back; JSON Lines split
@@ -326,10 +326,10 @@ def parse_records(stream: BinaryIO, format: str) -> tuple[Corpus, list[RecordErr
 
 
 def infer_format(path) -> str:
-    """The input format ``path``'s suffix names; SchemaError when it names none."""
+    """The input format ``path``'s suffix names; InputError when it names none."""
     suffix = Path(path).suffix.lower()
     if suffix not in SUFFIX_FORMATS:
-        raise SchemaError(f"cannot infer format from suffix {suffix!r}")
+        raise InputError(f"cannot infer format from suffix {suffix!r}")
     return SUFFIX_FORMATS[suffix]
 
 

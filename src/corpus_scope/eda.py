@@ -15,12 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyCorpusError,
-    ExtrapolationError,
-    InsufficientDataError,
-)
+from .errors import ConfigError, InputError, InsufficientDataError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .corpus_ingest import Corpus, DocType
@@ -56,10 +51,10 @@ def counts_per_year(corpus: "Corpus") -> YearSeries:
 
     Documents without a year are excluded from the points but reported in
     ``missing_year_count``; when no document has a year the series has no
-    points. Raises EmptyCorpusError for an empty corpus.
+    points. Raises InputError for an empty corpus.
     """
     if len(corpus) == 0:
-        raise EmptyCorpusError("cannot count years of an empty corpus")
+        raise InputError("cannot count years of an empty corpus")
     tally: Counter[int] = Counter()
     missing = 0
     for doc in corpus:
@@ -190,12 +185,12 @@ def forecast_point(fit: QuadraticFit, year: int) -> tuple[float, bool]:
     negative, and whether it was clamped.
 
     Years more than :data:`EXTRAPOLATION_MARGIN` beyond the fitted range
-    raise ExtrapolationError.
+    raise ConfigError.
     """
     lo = fit.x_min - EXTRAPOLATION_MARGIN
     hi = fit.x_max + EXTRAPOLATION_MARGIN
     if not lo <= year <= hi:
-        raise ExtrapolationError(f"year {year} outside trusted window [{lo}, {hi}]")
+        raise ConfigError(f"year {year} outside trusted window [{lo}, {hi}]")
     x = float(year)
     raw = (fit.a2 * x + fit.a1) * x + fit.a0
     return (raw, False) if raw >= 0.0 else (0.0, True)
@@ -227,7 +222,7 @@ def type_shares(corpus: "Corpus") -> dict["DocType", int]:
     independent of dict ordering.
     """
     if len(corpus) == 0:
-        raise EmptyCorpusError("cannot compute type shares of an empty corpus")
+        raise InputError("cannot compute type shares of an empty corpus")
     tally = Counter(doc.doc_type for doc in corpus)
     n = sum(tally.values())
     # 100 c / n = floor + remainder / n, and every remainder shares the

@@ -1,68 +1,50 @@
 """Exception hierarchy shared across the toolkit.
 
 Everything raised on purpose derives from CorpusScopeError so callers can
-catch one base class. The CLI maps subclasses onto exit codes: input and
-configuration problems exit 2, an empty comparison subset exits 3, and any
-other stage failure exits 1.
+catch one base class, and each class carries the CLI's exit code for it:
+2 for an input or configuration error, 3 for an empty filter result, and 1
+for anything else, a stage's failure taking its cause's code.
 """
 
 from __future__ import annotations
 
 
 class CorpusScopeError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors, raised itself when no narrower one
+    fits, as when an iterative solver exhausts its budget unconverged."""
+
+    exit_code = 1
 
 
 class InputError(CorpusScopeError):
-    """An input path is missing, unreadable, or not decodable."""
+    """The input is unusable: a path is missing or unreadable, its bytes do
+    not decode, its records lack a required column or its format is
+    unknown, or it holds no document or no token to work on."""
 
-
-class SchemaError(InputError):
-    """A record stream is structurally unusable (e.g. missing header columns)."""
+    exit_code = 2
 
 
 class ConfigError(CorpusScopeError):
-    """A configuration value or file is invalid."""
+    """A configuration value or file is invalid, or an argument lies outside
+    its domain (a parameter, a probability vector, a forecast year, an id
+    the fitted model lacks, a table with an empty margin)."""
 
-
-class EmptyCorpusError(CorpusScopeError):
-    """An operation that needs at least one document received none."""
+    exit_code = 2
 
 
 class EmptyResultError(CorpusScopeError):
     """A filter or partition produced an empty subset where one is required."""
+
+    exit_code = 3
 
 
 class InsufficientDataError(CorpusScopeError):
     """Too few points to fit the requested model."""
 
 
-class ExtrapolationError(CorpusScopeError):
-    """A forecast year lies outside the trusted window around the fitted range."""
-
-
-class DegenerateMarginError(CorpusScopeError):
-    """A contingency table has a zero row or column margin."""
-
-
-class ConvergenceError(CorpusScopeError):
-    """An iterative solver exhausted its iteration budget before converging."""
-
-
-class SimplexError(CorpusScopeError):
-    """A probability vector is off the simplex beyond tolerance."""
-
-
-class DomainError(CorpusScopeError):
-    """A numeric parameter lies outside its mathematical domain."""
-
-
-class NotFoundError(CorpusScopeError):
-    """A requested identifier does not exist in the fitted model."""
-
-
 class StageError(CorpusScopeError):
-    """A pipeline stage failed; carries the stage name and partial report."""
+    """A pipeline stage failed; carries the stage name, its cause's exit
+    code (1 for a MemoryError or OSError) and the partial report."""
 
     def __init__(self, stage: str, cause: Exception, report=None):
         # a bare MemoryError has no message
@@ -70,3 +52,4 @@ class StageError(CorpusScopeError):
         self.stage = stage
         self.cause = cause
         self.report = report
+        self.exit_code = getattr(cause, "exit_code", 1)

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _native
-from .errors import ConfigError, DomainError, EmptyCorpusError, SimplexError
+from .errors import ConfigError, InputError
 from .text_pipeline import as_token_array, int_line_chunks, remap_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -193,12 +193,12 @@ def dirichlet_density(
     t = np.asarray(theta, dtype=np.float64)
     a = np.asarray(alpha, dtype=np.float64)
     if t.ndim not in (1, 2) or a.ndim != 1 or t.shape[-1] != a.size or a.size == 0:
-        raise DomainError("theta must be (k,) or (m, k) and alpha (k,), with k >= 1")
+        raise ConfigError("theta must be (k,) or (m, k) and alpha (k,), with k >= 1")
     if np.any(a <= 0.0):
-        raise DomainError("alpha entries must be positive")
+        raise ConfigError("alpha entries must be positive")
     points = t.reshape(-1, a.size)
     if np.any(points < 0.0) or np.any(np.abs(points.sum(axis=1) - 1.0) > 1e-9):
-        raise SimplexError("theta must be nonnegative and sum to 1 within 1e-9")
+        raise ConfigError("theta must be nonnegative and sum to 1 within 1e-9")
     log_norm = float(gammaln(a.sum()) - _gammaln_each(a).sum())
     exps = a - 1.0
     zero = points == 0.0
@@ -229,7 +229,7 @@ def _vectorize(
             "dropping %d document(s) with no in-vocabulary tokens", len(dropped)
         )
     if not doc_ids:
-        raise EmptyCorpusError("no document has in-vocabulary tokens")
+        raise InputError("no document has in-vocabulary tokens")
     return doc_ids, offsets[np.concatenate(([True], lengths > 0))], words, dropped
 
 
@@ -538,11 +538,11 @@ def render_model(model: LdaModel) -> Iterator[str]:
         "sample_averaging=0",  # estimates always come from the final counts
         f"n_docs={len(model.doc_ids)}",
         f"n_terms={len(model.terms)}",
-        "dropped=" + ";".join(model.dropped_ids),
+        "dropped=" + ";".join(map(_one_line_id, model.dropped_ids)),
         "[terms]",
         *model.terms,
         "[documents]",
-        *model.doc_ids,
+        *map(_one_line_id, model.doc_ids),
         "[topic_word_counts]",
     ]
     yield "\n".join(head) + "\n"
@@ -552,6 +552,14 @@ def render_model(model: LdaModel) -> Iterator[str]:
     yield "[assignments]\n"
     yield from int_line_chunks(model.topics, model.offsets[1:], ",")
     yield "[log_likelihoods]\n" + "".join(f"{v!r}\n" for v in model.log_likelihoods)
+
+
+def _one_line_id(doc_id: str) -> str:
+    """``doc_id`` as one line of ``[documents]`` and one item of ``dropped=``:
+    each backslash, CR, LF and ``;`` in it is written as ``\\\\``, ``\\r``,
+    ``\\n`` and ``\\x3b``."""
+    return (doc_id.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
+            .replace(";", "\\x3b"))
 
 
 def _csv_table(counts: np.ndarray) -> Iterator[str]:

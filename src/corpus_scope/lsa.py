@@ -41,12 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from . import _lapack, _native
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateMarginError,
-    NotFoundError,
-)
+from .errors import ConfigError, CorpusScopeError
 
 logger = logging.getLogger(__name__)
 
@@ -108,9 +103,9 @@ def total_inertia(dtm: "SparseDTM") -> float:
     """Total inertia chi^2 / n via the sparse-friendly identity
     sum_ij p_ij^2 / (a_i b_j) - 1, summing over nonzero cells only."""
     if dtm.n_total <= 0:
-        raise DegenerateMarginError("empty matrix has no inertia")
+        raise ConfigError("empty matrix has no inertia")
     if (dtm.row_totals == 0).any() or (dtm.col_totals == 0).any():
-        raise DegenerateMarginError("zero row or column margin")
+        raise ConfigError("zero row or column margin")
     n = float(dtm.n_total)
     return _inertia(dtm.csr, dtm.row_totals / n, dtm.col_totals / n, n)
 
@@ -210,7 +205,7 @@ def _lanczos_topk(
     invariant subspace, beta < 1e-13) before the top-k Ritz values settle:
     the start vector then misses part of the spectrum, as on a table of low
     rank or one with a repeated eigenvalue, and the caller must solve another
-    way. Raises ConvergenceError after ``max_iter`` steps short of the whole
+    way. Raises CorpusScopeError after ``max_iter`` steps short of the whole
     space.
 
     The Ritz values of step m are the eigenvalues of the tridiagonal T_m.
@@ -268,7 +263,7 @@ def _lanczos_topk(
             prev_bracket = bracket
         if m >= limit:
             if m < dim:
-                raise ConvergenceError(
+                raise CorpusScopeError(
                     f"Lanczos did not stabilize top-{k} singular values after {m} iterations"
                 )
             break  # the full Krylov space is exact
@@ -345,7 +340,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
     if solver not in ("auto", "lanczos", "dense"):
         raise ConfigError(f"unknown solver: {solver!r}")
     if dtm.n_total <= 0:
-        raise DegenerateMarginError("cannot fit CA on an empty matrix")
+        raise ConfigError("cannot fit CA on an empty matrix")
 
     keep_rows = np.flatnonzero(dtm.row_totals > 0)
     keep_cols = np.flatnonzero(dtm.col_totals > 0)
@@ -456,7 +451,7 @@ def project_supplementary(
     standard coordinates, rescaled to principal coordinates axis by axis.
     That equals the classical projection of the merged rows' profile, so a
     singleton group lands exactly on its row and the all-rows group lands at
-    the origin. Unknown ids raise NotFoundError; empty groups are skipped
+    the origin. Unknown ids raise ConfigError; empty groups are skipped
     with a warning.
     """
     pos = {doc_id: i for i, doc_id in enumerate(model.row_ids)}
@@ -471,7 +466,7 @@ def project_supplementary(
         idx = []
         for doc_id in members:
             if doc_id not in pos:
-                raise NotFoundError(f"document {doc_id!r} not in the fitted rows")
+                raise ConfigError(f"document {doc_id!r} not in the fitted rows")
             idx.append(pos[doc_id])
         w = model.row_masses[idx]
         mass = float(w.sum())

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _native
-from .errors import ConfigError, EmptyCorpusError, InputError, SchemaError
+from .errors import ConfigError, InputError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .corpus_ingest import Corpus
@@ -318,7 +318,7 @@ def build_sequences(
     """
     for name in fields:
         if name not in DEFAULT_TEXT_FIELDS:
-            raise SchemaError(f"unknown text field: {name!r}")
+            raise InputError(f"unknown text field: {name!r}")
     docs = list(corpus)
     ids = [d.id for d in docs]
     texts = (_document_text(d, fields).lower() for d in docs)
@@ -350,13 +350,13 @@ def build_vocabulary(
     """Count corpus-wide frequencies and keep the top ``p`` terms.
 
     Ordering is (frequency desc, term asc), which makes the result independent
-    of document order. Raises EmptyCorpusError when no tokens exist at all.
+    of document order. Raises InputError when no tokens exist at all.
     """
     if p < 1:
         raise ConfigError(f"vocabulary cap must be >= 1, got {p}")
     tokens = as_token_array(sequences)
     if tokens.codes.size == 0:
-        raise EmptyCorpusError("no tokens in any document; cannot build vocabulary")
+        raise InputError("no tokens in any document; cannot build vocabulary")
     counts = np.bincount(tokens.codes, minlength=len(tokens.types))
     # a stable sort keeps equal counts in code order, which is term order
     top = np.argsort(-counts, kind="stable")[:p].tolist()

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import corpus_scope
 from conftest import SRC, child_env, use_backend
 from corpus_scope import _native
-from corpus_scope.cli import _build_config, _exit_code, build_parser, main
+from corpus_scope.cli import _build_config, build_parser, main
 from corpus_scope.errors import CorpusScopeError
 from corpus_scope.pipeline import PipelineConfig
 
@@ -272,7 +272,7 @@ def _config_or_exit_code(argv):
     except SystemExit as exc:  # argparse refused the flag
         return exc.code
     except CorpusScopeError as exc:
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,7 +25,6 @@ from corpus_scope.errors import (
     CorpusScopeError,
     EmptyResultError,
     InputError,
-    SchemaError,
 )
 
 
@@ -116,14 +115,14 @@ def test_empty_id_and_wrong_field_count_are_dropped():
 
 
 def test_missing_required_column_raises_schema_error():
-    with pytest.raises(SchemaError, match="year"):
+    with pytest.raises(InputError, match="missing required column.*year"):
         parse_csv("id,title\nA1,No year column\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="empty input: no header row"):
         parse_csv("")
 
 
 def test_unknown_format_rejected():
-    with pytest.raises(SchemaError, match="format"):
+    with pytest.raises(InputError, match="unknown input format: 'xml'"):
         parse_records(io.BytesIO(b"id,title,year\n"), "xml")
 
 
@@ -265,7 +264,7 @@ def test_parse_file_infers_format_and_wraps_io_errors(tmp_path):
     corpus, errors = parse_file(f)
     assert ids(corpus) == ("A1",) and errors == []
 
-    with pytest.raises(SchemaError, match="suffix"):
+    with pytest.raises(InputError, match="cannot infer format from suffix '.dat'"):
         parse_file(tmp_path / "mystery.dat")
     with pytest.raises(InputError, match="cannot read"):
         parse_file(tmp_path / "absent.csv")

@@ -15,12 +15,7 @@ from corpus_scope.eda import (
     top_terms,
     type_shares,
 )
-from corpus_scope.errors import (
-    ConfigError,
-    EmptyCorpusError,
-    ExtrapolationError,
-    InsufficientDataError,
-)
+from corpus_scope.errors import ConfigError, InputError, InsufficientDataError
 from corpus_scope.text_pipeline import TokenSequence, build_dtm, build_vocabulary
 
 
@@ -50,7 +45,7 @@ def test_counts_per_year_tallies_and_flags_missing():
 
 
 def test_counts_per_year_empty_cases():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(InputError, match="cannot count years of an empty corpus"):
         counts_per_year(make_corpus())
     # a corpus without years is valid input: a series of no points
     ys = counts_per_year(make_corpus(Document(id="A", title="t", year=None)))
@@ -192,9 +187,9 @@ def test_forecast_extrapolation_window():
     fit = parabola_fit(0.0, 1.0, 0.0, 2000, 2010)
     assert forecast_point(fit, 2020) == (2020.0, False)  # exactly 10 beyond: fine
     assert forecast_point(fit, 1990) == (1990.0, False)
-    with pytest.raises(ExtrapolationError, match="2021"):
+    with pytest.raises(ConfigError, match=r"year 2021 outside trusted window \[1990, 2020\]"):
         forecast_point(fit, 2021)
-    with pytest.raises(ExtrapolationError):
+    with pytest.raises(ConfigError, match=r"year 1989 outside trusted window"):
         forecast_point(fit, 1989)
 
 
@@ -331,5 +326,5 @@ def test_type_shares_match_exact_fractions(counts):
 
 
 def test_type_shares_empty_corpus():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(InputError, match="cannot compute type shares of an empty corpus"):
         type_shares(make_corpus())

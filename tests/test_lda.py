@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import re
 import shutil
 from random import Random
 
@@ -13,7 +14,7 @@ from scipy.special import gammaln
 from conftest import BACKENDS, ChainSpy, needs_compiler, planted_corpus, use_backend
 from corpus_scope import _native, lda
 from corpus_scope._native import backend as gibbs_backend
-from corpus_scope.errors import ConfigError, DomainError, EmptyCorpusError, SimplexError
+from corpus_scope.errors import ConfigError, InputError
 from corpus_scope.lda import (
     LdaConfig,
     _top_columns,
@@ -77,21 +78,23 @@ def test_dirichlet_density_boundary_limits():
 
 
 def test_dirichlet_density_validation():
-    with pytest.raises(SimplexError):
+    off_simplex = "theta must be nonnegative and sum to 1"
+    bad_shape = r"theta must be \(k,\) or \(m, k\) and alpha \(k,\)"
+    with pytest.raises(ConfigError, match=off_simplex):
         dirichlet_density((0.5, 0.6), (1.0, 1.0))
-    with pytest.raises(SimplexError):
+    with pytest.raises(ConfigError, match=off_simplex):
         dirichlet_density((-0.1, 1.1), (1.0, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="alpha entries must be positive"):
         dirichlet_density((0.5, 0.5), (1.0, 0.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="alpha entries must be positive"):
         dirichlet_density((0.5, 0.5), (1.0, -2.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=bad_shape):
         dirichlet_density((0.5, 0.5), (1.0, 1.0, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=bad_shape):
         dirichlet_density((), ())
-    with pytest.raises(SimplexError):  # one bad row rejects the batch
+    with pytest.raises(ConfigError, match=off_simplex):  # one bad row rejects the batch
         dirichlet_density([(0.5, 0.5), (0.5, 0.6)], (1.0, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=bad_shape):
         dirichlet_density([[(0.5, 0.5)]], (1.0, 1.0))
 
 
@@ -222,7 +225,7 @@ def test_fit_lda_drops_empty_documents(caplog):
         model = fit_lda(sequences, vocab, quick_config(iterations=10, burn_in=2))
     assert model.dropped_ids == ("empty",)
     assert model.doc_ids == ("a", "c")
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(InputError, match="no document has in-vocabulary tokens"):
         fit_lda([TokenSequence("e", ())], vocab, quick_config())
 
 
@@ -605,3 +608,27 @@ def test_render_model_writes_every_field_of_the_model():
         lines += [f"[{name}]", *(",".join(map(str, row)) for row in rows)]
     lines += ["[log_likelihoods]", *map(repr, model.log_likelihoods)]
     assert "".join(render_model(model)) == "\n".join(lines) + "\n"
+
+
+def test_render_model_escapes_what_would_split_a_document_id():
+    # quoted CSV ids may hold a line break, a backslash or the `;` that
+    # separates dropped ids; each stays one line and one item
+    sequences, _ = planted_corpus(np.random.default_rng(5), n_docs=4)
+    kept = ("A\nB", "C", "D;E", "F\\n\r")
+    sequences = [TokenSequence(i, s.tokens) for i, s in zip(kept, sequences)]
+    sequences += [TokenSequence("G;H", ()), TokenSequence("I\\x3b\n", ())]
+    model = fit_lda(sequences, build_vocabulary(sequences),
+                    quick_config(k=2, iterations=2, burn_in=0))
+    assert model.doc_ids == kept and model.dropped_ids == ("G;H", "I\\x3b\n")
+    lines = "".join(render_model(model)).split("\n")
+    docs = lines[lines.index("[documents]") + 1:lines.index("[topic_word_counts]")]
+    assert docs == ["A\\nB", "C", "D\\x3bE", "F\\\\n\\r"]
+    dropped = next(line for line in lines if line.startswith("dropped="))
+    assert dropped == "dropped=G\\x3bH;I\\\\x3b\\n"
+
+    def unescape(text):
+        return re.sub(r"\\(\\|r|n|x3b)",
+                      lambda m: {"\\": "\\", "r": "\r", "n": "\n", "x3b": ";"}[m[1]], text)
+
+    assert tuple(map(unescape, docs)) == model.doc_ids
+    assert tuple(map(unescape, dropped[len("dropped="):].split(";"))) == model.dropped_ids

@@ -22,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BACKENDS, child_env, use_backend
-from corpus_scope import _native, pipeline
+from corpus_scope import _native, errors, pipeline
 from corpus_scope.cli import main
 from corpus_scope.corpus_ingest import parse_file
 from corpus_scope.errors import (
     ConfigError,
-    EmptyCorpusError,
+    CorpusScopeError,
+    InputError,
     InsufficientDataError,
     StageError,
 )
@@ -766,11 +767,45 @@ def test_ingest_alone_does_not_tokenize(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_internal_stage_failure_exits_1(tmp_path, capsys):
+NO_TOKENS = "no tokens in any document; cannot build vocabulary"
+
+
+def test_cli_input_with_only_stopwords_exits_2(tmp_path, capsys):
     stopworded = tmp_path / "allstop.csv"
     stopworded.write_text("id,title,year\nA1,the of and,2020\n", encoding="utf-8")
-    assert run_cli("run", "--input", stopworded, "--out", tmp_path / "z") == 1
+    assert run_cli("run", "--input", stopworded, "--out", tmp_path / "z") == 2
+    assert capsys.readouterr().err == f"corpus-scope: error: stage 'text' failed: {NO_TOKENS}\n"
+
+    # the country's documents hold only stopwords: compare's own fit finds no token
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "id,title,year,abstract,countries\n"
+        "A1,data mining networks,2019,graph models of data science,Egypt\n"
+        "A2,graph data models,2020,mining networks of science data,Egypt\n"
+        "A3,network science,2021,data graph mining models,Egypt\n"
+        "S1,of the,2022,and the,Saudi Arabia\n", encoding="utf-8")
+    out = tmp_path / "compare"
+    assert run_cli("run", "--input", records, "--out", out,
+                   "--country", "Saudi Arabia", "--topics", "2") == 2
+    assert capsys.readouterr().err.splitlines() == [  # the whole corpus's lda drops S1
+        "corpus-scope: warning: dropping 1 document(s) with no in-vocabulary tokens",
+        f"corpus-scope: error: stage 'compare' failed: {NO_TOKENS}",
+    ]
+    report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+    assert report["failed_stage"] == "compare"
+    assert set(report["output_files"]) == DATA_FILES
+
+
+def test_lda_model_writes_each_document_id_on_one_line(tmp_path, capsys):
+    records = tmp_path / "ids.csv"
+    records.write_text('id,title,year\n"A\nB",data graph,2020\nC,graph model,2021\n'
+                       '"D;E",model data,2022\n', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("lda", "--input", records, "--out", out, "--topics", "2") == 0
     capsys.readouterr()
+    lines = (out / "lda_model.txt").read_bytes().decode("utf-8").split("\n")
+    docs = lines[lines.index("[documents]") + 1:lines.index("[topic_word_counts]")]
+    assert "n_docs=3" in lines and docs == ["A\\nB", "C", "D\\x3bE"]
 
 
 def test_run_pipeline_raises_stage_error_with_cause(tmp_path):
@@ -781,7 +816,8 @@ def test_run_pipeline_raises_stage_error_with_cause(tmp_path):
         run_pipeline(cfg)
     err = exc_info.value
     assert err.stage == "text"
-    assert isinstance(err.cause, EmptyCorpusError)
+    assert isinstance(err.cause, InputError) and str(err.cause) == NO_TOKENS
+    assert err.exit_code == InputError.exit_code == 2
     # the report still lands on disk and names the failed stage
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["failed_stage"] == "text"
@@ -1017,7 +1053,7 @@ def run_quietly(argv):
     return code, err.getvalue()
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(cli_cases())
 def test_any_small_corpus_and_flag_set_exits_cleanly_and_reproducibly(case):
     name, data, command, from_stage, chosen = case
@@ -1031,7 +1067,11 @@ def test_any_small_corpus_and_flag_set_exits_cleanly_and_reproducibly(case):
 
         def run(out):
             code, err = run_quietly([*argv, "--out", out])
-            assert code in (0, 1, 2, 3) and "Traceback" not in err
+            # generated input never makes a stage fail internally (exit 1)
+            assert code in (0, 2, 3) and "Traceback" not in err
+            if code == 3:
+                assert re.search(r"failed: (ingest filters|country filter '[^']*')"
+                                 r" produced an empty corpus\n", err), err
             if not out.exists():
                 assert code == 2  # a mistake found before any work
                 return code, None, None
@@ -1137,6 +1177,20 @@ def test_config_file_with_a_byte_order_mark_reads_the_same(tmp_path):
     plain.write_text("[lda]\ntopics = 4\n[report]\nseed = 3\n", encoding="utf-8")
     marked.write_text("\ufeff[lda]\ntopics = 4\n[report]\nseed = 3\n", encoding="utf-8")
     assert load_config(marked) == load_config(plain) == {"topics": 4, "seed": 3}
+
+
+def test_readme_lists_every_exit_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.split("|")[1:4]]
+            for line in section.splitlines() if re.match(r"\| \d ", line)]
+    assert [code for code, _, _ in rows] == ["0", "1", "2", "3"]
+    listed = [(name, int(code)) for code, _, classes in rows
+              for name in re.findall(r"`(\w+)`", classes)]
+    declared = {name: cls.exit_code for name, cls in vars(errors).items()
+                if isinstance(cls, type) and issubclass(cls, CorpusScopeError)}
+    assert len(listed) == len(dict(listed))  # each class in one row
+    assert dict(listed) == declared
 
 
 def test_readme_lists_every_config_key():

@@ -14,7 +14,7 @@ from conftest import BACKENDS, native_and_python, needs_compiler, use_backend
 from corpus_scope import text_pipeline
 from corpus_scope.bigrams import count_bigrams, export_graph, threshold_graph
 from corpus_scope.corpus_ingest import Corpus, Document
-from corpus_scope.errors import ConfigError, EmptyCorpusError, InputError, SchemaError
+from corpus_scope.errors import ConfigError, InputError
 from corpus_scope.text_pipeline import (
     _TOKENIZE_CHUNK,
     TokenArray,
@@ -125,7 +125,7 @@ def test_build_sequences_field_selection():
     corpus = make_corpus(Document(id="A", title="alpha", abstract="beta", keywords=("gamma",)))
     only_title = build_sequences(corpus, frozenset(), fields=("title",))
     assert only_title[0].tokens == ("alpha",)
-    with pytest.raises(SchemaError, match="field"):
+    with pytest.raises(InputError, match="unknown text field: 'body'"):
         build_sequences(corpus, frozenset(), fields=("title", "body"))
 
 
@@ -352,7 +352,7 @@ def test_build_vocabulary_cap():
 
 
 def test_build_vocabulary_empty_raises():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(InputError, match="no tokens in any document"):
         build_vocabulary(seqs([], []))
     with pytest.raises(ConfigError):
         build_vocabulary(seqs(["a"]), p=0)
