@@ -117,6 +117,8 @@ def main(argv: list[str] | None = None) -> int:
     for stage in report.stages:
         for note in stage.notes:
             print(f"[{stage.name}] {note}")
+    for note in report.notes:
+        print(f"note: {note}")
     written = ", ".join(sorted(report.output_files)) or "none"
     print(f"wrote {len(report.output_files)} file(s) to {cfg.out_dir}: {written}")
     return 0

@@ -19,7 +19,7 @@ countries  affiliation countries, ';'-separated (optional)
 CSV input follows RFC 4180 quoting. JSON-Lines input holds one object per
 line with the same field names; ``keywords`` and ``countries`` may be either
 arrays or strings, each string or item ';'-separated as in CSV, and ``year``
-may be a number or a string.
+may be a string or a number of integral value (``2014`` or ``2014.0``).
 
 Validation is per-record and non-fatal wherever possible. Rows with an
 unparseable or out-of-range year, an empty id, or a duplicate id are dropped
@@ -166,6 +166,8 @@ def _parse_year(raw, row: int, errors: list[RecordError]) -> tuple[int | None, b
     if raw is None or (isinstance(raw, str) and not raw.strip()):
         errors.append(RecordError(row, "missing year", dropped=False))
         return None, True
+    if isinstance(raw, float) and raw.is_integer():  # a JSON number such as 2014.0
+        raw = int(raw)
     try:
         year = int(str(raw).strip())
     except ValueError:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _native
 from .errors import ConfigError, InputError
-from .text_pipeline import as_token_array, int_line_chunks, remap_tokens
+from .text_pipeline import as_token_array, line_chunks, remap_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .text_pipeline import TokenArray, TokenSequence, Vocabulary
@@ -550,7 +550,7 @@ def render_model(model: LdaModel) -> Iterator[str]:
     yield "[doc_topic_counts]\n"
     yield from _csv_table(model.doc_topic_counts)
     yield "[assignments]\n"
-    yield from int_line_chunks(model.topics, model.offsets[1:], ",")
+    yield from line_chunks(model.topics, model.offsets[1:], ",")
     yield "[log_likelihoods]\n" + "".join(f"{v!r}\n" for v in model.log_likelihoods)
 
 
@@ -565,4 +565,4 @@ def _one_line_id(doc_id: str) -> str:
 def _csv_table(counts: np.ndarray) -> Iterator[str]:
     """A count matrix as one comma-separated line per row, in chunks."""
     rows, cols = counts.shape
-    return int_line_chunks(counts, np.arange(cols, rows * cols + 1, cols), ",")
+    return line_chunks(counts, np.arange(cols, rows * cols + 1, cols), ",")

@@ -6,10 +6,10 @@ runner, the stages it needs and the files it writes. A command names the
 stages whose files it writes (``run`` the first six, or those from
 ``--from`` on, and compare given a country; a subcommand its own stage);
 :func:`plan` adds what they need and :func:`run_pipeline` computes that, in
-table order, so compare reads the whole corpus's topics from the lda stage
-instead of fitting them again. Every run also writes run_report.json, a
-manifest with the echoed configuration, per-stage wall times and notes,
-dropped-record lists, and a SHA-256 per output file. Settings come from
+table order, so compare reads the whole corpus's topics and tokens from the
+lda and text stages. Every run also writes run_report.json, a manifest with
+the echoed configuration, per-stage wall times and notes, dropped-record
+lists, and a SHA-256 per output file. Settings come from
 :class:`PipelineConfig` alone, never from the environment, so the echoed
 configuration is all that chose the data files. These are deterministic for
 a given (input, config) pair; ca_coords.csv and trend.csv, which BLAS and
@@ -89,7 +89,7 @@ from .text_pipeline import (
     default_stoplist,
     export_dtm_index,
     export_matrixmarket,
-    format_float_lines,
+    line_chunks,
     load_stoplist,
 )
 
@@ -349,6 +349,11 @@ class _Run:
         self.report.output_files[name] = digest
 
     def finish_report(self) -> None:
+        """Note the planned files left from an earlier run; write the report."""
+        stale = [name for name in self.files if name not in self.report.output_files
+                 and (self.cfg.out_dir / name).exists()]
+        if stale:
+            self.report.notes.append(f"stale from an earlier run: {', '.join(stale)}")
         _write_atomically(self.cfg.out_dir / "run_report.json", self.report.to_json())
 
 
@@ -389,7 +394,7 @@ def _float_rows(matrix: np.ndarray) -> list[str]:
     """Each row of a 2-D float array as its values' reprs joined by commas."""
     rows, cols = matrix.shape
     ends = np.arange(cols, rows * cols + 1, cols)
-    return format_float_lines(matrix, ends, ",").split("\n")[:-1]
+    return "".join(line_chunks(matrix, ends, ",")).split("\n")[:-1]
 
 
 def _one_line(text: str) -> str:
@@ -649,8 +654,8 @@ def _compare(run: _Run, stage: StageReport) -> None:
     from topic models fitted separately with identical settings and seed.
     The overall column reuses the text stage's vocabulary and the lda stage's
     top words, and the subset is the one ingest partitioned and found
-    non-empty; only the subset is tokenized, counted and fitted here, with
-    the same settings.
+    non-empty; its tokens are its rows of the text stage's token array, and
+    only its vocabulary and topic model are built here, with the same settings.
     """
     cfg, corpus, subset = run.cfg, run.corpus, run.subset
     stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
@@ -659,7 +664,8 @@ def _compare(run: _Run, stage: StageReport) -> None:
         f" | compare country={cfg.country} | seed={cfg.seed}"
     )
 
-    sub_tokens = build_sequences(subset, run.stoplist, fields=cfg.text_fields)
+    members = {d.id for d in subset}
+    sub_tokens = run.tokens.take([r for r, i in enumerate(run.tokens.doc_ids) if i in members])
     sub_vocab = build_vocabulary(sub_tokens, cfg.vocab_size)
     sub_terms = top_terms(sub_vocab, 20)
     sub_topics = top_words_per_topic(fit_lda(sub_tokens, sub_vocab, cfg.lda_config()), m=10)
@@ -670,18 +676,15 @@ def _compare(run: _Run, stage: StageReport) -> None:
         ("size", "documents", str(len(subset)), str(len(corpus))),
         ("size", "share_percent", _share_percent(len(subset), len(corpus)), "100.0"),
     ]
-    sub_years = dict(counts_per_year(subset).points)
-    all_years = dict(counts_per_year(corpus).points)
-    for year in sorted(all_years | sub_years):
-        rows.append(
-            ("years", str(year), str(sub_years.get(year, 0)), str(all_years.get(year, 0)))
-        )
-    sub_shares = type_shares(subset)
-    all_shares = type_shares(corpus)
-    for t in sorted(set(sub_shares) | set(all_shares), key=lambda t: t.value):
-        rows.append(
-            ("types", t.value, str(sub_shares.get(t, 0)), str(all_shares.get(t, 0)))
-        )
+    # each section's counts by label; years have four digits (ingest keeps
+    # 1900-2100), so their labels sort as the years do
+    for section, count in (
+        ("years", lambda c: {str(y): n for y, n in counts_per_year(c).points}),
+        ("types", lambda c: {t.value: n for t, n in type_shares(c).items()}),
+    ):
+        sub, full = count(subset), count(corpus)
+        rows += ((section, key, str(sub.get(key, 0)), str(full.get(key, 0)))
+                 for key in sorted(sub.keys() | full.keys()))
     for i in range(20):
         sub = f"{sub_terms[i][0]}:{sub_terms[i][1]}" if i < len(sub_terms) else ""
         full = f"{all_terms[i][0]}:{all_terms[i][1]}" if i < len(all_terms) else ""
@@ -788,9 +791,9 @@ def run_pipeline(
     MemoryError or an OSError is recorded as ``failed_stage`` and re-raised
     as StageError; when compare is planned, an empty country
     subset fails the ingest stage, before corpus.csv is written, with
-    EmptyResultError (CLI exit code 3). Whatever a stage raises, the report's
-    ``notes`` then name the planned files that are still in ``--out`` from
-    an earlier run.
+    EmptyResultError (CLI exit code 3). Whether the run succeeds or a stage
+    raises, the report's ``notes`` name the planned files that it did not
+    write but that ``--out`` still holds from an earlier run.
     """
     stages, files = plan(cfg, command, from_stage)
     _check_paths(cfg, files)
@@ -808,14 +811,7 @@ def run_pipeline(
             started = time.perf_counter()
             try:
                 planned.runner(run, stage)
-            except BaseException as exc:
-                stale = [name for name in files
-                         if name not in run.report.output_files
-                         and (cfg.out_dir / name).exists()]
-                if stale:
-                    run.report.notes.append(f"stale from an earlier run: {', '.join(stale)}")
-                if not isinstance(exc, (CorpusScopeError, MemoryError, OSError)):
-                    raise
+            except (CorpusScopeError, MemoryError, OSError) as exc:
                 run.report.failed_stage = planned.name
                 stage.notes.append(f"failed: {exc}")
                 raise StageError(planned.name, exc, run.report) from exc

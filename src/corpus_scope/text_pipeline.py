@@ -8,6 +8,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -113,6 +114,19 @@ class TokenArray:
 
     def __iter__(self) -> Iterator[TokenSequence]:
         return map(self.__getitem__, range(len(self)))
+
+    def take(self, rows) -> "TokenArray":
+        """The documents at ``rows``, in that order, coded over only the
+        types they hold: what :func:`build_sequences` makes of those
+        documents alone."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        ends = np.concatenate(([0], np.cumsum(lengths)))
+        raw = self.codes[np.repeat(starts - ends[:-1], lengths) + np.arange(ends[-1])]
+        held = set(compress(self.types, np.bincount(raw, minlength=len(self.types)).tolist()))
+        return _renumber([self.doc_ids[r] for r in rows.tolist()], list(self.types), raw,
+                         ends, held.__contains__)
 
     def doc_index(self) -> np.ndarray:
         """The document number of every token (int64, aligned with ``codes``)."""
@@ -534,54 +548,34 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> Iterator[str]:
         entries[:, 0] = np.searchsorted(csr.indptr, np.arange(lo, hi), "right")
         entries[:, 1] = csr.indices[lo:hi] + 1
         entries[:, 2] = csr.data[lo:hi]
-        yield format_int_lines(entries, np.arange(3, entries.size + 1, 3), " ")
+        yield from line_chunks(entries, np.arange(3, entries.size + 1, 3), " ")
 
 
 _CHUNK = 1 << 16
 
 
-def int_line_chunks(values, row_ends, sep: str) -> Iterator[str]:
-    """Non-negative integers as decimal text, one line per row, in chunks.
+def line_chunks(values, row_ends, sep: str) -> Iterator[str]:
+    """Numbers as text, one line per row, in chunks.
 
     Row r holds ``values[row_ends[r - 1]:row_ends[r]]`` (row 0 starts at 0)
-    and reads ``sep.join(map(str, row)) + "\\n"``; an empty row is a bare
-    newline. Each chunk covers at most 2**16 values; a row may span chunks.
+    and reads ``sep.join(map(str, row)) + "\\n"`` for non-negative integers
+    or ``sep.join(map(repr, row)) + "\\n"`` for floats; an empty row is a
+    bare newline. Each chunk covers at most 2**16 values; a row may span
+    chunks. The arguments are checked before the first chunk is asked for.
     """
     values = np.asarray(values).ravel()
-    if values.dtype.kind not in "iu":
-        raise ConfigError(f"int_line_chunks takes integers, got {values.dtype}")
-    if values.size and (values.min() < 0 or values.max() >= 2**63):
-        raise ConfigError("int_line_chunks takes non-negative int64 values only")
-    return _line_chunks(values, _checked_ends(values, row_ends, sep), sep, np.int64, str)
-
-
-def format_int_lines(values, row_ends, sep: str) -> str:
-    """:func:`int_line_chunks` joined into one string."""
-    return "".join(int_line_chunks(values, row_ends, sep))
-
-
-def format_float_lines(values, row_ends, sep: str) -> str:
-    """Doubles as text, ``sep.join(map(repr, row)) + "\\n"`` per row.
-
-    Rows are as in :func:`int_line_chunks`; the values are formatted 2**16
-    at a time.
-    """
-    values = np.asarray(values).ravel()
-    if values.dtype.kind != "f":
-        raise ConfigError(f"format_float_lines takes floats, got {values.dtype}")
-    ends = _checked_ends(values, row_ends, sep)
-    return "".join(_line_chunks(values, ends, sep, np.float64, repr))
-
-
-def _checked_ends(values: np.ndarray, row_ends, sep: str) -> np.ndarray:
-    """``row_ends`` as int64, once they and ``sep`` are known to be valid."""
+    floats = values.dtype.kind == "f"
+    if not floats and values.dtype.kind not in "iu":
+        raise ConfigError(f"line_chunks takes integers or floats, got {values.dtype}")
+    if not floats and values.size and (values.min() < 0 or values.max() >= 2**63):
+        raise ConfigError("line_chunks takes non-negative int64 values only")
     ends = np.asarray(row_ends, dtype=np.int64).ravel()
     starts = np.concatenate(([0], ends[:-1]))
     if np.any(ends < starts) or (ends[-1] if ends.size else 0) != values.size:
         raise ConfigError("row_ends must ascend from 0 to the number of values")
     if len(sep) != 1 or not sep.isascii():
         raise ConfigError(f"separator must be one ASCII character, got {sep!r}")
-    return ends
+    return _line_chunks(values, ends, sep, *((np.float64, repr) if floats else (np.int64, str)))
 
 
 def _line_chunks(values, ends, sep, dtype, text) -> Iterator[str]:

@@ -219,6 +219,21 @@ def test_parse_jsonl_records():
     ]
 
 
+def test_jsonl_year_may_be_a_number_of_integral_value():
+    years = ["2014.0", "2015", "2016.5", "true", '"2017.0"', "1e3", "2.1e3", "NaN", "Infinity"]
+    lines = [f'{{"id": "Y{i}", "title": "t", "year": {year}}}' for i, year in enumerate(years)]
+    corpus, errors = parse_jsonl("\n".join(lines) + "\n")
+    assert [(d.id, d.year) for d in corpus] == [("Y0", 2014), ("Y1", 2015), ("Y6", 2100)]
+    assert [(e.row, e.reason) for e in errors] == [
+        (3, "unparseable year"),
+        (4, "unparseable year"),
+        (5, "unparseable year"),
+        (6, "year out of range [1900, 2100]"),
+        (8, "unparseable year"),
+        (9, "unparseable year"),
+    ]
+
+
 def test_jsonl_values_of_the_wrong_type_drop_the_record():
     records = [
         {"id": [None], "title": "list id"},

@@ -929,6 +929,19 @@ def test_a_failed_run_into_a_fresh_directory_names_nothing_stale(mini_corpus_pat
     assert report["notes"] == []
 
 
+def test_a_successful_run_names_a_planned_file_left_from_an_earlier_run(
+        mini_corpus_path, tmp_path, capsys):
+    note = "stale from an earlier run: ca_scatter.svg"
+    assert run_cli("lsa", "--input", mini_corpus_path, "--out", tmp_path, "--dims", "2") == 0
+    capsys.readouterr()
+    # one axis draws no scatter, so the two-axis one from the run before stays
+    assert run_cli("lsa", "--input", mini_corpus_path, "--out", tmp_path, "--dims", "1") == 0
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert list(report["output_files"]) == ["ca_coords.csv"]
+    assert report["notes"] == [note]
+    assert f"note: {note}\n" in capsys.readouterr().out
+
+
 EDA_FILES = ["year_counts.csv", "trend.csv", "top_terms.csv", "type_shares.csv",
              "trend.svg"]
 LDA_FILES = ["lda_model.txt", "lda_top_words.csv"]
@@ -1287,22 +1300,29 @@ def test_compare_bytes_match_the_pinned_hash(mini_corpus_path, tmp_path, capsys)
 
 def test_run_with_a_country_also_writes_compare_csv_from_one_whole_corpus_fit(
         mini_corpus_path, tmp_path, monkeypatch, capsys):
-    fits = []
-    fit_lda = pipeline.fit_lda
+    fits, tokenized = [], []
+    fit_lda, build_sequences = pipeline.fit_lda, pipeline.build_sequences
 
     def counted(tokens, *args):
         fits.append(len(tokens))
         return fit_lda(tokens, *args)
 
+    def tokenize_counted(corpus, *args, **kwargs):
+        tokenized.append(len(corpus))
+        return build_sequences(corpus, *args, **kwargs)
+
     monkeypatch.setattr(pipeline, "fit_lda", counted)
+    monkeypatch.setattr(pipeline, "build_sequences", tokenize_counted)
     plain, country = tmp_path / "plain", tmp_path / "country"
     assert run_cli("run", "--input", mini_corpus_path, "--out", plain) == 0
-    assert fits == [60]
+    assert fits == [60] and tokenized == [60]
     fits.clear()
+    tokenized.clear()
     assert run_cli("run", "--input", mini_corpus_path, "--out", country,
                    "--country", "Saudi Arabia") == 0
     capsys.readouterr()
     assert fits == [60, 10]  # the whole corpus once, then the subset
+    assert tokenized == [60]  # the subset's tokens are rows of the corpus's array
     assert {p.name for p in country.iterdir()} == (
         DATA_FILES | {"compare.csv", "run_report.json"})
     for name in sorted(DATA_FILES):

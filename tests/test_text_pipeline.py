@@ -27,8 +27,7 @@ from corpus_scope.text_pipeline import (
     default_stoplist,
     export_dtm_index,
     export_matrixmarket,
-    format_float_lines,
-    format_int_lines,
+    line_chunks,
     load_stoplist,
     remap_tokens,
     remove_stopwords,
@@ -303,6 +302,30 @@ def test_token_array_decodes_and_passes_through():
         tokens[3]
 
 
+# a document of stopwords only, of no word at all, or of non-ASCII words
+_WORDS = st.lists(st.sampled_from(["the", "of", "data", "Ünïcode", "straße", "ΣΊΣΥΦΟΣ",
+                                   "x2", "42", "--"]), max_size=8).map(" ".join)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WORDS | _TEXT, min_size=1, max_size=8), st.data())
+def test_taking_rows_equals_encoding_those_documents_alone(backend, texts, data):
+    n = len(texts)
+    rows = data.draw(st.just(list(range(n))) | st.integers(0, n - 1).map(lambda r: [r])
+                     | st.lists(st.integers(0, n - 1), unique=True).map(sorted))
+    corpus = make_corpus(*(Document(id=f"d{i:02d}", title=t) for i, t in enumerate(texts)))
+    stop = frozenset({"the", "of"})
+    with use_backend(backend):
+        taken = build_sequences(corpus, stop).take(rows)
+        alone = build_sequences(corpus.derive([corpus.documents[r] for r in rows], "rows"), stop)
+    assert taken.doc_ids == alone.doc_ids
+    assert taken.types == alone.types
+    for name in ("offsets", "codes"):
+        a, b = getattr(taken, name), getattr(alone, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
 def test_encoded_path_writes_the_same_bytes_as_token_sequences(mini_corpus):
     """dtm.mtx and bigrams_edges.csv from the token array and from per-document
     TokenSequence objects built with tokenize and remove_stopwords."""
@@ -466,6 +489,10 @@ _INT_ROWS = st.lists(
 )
 
 
+def joined(values, row_ends, sep):
+    return "".join(line_chunks(values, row_ends, sep))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_INT_ROWS, st.sampled_from([",", " "]), st.sampled_from([0, 1, 2**16 - 3]))
 def test_format_int_lines_matches_str_join(rows, sep, pad):
@@ -474,29 +501,30 @@ def test_format_int_lines_matches_str_join(rows, sep, pad):
     ends = np.cumsum([pad] * (pad > 0) + [len(row) for row in rows], dtype=np.int64)
     head = sep.join("7" * pad) + "\n" if pad else ""
     expected = head + "".join(sep.join(map(str, row)) + "\n" for row in rows)
-    assert format_int_lines(values, ends, sep) == expected
+    assert joined(values, ends, sep) == expected
 
 
 def test_format_int_lines_takes_any_integer_dtype():
     for dtype in (np.uint16, np.int32, np.uint64):
         values = np.array([0, 65535, 12], dtype=dtype)
-        assert format_int_lines(values, [2, 2, 3], " ") == "0 65535\n\n12\n"
-    assert format_int_lines(np.zeros(0, dtype=np.int64), [0, 0], ",") == "\n\n"
+        assert joined(values, [2, 2, 3], " ") == "0 65535\n\n12\n"
+    assert joined(np.zeros(0, dtype=np.int64), [0, 0], ",") == "\n\n"
 
 
 def test_format_int_lines_rejects_what_it_cannot_write():
+    # the checks run when line_chunks is called, before a chunk is asked for
     with pytest.raises(ConfigError, match="non-negative"):
-        format_int_lines(np.array([3, -1]), [2], ",")
+        line_chunks(np.array([3, -1]), [2], ",")
     with pytest.raises(ConfigError, match="non-negative"):
-        format_int_lines(np.array([2**63], dtype=np.uint64), [1], ",")
-    with pytest.raises(ConfigError, match="integers"):
-        format_int_lines(np.array([1.0]), [1], ",")
+        joined(np.array([2**63], dtype=np.uint64), [1], ",")
+    with pytest.raises(ConfigError, match="integers or floats"):
+        joined(np.array([True]), [1], ",")
     with pytest.raises(ConfigError, match="row_ends"):
-        format_int_lines(np.array([1, 2]), [1], ",")
+        joined(np.array([1, 2]), [1], ",")
     with pytest.raises(ConfigError, match="row_ends"):
-        format_int_lines(np.array([1, 2]), [2, 1, 2], ",")
+        joined(np.array([1, 2]), [2, 1, 2], ",")
     with pytest.raises(ConfigError, match="separator"):
-        format_int_lines(np.array([1, 2]), [2], ", ")
+        joined(np.array([1, 2]), [2], ", ")
 
 
 # the properties above ran with the compiled formatter wherever it builds;
@@ -533,7 +561,7 @@ def test_format_float_lines_matches_repr(backend, rows, pad):
     head = ",".join(["0.5"] * pad) + "\n" if pad else ""
     expected = head + "".join(",".join(map(repr, row)) + "\n" for row in rows)
     with use_backend(backend):
-        assert format_float_lines(values, ends, ",") == expected
+        assert joined(values, ends, ",") == expected
 
 
 _EDGE_FLOATS = [
@@ -554,12 +582,17 @@ _EDGE_FLOATS += [math.nextafter(2.0**e, 0.0) for e in range(-1073, 1024)]
 def test_format_float_lines_edge_values(backend):
     values = np.array(_EDGE_FLOATS, dtype=np.float64)
     with use_backend(backend):
-        text = format_float_lines(values, np.arange(1, values.size + 1), ",")
+        text = joined(values, np.arange(1, values.size + 1), ",")
     assert text.split("\n")[:-1] == [repr(v) for v in _EDGE_FLOATS]
 
 
-def test_format_float_lines_takes_only_floats():
-    assert format_float_lines(np.array([1.5], dtype=np.float32), [1], ",") == "1.5\n"
-    assert format_float_lines(np.zeros(0), [0], ",") == "\n"
-    with pytest.raises(ConfigError, match="floats"):
-        format_float_lines(np.array([1]), [1], ",")
+def test_line_chunks_writes_floats_with_repr_and_integers_with_str():
+    # floats are written with repr and integers with str, whatever their width
+    assert joined(np.array([1.5], dtype=np.float32), [1], ",") == "1.5\n"
+    assert joined(np.array([1.0, 2.0]), [1, 2], ",") == "1.0\n2.0\n"
+    assert joined(np.array([1, 2], dtype=np.int8), [1, 2], ",") == "1\n2\n"
+    assert joined(np.zeros(0), [0], ",") == "\n"
+    with pytest.raises(ConfigError, match="integers or floats"):
+        joined(np.array(["1"]), [1], ",")
+    with pytest.raises(ConfigError, match="integers or floats"):
+        joined(np.array([1j]), [1], ",")
