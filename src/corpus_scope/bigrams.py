@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .text_pipeline import TokenArray, TokenSequence, as_token_array, csv_field
+from .text_pipeline import TokenArray, TokenSequence, as_token_array, csv_table
 
 DEFAULT_THRESHOLD = 150
 
@@ -121,15 +121,9 @@ def threshold_graph(table: BigramTable, min_freq: int = DEFAULT_THRESHOLD) -> Bi
 
 
 def export_graph(graph: BigramGraph, provenance: str = "") -> str:
-    """Serialize a graph as edge CSV text, edges in sorted order.
-
-    A structural comment comes first. No floats appear, so equal graphs
-    always serialize to identical bytes.
-    """
-    lines = [f"# bigram-graph threshold={graph.threshold} directed=1"]
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append("source,target,weight")
-    for a, b in sorted(graph.edges):
-        lines.append(f"{csv_field(a)},{csv_field(b)},{graph.edges[(a, b)]}")
-    return "\n".join(lines) + "\n"
+    """Serialize a graph as edge CSV text by ``csv_table``, edges in sorted
+    order, under a structural comment and ``provenance``. No floats appear,
+    so equal graphs always serialize to identical bytes."""
+    comments = (f"bigram-graph threshold={graph.threshold} directed=1", provenance)
+    edges = ((a, b, graph.edges[(a, b)]) for a, b in sorted(graph.edges))
+    return "".join(csv_table(("source", "target", "weight"), edges, comments))

@@ -5,6 +5,8 @@ The subcommands, their help and ``run --from``'s choices come from
 writes; each setting's flag from its ``PipelineConfig`` field. A run exits
 0 on success and otherwise with its error's ``exit_code``: 2 for an
 InputError or ConfigError, 3 for an EmptyResultError, 1 for any other.
+The run report's notes are printed as ``note: ...`` lines: on standard
+output after a success, on standard error below a failed stage's error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 # imports numpy.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .errors import ConfigError, CorpusScopeError  # noqa: E402
+from .errors import ConfigError, CorpusScopeError, StageError  # noqa: E402
 from .pipeline import (  # noqa: E402
     COMMANDS,
     STAGES,
@@ -113,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
                               from_stage=getattr(args, "from_stage", None))
     except CorpusScopeError as exc:
         print(f"corpus-scope: error: {exc}", file=sys.stderr)
+        for note in exc.report.notes if isinstance(exc, StageError) else ():
+            print(f"note: {note}", file=sys.stderr)
         return exc.exit_code
     for stage in report.stages:
         for note in stage.notes:

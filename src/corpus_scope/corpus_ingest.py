@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ConfigError, EmptyResultError, InputError
-from .text_pipeline import csv_field, tokenize
+from .text_pipeline import csv_table, tokenize
 
 INPUT_FORMATS = ("csv", "jsonl")
 # the format each file suffix names, in any case
@@ -348,22 +348,15 @@ def parse_file(path, format: str | None = None) -> tuple[Corpus, list[RecordErro
 
 
 def serialize_corpus(corpus: Corpus) -> Iterator[str]:
-    """Render a corpus as RFC 4180 CSV text that reparses to an equal corpus.
-
-    A field is quoted only when it holds a comma, a quote, a carriage return
-    or a line feed; records end in a bare line feed. The text comes in
-    chunks of 2048 records.
-    """
-    yield ",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) + "\n"
-    docs = corpus.documents
-    for lo in range(0, len(docs), 2048):
-        rows = []
-        for d in docs[lo:lo + 2048]:
-            year = "" if d.year is None else str(d.year)
-            fields = (d.id, d.title, year, d.abstract, ";".join(d.keywords),
-                      d.doc_type.value, ";".join(d.countries))
-            rows.append(",".join(map(csv_field, fields)) + "\n")
-        yield "".join(rows)
+    """Render a corpus as CSV text that reparses to an equal corpus: the
+    chunks of ``csv_table``, with no comment line."""
+    # str() and _value_ (the attribute behind the slower DocType.value
+    # property) keep csv_field on its string path for the largest table
+    return csv_table(REQUIRED_COLUMNS + OPTIONAL_COLUMNS, (
+        (d.id, d.title, "" if d.year is None else str(d.year), d.abstract, ";".join(d.keywords),
+         d.doc_type._value_, ";".join(d.countries))
+        for d in corpus.documents
+    ))
 
 
 def _contains_phrase(tokens: list[str], phrase: list[str]) -> bool:

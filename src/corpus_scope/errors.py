@@ -46,7 +46,7 @@ class StageError(CorpusScopeError):
     """A pipeline stage failed; carries the stage name, its cause's exit
     code (1 for a MemoryError or OSError) and the partial report."""
 
-    def __init__(self, stage: str, cause: Exception, report=None):
+    def __init__(self, stage: str, cause: Exception, report):
         # a bare MemoryError has no message
         super().__init__(f"stage '{stage}' failed: {str(cause) or type(cause).__name__}")
         self.stage = stage

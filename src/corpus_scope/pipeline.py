@@ -82,10 +82,12 @@ from .svgplot import empty_chart, line_chart, scatter_2d
 from .text_pipeline import (
     DEFAULT_TEXT_FIELDS,
     DEFAULT_VOCAB_SIZE,
+    _one_line,
     build_dtm,
     build_sequences,
     build_vocabulary,
     csv_field,
+    csv_table,
     default_stoplist,
     export_dtm_index,
     export_matrixmarket,
@@ -397,12 +399,6 @@ def _float_rows(matrix: np.ndarray) -> list[str]:
     return "".join(line_chunks(matrix, ends, ",")).split("\n")[:-1]
 
 
-def _one_line(text: str) -> str:
-    """``text`` with its line breaks written as ``\\r`` and ``\\n``, so that it
-    stays one ``# `` comment line above a file's header."""
-    return text.replace("\r", "\\r").replace("\n", "\\n")
-
-
 def _ingest(run: _Run, stage: StageReport) -> None:
     cfg = run.cfg
     corpus, errors = parse_file(cfg.input, cfg.format)
@@ -449,52 +445,41 @@ def _eda(run: _Run, stage: StageReport) -> None:
     if series.missing_year_count:
         stage.notes.append(f"{series.missing_year_count} document(s) without a year")
 
-    lines = [f"# {run.provenance}", "year,count"]
-    lines += [f"{y},{c}" for y, c in series.points]
-    run.emit(stage, "year_counts.csv", "\n".join(lines) + "\n")
+    comments = (run.provenance,)
+    run.emit(stage, "year_counts.csv", csv_table(("year", "count"), series.points, comments))
 
     fit: QuadraticFit | None = None
-    trend = [f"# {run.provenance}", "key,value"]
+    trend: list[tuple[str, object]] = []
     try:
         fit = fit_quadratic(series)
     except InsufficientDataError as exc:
-        trend.append(f"status,{csv_field(f'skipped: {exc}')}")
+        trend.append(("status", f"skipped: {exc}"))
         stage.notes.append(f"trend fit skipped: {exc}")
     forecasts: list[tuple[int, float, bool]] = []
     if fit is not None:
-        trend += [
-            "status,ok",
-            f"a2,{_float(fit.a2)}",
-            f"a1,{_float(fit.a1)}",
-            f"a0,{_float(fit.a0)}",
-            f"r_squared,{_float(fit.r_squared)}",
-            f"p_value,{_float(fit.p_value)}",
-            "x_encoding,raw_year",
-            f"degenerate,{int(fit.degenerate)}",
-            f"x_min,{fit.x_min}",
-            f"x_max,{fit.x_max}",
-        ]
+        fitted = ("a2", "a1", "a0", "r_squared", "p_value")
+        trend += [("status", "ok"), *((key, float(getattr(fit, key))) for key in fitted),
+                  ("x_encoding", "raw_year"), ("degenerate", int(fit.degenerate)),
+                  ("x_min", fit.x_min), ("x_max", fit.x_max)]
         for offset in range(1, cfg.forecast_years + 1):
             year = fit.x_max + offset
             value, clamped = forecast_point(fit, year)
             forecasts.append((year, value, clamped))
-            trend.append(f"forecast_{year},{_float(value)}")
-            trend.append(f"forecast_{year}_clamped,{int(clamped)}")
-    run.emit(stage, "trend.csv", "\n".join(trend) + "\n")
+            trend.append((f"forecast_{year}", float(value)))
+            trend.append((f"forecast_{year}_clamped", int(clamped)))
+    run.emit(stage, "trend.csv", csv_table(("key", "value"), trend, comments))
 
     ranked = top_terms(run.vocab, cfg.top_terms)
-    lines = [f"# {run.provenance}", "rank,term,count,cumulative_share"]
-    lines += [
-        f"{i},{term},{count},{_float(share)}"
-        for i, (term, count, share) in enumerate(ranked, start=1)
-    ]
-    run.emit(stage, "top_terms.csv", "\n".join(lines) + "\n")
+    run.emit(stage, "top_terms.csv", csv_table(
+        ("rank", "term", "count", "cumulative_share"),
+        ((i, term, count, float(share)) for i, (term, count, share) in enumerate(ranked, 1)),
+        comments))
 
     shares = type_shares(run.corpus)
     tally = Counter(d.doc_type for d in run.corpus)
-    lines = [f"# {run.provenance}", "doc_type,count,share_percent"]
-    lines += [f"{t.value},{tally[t]},{shares[t]}" for t in shares]
-    run.emit(stage, "type_shares.csv", "\n".join(lines) + "\n")
+    run.emit(stage, "type_shares.csv", csv_table(
+        ("doc_type", "count", "share_percent"),
+        ((t.value, tally[t], shares[t]) for t in shares), comments))
 
     observed = [(float(y), float(c)) for y, c in series.points]
     fitted_pts: list[tuple[float, float]] = []
@@ -549,8 +534,8 @@ def _lsa(run: _Run, stage: StageReport) -> None:
             by_year.setdefault(str(year), []).append(doc_id)
     supp = project_supplementary(model, by_year) if by_year else None
 
-    dim_cols = ",".join(f"dim_{i + 1}" for i in range(model.dims))
-    header = f"# {run.provenance}\nkind,label,mass,score,rank,{dim_cols}\n"
+    header = ("kind", "label", "mass", "score", "rank",
+              *(f"dim_{i + 1}" for i in range(model.dims)))
     # per point: kind, label, the floats before the coordinates (mass and
     # score for documents, mass for terms and years), what follows them, and
     # the coordinates
@@ -566,7 +551,7 @@ def _lsa(run: _Run, stage: StageReport) -> None:
                        [",,"] * len(supp.labels), supp.coords))
 
     def coords_csv() -> Iterator[str]:
-        yield header
+        yield from csv_table(header, (), (run.provenance,))
         for kind, labels, lead, tails, coords in points:
             for lo in range(0, len(labels), 2048):
                 block = slice(lo, lo + 2048)
@@ -621,14 +606,12 @@ def _lda(run: _Run, stage: StageReport) -> None:
 
     run.topic_words = words = top_words_per_topic(model, m=10)
     term_index = {t: j for j, t in enumerate(model.terms)}
-    lines = [f"# {run.provenance}", "topic,rank,term,phi"]
+    rows = []
     for t, terms in enumerate(words):
         phi = model.phi[t, [term_index[term] for term in terms]].tolist()
-        lines += (
-            f"{t},{r},{term},{value!r}"
-            for r, (term, value) in enumerate(zip(terms, phi), start=1)
-        )
-    run.emit(stage, "lda_top_words.csv", "\n".join(lines) + "\n")
+        rows += ((t, r, term, value) for r, (term, value) in enumerate(zip(terms, phi), 1))
+    run.emit(stage, "lda_top_words.csv",
+             csv_table(("topic", "rank", "term", "phi"), rows, (run.provenance,)))
 
 
 def _bigrams(run: _Run, stage: StageReport) -> None:
@@ -672,8 +655,8 @@ def _compare(run: _Run, stage: StageReport) -> None:
     all_terms = top_terms(run.vocab, 20)
     all_topics = run.topic_words
 
-    rows: list[tuple[str, str, str, str]] = [
-        ("size", "documents", str(len(subset)), str(len(corpus))),
+    rows: list[tuple] = [
+        ("size", "documents", len(subset), len(corpus)),
         ("size", "share_percent", _share_percent(len(subset), len(corpus)), "100.0"),
     ]
     # each section's counts by label; years have four digits (ingest keeps
@@ -683,7 +666,7 @@ def _compare(run: _Run, stage: StageReport) -> None:
         ("types", lambda c: {t.value: n for t, n in type_shares(c).items()}),
     ):
         sub, full = count(subset), count(corpus)
-        rows += ((section, key, str(sub.get(key, 0)), str(full.get(key, 0)))
+        rows += ((section, key, sub.get(key, 0), full.get(key, 0))
                  for key in sorted(sub.keys() | full.keys()))
     for i in range(20):
         sub = f"{sub_terms[i][0]}:{sub_terms[i][1]}" if i < len(sub_terms) else ""
@@ -695,9 +678,8 @@ def _compare(run: _Run, stage: StageReport) -> None:
             full = all_topics[t][r] if t < len(all_topics) and r < len(all_topics[t]) else ""
             rows.append(("lda_top_words", f"topic_{t}_rank_{r + 1:02d}", sub, full))
 
-    lines = [f"# {provenance}", "section,key,subset,overall"]
-    lines += [",".join(r) for r in rows]
-    run.emit(stage, "compare.csv", "\n".join(lines) + "\n")
+    run.emit(stage, "compare.csv",
+             csv_table(("section", "key", "subset", "overall"), rows, (provenance,)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import compress
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -620,21 +620,41 @@ def _join_rows(values: list, ends: list[int], sep: str, text: Callable) -> str:
 
 
 def export_dtm_index(dtm: SparseDTM, comment: str = "") -> Iterator[str]:
-    """Sidecar CSV mapping 1-based matrix positions to doc ids and terms."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("kind,position,label,total")
-    for i, (doc_id, total) in enumerate(zip(dtm.doc_ids, dtm.row_totals.tolist())):
-        lines.append(f"doc,{i + 1},{csv_field(doc_id)},{total}")
-    for j, (term, total) in enumerate(zip(dtm.terms, dtm.col_totals.tolist())):
-        lines.append(f"term,{j + 1},{csv_field(term)},{total}")
-    yield "\n".join(lines) + "\n"
+    """Sidecar CSV mapping 1-based matrix positions to doc ids and terms, by
+    :func:`csv_table` with ``comment`` as its comment line."""
+    rows = chain(
+        zip(repeat("doc"), count(1), dtm.doc_ids, dtm.row_totals.tolist()),
+        zip(repeat("term"), count(1), dtm.terms, dtm.col_totals.tolist()),
+    )
+    return csv_table(("kind", "position", "label", "total"), rows, (comment,))
 
 
-def csv_field(value: str) -> str:
-    """Quote a CSV field (RFC 4180) only when it holds a comma, a quote, a
-    carriage return or a line feed; a reader splits records on either."""
+def csv_table(header: Sequence[str], rows: Iterable[Sequence],
+              comments: Iterable[str] = ()) -> Iterator[str]:
+    """A CSV table as text chunks: each non-empty comment as one ``# `` line
+    (see :func:`_one_line`) and the header in the first, then the rows, 2048
+    to a chunk and each as wide as the header. Every field goes through
+    :func:`csv_field`, and every line ends in a bare line feed."""
+    yield "".join(f"# {_one_line(c)}\n" for c in comments if c) + ",".join(
+        map(csv_field, header)) + "\n"
+    line = ",".join(["%s"] * len(header)) + "\n"  # a block is one %-format call
+    rows = iter(rows)
+    while block := list(islice(rows, 2048)):
+        yield (line * len(block)) % tuple(map(csv_field, chain.from_iterable(block)))
+
+
+def csv_field(value) -> str:
+    """``str(value)`` (a float's ``repr``), quoted (RFC 4180) when it holds a
+    comma, a quote, a carriage return or a line feed. :mod:`csv`'s writer
+    with ``lineterminator="\\n"`` leaves a lone carriage return bare, and a
+    reader splits the record there."""
+    if not isinstance(value, str):
+        value = str(value)
     if "," in value or '"' in value or "\n" in value or "\r" in value:
         return '"' + value.replace('"', '""') + '"'
     return value
+
+
+def _one_line(text: str) -> str:
+    """``text`` with its CRs and LFs written as ``\\r`` and ``\\n``: one line."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")

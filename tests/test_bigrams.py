@@ -154,6 +154,12 @@ def test_export_edge_csv_quotes_labels():
     assert rows == [["source", "target", "weight"], [label, "x", "4"]]
 
 
+def test_export_edge_csv_writes_a_multi_line_provenance_as_one_line():
+    comments, rows = read_edge_csv(export_graph(demo_graph(), provenance="a\nb"))
+    assert comments == ["# bigram-graph threshold=1 directed=1", "# a\\nb"]
+    assert rows[0] == ["source", "target", "weight"]
+
+
 def test_export_is_deterministic_bytes():
     g = demo_graph()
     assert export_graph(g, provenance="p") == export_graph(g, provenance="p")

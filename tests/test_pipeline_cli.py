@@ -320,6 +320,38 @@ def test_ca_coords_rows_parse_to_the_header_width(tmp_path):
     assert ["row", "A,3"] in [row[:2] for row in table]
 
 
+def test_every_csv_data_file_reads_back_rectangular_with_odd_ids_and_titles(tmp_path, capsys):
+    odd_ids = ["A,1", 'B"2', "C\n3", "D\r4", "E\r\n5"]
+    src = tmp_path / "odd.csv"
+    with open(src, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "title", "year", "abstract", "countries"])
+        for i in range(12):
+            writer.writerow([
+                odd_ids[i] if i < len(odd_ids) else f"P{i}",
+                f'network, "model"\r\n{"data" if i % 2 else "graph"}\rlearning',
+                2010 + i % 5,
+                f"text mining topic cluster {'alpha' if i % 3 else 'beta'} analysis",
+                "Saudi Arabia" if i % 2 else "Norway",
+            ])
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", src, "--out", out, "--country", "Saudi Arabia",
+                   "--topics", "2", "--iters", "20", "--burn-in", "5",
+                   "--bigram-threshold", "1") == 0
+    capsys.readouterr()
+    tables = {}
+    for path in sorted(out.glob("*.csv")):
+        text = path.read_bytes().decode("utf-8")
+        while text.startswith("# "):
+            text = text.split("\n", 1)[1]
+        tables[path.name] = table = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(table) > 1 and {len(row) for row in table} == {len(table[0])}, path.name
+    assert set(tables) == {n for n in DATA_FILES if n.endswith(".csv")} | {"compare.csv"}
+    assert {row[0] for row in tables["corpus.csv"][1:]} >= set(odd_ids)
+    for name, column in (("dtm_index.csv", 2), ("ca_coords.csv", 1)):
+        assert {row[column] for row in tables[name][1:]} >= set(odd_ids), name
+
+
 def test_lda_outputs(run_dir):
     model = (run_dir / "lda_model.txt").read_text(encoding="utf-8").split("\n")
     assert {"k=6", "iterations=40"} <= set(model[:model.index("[terms]")])
@@ -551,7 +583,8 @@ def test_cli_stage_out_of_memory_or_disk_exits_1_with_a_report(
         replace(s, runner=runner) if s.name == "lda" else s for s in pipeline.STAGE_TABLE))
     assert run_cli("lda", "--input", mini_corpus_path, "--out", tmp_path) == 1
     err = capsys.readouterr().err
-    assert err == f"corpus-scope: error: stage 'lda' failed: {error}\n"
+    assert err == (f"corpus-scope: error: stage 'lda' failed: {error}\n"
+                   "note: stale from an earlier run: lda_model.txt, lda_top_words.csv\n")
     report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     assert report["failed_stage"] == "lda"
     assert report["notes"] == ["stale from an earlier run: lda_model.txt, lda_top_words.csv"]

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import math
@@ -24,6 +25,8 @@ from corpus_scope.text_pipeline import (
     build_dtm,
     build_sequences,
     build_vocabulary,
+    csv_field,
+    csv_table,
     default_stoplist,
     export_dtm_index,
     export_matrixmarket,
@@ -476,6 +479,58 @@ def test_dtm_index_lists_rows_then_columns():
     assert lines[3] == "doc,2,d1,2"
     assert lines[4] == "term,1,data,2"
     assert lines[-1] == "term,3,methods,1"
+
+
+def test_dtm_index_writes_a_multi_line_comment_as_one_line():
+    dtm = build_dtm(seqs(["data", "science"]), build_vocabulary(seqs(["data", "science"])))
+    text = "".join(export_dtm_index(dtm, comment="a\nb\r\nc"))
+    first, rest = text.split("\n", 1)
+    assert first == "# a\\nb\\r\\nc"
+    assert next(csv.reader(io.StringIO(rest, newline=""))) == ["kind", "position", "label",
+                                                                "total"]
+
+
+# ---------------------------------------------------------------- CSV tables
+
+_CELL_TEXT = st.text(alphabet=st.sampled_from(',"\r\n#\u2028 xé€\U0001f600'), max_size=6)
+_CELL = _CELL_TEXT | st.integers() | st.floats()
+
+
+def _cell_text(value) -> str:
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda width: st.tuples(
+    st.lists(_CELL_TEXT, min_size=width, max_size=width),
+    st.lists(st.lists(_CELL, min_size=width, max_size=width), max_size=5))),
+    st.lists(_CELL_TEXT, max_size=3))
+def test_csv_table_reads_back_with_csv_reader(table, comments):
+    header, rows = table
+    text = "".join(csv_table(header, rows, comments))
+    kept = [c for c in comments if c]
+    lines = text.split("\n", len(kept))
+    assert lines[:len(kept)] == [
+        "# " + c.replace("\r", "\\r").replace("\n", "\\n") for c in kept]
+    got = list(csv.reader(io.StringIO(lines[-1], newline="")))
+    assert got == [header] + [[_cell_text(v) for v in row] for row in rows]
+
+
+def test_csv_table_writes_the_header_chunk_then_2048_rows_a_chunk():
+    chunks = list(csv_table(("n", "square"), ((i, i * i) for i in range(5000)), ("", "c")))
+    assert chunks[0] == "# c\nn,square\n"
+    assert [c.count("\n") for c in chunks[1:]] == [2048, 2048, 904]
+    assert chunks[-1].endswith("4999,24990001\n")
+
+
+def test_csv_field_quotes_a_lone_carriage_return_and_writes_numbers_as_text():
+    # csv.writer(lineterminator="\n") leaves "a\rb" bare, and a reader
+    # splits the record at the carriage return
+    assert csv_field("a\rb") == '"a\rb"'
+    assert list(csv.reader(io.StringIO(csv_field("a\rb") + ",c\n", newline=""))) == [
+        ["a\rb", "c"]]
+    assert [csv_field(v) for v in (7, -0.0, 0.1, float("inf"), float("nan"), "")] == [
+        "7", "-0.0", "0.1", "inf", "nan", ""]
 
 
 # ---------------------------------------------------------------- integer lines
