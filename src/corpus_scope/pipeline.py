@@ -642,10 +642,8 @@ def _compare(run: _Run, stage: StageReport) -> None:
     """
     cfg, corpus, subset = run.cfg, run.corpus, run.subset
     stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
-    provenance = _one_line(
-        f"corpus-scope {__version__} | input={cfg.input.name}"
-        f" | compare country={cfg.country} | seed={cfg.seed}"
-    )
+    provenance = (f"corpus-scope {__version__} | input={cfg.input.name}"
+                  f" | compare country={cfg.country} | seed={cfg.seed}")
 
     members = {d.id for d in subset}
     sub_tokens = run.tokens.take([r for r, i in enumerate(run.tokens.doc_ids) if i in members])

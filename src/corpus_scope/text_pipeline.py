@@ -633,13 +633,17 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence],
               comments: Iterable[str] = ()) -> Iterator[str]:
     """A CSV table as text chunks: each non-empty comment as one ``# `` line
     (see :func:`_one_line`) and the header in the first, then the rows, 2048
-    to a chunk and each as wide as the header. Every field goes through
-    :func:`csv_field`, and every line ends in a bare line feed."""
+    to a chunk. Every field goes through :func:`csv_field`, and every line
+    ends in a bare line feed. A row not as wide as the header raises
+    ValueError."""
     yield "".join(f"# {_one_line(c)}\n" for c in comments if c) + ",".join(
         map(csv_field, header)) + "\n"
     line = ",".join(["%s"] * len(header)) + "\n"  # a block is one %-format call
     rows = iter(rows)
     while block := list(islice(rows, 2048)):
+        # one %-format over a block would shift a ragged row's fields silently
+        if set(map(len, block)) != {len(header)}:
+            raise ValueError(f"a row is not {len(header)} fields wide")
         yield (line * len(block)) % tuple(map(csv_field, chain.from_iterable(block)))
 
 

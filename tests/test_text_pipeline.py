@@ -523,6 +523,12 @@ def test_csv_table_writes_the_header_chunk_then_2048_rows_a_chunk():
     assert chunks[-1].endswith("4999,24990001\n")
 
 
+def test_csv_table_refuses_a_row_not_as_wide_as_the_header():
+    # one short and one long row have the header's width in total
+    with pytest.raises(ValueError, match="not 2 fields wide"):
+        list(csv_table(("a", "b"), [(1,), (2, 3, 4)]))
+
+
 def test_csv_field_quotes_a_lone_carriage_return_and_writes_numbers_as_text():
     # csv.writer(lineterminator="\n") leaves "a\rb" bare, and a reader
     # splits the record at the carriage return
