@@ -1,7 +1,7 @@
 /* The package's compiled kernels, built into one C++17 library by
  * _native.py: the Gibbs chain with its random stream and log Gamma (lda),
  * the word splitter and word table, the token renumbering and the
- * document-term counts (text_pipeline), the CSR row gather and
+ * document-term counts (text_pipeline), the Sturm bisection, CSR gather and
  * ascending-row scatter (lsa), and the integer and float table formatters.
  * Each has a Python twin that is its reference and its fallback, and both
  * give the same results bit for bit. */
@@ -546,6 +546,45 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int32_t *indptr,
         for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++)
             out[indices[jj]] += values[jj] * yi;
     }
+}
+
+/* out[0] <= out[1] around the index-th smallest eigenvalue (from 0) of the symmetric
+ * tridiagonal T with diagonal d[0..n) and off-diagonal e[0..n-1): Sturm counts (dstebz's),
+ * at three points a pass, cut the Gershgorin interval to 1e-13 ||T||_1, and the result is
+ * widened by 1e-12 ||T||_1. Returns 0, or -1 on a bad index or a non-finite value. */
+int64_t eigenvalue_bracket(const double *d, const double *e, int64_t n, int64_t index,
+                           double *out)
+{
+    double lo = INFINITY, hi = -INFINITY, norm = 0.0, pivmin = 0x1p-1022; /* DBL_MIN */
+    for (int64_t i = 0; i < n; i++) {
+        double off = std::fabs(i > 0 ? e[i - 1] : 0.0) + std::fabs(i + 1 < n ? e[i] : 0.0);
+        double down = d[i] - off, up = d[i] + off;
+        if (!std::isfinite(down) || !std::isfinite(up))
+            return -1;
+        lo = std::min(lo, down);
+        hi = std::max(hi, up);
+        norm = std::max(norm, std::max(up, -down));
+        pivmin = std::max(pivmin, i > 0 ? e[i - 1] * e[i - 1] * 0x1p-1022 : 0.0);
+    }
+    if (index < 0 || index >= n || !std::isfinite(hi - lo) || !std::isfinite(pivmin))
+        return -1;
+    while (hi - lo > std::max(1e-13 * norm, pivmin)) {
+        double w = 0.25 * (hi - lo), x[5] = {lo, lo + w, lo + 2 * w, lo + 3 * w, hi};
+        double q[3] = {1.0, 1.0, 1.0}; /* a zero pivot counts as -pivmin, as in dstebz */
+        int64_t count[3] = {0, 0, 0};  /* eigenvalues <= x[j + 1] */
+        for (int64_t i = 0; i < n; i++)
+            for (int j = 0; j < 3; j++) {
+                q[j] = d[i] - (i > 0 ? e[i - 1] * e[i - 1] / q[j] : 0.0) - x[j + 1];
+                q[j] = std::fabs(q[j]) < pivmin ? -pivmin : q[j];
+                count[j] += q[j] <= 0.0;
+            }
+        int j = (count[0] <= index) + (count[1] <= index) + (count[2] <= index);
+        lo = x[j];
+        hi = x[j + 1];
+    }
+    out[0] = lo - 1e-12 * norm;
+    out[1] = hi + 1e-12 * norm;
+    return 0;
 }
 
 } /* extern "C" */

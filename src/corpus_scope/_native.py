@@ -7,10 +7,12 @@ as its generator and pairwise sum alone, for the tests); for ``text_pipeline``
 the word splitter and its corpus-wide word table, the token renumbering,
 the document-term counts, and the integer and float table formatters; and
 for ``lsa`` the CSR products ``csr_matvec`` (a row gather, P @ x) and
-``csr_rmatvec`` (an ascending-row scatter, P.T @ y).
+``csr_rmatvec`` (an ascending-row scatter, P.T @ y), and
+``eigenvalue_bracket``, the Sturm bisection of the Lanczos stop test.
 :func:`library` compiles it on first use into the user cache and loads it
 with ctypes; when that fails it warns once and returns None, and each caller
-runs its plain-Python twin instead.
+runs its plain-Python twin instead. The bracket has none: without it the
+Lanczos iteration solves every step, the path it is checked against.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ def _build() -> ctypes.CDLL:
     for product in (lib.csr_matvec, lib.csr_rmatvec):
         product.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr]
         product.restype = None
+    lib.eigenvalue_bracket.argtypes = [ptr, ptr, i64, i64, ptr]
+    lib.eigenvalue_bracket.restype = i64
     for formatter in (lib.format_ints, lib.format_doubles):
         formatter.argtypes = [ptr, i64, ptr, i64, ctypes.c_char, ptr]
         formatter.restype = i64

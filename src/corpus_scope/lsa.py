@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import _lapack, _native
+from . import _native
 from .errors import ConfigError, CorpusScopeError
 
 logger = logging.getLogger(__name__)
@@ -82,6 +82,7 @@ class CAModel:
     iterations: int
     tridiagonal_solves: int  # Lanczos only: exact eigen-solves of its T_m
     bounded_steps: int  # Lanczos only: steps bisection bounds showed no stop
+    ritz_residual: float  # Lanczos only: max_i ||G v_i - l_i v_i|| / l_1
 
     def explained_inertia(self) -> np.ndarray:
         """Share of total inertia carried by each retained axis."""
@@ -176,6 +177,34 @@ def csr_products(counts: "CSRCounts", values: np.ndarray):
             lambda y: product(lib.csr_rmatvec, y, n_rows, n_cols))
 
 
+def eigenvalue_bracket(d, e, index: int) -> tuple[float, float] | None:
+    """An interval that holds the ``index``-th smallest eigenvalue (from 0)
+    of the symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal
+    ``e``, and the one ``_lapack.eigh_tridiagonal`` computes at that index;
+    None without the compiled library.
+
+    The compiled ``eigenvalue_bracket`` counts eigenvalues below three
+    points a pass by Sturm sequences (Kahan 1966, with LAPACK ``dstebz``'s
+    guard against a zero pivot) and so cuts the Gershgorin interval to a
+    quarter a pass, down to 1e-13 * ||T||_1. It widens the result by
+    1e-12 * ||T||_1, which covers the rounding of its counts and of
+    ``dstevd``'s eigenvalues. Raises ValueError on the inputs
+    ``eigh_tridiagonal`` refuses and on an index out of range.
+    """
+    from . import _lapack
+
+    d, e = _lapack._checked(d, e)
+    n = d.size
+    if not 0 <= index < n:
+        raise ValueError(f"index {index} out of range for a {n}x{n} matrix")
+    lib = _native.library()
+    out = np.empty(2)
+    if lib is None or lib.eigenvalue_bracket(d.ctypes.data, e.ctypes.data, n, index,
+                                             out.ctypes.data) < 0:
+        return None
+    return float(out[0]), float(out[1])
+
+
 class LanczosFit(NamedTuple):
     """What :func:`_lanczos_topk` found, and how much solving it took."""
 
@@ -184,6 +213,7 @@ class LanczosFit(NamedTuple):
     steps: int
     solves: int  # exact tridiagonal eigen-solves, the final one included
     bounded: int  # steps that bisection bounds showed to be no stop
+    residual: float  # max_i ||A v_i - l_i v_i|| / l_1 over the k pairs
 
 
 def _lanczos_topk(
@@ -210,15 +240,22 @@ def _lanczos_topk(
 
     The Ritz values of step m are the eigenvalues of the tridiagonal T_m.
     Rather than solve it whole at every step, each step first brackets T_m's
-    k-th largest eigenvalue by bisection
-    (:func:`_lapack.eigenvalue_interval`). When that bracket lies more than
-    ``tol`` above the one of T_{m-1}, on the singular-value scale, the exact
-    values move by more than ``tol`` too, and the step cannot stop. Only the
-    other steps solve T_{m-1} and T_m exactly and compare all k values, so
-    the iteration stops at the same step, with the same bits, as one that
-    solves at every step. Without the bundled LAPACK no bracket is found,
-    and every step solves.
+    k-th largest eigenvalue by bisection (:func:`eigenvalue_bracket`). When
+    that bracket lies more than ``tol`` above the one of T_{m-1}, on the
+    singular-value scale, the exact values move by more than ``tol`` too,
+    and the step cannot stop. Only the other steps solve T_{m-1} and T_m
+    exactly (``_lapack.eigh_tridiagonal``, imported here, as only this path
+    uses it) and compare all k values, so the iteration stops at the same
+    step, with the same bits, as one that solves at every step. Without the
+    compiled library no bracket is found, and every step solves.
+
+    The fit's ``residual`` is the largest ||A v_i - l_i v_i|| over the k
+    pairs, relative to the top eigenvalue l_1: with the basis orthonormal it
+    is |beta_m * s_i[m - 1]|, from the last beta and the last entry of T_m's
+    eigenvector s_i, so it costs no product.
     """
+    from . import _lapack
+
     limit = min(dim, max_iter)
     # grown LANCZOS_BLOCK columns at a time, so only used columns take memory;
     # kept in C order, because Fortran order makes numpy call the other BLAS
@@ -251,7 +288,7 @@ def _lanczos_topk(
         beta = float(np.linalg.norm(w))
         m += 1
         if m >= k:
-            interval = _lapack.eigenvalue_interval(np.asarray(alphas), np.asarray(betas), m - k)
+            interval = eigenvalue_bracket(alphas, betas, m - k)
             # sqrt and clip round monotonically, so the bracket holds on
             # this scale too, and a difference above tol here is one there
             bracket = None if interval is None else [math.sqrt(max(v, 0.0)) for v in interval]
@@ -280,7 +317,8 @@ def _lanczos_topk(
     vals = evals[order]
     vecs = Q[:, :m] @ evecs[:, order]
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-    return LanczosFit(vals, vecs, m, len(tops) + 1, bounded)
+    residual = float(np.max(np.abs(beta * evecs[m - 1, order])) / vals[0])
+    return LanczosFit(vals, vecs, m, len(tops) + 1, bounded, residual)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,6 +412,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         solver = "dense" if min(n_rows, n_cols) <= DENSE_CUTOFF else "lanczos"
 
     iterations = solves = bounded = 0
+    residual = 0.0
     if solver == "lanczos":
         # P = X / n, one float64 value per cell of X. Each product takes a
         # prescaled vector (rb * x): scaling the entries inside the product
@@ -393,7 +432,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         side = min(n_rows, n_cols)
         found = _lanczos_topk(lambda x: back(to_other(x)), side, dims)
         if found is not None:
-            vals, vecs, iterations, solves, bounded = found
+            vals, vecs, iterations, solves, bounded, residual = found
             sigma = np.sqrt(np.clip(vals, 0.0, None))
         # a connected table has no unit singular value; a disconnected one has
         # one per extra group, and the Krylov space short of the whole space
@@ -403,7 +442,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
                 "Lanczos cannot settle %d axes of this %dx%d table, which is"
                 " disconnected or of low rank; solving it with the dense SVD",
                 dims, n_rows, n_cols)
-            solver, iterations, solves, bounded = "dense", 0, 0, 0
+            solver, iterations, solves, bounded, residual = "dense", 0, 0, 0, 0.0
         else:
             others = np.zeros((max(n_rows, n_cols), dims))
             for i in range(dims):
@@ -439,6 +478,7 @@ def fit_ca(dtm: "SparseDTM", dims: int = DEFAULT_DIMS, solver: str = "auto") -> 
         iterations=iterations,
         tridiagonal_solves=solves,
         bounded_steps=bounded,
+        ritz_residual=residual,
     )
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import __version__, _lapack, _native
+from . import __version__, _native
 from .bigrams import (
     DEFAULT_THRESHOLD,
     count_bigrams,
@@ -510,9 +510,12 @@ def _lsa(run: _Run, stage: StageReport) -> None:
     model = fit_ca(run.dtm, dims=dims)
     stage.notes.append(f"ca solver {model.solver}, {model.iterations} iterations")
     if model.solver == "lanczos":
+        from . import _lapack  # loaded by the Lanczos fit, and only by it
+
         stage.notes.append(f"tridiagonal solver {_lapack.solver()}")
         stage.notes.append(f"{model.tridiagonal_solves} tridiagonal solves,"
                            f" {model.bounded_steps} steps decided by bounds")
+        stage.notes.append(f"ritz residual {model.ritz_residual:.1e} of the top eigenvalue")
     if model.dropped_docs:
         stage.notes.append(f"dropped empty documents: {', '.join(model.dropped_docs)}")
     if model.dropped_terms:

@@ -80,7 +80,8 @@ LAZY_STDLIB = ("configparser", "fractions", "decimal", "resource")
 def test_cli_import_and_a_demo_run_load_neither_scipy_sparse_nor_linalg(tmp_path):
     # the DTM is plain CSR arrays, gammaln and the F test's p-value are
     # computed in the package, and the demo's CA takes the dense path: no
-    # SciPy module at all is loaded. Nor are numpy.ma (which a flagless
+    # SciPy module at all is loaded, nor the tridiagonal solver of the
+    # Lanczos path (corpus_scope._lapack). Nor are numpy.ma (which a flagless
     # np.unique imports) and numpy.random (which nothing in the package uses),
     # nor the standard modules that only a kernel build, a config file or the
     # non-Linux peak-memory fallback needs. The kernels are built here first,
@@ -92,7 +93,7 @@ def test_cli_import_and_a_demo_run_load_neither_scipy_sparse_nor_linalg(tmp_path
         f"lazy = {lazy!r}\n"
         "def unwanted(): return [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "                        or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])\n"
-        "                        or m in lazy]\n"
+        "                        or m in lazy or m == 'corpus_scope._lapack']\n"
         "print('import', unwanted())\n"
         "code = main(['run', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
         "print('run', code, unwanted())\n"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import BACKENDS, make_dtm, native_and_python, needs_compiler, use_backend
-from corpus_scope import _lapack, lsa
+from corpus_scope import lsa
 from corpus_scope.errors import ConfigError, CorpusScopeError
 from corpus_scope.lsa import (
     DENSE_CUTOFF,
@@ -310,7 +310,7 @@ def connected_table(rng, n_rows, n_cols):
 
 def lanczos_fits(dtm, dims):
     """What ``_lanczos_topk`` returns inside ``fit_ca(dtm, dims)``, first with
-    the bisection bounds and then without them."""
+    the compiled bisection bounds and then without them."""
     fits = []
     real = lsa._lanczos_topk
 
@@ -320,7 +320,7 @@ def lanczos_fits(dtm, dims):
 
     with mock.patch.object(lsa, "_lanczos_topk", spy):
         fit_ca(dtm, dims=dims, solver="lanczos")
-        with mock.patch.object(_lapack, "eigenvalue_interval", lambda *args: None):
+        with mock.patch.object(lsa, "eigenvalue_bracket", lambda *args: None):
             fit_ca(dtm, dims=dims, solver="lanczos")
     return fits
 
@@ -341,6 +341,24 @@ def test_bisection_bounds_keep_the_stopping_step_and_the_bits(seed, n_rows, n_co
     assert solved.bounded == 0 and solved.solves == solved.steps - dims + 2
     assert bounded.bounded + bounded.solves - 1 >= bounded.steps - dims
     assert bounded.solves <= solved.solves
+
+
+def test_ritz_residual_is_the_largest_residual_against_the_dense_gram_matrix():
+    # the fit reads the residual off T_m, as |beta_m * s_i[m - 1]|; the pairs
+    # it returns must leave that residual against the Gram matrix itself
+    X = connected_table(np.random.default_rng(7), 90, 120)
+    fit, _ = lanczos_fits(make_dtm(X), 6)
+    model = fit_ca(make_dtm(X), dims=6, solver="lanczos")
+    assert model.solver == "lanczos" and fit.steps < 90
+    assert model.ritz_residual == fit.residual
+    P = X / X.sum()
+    a, b = P.sum(axis=1), P.sum(axis=0)
+    S = (P - np.outer(a, b)) / np.sqrt(np.outer(a, b))
+    G = S @ S.T  # the smaller side's, the rows'
+    residuals = np.linalg.norm(G @ fit.vectors - fit.vectors * fit.values, axis=0)
+    assert float(residuals.max() / fit.values[0]) == pytest.approx(fit.residual, rel=1e-8)
+    assert 1e-12 < fit.residual < 1e-4
+    assert fit_ca(make_dtm(X), dims=6, solver="dense").ritz_residual == 0.0
 
 
 def test_lanczos_step_limit_raises_convergence_error():

@@ -1,4 +1,5 @@
 import fnmatch
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -28,6 +29,26 @@ def test_wheel_ships_the_native_source():
     config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
     patterns = config["tool"]["setuptools"]["package-data"]["corpus_scope"]
     assert any(fnmatch.fnmatch(_native.SOURCE.name, p) for p in patterns), patterns
+
+
+def extern_c_functions(source: str) -> list[str]:
+    """The functions that ``source`` defines inside its ``extern "C"``
+    blocks, which are the library's entry points; a ``static`` helper there
+    is not one."""
+    blocks = re.findall(r'^extern "C" \{$(.*?)^\} /\* extern "C" \*/$', source, re.M | re.S)
+    return [name for block in blocks
+            for name in re.findall(r"^(?!static\b)[A-Za-z][\w\s*]*?\b(\w+)\(", block, re.M)]
+
+
+@needs_compiler
+def test_every_compiled_kernel_is_declared():
+    # without argtypes, ctypes passes an int64_t argument as a C int, so an
+    # undeclared kernel would cut its sizes at 2**31 without an error
+    names = extern_c_functions(_native.SOURCE.read_text(encoding="utf-8"))
+    assert {"gibbs_chain", "intern_words", "format_doubles", "eigenvalue_bracket"} <= set(names)
+    assert "is_word" not in names
+    lib = native_library()
+    assert [name for name in names if getattr(lib, name).argtypes is None] == []
 
 
 # ------------------------------------------------------------ the chain's pieces

@@ -3,8 +3,8 @@
 ``lda.gammaln``, ``eda.f2_survival`` and ``_lapack.eigh_tridiagonal``
 replace ``scipy.special.gammaln``, ``scipy.special.fdtrc(2, d, f)`` and
 ``scipy.linalg.eigh_tridiagonal``, and the pinned output bytes rest on their
-being bit-equal to them. ``_lapack.eigenvalue_interval`` decides most Lanczos
-steps without a solve, so it must hold the eigenvalue that
+being bit-equal to them. The compiled ``lsa.eigenvalue_bracket`` decides
+most Lanczos steps without a solve, so it must hold the eigenvalue that
 ``eigh_tridiagonal`` computes. SciPy stays the reference here.
 """
 
@@ -14,9 +14,11 @@ import pytest
 special = pytest.importorskip("scipy.special")
 linalg = pytest.importorskip("scipy.linalg")
 
+from conftest import needs_compiler  # noqa: E402
 from corpus_scope import _lapack  # noqa: E402
 from corpus_scope.eda import f2_survival  # noqa: E402
 from corpus_scope.lda import _gammaln_each, gammaln  # noqa: E402
+from corpus_scope.lsa import eigenvalue_bracket  # noqa: E402
 
 
 def assert_same_bits(got, expected):
@@ -120,23 +122,20 @@ def bisection_cases():
         yield n, d, e
 
 
-def test_eigenvalue_interval_holds_the_eigenvalue_both_solvers_compute():
-    if _lapack._bundled() is None:
-        pytest.skip("this SciPy bundles no OpenBLAS; the Lanczos CA solves every step")
+@needs_compiler
+def test_eigenvalue_bracket_holds_the_eigenvalue_both_solvers_compute():
     for n, d, e in bisection_cases():
         every = linalg.eigh_tridiagonal(d, e, eigvals_only=True)
         for index in sorted({0, n // 3, n // 2, n - 1}):
-            lo, hi = _lapack.eigenvalue_interval(d, e, index)
+            lo, hi = eigenvalue_bracket(d, e, index)
             one = linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                           select_range=(index, index))
             assert lo <= one[0] <= hi, (n, index)
             assert lo <= every[index] <= hi, (n, index)
 
 
-def test_eigenvalue_interval_checks_its_index():
-    if _lapack._bundled() is None:
-        pytest.skip("this SciPy bundles no OpenBLAS")
+def test_eigenvalue_bracket_checks_its_index():
     with pytest.raises(ValueError, match="index 2"):
-        _lapack.eigenvalue_interval([1.0, 2.0], [0.5], 2)
+        eigenvalue_bracket([1.0, 2.0], [0.5], 2)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _lapack.eigenvalue_interval([1.0, np.nan], [0.5], 0)
+        eigenvalue_bracket([1.0, np.nan], [0.5], 0)
