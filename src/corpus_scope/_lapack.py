@@ -11,7 +11,11 @@ Where the bundled library is missing (a SciPy from conda or the system),
 
 ``dstevd`` is the one routine here, and only the Lanczos path imports this
 module: the bracket that decides most Lanczos steps without a solve is the
-compiled ``eigenvalue_bracket`` (see ``lsa.eigenvalue_bracket``).
+compiled ``eigenvalue_bracket`` (see ``lsa.eigenvalue_bracket``). A run
+whose CA is dense, such as the demo's, loads neither this module nor the
+library; a larger table that Lanczos hands on to the dense SVD has loaded
+both by then. The library is loaded with ctypes when the solver first runs,
+and ``dstevd``'s signature is declared there.
 """
 
 from __future__ import annotations

@@ -13,6 +13,28 @@ for ``lsa`` the CSR products ``csr_matvec`` (a row gather, P @ x) and
 with ctypes; when that fails it warns once and returns None, and each caller
 runs its plain-Python twin instead. The bracket has none: without it the
 Lanczos iteration solves every step, the path it is checked against.
+
+Every entry point is ``extern "C"``, and :func:`_build` declares its
+``argtypes`` and ``restype``, which ``tests/test_native.py`` checks against
+the source. The word table and the counts use ``std::vector`` and the
+formatters ``std::to_chars`` from ``<charconv>``, so the build needs g++ 11
+or newer. The library links libstdc++, which numpy's core extension has
+already loaded into the process. Importing the package compiles nothing:
+the first call that needs a kernel does (in a run, the text stage's), and
+later calls reuse the library. It is cached in
+``$XDG_CACHE_HOME/corpus-scope/`` (``~/.cache/corpus-scope/`` by default)
+under a SHA-256 of the source, the compiler command and the machine type.
+No flag, setting or environment variable selects the backend.
+
+Both backends write the same bytes. The two Gibbs chains evaluate the same
+floating-point operations in the same order, with FMA contraction off, on
+the same Mersenne Twister words: the native one with the generator's own
+integer steps, the Python one through ``getrandbits`` and ``random()``.
+The native log-likelihood adds in numpy's pairwise order and its ``lgam``
+is ``lda.gammaln`` operation for operation on the same C library ``log``;
+``tests/test_native.py`` checks the sum against ``np.sum``, should numpy
+change its order. The tokenizers give the same token array, the counters
+the same CSR arrays with the same dtypes, and the formatters the same text.
 """
 
 from __future__ import annotations

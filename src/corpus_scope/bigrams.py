@@ -1,9 +1,14 @@
-"""Adjacent word-pair counting and thresholded co-occurrence graphs."""
+"""Adjacent word-pair counting and thresholded co-occurrence graphs.
+
+:func:`count_bigrams` sorts one int64 key per adjacent pair in place and
+reads the distinct pairs and their counts off its runs; strings are decoded
+only for the pairs that are read or kept.
+"""
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +25,8 @@ class BigramTable:
 
     The distinct pairs are arrays over the token array's codes: ``keys``
     holds ``first * len(types) + second`` in ascending order and ``counts``
-    the frequency of each. ``pairs`` reads them as a (first, second) -> count
-    mapping that decodes to strings only when it is read.
+    the frequency of each. ``pairs`` decodes them all into a (first, second)
+    -> count dict; ``frequency`` looks one pair up without decoding.
     """
 
     types: tuple[str, ...] = field(repr=False)
@@ -30,8 +35,8 @@ class BigramTable:
     total_bigrams: int
 
     @property
-    def pairs(self) -> Mapping[tuple[str, str], int]:
-        return _PairCounts(self)
+    def pairs(self) -> dict[tuple[str, str], int]:
+        return self.decode()
 
     def frequency(self, first: str, second: str) -> int:
         types, n = self.types, len(self.types)
@@ -50,25 +55,6 @@ class BigramTable:
         firsts, seconds = np.divmod(self.keys[selected], len(self.types))
         pairs = zip(map(word, firsts.tolist()), map(word, seconds.tolist()))
         return dict(zip(pairs, self.counts[selected].tolist()))
-
-
-class _PairCounts(Mapping):
-    """Read-only (first, second) -> count view of a :class:`BigramTable`."""
-
-    def __init__(self, table: BigramTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return int(self._table.keys.size)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self._table.decode())
-
-    def __getitem__(self, pair: tuple[str, str]) -> int:
-        count = self._table.frequency(*pair)
-        if not count:
-            raise KeyError(pair)
-        return count
 
 
 @dataclass(frozen=True)

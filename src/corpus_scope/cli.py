@@ -7,6 +7,23 @@ writes; each setting's flag from its ``PipelineConfig`` field. A run exits
 InputError or ConfigError, 3 for an EmptyResultError, 1 for any other.
 The run report's notes are printed as ``note: ...`` lines: on standard
 output after a success, on standard error below a failed stage's error.
+
+Importing this module sets a policy for its one process, which covers the
+``corpus-scope`` console script and any ``from corpus_scope.cli import
+main`` caller:
+
+- Before numpy loads, ``OPENBLAS_THREAD_TIMEOUT`` is set to 4 unless the
+  environment already sets it. OpenBLAS (numpy's copy, loaded with numpy,
+  and SciPy's, loaded only when a Lanczos CA first runs) reads it once, at
+  load. At OpenBLAS's default of 28 its worker thread busy-polls for about
+  2**28 cycles after start-up and after every threaded call, CPU time the
+  run never uses; at 4 it polls 2**4 cycles and then sleeps until the next
+  job. The thread count and the split of each call stay the same, so the
+  output bytes do too.
+- After the imports, ``gc.freeze()`` leaves the ~44k objects they built,
+  which live until exit anyway, out of the cyclic GC, so later
+  collections, the interpreter's shutdown ones included, walk only the
+  run's own objects.
 """
 
 from __future__ import annotations
@@ -19,15 +36,7 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-# A run is one short process. When OpenBLAS loads (numpy's copy with numpy,
-# SciPy's only when a Lanczos CA first runs; each reads this variable once,
-# at load), its worker thread busy-polls for 2**28 cycles after start-up and
-# after every threaded call, burning CPU time the run never uses and a core
-# another process could.
-# At 4 (2**4 cycles) the worker sleeps right after its job. The thread count
-# and the split of each call stay the same, so the output bytes do too. A
-# value already in the environment wins. This has to run before anything
-# imports numpy.
+# before anything imports numpy (see the module docstring)
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .errors import ConfigError, CorpusScopeError, StageError  # noqa: E402
@@ -39,10 +48,7 @@ from .pipeline import (  # noqa: E402
     run_pipeline,
 )
 
-# What the imports built lives until exit: leave it out of the cyclic GC, so
-# that later collections, the interpreter's shutdown ones included, walk
-# only the run's own objects.
-gc.freeze()
+gc.freeze()  # see the module docstring
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="INI config file (flags override it)")

@@ -231,10 +231,10 @@ def _build_document(row: int, fields: tuple, errors: list[RecordError]) -> Docum
     )
 
 
-def _iter_csv(text: Iterable[str], errors: list[RecordError]):
-    """(row number, ``_FIELDS`` values) per CSV data row; a missing
-    optional column reads as an empty string, which means the same."""
-    reader = csv.reader(text)
+def _csv_header(reader) -> list[str]:
+    """The first record of a ``csv.reader``, stripped and lowercased;
+    InputError when there is none, it does not parse, or it lacks one of
+    the ``REQUIRED_COLUMNS``."""
     try:
         header = next(reader)
     except StopIteration:
@@ -245,6 +245,14 @@ def _iter_csv(text: Iterable[str], errors: list[RecordError]):
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise InputError(f"missing required column(s): {', '.join(missing)}")
+    return header
+
+
+def _iter_csv(text: Iterable[str], errors: list[RecordError]):
+    """(row number, ``_FIELDS`` values) per CSV data row; a missing
+    optional column reads as an empty string, which means the same."""
+    reader = csv.reader(text)
+    header = _csv_header(reader)
     # a repeated column name reads its last column; index -1 is the empty
     # string appended to each row
     column = {name: i for i, name in enumerate(header)}
@@ -345,6 +353,19 @@ def parse_file(path, format: str | None = None) -> tuple[Corpus, list[RecordErro
             return parse_records(fh, format)
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
+
+
+def check_csv_header(path) -> None:
+    """Raise InputError when the CSV file at ``path`` would fail
+    :func:`parse_file` at its header row, with the same message. Reads the
+    first record and the text decoded with it, not the whole file."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as text:
+            _csv_header(csv.reader(text))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def serialize_corpus(corpus: Corpus) -> Iterator[str]:

@@ -2,7 +2,9 @@
 
 The trend is fitted in raw calendar years and forecast at most
 :data:`EXTRAPOLATION_MARGIN` years past the fitted range; the top terms are
-the vocabulary's first entries, which it already ranks by frequency.
+the vocabulary's first entries, which it already ranks by frequency. The
+type shares take their floors and remainders from ``divmod`` on integers,
+so ``fractions`` and ``decimal`` are not loaded.
 """
 
 from __future__ import annotations

@@ -21,7 +21,20 @@ and the log-likelihoods: in ``draw_topics`` and ``gibbs_chain`` of
 library is unavailable, in their plain-Python twins :func:`_draw_topics_python`
 and :func:`_chain_python`. Both evaluate the same floating-point operations in
 the same order on the same uniforms, so they produce the same chain bit for
-bit.
+bit. No module draws from ``numpy.random``, which a run never loads.
+
+The demo's 1000 sweeps are one call, and ctypes releases the GIL for it.
+The count tables stay in place for the whole chain: :func:`fit_lda` checks
+their dtype, layout and writability once (:func:`_check_tables`) and passes
+their raw addresses, the generator's state and an array for the
+log-likelihoods, so a native block does no Python work and makes no array.
+The set-up fills ``n_wk`` and ``n_dk`` through one reused int64 key per
+token and draws the initial topics straight into ``z`` (the Python twin
+into one list, converted once); ``tests/test_memory.py`` holds the chain
+under half a token array. :func:`gammaln` is SciPy's algorithm, not
+``math.lgamma``, which differs in the last bits on about half the
+arguments the log-likelihood uses, and it calls the C library's ``log``,
+not numpy's vectorized one, which differs on some inputs.
 """
 
 from __future__ import annotations

@@ -29,6 +29,14 @@ that splits into unlinked groups has the singular value 1, once per group
 but the first, and a Krylov space sees each value once. Axis signs are
 fixed by making the largest-magnitude entry of each left singular vector
 positive, so results do not depend on solver internals.
+
+Most Lanczos steps are decided by the compiled Sturm bracket
+(:func:`eigenvalue_bracket`) without solving the tridiagonal eigenproblem;
+``tests/test_lsa.py`` compares that with the path that solves every step,
+and ``tests/test_scipy_oracles.py`` checks that the bracket holds SciPy's
+eigenvalue on tridiagonals that split, cluster or repeat values. The
+products read P's values on the DTM's own index arrays, which
+:func:`fit_ca` uses as they are when no row or column is dropped.
 """
 
 from __future__ import annotations

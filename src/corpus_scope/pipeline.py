@@ -16,6 +16,11 @@ a given (input, config) pair; ca_coords.csv and trend.csv, which BLAS and
 LAPACK compute, only for a fixed BLAS thread count and the same OpenBLAS CPU
 kernels (``OPENBLAS_CORETYPE``). The report's timing fields are the only
 thing that varies between runs.
+
+A short run spends most of its time starting up, so modules that not every
+run uses load where they are needed: ``configparser`` in
+:func:`load_config`, and ``resource`` only where ``/proc/self/status`` has
+no ``VmHWM``.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .bigrams import (
 from .corpus_ingest import (
     INPUT_FORMATS,
     Corpus,
+    check_csv_header,
     filter_by_phrase,
     filter_by_years,
     infer_format,
@@ -274,11 +280,11 @@ def _check_paths(cfg: PipelineConfig, files: tuple[str, ...]) -> None:
     stoplist is not a file, when no ``format`` is given and the input's
     suffix names none, when the input or the stoplist is one of the planned
     ``files`` or ``run_report.json`` in ``--out``, which the run would
-    overwrite, or when one of those outputs exists and is not a file."""
+    overwrite, when one of those outputs exists and is not a file, or when
+    a CSV input's header row would fail the ingest stage."""
     if not cfg.input.is_file():
         raise InputError(f"input path is not a readable file: {cfg.input}")
-    if cfg.format is None:
-        infer_format(cfg.input)
+    fmt = cfg.format or infer_format(cfg.input)
     if cfg.stoplist is not None and not cfg.stoplist.is_file():
         raise InputError(f"stoplist path is not a readable file: {cfg.stoplist}")
     read = [("input", cfg.input)] + ([("stoplist", cfg.stoplist)] if cfg.stoplist else [])
@@ -289,6 +295,8 @@ def _check_paths(cfg: PipelineConfig, files: tuple[str, ...]) -> None:
         for what, path in read:
             if target.is_file() and os.path.samefile(path, target):
                 raise InputError(f"{what} {path} is the output {name} this run would overwrite")
+    if fmt == "csv":
+        check_csv_header(cfg.input)
 
 
 # where Linux reports the process's own peak RSS (VmHWM)

@@ -1,5 +1,19 @@
 """Tokenization, stopword removal, the token array, vocabulary capping, and
-the sparse DTM as plain CSR arrays."""
+the sparse DTM as plain CSR arrays.
+
+:func:`build_sequences` lowercases each document on its own with
+``str.lower``, which keeps the final-sigma rule per document, and encodes
+the tokens of all documents as one :class:`TokenArray`. Every consumer reads
+that array: the vocabulary is a ``bincount`` over its codes, the DTM is
+counted document by document through a type-to-column lookup, and strings
+are decoded only for what is written out. The DTM is :class:`CSRCounts`,
+three numpy arrays, so a run imports no ``scipy.sparse``.
+
+The data files' text comes from :func:`csv_table` and :func:`line_chunks`;
+``ca_coords.csv``'s rows go through ``line_chunks``' compiled float
+formatter, about ten times faster on them than :func:`csv_field`, and only
+their labels through :func:`csv_field`.
+"""
 
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.io
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BACKENDS, child_env, use_backend
@@ -478,6 +478,18 @@ USER_MISTAKES = {
     "dims-0": ({}, ["run", "--dims", "0"], "dims"),
     "forecast-years-11": ({"c.ini": b"[eda]\nforecast_years = 11\n"},
                           ["eda", "--config", "{tmp}/c.ini"], "forecast_years"),
+    "csv-without-id": ({"bad.csv": b"EID,Title,Year\nA1,t,2001\n"},
+                       ["run", "--input", "{tmp}/bad.csv"], "missing required column(s): id"),
+    "csv-bom-without-year": ({"bad.csv": b"\xef\xbb\xbfid,title\nA1,t\n"},
+                             ["compare", "--input", "{tmp}/bad.csv", "--country", "Egypt"],
+                             "missing required column(s): year"),
+    "csv-empty": ({"empty.csv": b""}, ["ingest", "--input", "{tmp}/empty.csv"],
+                  "empty input: no header row"),
+    "csv-header-not-utf8": ({"bad.csv": b"id,t\xeftle,year\n"},
+                            ["run", "--input", "{tmp}/bad.csv"], "not valid UTF-8"),
+    "csv-header-unparseable": ({"bad.csv": b"id,title,year," + b"x" * 140_000 + b"\n"},
+                               ["run", "--input", "{tmp}/bad.csv"],
+                               "cannot parse the CSV header row"),
 }
 
 
@@ -494,6 +506,17 @@ def test_each_user_mistake_exits_2_before_out_is_created(files, argv, says, mini
     err = capsys.readouterr().err
     assert says in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_csv_header_without_a_required_column_writes_nothing_into_an_existing_out(
+        tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("EID,Title,Year\nA1,t,2001\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("run", "--input", bad, "--out", out) == 2
+    assert "missing required column(s): id" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_oversized_csv_field_fails_ingest_with_exit_2(tmp_path, capsys):
@@ -1144,6 +1167,104 @@ def test_any_small_corpus_and_flag_set_exits_cleanly_and_reproducibly(case):
         cfg = PipelineConfig(input=source, out_dir=old, iterations=2, burn_in=0, **chosen)
         left = [f for f in plan(cfg, command, from_stage)[1] if f not in again["output_files"]]
         assert again["notes"] == [f"stale from an earlier run: {', '.join(left)}"] * bool(left)
+
+
+def case_records(name, data):
+    """The records of a generated case's file, as dicts of JSON values."""
+    text = data.decode("utf-8-sig")
+    if name.endswith(".jsonl"):
+        return [json.loads(line) for line in text.splitlines()]
+    return [{**row, "year": int(row["year"]) if row["year"] else None}
+            for row in csv.DictReader(io.StringIO(text))]
+
+
+def write_records(path, records):
+    """``records`` as CSV or JSON Lines, by ``path``'s suffix."""
+    if path.suffix == ".jsonl":
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, records[0].keys(), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+
+
+def data_files_without_provenance(out):
+    """Each data file in ``out``, without the comment line naming its input."""
+    return {p.name: re.sub(rb"(?m)^[#%] corpus-scope .*\n", b"", p.read_bytes())
+            for p in out.iterdir() if p.name != "run_report.json"}
+
+
+def runnable_flags(chosen):
+    """A case's settings as flags, less what empties or refuses most generated
+    corpora: the filters, the country, a zero threshold, over two topics."""
+    kept = {key: value for key, value in chosen.items()
+            if key not in ("phrase", "year_min", "year_max", "country")}
+    kept["topics"] = min(kept.get("topics", 2), 2)
+    kept["bigram_threshold"] = max(kept.get("bigram_threshold", 1), 1)
+    return ["--iters", "2", "--burn-in", "0",
+            *(arg for key, value in kept.items() for arg in (FLAGS[key], value))]
+
+
+DEMO = Path(pipeline.__file__).parent / "data" / "mini_corpus.csv"
+DEMO_CASE = (DEMO.name, DEMO.read_bytes(), "run", None, {"country": "Saudi Arabia"})
+
+
+@settings(max_examples=20, deadline=None)
+@given(cli_cases())
+@example(DEMO_CASE)
+def test_the_same_records_as_csv_jsonl_or_corpus_csv_write_the_same_files(case):
+    name, data, _, from_stage, chosen = case
+    records = case_records(name, data)
+    country = chosen.get("country", " ").strip()
+    argv = ["run", *runnable_flags(chosen), *(["--from", from_stage] if from_stage else []),
+            *(["--country", country] if country else [])]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        as_csv, as_jsonl = tmp / "records.csv", tmp / "records.jsonl"
+        write_records(as_csv, records)
+        write_records(as_jsonl, records)
+        assert run_quietly(["ingest", "--input", as_csv, "--out", tmp / "ingested"])[0] == 0
+        results = []
+        for i, source in enumerate((as_csv, as_jsonl, tmp / "ingested" / "corpus.csv")):
+            out = tmp / f"out{i}"
+            code = run_quietly([*argv, "--input", source, "--out", out])[0]
+            results.append((code, out.exists() and data_files_without_provenance(out)))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+
+def csv_body(path):
+    """A data file's CSV rows below its comment line and header."""
+    return list(csv.reader(read_rows(path)))[1:]
+
+
+@settings(max_examples=20, deadline=None)
+@given(cli_cases(), st.sampled_from(("Saudi Arabia", "Egypt")))
+@example(DEMO_CASE, "Saudi Arabia")
+def test_compare_subset_column_is_a_plain_run_on_the_subset(case, country):
+    name, data, _, _, chosen = case
+    argv = runnable_flags(chosen)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        source = tmp / name
+        source.write_bytes(data)
+        code = run_quietly(["compare", "--input", source, "--country", country, *argv,
+                            "--out", tmp / "cmp"])[0]
+        if code != 0:
+            return
+        subset = tmp / f"subset{source.suffix}"
+        write_records(subset, [r for r in case_records(name, data)
+                               if country in r["countries"].split(";")])
+        # plain runs of the two stages whose files compare sets beside: `run`
+        # would also refuse a one-term vocabulary, or a table too small, for lsa
+        for command in ("eda", "lda"):
+            assert run_quietly([command, "--input", subset, *argv, "--out", tmp / "plain"])[0] == 0
+        compared = csv_body(tmp / "cmp" / "compare.csv")
+        terms = [f"{term}:{count}" for _, term, count, _ in csv_body(tmp / "plain" / "top_terms.csv")]
+        assert [r[2] for r in compared if r[0] == "top_terms" and r[2]] == terms[:20]
+        words = [row[2] for row in csv_body(tmp / "plain" / "lda_top_words.csv")]
+        assert [r[2] for r in compared if r[0] == "lda_top_words" and r[2]] == words
 
 
 # ---------------------------------------------------------------- config file
