@@ -1,8 +1,17 @@
 /* The package's compiled kernels, built into one C++17 library by
- * _native.py: the Gibbs chain with its random stream and log Gamma (lda),
- * the word splitter and word table, the token renumbering and the
- * document-term counts (text_pipeline), the Sturm bisection, CSR gather and
- * ascending-row scatter (lsa), and the integer and float table formatters.
+ * _native.py, which declares each function of an extern "C" block below to
+ * ctypes from its definition here:
+ *  - lda: the Gibbs chain gibbs_chain, with draw_topics for its starting
+ *    topics, on the Mersenne Twister state of a random.Random, and lgam_each
+ *    for its log Gamma table; draw_uniforms and sum_at are its generator and
+ *    its pairwise sum alone, for the tests;
+ *  - text_pipeline: the word splitter and its corpus-wide word table
+ *    (word_table_new, intern_words, word_chars, word_table_free), the token
+ *    renumbering remap_tokens, the document-term counts count_dtm, and the
+ *    integer and float table formatters format_ints and format_doubles;
+ *  - lsa: the CSR row gather csr_matvec (P x), the ascending-row scatter
+ *    csr_rmatvec (P^T y), and eigenvalue_bracket, the Sturm bisection of the
+ *    Lanczos stop test.
  * Each has a Python twin that is its reference and its fallback, and both
  * give the same results bit for bit. */
 #include <algorithm>
@@ -72,7 +81,8 @@ struct mt19937 {
 /* Cephes lgam, log Gamma(x), operation for operation as lda.gammaln: the
  * recurrence into [2, 3) and a rational approximation below 13, Stirling's
  * series above. NaN comes back unchanged, anything above 2.556e305 gives
- * +inf, and x <= 0, where lda.gammaln raises, gives NaN. */
+ * +inf, and x <= 0, where lda.gammaln raises, gives NaN. Its log is the C
+ * library's, as math.log's is. */
 static double lgam(double x)
 {
     static const double A[] = {8.11614167470508450300e-4, -5.95061904284301438324e-4,

@@ -1,40 +1,24 @@
 """The compiled kernels: one C++ source, one cached library, one loader.
 
-``_native.cpp`` holds, for ``lda``, the Gibbs chain (``draw_topics`` and
-``gibbs_chain``, on the Mersenne Twister state of a ``random.Random``, with
-``lgam_each`` for its log Gamma table, and ``draw_uniforms`` and ``sum_at``
-as its generator and pairwise sum alone, for the tests); for ``text_pipeline``
-the word splitter and its corpus-wide word table, the token renumbering,
-the document-term counts, and the integer and float table formatters; and
-for ``lsa`` the CSR products ``csr_matvec`` (a row gather, P @ x) and
-``csr_rmatvec`` (an ascending-row scatter, P.T @ y), and
-``eigenvalue_bracket``, the Sturm bisection of the Lanczos stop test.
-:func:`library` compiles it on first use into the user cache and loads it
-with ctypes; when that fails it warns once and returns None, and each caller
-runs its plain-Python twin instead. The bracket has none: without it the
-Lanczos iteration solves every step, the path it is checked against.
+``_native.cpp`` holds the kernels that ``lda``, ``text_pipeline`` and
+``lsa`` call, and its header lists them. :func:`library` compiles it on
+first use into the user cache and loads it with ctypes; when that fails it
+warns once and returns None, and each caller runs its plain-Python twin
+instead. ``eigenvalue_bracket`` has none: without it the Lanczos iteration
+solves every step, the path it is checked against. Both backends write the
+same bytes; each kernel's comment says how it matches its twin.
 
-Every entry point is ``extern "C"``, and :func:`_build` declares its
-``argtypes`` and ``restype``, which ``tests/test_native.py`` checks against
-the source. The word table and the counts use ``std::vector`` and the
-formatters ``std::to_chars`` from ``<charconv>``, so the build needs g++ 11
-or newer. The library links libstdc++, which numpy's core extension has
-already loaded into the process. Importing the package compiles nothing:
-the first call that needs a kernel does (in a run, the text stage's), and
-later calls reuse the library. It is cached in
-``$XDG_CACHE_HOME/corpus-scope/`` (``~/.cache/corpus-scope/`` by default)
-under a SHA-256 of the source, the compiler command and the machine type.
-No flag, setting or environment variable selects the backend.
-
-Both backends write the same bytes. The two Gibbs chains evaluate the same
-floating-point operations in the same order, with FMA contraction off, on
-the same Mersenne Twister words: the native one with the generator's own
-integer steps, the Python one through ``getrandbits`` and ``random()``.
-The native log-likelihood adds in numpy's pairwise order and its ``lgam``
-is ``lda.gammaln`` operation for operation on the same C library ``log``;
-``tests/test_native.py`` checks the sum against ``np.sum``, should numpy
-change its order. The tokenizers give the same token array, the counters
-the same CSR arrays with the same dtypes, and the formatters the same text.
+Each function of an ``extern "C"`` block is an entry point, declared to
+ctypes from its definition by :func:`signatures`. The word table and the
+counts use ``std::vector`` and the formatters ``std::to_chars`` from
+``<charconv>``, so the build needs g++ 11 or newer. The library links
+libstdc++, which numpy's core extension has already loaded into the
+process. Importing the package compiles nothing: the first call that needs
+a kernel does (in a run, the text stage's), and later calls reuse the
+library. It is cached in ``$XDG_CACHE_HOME/corpus-scope/``
+(``~/.cache/corpus-scope/`` by default) under a SHA-256 of the source, the
+compiler command and the machine type. No flag, setting or environment
+variable selects the backend.
 """
 
 from __future__ import annotations
@@ -45,6 +29,7 @@ import hashlib
 import logging
 import os
 import platform
+import re
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -61,6 +46,42 @@ def compile_command(source: str, output: str) -> list[str]:
     return ["g++", "-std=c++17", *FLAGS, "-x", "c++", source, "-o", output]
 
 
+# the C types an entry point may take or return; a pointer is a plain
+# address, since each caller checks dtypes, layout and ranges itself
+_CTYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "char": ctypes.c_char,
+           "void": None}
+
+
+def _ctype(declaration: str, kernel: str):
+    """The ctypes type of a C type, ``const`` dropped."""
+    ctype = " ".join(word for word in declaration.split() if word != "const")
+    if "*" not in ctype and ctype not in _CTYPES:
+        raise ValueError(f"{SOURCE.name}: {kernel} takes or returns {ctype!r}, which has "
+                         "no ctypes type here; use int64_t, double, char or a pointer")
+    return ctypes.c_void_p if "*" in ctype else _CTYPES[ctype]
+
+
+def signatures(source: str) -> dict[str, tuple[type | None, list[type]]]:
+    """Each function that ``source`` defines in its ``extern "C"`` blocks,
+    which are the library's entry points, with its ctypes ``restype`` and
+    ``argtypes``; a ``static`` helper there is not one. A type other than
+    ``int64_t``, ``double``, ``char`` or a pointer (a plain address) raises
+    ValueError, which :func:`library` passes on instead of falling back."""
+    blocks = re.findall(r'^extern "C" \{$(.*?)^\} /\* extern "C" \*/$', source, re.M | re.S)
+    if len(blocks) != len(re.findall(r'^extern "C" \{$', source, re.M)):
+        raise ValueError(f'{SOURCE.name}: an extern "C" block ends without its comment')
+    declared = {}
+    for block in blocks:
+        block = re.sub(r"/\*.*?\*/|//[^\n]*", " ", block, flags=re.S)
+        for result, name, params in re.findall(
+                r"^(?!static\b)([A-Za-z][\w\s*]*?)\b(\w+)\(([^)]*)\)\s*\{", block, re.M):
+            params = [] if params.strip() in ("", "void") else params.split(",")
+            # a parameter's name, when it has one, is its last word
+            argtypes = [_ctype(re.sub(r"\s+\w+$", "", p.strip()), name) for p in params]
+            declared[name] = (_ctype(result, name), argtypes)
+    return declared
+
+
 def _build() -> ctypes.CDLL:
     """Compile ``_native.cpp`` if its library is not cached yet, then load it.
 
@@ -68,6 +89,8 @@ def _build() -> ctypes.CDLL:
     concurrent run never loads a half-written library.
     """
     source = SOURCE.read_bytes()
+    # parsed before the compiler runs, so a kernel ctypes cannot declare fails fast
+    declared = signatures(source.decode("utf-8"))
     command = " ".join(compile_command("-", "")).encode()
     machine = platform.machine().encode()
     key = hashlib.sha256(b"\0".join([source, command, machine])).hexdigest()
@@ -95,39 +118,9 @@ def _build() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(str(path))
-    # plain addresses: each caller checks dtypes, layout and ranges itself
-    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.gibbs_chain.argtypes = [i64, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
-                                f64, f64, f64, ptr, ptr, i64, f64, i64, ptr]
-    lib.gibbs_chain.restype = i64
-    lib.draw_topics.argtypes = [ptr, i64, i64, ptr]
-    lib.draw_topics.restype = None
-    lib.draw_uniforms.argtypes = [ptr, i64, ptr]
-    lib.draw_uniforms.restype = None
-    lib.lgam_each.argtypes = [ptr, i64, ptr]
-    lib.lgam_each.restype = None
-    lib.sum_at.argtypes = [ptr, ptr, i64]
-    lib.sum_at.restype = f64
-    lib.word_table_new.argtypes = []
-    lib.word_table_new.restype = ptr
-    lib.word_table_free.argtypes = [ptr]
-    lib.word_table_free.restype = None
-    lib.intern_words.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
-    lib.intern_words.restype = i64
-    lib.word_chars.argtypes = [ptr, i64, ctypes.POINTER(i64)]
-    lib.word_chars.restype = ptr
-    lib.remap_tokens.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
-    lib.remap_tokens.restype = i64
-    lib.count_dtm.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
-    lib.count_dtm.restype = i64
-    for product in (lib.csr_matvec, lib.csr_rmatvec):
-        product.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr]
-        product.restype = None
-    lib.eigenvalue_bracket.argtypes = [ptr, ptr, i64, i64, ptr]
-    lib.eigenvalue_bracket.restype = i64
-    for formatter in (lib.format_ints, lib.format_doubles):
-        formatter.argtypes = [ptr, i64, ptr, i64, ctypes.c_char, ptr]
-        formatter.restype = i64
+    for name, (restype, argtypes) in declared.items():
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, argtypes
     return lib
 
 

@@ -414,6 +414,9 @@ def _ingest(run: _Run, stage: StageReport) -> None:
         {"row": e.row, "reason": e.reason, "dropped": e.dropped} for e in errors
     ]
     stage.notes.append(f"parsed {len(corpus)} unique records, {len(errors)} flagged")
+    if not corpus:  # bad input, not an empty filter result
+        raise InputError(f"no valid record in {cfg.input.name}: "
+                         f"{sum(e.dropped for e in errors)} dropped")
     if cfg.year_min is not None or cfg.year_max is not None:
         corpus = filter_by_years(corpus, cfg.year_min, cfg.year_max)
         stage.notes.append(f"year filter kept {len(corpus)}")

@@ -30,6 +30,30 @@ def planted_corpus(rng, n_docs=60, doc_len=30):
     return sequences, labels
 
 
+def planted_topics(rng, k, n_docs=300, doc_len=40):
+    """Documents drawn from ``k`` planted topics, with noise shared by all.
+
+    Topic t owns the 20 words ``t{t}w0..t{t}w19``; document d is about topic
+    ``d % k``, and each of its tokens is a uniform draw from that topic's
+    words, or with probability 0.25 a Zipf draw from 200 shared noise words.
+    Returns (sequences, each document's topic, the topic word lists).
+    """
+    topics = [[f"t{t}w{i}" for i in range(20)] for t in range(k)]
+    noise = [f"n{i}" for i in range(200)]
+    zipf = 1.0 / np.arange(1, len(noise) + 1)
+    sequences, labels = [], []
+    for d in range(n_docs):
+        t = d % k
+        is_noise = rng.random(doc_len) < 0.25
+        noisy = rng.choice(len(noise), size=doc_len, p=zipf / zipf.sum())
+        topical = rng.integers(20, size=doc_len)
+        tokens = tuple(noise[n] if on else topics[t][w]
+                       for on, n, w in zip(is_noise.tolist(), noisy.tolist(), topical.tolist()))
+        sequences.append(TokenSequence(doc_id=f"doc{d:03d}", tokens=tokens))
+        labels.append(t)
+    return sequences, labels, topics
+
+
 def make_dtm(matrix, doc_ids=None, terms=None) -> SparseDTM:
     """Wrap a raw count matrix as a SparseDTM without going through text."""
     X = np.asarray(matrix, dtype=np.int64)

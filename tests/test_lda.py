@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from conftest import BACKENDS, ChainSpy, needs_compiler, planted_corpus, use_backend
+from conftest import (
+    BACKENDS,
+    ChainSpy,
+    needs_compiler,
+    planted_corpus,
+    planted_topics,
+    use_backend,
+)
 from corpus_scope import _native, lda
 from corpus_scope._native import backend as gibbs_backend
 from corpus_scope.errors import ConfigError, InputError
@@ -200,6 +207,18 @@ def test_fit_lda_recovers_planted_topics():
     # documents concentrate on their generating topic
     hits = sum(model.theta[d, perm[t]] >= 0.8 for d, t in enumerate(labels))
     assert hits / len(labels) >= 0.9
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_topic_of_a_short_chain_is_one_planted_topic(k):
+    # over seeds 0-39 the least pure topic kept 9 (k=2) and 8 (k=3) of its
+    # top 10 words in one planted list
+    for seed in range(8):
+        sequences, _, topics = planted_topics(np.random.default_rng(seed), k)
+        model = fit_lda(sequences, build_vocabulary(sequences),
+                        LdaConfig(k=k, iterations=30, burn_in=0, seed=seed))
+        for top in top_words_per_topic(model, 10):
+            assert max(len(set(top) & set(words)) for words in topics) >= 7, (seed, top)
 
 
 def test_fit_lda_single_topic_degenerates_to_frequencies():

@@ -1,3 +1,4 @@
+import ctypes
 import fnmatch
 import re
 import shutil
@@ -31,24 +32,62 @@ def test_wheel_ships_the_native_source():
     assert any(fnmatch.fnmatch(_native.SOURCE.name, p) for p in patterns), patterns
 
 
-def extern_c_functions(source: str) -> list[str]:
-    """The functions that ``source`` defines inside its ``extern "C"``
-    blocks, which are the library's entry points; a ``static`` helper there
-    is not one."""
-    blocks = re.findall(r'^extern "C" \{$(.*?)^\} /\* extern "C" \*/$', source, re.M | re.S)
-    return [name for block in blocks
-            for name in re.findall(r"^(?!static\b)[A-Za-z][\w\s*]*?\b(\w+)\(", block, re.M)]
+def test_each_kernel_is_declared_from_its_c_definition():
+    declared = _native.signatures(_native.SOURCE.read_text(encoding="utf-8"))
+    i64, f64, char, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_char, ctypes.c_void_p
+    assert declared["gibbs_chain"] == (i64, [i64, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
+                                             f64, f64, f64, ptr, ptr, i64, f64, i64, ptr])
+    assert declared["word_table_new"] == (ptr, [])
+    assert declared["word_table_free"] == (None, [ptr])
+    assert declared["sum_at"] == (f64, [ptr, ptr, i64])
+    # an unnamed parameter, int64_t /* n_cols */
+    assert declared["csr_matvec"] == (None, [i64, i64, ptr, ptr, ptr, ptr, ptr])
+    for formatter in ("format_ints", "format_doubles"):
+        assert declared[formatter] == (i64, [ptr, i64, ptr, i64, char, ptr])
+    assert "is_word" not in declared  # a static helper inside extern "C"
+
+
+@pytest.mark.parametrize("ctype", ["int", "size_t", "float", "struct pair"])
+def test_a_kernel_type_ctypes_cannot_declare_is_refused_not_run_in_python(ctype, tmp_path,
+                                                                          monkeypatch):
+    # without this, ctypes would pass an int as int64_t without an error
+    for definition in [f"int64_t scale({ctype} x)", f"{ctype} scale(int64_t n)"]:
+        source = tmp_path / "_native.cpp"
+        source.write_text(f'extern "C" {{\n\n{definition}\n{{\n}}\n\n}} /* extern "C" */\n')
+        monkeypatch.setattr(_native, "SOURCE", source)
+        with pytest.raises(ValueError, match=f"scale takes or returns '{ctype}'"):
+            _native.library.__wrapped__()
+
+
+def test_an_extern_c_block_without_its_closing_comment_is_refused():
+    with pytest.raises(ValueError, match="without its comment"):
+        _native.signatures('extern "C" {\n\nvoid f(void)\n{\n}\n\n}\n')
 
 
 @needs_compiler
 def test_every_compiled_kernel_is_declared():
-    # without argtypes, ctypes passes an int64_t argument as a C int, so an
-    # undeclared kernel would cut its sizes at 2**31 without an error
-    names = extern_c_functions(_native.SOURCE.read_text(encoding="utf-8"))
-    assert {"gibbs_chain", "intern_words", "format_doubles", "eigenvalue_bracket"} <= set(names)
-    assert "is_word" not in names
+    # the library's unmangled functions (nm comes with g++'s binutils) are
+    # its extern "C" ones; without argtypes, ctypes would pass an int64_t
+    # argument as a C int and cut its sizes at 2**31 without an error
     lib = native_library()
-    assert [name for name in names if getattr(lib, name).argtypes is None] == []
+    symbols = subprocess.run(["nm", "-D", "--defined-only", lib._name], capture_output=True,
+                             text=True, check=True).stdout
+    exported = {name for kind, name in re.findall(r"^\w+ ([A-Za-z]) (\w+)$", symbols, re.M)
+                if kind == "T" and not name.startswith("_Z")}
+    declared = _native.signatures(_native.SOURCE.read_text(encoding="utf-8"))
+    assert set(declared) == exported
+    for name, (restype, argtypes) in declared.items():
+        assert (getattr(lib, name).restype, getattr(lib, name).argtypes) == (restype, argtypes)
+
+
+def test_every_compiled_kernel_has_a_caller():
+    # a kernel that no code reads as lib.<name> would stay compiled, unused
+    root = Path(__file__).resolve().parents[1]
+    callers = [p for p in [*root.glob("src/corpus_scope/*.py"), *root.glob("tests/*.py")]
+               if p.name != "_native.py"]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in callers)
+    declared = _native.signatures(_native.SOURCE.read_text(encoding="utf-8"))
+    assert [name for name in declared if not re.search(rf"\.{name}\b", text)] == []
 
 
 # ------------------------------------------------------------ the chain's pieces

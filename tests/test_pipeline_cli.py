@@ -532,6 +532,25 @@ def test_cli_oversized_csv_field_fails_ingest_with_exit_2(tmp_path, capsys):
     assert report["output_files"] == {}
 
 
+@pytest.mark.parametrize("name,content,dropped", [
+    ("header_only.csv", b"id,title,year\n", 0),
+    ("bad_years.csv", b"id,title,year\nA1,one,soon\nA2,two,20x1\n", 2),
+    ("empty.jsonl", b"", 0),
+])
+def test_an_input_without_a_valid_record_fails_ingest_with_exit_2(name, content, dropped,
+                                                                 tmp_path, capsys):
+    # no filter ran, so this is bad input (2), not an empty filter result (3)
+    source = tmp_path / name
+    source.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", source, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"no valid record in {name}: {dropped} dropped" in err and "Traceback" not in err
+    report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+    assert report["failed_stage"] == "ingest"
+    assert report["output_files"] == {}
+
+
 def test_cli_lsa_on_one_term_says_what_ca_needs(mini_corpus_path, tmp_path, capsys):
     # the cap is checked with the plan, so no stage runs and nothing is written
     assert run_cli("lsa", "--input", mini_corpus_path, "--out", tmp_path,
@@ -1265,6 +1284,31 @@ def test_compare_subset_column_is_a_plain_run_on_the_subset(case, country):
         assert [r[2] for r in compared if r[0] == "top_terms" and r[2]] == terms[:20]
         words = [row[2] for row in csv_body(tmp / "plain" / "lda_top_words.csv")]
         assert [r[2] for r in compared if r[0] == "lda_top_words" and r[2]] == words
+
+
+@settings(max_examples=20, deadline=None)
+@given(cli_cases())
+@example(DEMO_CASE)
+@example((DEMO.name, DEMO.read_bytes(), "run", None, {}))
+def test_run_writes_what_its_stage_commands_write_one_after_another(case):
+    name, data, _, _, chosen = case
+    country = chosen.get("country", " ").strip()
+    argv = [*runnable_flags(chosen), *(["--country", country] if country else [])]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        source = tmp / name
+        source.write_bytes(data)
+        if run_quietly(["run", "--input", source, *argv, "--out", tmp / "run"])[0] != 0:
+            return
+        for command in ("ingest", "eda", "lsa", "lda", "bigrams", *["compare"] * bool(country)):
+            code = run_quietly([command, "--input", source, *argv, "--out", tmp / "stages"])[0]
+            assert code == 0, command
+        ran = {p.name: p.read_bytes() for p in (tmp / "run").iterdir()}
+        staged = {p.name: p.read_bytes() for p in (tmp / "stages").iterdir()}
+        assert set(ran) - set(staged) == {"dtm.mtx", "dtm_index.csv"}
+        assert set(staged) - set(ran) <= {"ca_scatter.svg"}  # a plot of two or more axes
+        shared = sorted(set(ran) & set(staged) - {"run_report.json"})
+        assert [ran[f] for f in shared] == [staged[f] for f in shared]
 
 
 # ---------------------------------------------------------------- config file
