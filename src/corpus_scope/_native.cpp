@@ -212,8 +212,10 @@ double sum_at(const double *table, const int64_t *index, int64_t n)
  *
  * offsets: n_docs + 1 token offsets; words, z: one entry per token;
  * n_wk: p x k; n_dk: n_docs x k; n_k: k; cum: k doubles of scratch. The
- * caller checks every index is in range. table: lgam(c + beta) for every
- * count c up to the largest per-word token count, n_table entries.
+ * caller (lda._check_tables) checks these shapes and that every index is in
+ * range; the declaration, each array's dtype, layout and writability.
+ * table: lgam(c + beta) for every count c up to the largest per-word token
+ * count, n_table entries.
  *
  * After each sweep s the three margins must each re-add to the token total,
  * and every n_wk entry must lie in table; then log_likelihoods[s] is

@@ -25,9 +25,10 @@ bit. No module draws from ``numpy.random``, which a run never loads.
 
 The demo's 1000 sweeps are one call, and ctypes releases the GIL for it.
 The count tables stay in place for the whole chain: :func:`fit_lda` checks
-their dtype, layout and writability once (:func:`_check_tables`) and passes
-their raw addresses, the generator's state and an array for the
-log-likelihoods, so a native block does no Python work and makes no array.
+their shapes and index ranges once (:func:`_check_tables`; the kernel's
+declaration checks dtypes, layout and writability at each call) and passes
+them, the generator's state and an array for the log-likelihoods, so a
+native block does no Python work and makes no array.
 The set-up fills ``n_wk`` and ``n_dk`` through one reused int64 key per
 token and draws the initial topics straight into ``z`` (the Python twin
 into one list, converted once); ``tests/test_memory.py`` holds the chain
@@ -104,7 +105,7 @@ class LdaConfig:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < iterations")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdaModel:
     """Fitted topic model.
 
@@ -260,7 +261,7 @@ def _gammaln_table(n_wk: np.ndarray, beta: float) -> np.ndarray:
     lib = _native.library()
     if lib is None:
         return _gammaln_each(table)
-    lib.lgam_each(table.ctypes.data, table.size, table.ctypes.data)
+    lib.lgam_each(table, table.size, table)
     return table
 
 
@@ -370,41 +371,13 @@ def _chain_python(
     return status
 
 
-def _check_tables(
-    offsets: np.ndarray,
-    words: np.ndarray,
-    z: np.ndarray,
-    n_wk: np.ndarray,
-    n_dk: np.ndarray,
-    n_k: np.ndarray,
-    p: int,
-    k: int,
-) -> None:
-    """Dtypes, layout, shapes and index ranges the C chain relies on.
-
-    The chain gets raw addresses, so every table must have the dtype it
-    reads, be C-contiguous, and be writable where the sweep writes.
-    """
-    for name, array, dtype, written in (
-        ("offsets", offsets, np.int64, False),
-        ("words", words, np.int32, False),
-        ("z", z, np.int32, True),
-        ("n_wk", n_wk, np.int64, True),
-        ("n_dk", n_dk, np.int64, True),
-        ("n_k", n_k, np.int64, True),
-    ):
-        if array.dtype != dtype or not array.flags.c_contiguous:
-            raise RuntimeError(f"Gibbs table {name} is not C-contiguous {dtype.__name__}")
-        if written and not array.flags.writeable:
-            raise RuntimeError(f"Gibbs table {name} is read-only")
+def _check_tables(offsets: np.ndarray, words: np.ndarray, z: np.ndarray, n_wk: np.ndarray,
+                  n_dk: np.ndarray, n_k: np.ndarray, p: int, k: int) -> None:
+    """Shapes and index ranges the C chain relies on; its declaration checks
+    each table's dtype, layout and writability when it is called."""
     n_docs = offsets.size - 1
-    if (
-        words.shape != (offsets[-1],)
-        or z.shape != words.shape
-        or n_wk.shape != (p, k)
-        or n_dk.shape != (n_docs, k)
-        or n_k.shape != (k,)
-    ):
+    if (words.shape != (offsets[-1],) or z.shape != words.shape or n_wk.shape != (p, k)
+            or n_dk.shape != (n_docs, k) or n_k.shape != (k,)):
         raise RuntimeError("Gibbs tables do not match the corpus shape")
     if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
         raise RuntimeError("Gibbs document offsets are not ascending from 0")
@@ -443,7 +416,7 @@ def fit_lda(
         z = _draw_topics_python(state, k, total_tokens)
     else:
         z = np.empty(total_tokens, dtype=np.int32)
-        lib.draw_topics(state.ctypes.data, k, total_tokens, z.ctypes.data)
+        lib.draw_topics(state, k, total_tokens, z)
 
     # one int64 key per token, reused: word * k + topic, then doc * k + topic
     # (no document is empty, so each start past the first is a distinct token)
@@ -464,12 +437,10 @@ def fit_lda(
     cum = np.zeros(k)
     table = _gammaln_table(n_wk, beta)
     log_likelihoods = np.empty(config.iterations)
-    # the tables are updated in place for the whole chain, so the native
-    # chain takes their addresses once; each call runs a block of sweeps
-    chain = (n_docs, offsets.ctypes.data, words.ctypes.data, z.ctypes.data, p, k,
-             n_wk.ctypes.data, n_dk.ctypes.data, n_k.ctypes.data, cum.ctypes.data,
-             alpha, beta, vbeta, state.ctypes.data, table.ctypes.data, table.size,
-             _log_likelihood_constant(k, p, beta))
+    # the tables are updated in place for the whole chain; each native call
+    # runs a block of sweeps
+    chain = (n_docs, offsets, words, z, p, k, n_wk, n_dk, n_k, cum, alpha, beta, vbeta,
+             state, table, table.size, _log_likelihood_constant(k, p, beta))
     block = max(1, CHAIN_TOKENS // total_tokens)
     for first in range(0, config.iterations, block):
         out = log_likelihoods[first : first + block]
@@ -477,7 +448,7 @@ def fit_lda(
             failed = _chain_python(offsets, words, z, n_wk, n_dk, n_k, alpha, beta,
                                    state, table, out)
         else:
-            failed = lib.gibbs_chain(*chain, out.size, out.ctypes.data)
+            failed = lib.gibbs_chain(*chain, out.size, out)
         if failed:
             it, check = divmod(failed - 1, 3)
             raise RuntimeError(_CHECK_ERRORS[check].format(first + it))

@@ -63,7 +63,7 @@ LANCZOS_MAX_ITER = 1000
 LANCZOS_BLOCK = 64  # basis columns added per growth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CAModel:
     """Fitted correspondence analysis.
 
@@ -99,7 +99,7 @@ class CAModel:
         return self.singular_values**2 / self.total_inertia
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupplementaryPoints:
     """Labelled passive points placed in an existing CA row space."""
 
@@ -144,7 +144,8 @@ def csr_products(counts: "CSRCounts", values: np.ndarray):
     ``csr_rmatvec`` in ``_native.cpp`` or, without the library, as
     ``np.bincount`` over the entries' rows and columns. The index pointers
     and columns are checked here, once for all products: an array changed in
-    place after ``CSRCounts`` checked it raises IndexError.
+    place after ``CSRCounts`` checked it raises IndexError. The kernels'
+    declarations check the arrays' dtypes and layout at each call.
     """
     n_rows, n_cols = counts.shape
     indptr = np.ascontiguousarray(counts.indptr)
@@ -166,19 +167,12 @@ def csr_products(counts: "CSRCounts", values: np.ndarray):
         return (lambda x: add(rows, values * x[indices], n_rows),
                 lambda y: add(indices, values * y[rows], n_cols))
 
-    # the matrix's addresses are taken once; only the vectors are new per call.
-    # The products hold its arrays (``values`` may be a temporary), so that
-    # the addresses stay valid for as long as the products live
-    arrays = (indptr, indices, values)
-    matrix = (n_rows, n_cols, *(a.ctypes.data for a in arrays))
-
-    def product(kernel, v: np.ndarray, size: int, out_size: int,
-                _held: tuple = arrays) -> np.ndarray:
+    def product(kernel, v: np.ndarray, size: int, out_size: int) -> np.ndarray:
         v = np.ascontiguousarray(v, dtype=np.float64)
         if v.shape != (size,):
             raise ValueError(f"vector of shape {v.shape} for a {n_rows}x{n_cols} matrix")
         out = np.empty(out_size)
-        kernel(*matrix, v.ctypes.data, out.ctypes.data)
+        kernel(n_rows, n_cols, indptr, indices, values, v, out)
         return out
 
     return (lambda x: product(lib.csr_matvec, x, n_cols, n_rows),
@@ -207,8 +201,7 @@ def eigenvalue_bracket(d, e, index: int) -> tuple[float, float] | None:
         raise ValueError(f"index {index} out of range for a {n}x{n} matrix")
     lib = _native.library()
     out = np.empty(2)
-    if lib is None or lib.eigenvalue_bracket(d.ctypes.data, e.ctypes.data, n, index,
-                                             out.ctypes.data) < 0:
+    if lib is None or lib.eigenvalue_bracket(d, e, n, index, out) < 0:
         return None
     return float(out[0]), float(out[1])
 

@@ -216,9 +216,8 @@ def remap_tokens(raw: np.ndarray, ends: np.ndarray,
         return _remap_python(raw, ends, remap)
     codes = np.empty(raw.size, dtype=np.int32)
     offsets = np.empty(ends.size, dtype=np.int64)
-    kept = lib.remap_tokens(raw.ctypes.data, raw.size, ends.ctypes.data, ends.size - 1,
-                            remap.ctypes.data, remap.size, codes.ctypes.data,
-                            offsets.ctypes.data)
+    kept = lib.remap_tokens(raw, raw.size, ends, ends.size - 1, remap, remap.size, codes,
+                            offsets)
     if kept < 0:
         raise IndexError("token code or document end out of range")
     return codes[:kept].copy(), offsets
@@ -290,18 +289,15 @@ def _encode_native(
             # a run takes at least one code point, so this holds every run
             codes = np.empty(points.size, dtype=np.int32)
             token_ends = np.empty(len(chunk), dtype=np.int64)
-            n = lib.intern_words(
-                table, points.ctypes.data, len(chunk), doc_ends.ctypes.data,
-                _ASCII_WORD.ctypes.data, wide.ctypes.data, wide.size, codes.ctypes.data,
-                token_ends.ctypes.data,
-            )
+            n = lib.intern_words(table, points, len(chunk), doc_ends, _ASCII_WORD, wide,
+                                 wide.size, codes, token_ends)
             if n < 0:
                 raise MemoryError("out of memory interning words")
             if n > len(words):
                 # the new words' text, each word followed by a space
-                size = ctypes.c_int64()
-                at = lib.word_chars(table, len(words), ctypes.byref(size))
-                added = ctypes.string_at(at, 4 * size.value)
+                size = np.zeros(1, dtype=np.int64)
+                at = lib.word_chars(table, len(words), size)
+                added = ctypes.string_at(at, 4 * int(size[0]))
                 words += str(added, "utf-32-le", "surrogatepass").split(" ")[:-1]
             raw.append(codes[: token_ends[-1]].copy())
             ends.append(token_ends + before)
@@ -446,7 +442,7 @@ class CSRCounts:
         return dense
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseDTM:
     """Document-term count matrix in CSR form.
 
@@ -508,10 +504,8 @@ def _count_native(lib, tokens: TokenArray, lookup: np.ndarray, p: int):
     data = np.empty(codes.size, dtype=np.int64)
     row_totals = np.empty(n, dtype=np.int64)
     col_totals = np.zeros(p, dtype=np.int64)
-    nnz = lib.count_dtm(codes.ctypes.data, codes.size, offsets.ctypes.data, n,
-                        lookup.ctypes.data, lookup.size, p, indptr.ctypes.data,
-                        indices.ctypes.data, data.ctypes.data, row_totals.ctypes.data,
-                        col_totals.ctypes.data)
+    nnz = lib.count_dtm(codes, codes.size, offsets, n, lookup, lookup.size, p, indptr,
+                        indices, data, row_totals, col_totals)
     if nnz == -2:
         raise MemoryError("out of memory counting the document-term matrix")
     if nnz < 0:
@@ -613,8 +607,7 @@ def _line_chunks(values, ends, sep, dtype, text) -> Iterator[str]:
             yield _join_rows(chunk.tolist(), rel.tolist(), sep, text)
             continue
         buf = np.empty(25 * chunk.size + rel.size, dtype=np.uint8)
-        size = native(chunk.ctypes.data, chunk.size, rel.ctypes.data, rel.size,
-                      sep.encode(), buf.ctypes.data)
+        size = native(chunk, chunk.size, rel, rel.size, sep.encode(), buf)
         yield str(buf[:size].data, "ascii")
 
 

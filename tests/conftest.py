@@ -10,7 +10,7 @@ import pytest
 
 import corpus_scope
 from corpus_scope import _native
-from corpus_scope.corpus_ingest import parse_file
+from corpus_scope.corpus_ingest import Corpus, Document, parse_file
 from corpus_scope.text_pipeline import CSRCounts, SparseDTM, TokenSequence
 
 
@@ -52,6 +52,32 @@ def planted_topics(rng, k, n_docs=300, doc_len=40):
         sequences.append(TokenSequence(doc_id=f"doc{d:03d}", tokens=tokens))
         labels.append(t)
     return sequences, labels, topics
+
+
+PLANTED_COUNTRIES = tuple(f"Country {c}" for c in "ABCDEFGHIJKL")
+
+
+def planted_records(rng, n_docs=2000):
+    """Documents whose years rise linearly and whose countries are uniform.
+
+    Each document's year is drawn from 2000-2023 with weights rising
+    linearly from 1 to 4, and its one country uniformly from the 12
+    :data:`PLANTED_COUNTRIES`; its title and abstract are 4 and 8 draws from
+    50 shared words. Returns (the corpus, the expected documents a year
+    gains per year).
+    """
+    years = np.arange(2000, 2024)
+    weights = np.linspace(1.0, 4.0, years.size)
+    weights /= weights.sum()
+    drawn = rng.choice(years, size=n_docs, p=weights).tolist()
+    countries = rng.integers(len(PLANTED_COUNTRIES), size=n_docs).tolist()
+    words = rng.integers(50, size=(n_docs, 12)).tolist()
+    documents = tuple(
+        Document(id=f"P{d:05d}", title=" ".join(f"w{w}" for w in words[d][:4]),
+                 abstract=" ".join(f"w{w}" for w in words[d][4:]), year=drawn[d],
+                 countries=(PLANTED_COUNTRIES[countries[d]],))
+        for d in range(n_docs))
+    return Corpus(documents), n_docs * (weights[1] - weights[0])
 
 
 def make_dtm(matrix, doc_ids=None, terms=None) -> SparseDTM:

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import logging
 import math
@@ -476,22 +477,36 @@ def test_native_sweep_inputs_are_bounds_checked():
         lda._check_tables(offsets, np.array([0, 3], np.int32), z, *tables, p=3, k=2)
 
 
+@needs_compiler
 @pytest.mark.parametrize("spoil", ["dtype", "non_contiguous", "read_only"])
 def test_native_sweep_inputs_are_layout_checked(spoil):
-    # the compiled sweep gets raw addresses, so the layout is checked up front
-    offsets = np.array([0, 2], np.int64)
-    words = np.array([0, 2], np.int32)
+    # the chain's declaration checks each table's layout at the call, so a
+    # table the sweep cannot read raises before it draws a uniform
+    lib = _native.library()
+    offsets, words = np.array([0, 2], np.int64), np.array([0, 2], np.int32)
     z = np.zeros(2, dtype=np.int32)
-    n_wk, n_dk, n_k = (np.zeros(shape, np.int64) for shape in [(3, 2), (1, 2), 2])
-    lda._check_tables(offsets, words, z, n_wk, n_dk, n_k, p=3, k=2)
+    n_wk = np.array([[1, 0], [0, 0], [1, 0]], np.int64)
+    n_dk, n_k = np.array([[2, 0]], np.int64), np.array([2, 0], np.int64)
+    state = np.array(Random(0).getstate()[1], dtype=np.uint32)
+    table = lda._gammaln_table(n_wk, 0.01)
+
+    def sweep(z=z, n_wk=n_wk, n_k=n_k):
+        return lib.gibbs_chain(1, offsets, words, z, 3, 2, n_wk, n_dk, n_k, np.zeros(2), 0.1,
+                               0.01, 0.03, state, table, table.size, 0.0, 1, np.empty(1))
+
+    # the spoiled table and its place among the chain's arguments
     if spoil == "dtype":
-        z = z.astype(np.int64)
+        spoiled, argument = {"z": z.astype(np.int64)}, 4
     elif spoil == "non_contiguous":
-        n_wk = np.zeros((2, 3), np.int64).T
+        spoiled, argument = {"n_wk": np.zeros((2, 3), np.int64).T}, 7
     else:
-        n_k.flags.writeable = False
-    with pytest.raises(RuntimeError, match="z|n_wk|n_k"):
-        lda._check_tables(offsets, words, z, n_wk, n_dk, n_k, p=3, k=2)
+        spoiled, argument = {"n_k": n_k.copy()}, 9
+        spoiled["n_k"].flags.writeable = False
+    before = state.copy()
+    with pytest.raises(ctypes.ArgumentError, match=f"^argument {argument}: "):
+        sweep(**spoiled)
+    assert np.array_equal(state, before)
+    assert sweep() == 0 and not np.array_equal(state, before)
 
 
 def test_gammaln_table_log_likelihood_is_bit_identical():

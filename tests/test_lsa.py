@@ -19,6 +19,7 @@ from conftest import (
 )
 from corpus_scope import lsa
 from corpus_scope.errors import ConfigError, CorpusScopeError
+from corpus_scope.lda import LdaConfig, fit_lda
 from corpus_scope.lsa import (
     DENSE_CUTOFF,
     LANCZOS_BLOCK,
@@ -634,6 +635,22 @@ def test_supplementary_whole_corpus_sits_at_the_origin():
     supp = project_supplementary(model, {"all": list(model.row_ids)})
     assert np.abs(supp.coords).max() < 1e-10
     assert supp.masses[0] == pytest.approx(1.0)
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    # field by field, == would ask an array for its truth value and raise,
+    # and a frozen record would hash its arrays and raise
+    sequences, _, _ = planted_topics(np.random.default_rng(0), 2, n_docs=20)
+    vocab = build_vocabulary(sequences)
+    fits = []
+    for _ in range(2):
+        dtm = build_dtm(sequences, vocab)
+        model = fit_ca(dtm, dims=1)
+        fits.append((dtm, model, project_supplementary(model, {"first": model.row_ids[:1]}),
+                     fit_lda(sequences, vocab, LdaConfig(k=2, iterations=2, burn_in=0, seed=0))))
+    for first, second in zip(*fits):
+        assert first == first and first != second, type(first).__name__
+        assert len({first, first, second}) == 2
 
 
 def test_supplementary_equal_mass_pair_lands_at_the_midpoint():

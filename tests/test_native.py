@@ -35,27 +35,37 @@ def test_wheel_ships_the_native_source():
 def test_each_kernel_is_declared_from_its_c_definition():
     declared = _native.signatures(_native.SOURCE.read_text(encoding="utf-8"))
     i64, f64, char, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_char, ctypes.c_void_p
-    assert declared["gibbs_chain"] == (i64, [i64, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
-                                             f64, f64, f64, ptr, ptr, i64, f64, i64, ptr])
+    # an array the kernel reads (const elements), and one it writes
+    r_i32, r_i64, r_f64 = (_native.ARRAYS[t, False] for t in ("int32", "int64", "float64"))
+    w_i32, w_i64, w_u32, w_f64, w_u8 = (_native.ARRAYS[t, True]
+                                        for t in ("int32", "int64", "uint32", "float64", "uint8"))
+    assert declared["gibbs_chain"] == (i64, [i64, r_i64, r_i32, w_i32, i64, i64, w_i64, w_i64,
+                                             w_i64, w_f64, f64, f64, f64, w_u32, r_f64, i64, f64,
+                                             i64, w_f64])
     assert declared["word_table_new"] == (ptr, [])
     assert declared["word_table_free"] == (None, [ptr])
-    assert declared["sum_at"] == (f64, [ptr, ptr, i64])
+    # a const void * is an address too, and so is a returned pointer
+    assert declared["word_chars"] == (ptr, [ptr, i64, w_i64])
+    assert declared["sum_at"] == (f64, [r_f64, r_i64, i64])
     # an unnamed parameter, int64_t /* n_cols */
-    assert declared["csr_matvec"] == (None, [i64, i64, ptr, ptr, ptr, ptr, ptr])
-    for formatter in ("format_ints", "format_doubles"):
-        assert declared[formatter] == (i64, [ptr, i64, ptr, i64, char, ptr])
+    assert declared["csr_matvec"] == (None, [i64, i64, r_i32, r_i32, r_f64, r_f64, w_f64])
+    # a char * buffer is a uint8 array; a char by value is a c_char
+    assert declared["format_ints"] == (i64, [r_i64, i64, r_i64, i64, char, w_u8])
+    assert declared["format_doubles"] == (i64, [r_f64, i64, r_i64, i64, char, w_u8])
     assert "is_word" not in declared  # a static helper inside extern "C"
 
 
-@pytest.mark.parametrize("ctype", ["int", "size_t", "float", "struct pair"])
+@pytest.mark.parametrize("ctype", ["int", "size_t", "float", "struct pair", "float *",
+                                   "size_t *"])
 def test_a_kernel_type_ctypes_cannot_declare_is_refused_not_run_in_python(ctype, tmp_path,
                                                                           monkeypatch):
-    # without this, ctypes would pass an int as int64_t without an error
+    # without this, ctypes would pass an int as int64_t, or a float32 array
+    # to a float *, without an error
     for definition in [f"int64_t scale({ctype} x)", f"{ctype} scale(int64_t n)"]:
         source = tmp_path / "_native.cpp"
         source.write_text(f'extern "C" {{\n\n{definition}\n{{\n}}\n\n}} /* extern "C" */\n')
         monkeypatch.setattr(_native, "SOURCE", source)
-        with pytest.raises(ValueError, match=f"scale takes or returns '{ctype}'"):
+        with pytest.raises(ValueError, match=re.escape(f"scale takes or returns '{ctype}'")):
             _native.library.__wrapped__()
 
 
@@ -78,6 +88,49 @@ def test_every_compiled_kernel_is_declared():
     assert set(declared) == exported
     for name, (restype, argtypes) in declared.items():
         assert (getattr(lib, name).restype, getattr(lib, name).argtypes) == (restype, argtypes)
+        # one array type per (dtype, writable), which every kernel shares
+        for argtype in argtypes:
+            if issubclass(argtype, _native.Array):
+                assert argtype is _native.ARRAYS[argtype.dtype.name, argtype.writable]
+
+
+KERNELS = _native.signatures(_native.SOURCE.read_text(encoding="utf-8"))
+# same element size, other kind: a raw address would be read without an error
+OTHER_DTYPE = {"int32": "uint32", "uint32": "int32", "int64": "float64", "float64": "int64",
+               "uint8": "int8"}
+
+
+@needs_compiler
+@pytest.mark.parametrize("name,index", [
+    pytest.param(name, i, id=f"{name}-{i}") for name, (_, argtypes) in KERNELS.items()
+    for i, argtype in enumerate(argtypes) if issubclass(argtype, _native.Array)
+])
+def test_a_kernel_refuses_an_array_it_cannot_read_before_it_runs(name, index):
+    lib = native_library()
+    kernel, argtypes = getattr(lib, name), KERNELS[name][1]
+    table = lib.word_table_new()
+    try:
+        # every count and length 0, every array 1024 elements of its type:
+        # arguments each kernel takes without reading or writing an element
+        args = [np.full(1024, 3, argtype.dtype) if issubclass(argtype, _native.Array)
+                else table if argtype is ctypes.c_void_p else b"," if argtype is ctypes.c_char
+                else 0 for argtype in argtypes]
+        kernel(*args)
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        before = [a.copy() for a in arrays]
+        array = argtypes[index]
+        read_only = np.full(1024, 3, array.dtype)
+        read_only.flags.writeable = False
+        spoiled = [np.full(1024, 3, OTHER_DTYPE[array.dtype.name]),
+                   np.full(2048, 3, array.dtype)[::2]] + [read_only] * array.writable
+        for bad in spoiled:
+            with pytest.raises(ctypes.ArgumentError, match=f"^argument {index + 1}: "):
+                kernel(*args[:index], bad, *args[index + 1:])
+            assert all(map(np.array_equal, arrays, before)) and (bad == 3).all()
+        if not array.writable:  # a const array may be read-only
+            kernel(*args[:index], read_only, *args[index + 1:])
+    finally:
+        lib.word_table_free(table)
 
 
 def test_every_compiled_kernel_has_a_caller():
@@ -104,7 +157,7 @@ def native_library():
 def lgam_each(values):
     values = np.ascontiguousarray(values, dtype=np.float64)
     out = np.empty_like(values)
-    native_library().lgam_each(values.ctypes.data, values.size, out.ctypes.data)
+    native_library().lgam_each(values, values.size, out)
     return out
 
 
@@ -139,7 +192,7 @@ def test_lgam_matches_gammaln_on_any_positive_double(values):
 def sum_at(table, index):
     table = np.ascontiguousarray(table, dtype=np.float64)
     index = np.ascontiguousarray(index, dtype=np.int64)
-    return native_library().sum_at(table.ctypes.data, index.ctypes.data, index.size)
+    return native_library().sum_at(table, index, index.size)
 
 
 def spread_values(seed, n):
@@ -178,13 +231,13 @@ def test_native_topics_uniforms_and_state_follow_the_mersenne_twister(k):
     for seed, n, m in [(0, 0, 0), (42, 1, 1), (7, 311, 312), (7, 624, 313), (2024, 5000, 1000)]:
         state, rng = mt_state(seed), Random(seed)
         topics = np.empty(n, dtype=np.int32)
-        lib.draw_topics(state.ctypes.data, k, n, topics.ctypes.data)
+        lib.draw_topics(state, k, n, topics)
         assert topics.view(np.uint32).tolist() == [rng.randrange(k) for _ in range(n)]
         assert tuple(state.tolist()) == rng.getstate()[1]
         twin_state = mt_state(seed)
         assert np.array_equal(topics, lda._draw_topics_python(twin_state, k, n))
         assert np.array_equal(twin_state, state)
         uniforms = np.empty(m)
-        lib.draw_uniforms(state.ctypes.data, m, uniforms.ctypes.data)
+        lib.draw_uniforms(state, m, uniforms)
         assert uniforms.tolist() == [rng.random() for _ in range(m)]
         assert tuple(state.tolist()) == rng.getstate()[1]

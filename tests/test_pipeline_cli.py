@@ -21,10 +21,10 @@ import scipy.io
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BACKENDS, child_env, use_backend
+from conftest import BACKENDS, PLANTED_COUNTRIES, child_env, planted_records, use_backend
 from corpus_scope import _native, errors, pipeline
 from corpus_scope.cli import main
-from corpus_scope.corpus_ingest import parse_file
+from corpus_scope.corpus_ingest import parse_file, serialize_corpus
 from corpus_scope.errors import (
     ConfigError,
     CorpusScopeError,
@@ -1527,6 +1527,23 @@ def test_run_with_a_country_also_writes_compare_csv_from_one_whole_corpus_fit(
         assert (country / name).read_bytes() == (plain / name).read_bytes(), name
     digest = hashlib.sha256((country / "compare.csv").read_bytes()).hexdigest()
     assert digest == COMPARE_SHA256
+
+
+def test_run_with_a_country_writes_its_planted_share(tmp_path, capsys):
+    # each document names one of 12 countries drawn uniformly; over seeds
+    # 0-39 and all 12 countries the written share was 6.4-10.5 (100/12 =
+    # 8.33, standard deviation 0.62)
+    for seed in range(6):
+        corpus, _ = planted_records(np.random.default_rng(seed))
+        src = tmp_path / f"planted{seed}.csv"
+        src.write_text("".join(serialize_corpus(corpus)), encoding="utf-8")
+        out = tmp_path / f"out{seed}"
+        assert run_cli("run", "--input", src, "--out", out, "--iters", "2", "--burn-in", "0",
+                       "--country", PLANTED_COUNTRIES[seed]) == 0
+        size = [r.split(",") for r in read_rows(out / "compare.csv") if r.startswith("size,")]
+        assert size[1][:2] == ["size", "share_percent"] and size[1][3] == "100.0"
+        assert abs(float(size[1][2]) - 100 / 12) <= 2.5, seed
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------- entry point
