@@ -40,6 +40,7 @@ import functools
 import io
 import json
 import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -272,9 +273,15 @@ def _iter_csv(text: Iterable[str], errors: list[RecordError]):
         raise InputError(f"cannot parse CSV data row {row_num + 1}: {exc}") from exc
 
 
+# a surrogate code point, which UTF-8 cannot encode; in a decoded JSON string
+# only a \u escape json.loads could not pair makes one
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _iter_jsonl(text: Iterable[str], errors: list[RecordError]):
     """(row number, ``_FIELDS`` values) per JSON line whose fields have the
-    types :func:`_wrong_type` allows."""
+    types :func:`_wrong_type` allows. Each unpaired surrogate in a string or
+    list item reads as U+FFFD, flagged per field without dropping the record."""
     for row_num, line in enumerate(text, start=1):
         if not line.strip():
             continue
@@ -291,7 +298,26 @@ def _iter_jsonl(text: Iterable[str], errors: list[RecordError]):
         if wrong is not None:
             errors.append(RecordError(row_num, f"non-string {wrong}", dropped=True))
             continue
-        yield row_num, tuple(map(raw.get, _FIELDS))
+        values = tuple(map(raw.get, _FIELDS))
+        if "\\u" in line:
+            values = tuple(_replace_surrogates(row_num, *field, errors)
+                           for field in zip(_FIELDS, values))
+        yield row_num, values
+
+
+def _replace_surrogates(row: int, name: str, value, errors: list[RecordError]):
+    """A JSON field's value with each surrogate in its string, or in the
+    strings of its list, replaced by U+FFFD; flagged in ``errors`` if any."""
+    if isinstance(value, str):
+        fixed = _SURROGATE.sub("\ufffd", value)
+    elif isinstance(value, list):
+        fixed = [_SURROGATE.sub("\ufffd", v) if isinstance(v, str) else v for v in value]
+    else:
+        return value
+    if fixed != value:
+        errors.append(RecordError(row, f"unpaired surrogate in {name} read as U+FFFD",
+                                  dropped=False))
+    return fixed
 
 
 def parse_records(stream: BinaryIO, format: str) -> tuple[Corpus, list[RecordError]]:

@@ -44,7 +44,8 @@ class InsufficientDataError(CorpusScopeError):
 
 class StageError(CorpusScopeError):
     """A pipeline stage failed; carries the stage name, its cause's exit
-    code (1 for a MemoryError or OSError) and the partial report."""
+    code (1 for a cause without one, such as a MemoryError, an OSError or a
+    RuntimeError) and the partial report."""
 
     def __init__(self, stage: str, cause: Exception, report):
         # a bare MemoryError has no message

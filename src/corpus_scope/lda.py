@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -101,6 +102,8 @@ class LdaConfig:
                               f" {self.alpha} and {self.beta}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if self.iterations > sys.maxsize // 8:  # one float64 log-likelihood per sweep
+            raise ConfigError(f"iterations must be <= {sys.maxsize // 8}, got {self.iterations}")
         if not 0 <= self.burn_in < self.iterations:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < iterations")
 
@@ -530,11 +533,11 @@ def render_model(model: LdaModel) -> Iterator[str]:
         "[topic_word_counts]",
     ]
     yield "\n".join(head) + "\n"
-    yield from _csv_table(model.topic_word_counts)
+    yield from line_chunks(model.topic_word_counts, ",")
     yield "[doc_topic_counts]\n"
-    yield from _csv_table(model.doc_topic_counts)
+    yield from line_chunks(model.doc_topic_counts, ",")
     yield "[assignments]\n"
-    yield from line_chunks(model.topics, model.offsets[1:], ",")
+    yield from line_chunks(model.topics, ",", model.offsets[1:])
     yield "[log_likelihoods]\n" + "".join(f"{v!r}\n" for v in model.log_likelihoods)
 
 
@@ -544,9 +547,3 @@ def _one_line_id(doc_id: str) -> str:
     ``\\n`` and ``\\x3b``."""
     return (doc_id.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
             .replace(";", "\\x3b"))
-
-
-def _csv_table(counts: np.ndarray) -> Iterator[str]:
-    """A count matrix as one comma-separated line per row, in chunks."""
-    rows, cols = counts.shape
-    return line_chunks(counts, np.arange(cols, rows * cols + 1, cols), ",")

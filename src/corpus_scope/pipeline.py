@@ -68,7 +68,6 @@ from .eda import (
 )
 from .errors import (
     ConfigError,
-    CorpusScopeError,
     InputError,
     InsufficientDataError,
     StageError,
@@ -88,7 +87,6 @@ from .svgplot import empty_chart, line_chart, scatter_2d
 from .text_pipeline import (
     DEFAULT_TEXT_FIELDS,
     DEFAULT_VOCAB_SIZE,
-    _one_line,
     build_dtm,
     build_sequences,
     build_vocabulary,
@@ -402,9 +400,13 @@ def _float(v: float) -> str:
 
 def _float_rows(matrix: np.ndarray) -> list[str]:
     """Each row of a 2-D float array as its values' reprs joined by commas."""
-    rows, cols = matrix.shape
-    ends = np.arange(cols, rows * cols + 1, cols)
-    return "".join(line_chunks(matrix, ends, ",")).split("\n")[:-1]
+    return "".join(line_chunks(matrix, ",")).split("\n")[:-1]
+
+
+def _provenance(cfg: PipelineConfig, selection: str) -> str:
+    """The comment heading a data file, which its writer makes one line:
+    version, input name, ``selection`` (the file's documents) and seed."""
+    return f"corpus-scope {__version__} | input={cfg.input.name} | {selection} | seed={cfg.seed}"
 
 
 def _ingest(run: _Run, stage: StageReport) -> None:
@@ -428,11 +430,7 @@ def _ingest(run: _Run, stage: StageReport) -> None:
         run.subset, _rest = partition_by_country(corpus, cfg.country)
         require_nonempty(run.subset, f"country filter {cfg.country!r}")
     run.corpus = corpus
-    run.provenance = _one_line(
-        f"corpus-scope {__version__} | input={cfg.input.name}"
-        f" | filters={'; '.join(corpus.filters) or 'none'}"
-        f" | seed={cfg.seed}"
-    )
+    run.provenance = _provenance(cfg, f"filters={'; '.join(corpus.filters) or 'none'}")
     run.emit(stage, "corpus.csv", serialize_corpus(corpus))
 
 
@@ -656,8 +654,7 @@ def _compare(run: _Run, stage: StageReport) -> None:
     """
     cfg, corpus, subset = run.cfg, run.corpus, run.subset
     stage.notes.append(f"subset {len(subset)} of {len(corpus)} documents")
-    provenance = (f"corpus-scope {__version__} | input={cfg.input.name}"
-                  f" | compare country={cfg.country} | seed={cfg.seed}")
+    provenance = _provenance(cfg, f"compare country={cfg.country}")
 
     members = {d.id for d in subset}
     sub_tokens = run.tokens.take([r for r, i in enumerate(run.tokens.doc_ids) if i in members])
@@ -781,13 +778,13 @@ def run_pipeline(
     the report is always written.
 
     The plan, the input and the stoplist are checked, and the stoplist read,
-    before anything is written. A stage that raises a CorpusScopeError, a
-    MemoryError or an OSError is recorded as ``failed_stage`` and re-raised
-    as StageError; when compare is planned, an empty country
-    subset fails the ingest stage, before corpus.csv is written, with
-    EmptyResultError (CLI exit code 3). Whether the run succeeds or a stage
-    raises, the report's ``notes`` name the planned files that it did not
-    write but that ``--out`` still holds from an earlier run.
+    before anything is written. A stage that raises any Exception is
+    recorded as ``failed_stage`` and re-raised as StageError; when compare
+    is planned, an empty country subset fails the ingest stage, before
+    corpus.csv is written, with EmptyResultError (CLI exit code 3). Whether
+    the run succeeds or a stage raises, the report's ``notes`` name the
+    planned files that it did not write but that ``--out`` still holds from
+    an earlier run.
     """
     stages, files = plan(cfg, command, from_stage)
     _check_paths(cfg, files)
@@ -805,7 +802,7 @@ def run_pipeline(
             started = time.perf_counter()
             try:
                 planned.runner(run, stage)
-            except (CorpusScopeError, MemoryError, OSError) as exc:
+            except Exception as exc:
                 run.report.failed_stage = planned.name
                 stage.notes.append(f"failed: {exc}")
                 raise StageError(planned.name, exc, run.report) from exc

@@ -479,8 +479,9 @@ def build_dtm(
     p = len(vocab)
     lookup = tokens.vocab_lookup(vocab)
     lib = _native.library()
-    # count_dtm writes int32 index pointers, so it takes fewer than 2**31 tokens
-    if lib is None or tokens.codes.size >= 2**31:
+    # the CSR's int32 indptr holds fewer than 2**31 entries on either path;
+    # CSRCounts refuses the wrapped indptr of a matrix with more
+    if lib is None:
         csr, row_totals, col_totals = _count_python(tokens, lookup, p)
     else:
         csr, row_totals, col_totals = _count_native(lib, tokens, lookup, p)
@@ -541,12 +542,8 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> Iterator[str]:
     """
     csr = dtm.csr
     n_rows, n_cols = dtm.shape
-    lines = ["%%MatrixMarket matrix coordinate integer general"]
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"% {part}")
-    lines.append(f"{n_rows} {n_cols} {csr.nnz}")
-    yield "\n".join(lines) + "\n"
+    yield ("%%MatrixMarket matrix coordinate integer general\n"
+           + (f"% {_one_line(comment)}\n" if comment else "") + f"{n_rows} {n_cols} {csr.nnz}\n")
     # (row, column, count) triples, a chunk at a time; entry i lies in the
     # 1-based row that counts the indptr values <= i
     step = _CHUNK // 3
@@ -556,22 +553,26 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> Iterator[str]:
         entries[:, 0] = np.searchsorted(csr.indptr, np.arange(lo, hi), "right")
         entries[:, 1] = csr.indices[lo:hi] + 1
         entries[:, 2] = csr.data[lo:hi]
-        yield from line_chunks(entries, np.arange(3, entries.size + 1, 3), " ")
+        yield from line_chunks(entries, " ")
 
 
 _CHUNK = 1 << 16
 
 
-def line_chunks(values, row_ends, sep: str) -> Iterator[str]:
+def line_chunks(values, sep: str, row_ends=None) -> Iterator[str]:
     """Numbers as text, one line per row, in chunks.
 
-    Row r holds ``values[row_ends[r - 1]:row_ends[r]]`` (row 0 starts at 0)
-    and reads ``sep.join(map(str, row)) + "\\n"`` for non-negative integers
-    or ``sep.join(map(repr, row)) + "\\n"`` for floats; an empty row is a
-    bare newline. Each chunk covers at most 2**16 values; a row may span
+    Row r holds ``values[row_ends[r - 1]:row_ends[r]]`` (row 0 starts at 0),
+    or without ``row_ends`` row r of the 2-D ``values``, and reads
+    ``sep.join(map(str, row)) + "\\n"`` for non-negative integers or
+    ``sep.join(map(repr, row)) + "\\n"`` for floats; an empty row is a bare
+    newline. Each chunk covers at most 2**16 values; a row may span
     chunks. The arguments are checked before the first chunk is asked for.
     """
-    values = np.asarray(values).ravel()
+    values = np.asarray(values)
+    if row_ends is None:
+        row_ends = np.arange(1, len(values) + 1) * values.shape[1]
+    values = values.ravel()
     floats = values.dtype.kind == "f"
     if not floats and values.dtype.kind not in "iu":
         raise ConfigError(f"line_chunks takes integers or floats, got {values.dtype}")
@@ -667,5 +668,9 @@ def csv_field(value) -> str:
 
 
 def _one_line(text: str) -> str:
-    """``text`` with its CRs and LFs written as ``\\r`` and ``\\n``: one line."""
-    return text.replace("\r", "\\r").replace("\n", "\\n")
+    """``text`` as one line of valid UTF-8: its CRs and LFs written as
+    ``\\r`` and ``\\n``, and each code point UTF-8 cannot encode as its
+    backslash escape (a lone surrogate, which is how Python holds a byte of
+    a file name or argument that is not UTF-8)."""
+    return (text.encode("utf-8", "backslashreplace").decode("utf-8")
+            .replace("\r", "\\r").replace("\n", "\\n"))

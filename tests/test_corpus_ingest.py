@@ -11,6 +11,7 @@ from corpus_scope.corpus_ingest import (
     Corpus,
     DocType,
     Document,
+    RecordError,
     filter_by_phrase,
     filter_by_years,
     normalize_doc_type,
@@ -315,6 +316,19 @@ def test_jsonl_list_items_split_on_semicolons_as_csv_fields_do():
     assert ids(inside) == ("J1",)
 
 
+def test_jsonl_unpaired_surrogates_read_as_u_fffd_and_are_flagged():
+    # valid JSON that no UTF-8 file can hold; an escaped pair is one character
+    line = ('{"id": "a1", "title": "data \\ud800 science", "year": 2015,'
+            ' "keywords": ["x\\uDFFF", "\\ud83d\\ude00"]}\n')
+    corpus, errors = parse_jsonl(line)
+    doc = corpus.documents[0]
+    assert doc.title == "data \ufffd science" and doc.keywords == ("x\ufffd", "\U0001f600")
+    assert errors == [RecordError(1, f"unpaired surrogate in {name} read as U+FFFD",
+                                  dropped=False) for name in ("title", "keywords")]
+    back, back_errors = parse_csv("".join(serialize_corpus(corpus)))
+    assert back.documents == corpus.documents and back_errors == []
+
+
 def test_serialize_round_trip_random_corpora():
     rng = np.random.default_rng(1234)
     letters = list("abcdefg ,;\"'-")
@@ -412,6 +426,7 @@ _RECORD_BYTES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_RECORD_BYTES, st.sampled_from(["csv", "jsonl"]))
 @example(b'{"id": "a", "title": "t", "doc_type": [null]}', "jsonl")  # a non-string type
+@example(b'{"id": "a", "year": [null, "\\ud800"]}', "jsonl")  # a surrogate in any list
 def test_parse_records_raises_only_toolkit_errors(data, fmt):
     try:
         corpus, errors = parse_records(io.BytesIO(data), fmt)

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import shutil
+import sys
 from random import Random
 
 import numpy as np
@@ -261,6 +262,10 @@ def test_lda_config_validation():
         quick_config(iterations=0)
     with pytest.raises(ConfigError):
         quick_config(iterations=10, burn_in=10)
+    # the longest log-likelihood array numpy can size
+    assert quick_config(iterations=sys.maxsize // 8).iterations == sys.maxsize // 8
+    with pytest.raises(ConfigError, match="iterations must be <="):
+        quick_config(iterations=sys.maxsize // 8 + 1)
 
 
 @pytest.mark.parametrize("prior", [{"alpha": math.nan}, {"alpha": math.inf},

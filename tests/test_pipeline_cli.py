@@ -613,7 +613,10 @@ def test_cli_output_that_is_a_directory_exits_2_before_any_stage(
 @pytest.mark.parametrize("error", [
     MemoryError("Unable to allocate 63.3 GiB for an array"),
     OSError(errno.ENOSPC, "No space left on device"),
-], ids=["memory", "disk"])
+    RuntimeError("count conservation violated at sweep 3"),
+    ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than the"
+               " maximum possible size."),
+], ids=["memory", "disk", "runtime", "value"])
 def test_cli_stage_out_of_memory_or_disk_exits_1_with_a_report(
         mini_corpus_path, run_dir, tmp_path, monkeypatch, capsys, error):
     shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
@@ -657,6 +660,11 @@ def test_cli_lda_settings_are_checked_before_any_stage(mini_corpus_path, tmp_pat
                    "--burn-in", "50", "--iters", "10") == 2
     assert not out.exists() or not any(out.iterdir())
     assert "burn_in" in capsys.readouterr().err
+    # more sweeps than numpy can keep a log-likelihood for
+    assert run_cli("run", "--input", mini_corpus_path, "--out", out,
+                   "--burn-in", "0", "--iters", str(10**20)) == 2
+    assert not out.exists()
+    assert "iterations must be <=" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--alpha", "inf"),
@@ -700,7 +708,9 @@ def test_a_run_never_overwrites_its_own_input(mini_corpus_path, tmp_path, capsys
 
 
 def test_provenance_comments_stay_one_line(mini_corpus_path, tmp_path):
-    odd = tmp_path / "mini\ncorpus.csv"
+    # a line feed and the byte 0xff, which Python holds as the lone surrogate
+    # U+DCFF and UTF-8 cannot encode
+    odd = tmp_path / "mini\n\udcffcorpus.csv"
     shutil.copyfile(mini_corpus_path, odd)
     plain_out, odd_out = tmp_path / "plain", tmp_path / "odd"
     run_pipeline(quick_cfg(mini_corpus_path, plain_out, country="Saudi Arabia"))
@@ -711,7 +721,7 @@ def test_provenance_comments_stay_one_line(mini_corpus_path, tmp_path):
         plain = (plain_out / name).read_text(encoding="utf-8")
         text = (odd_out / name).read_text(encoding="utf-8")
         assert "\r" not in text and text.count("\n") == plain.count("\n"), name
-        assert text.replace("input=mini\\ncorpus.csv", "input=mini_corpus.csv").replace(
+        assert text.replace("input=mini\\n\\udcffcorpus.csv", "input=mini_corpus.csv").replace(
             "country=Saudi Arabia\\r\\n", "country=Saudi Arabia") == plain, name
         if name.endswith(".csv"):  # no reader sees a piece of the comment as a record
             for row in csv.reader(text.splitlines()):
@@ -935,9 +945,10 @@ def test_a_writer_whose_file_is_not_planned_never_starts(mini_corpus_path, tmp_p
     run_pipeline(quick_cfg(mini_corpus_path, out), from_stage="lda")
     assert {p.name for p in out.iterdir()} == {
         "lda_model.txt", "lda_top_words.csv", "bigrams_edges.csv", "run_report.json"}
-    # the patch bites where the files are planned
-    with pytest.raises(AssertionError, match="the plan does not have"):
+    # the patch bites where the files are planned, failing the stage
+    with pytest.raises(StageError, match="the plan does not have") as exc_info:
         run_pipeline(quick_cfg(mini_corpus_path, tmp_path / "full"))
+    assert isinstance(exc_info.value.cause, AssertionError)
 
 
 def make_fail(monkeypatch, name):
@@ -1092,14 +1103,17 @@ def test_the_benchmark_checks_the_files_and_stages_of_a_run_without_country(
 
 # ---------------------------------------------------------------- any input
 
-WORDS = ("data", "graph", "model", "network", "mining", "science", "the", "and")
+# the last three hold an accented letter, U+2019 and U+2013
+WORDS = ("data", "graph", "model", "network", "mining", "science", "the", "and",
+         "réseau", "model’s", "data–driven")
 FLAGS = {f.name: f.metadata["flag"] for f in fields(PipelineConfig)}
 
 
 @st.composite
 def cli_cases(draw):
     """A small generated corpus (its file name and bytes), a command, its
-    ``--from`` stage and the settings its flags set."""
+    ``--from`` stage and the settings its flags set. The file name may hold
+    a byte that is not UTF-8, and a JSON Lines title an unpaired surrogate."""
     dated = draw(st.sampled_from(("all", "some", "none")))
     records, tokens = [], 0
     for i in range(draw(st.integers(1, 6))):
@@ -1115,7 +1129,11 @@ def cli_cases(draw):
         name, lines = "records.csv", ["id,title,year,abstract,countries"] + [
             ",".join("" if v is None else str(v) for v in r.values()) for r in records]
     else:
+        if draw(st.booleans()):
+            records[0]["title"] += " \ud800"  # valid JSON, not Unicode
         name, lines = "records.jsonl", [json.dumps(r) for r in records]
+    if draw(st.booleans()):
+        name = "\udcff" + name  # the byte 0xff, as Python decodes a file name
     data = (draw(st.sampled_from(("", "\ufeff"))) + "\n".join(lines) + "\n").encode("utf-8")
     command = draw(st.sampled_from(("run", "run", "compare")))
     from_stage = draw(st.none() | st.sampled_from(STAGES)) if command == "run" else None
@@ -1128,6 +1146,7 @@ def cli_cases(draw):
         "year_max": st.integers(1999, 2006),
         "phrase": st.sampled_from(("data", "graph model", "science")),
         "country": st.sampled_from(("Saudi Arabia", "Egypt", " ")),
+        "iterations": st.integers(1, 2) | st.integers(sys.maxsize // 8 + 1, 10**20),
     }
     chosen = {key: draw(value) for key, value in optional.items() if draw(st.booleans())}
     return name, data, command, from_stage, chosen
@@ -1183,7 +1202,8 @@ def test_any_small_corpus_and_flag_set_exits_cleanly_and_reproducibly(case):
             (old / stale).write_bytes(b"old\n")
         again = run(old)[1]
         assert again["failed_stage"] == report["failed_stage"]
-        cfg = PipelineConfig(input=source, out_dir=old, iterations=2, burn_in=0, **chosen)
+        cfg = PipelineConfig(input=source, out_dir=old, **{"iterations": 2, "burn_in": 0,
+                                                            **chosen})
         left = [f for f in plan(cfg, command, from_stage)[1] if f not in again["output_files"]]
         assert again["notes"] == [f"stale from an earlier run: {', '.join(left)}"] * bool(left)
 
@@ -1198,10 +1218,13 @@ def case_records(name, data):
 
 
 def write_records(path, records):
-    """``records`` as CSV or JSON Lines, by ``path``'s suffix."""
+    """``records`` as CSV or JSON Lines, by ``path``'s suffix; in CSV, each
+    unpaired surrogate as the U+FFFD that JSON Lines input reads it as."""
     if path.suffix == ".jsonl":
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         return
+    records = [{key: re.sub("[\ud800-\udfff]", "\ufffd", value) if isinstance(value, str)
+                else value for key, value in r.items()} for r in records]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, records[0].keys(), lineterminator="\n")
         writer.writeheader()
@@ -1216,9 +1239,10 @@ def data_files_without_provenance(out):
 
 def runnable_flags(chosen):
     """A case's settings as flags, less what empties or refuses most generated
-    corpora: the filters, the country, a zero threshold, over two topics."""
+    corpora: the filters, the country, a zero threshold, over two topics,
+    other than two sweeps."""
     kept = {key: value for key, value in chosen.items()
-            if key not in ("phrase", "year_min", "year_max", "country")}
+            if key not in ("phrase", "year_min", "year_max", "country", "iterations")}
     kept["topics"] = min(kept.get("topics", 2), 2)
     kept["bigram_threshold"] = max(kept.get("bigram_threshold", 1), 1)
     return ["--iters", "2", "--burn-in", "0",

@@ -488,6 +488,13 @@ def test_dtm_index_writes_a_multi_line_comment_as_one_line():
     assert first == "# a\\nb\\r\\nc"
     assert next(csv.reader(io.StringIO(rest, newline=""))) == ["kind", "position", "label",
                                                                 "total"]
+    # the MatrixMarket comment by the same rule, which also escapes what UTF-8
+    # cannot encode: a lone surrogate, as a file name's byte 0xff is held
+    comment = "a\nb\u2028c\udcff"
+    mtx = "".join(export_matrixmarket(dtm, comment=comment)).split("\n")
+    assert mtx[1] == "% a\\nb\u2028c\\udcff"
+    assert mtx[2] == "1 2 2"
+    assert "".join(export_dtm_index(dtm, comment=comment)).split("\n")[0] == "#" + mtx[1][1:]
 
 
 # ---------------------------------------------------------------- CSV tables
@@ -551,7 +558,7 @@ _INT_ROWS = st.lists(
 
 
 def joined(values, row_ends, sep):
-    return "".join(line_chunks(values, row_ends, sep))
+    return "".join(line_chunks(values, sep, row_ends))
 
 
 @settings(max_examples=200, deadline=None)
@@ -570,12 +577,15 @@ def test_format_int_lines_takes_any_integer_dtype():
         values = np.array([0, 65535, 12], dtype=dtype)
         assert joined(values, [2, 2, 3], " ") == "0 65535\n\n12\n"
     assert joined(np.zeros(0, dtype=np.int64), [0, 0], ",") == "\n\n"
+    # without row ends, one line per row of a 2-D array
+    assert joined(np.array([[1, 2], [3, 4]], dtype=np.uint8), None, ",") == "1,2\n3,4\n"
+    assert joined(np.zeros((2, 0), dtype=np.int64), None, ",") == "\n\n"
 
 
 def test_format_int_lines_rejects_what_it_cannot_write():
     # the checks run when line_chunks is called, before a chunk is asked for
     with pytest.raises(ConfigError, match="non-negative"):
-        line_chunks(np.array([3, -1]), [2], ",")
+        line_chunks(np.array([3, -1]), ",", [2])
     with pytest.raises(ConfigError, match="non-negative"):
         joined(np.array([2**63], dtype=np.uint64), [1], ",")
     with pytest.raises(ConfigError, match="integers or floats"):
