@@ -383,7 +383,7 @@ void word_table_free(void *table)
 /* Split a chunk of documents into maximal runs of word code points (re's
  * \w+) and intern them in table, which lasts across the chunks of a
  * corpus; the compiled twin of re.findall per document plus a
- * first-appearance dict, as in text_pipeline._encode.
+ * first-appearance dict, as in text_pipeline.encode_tokens.
  *
  * text: the chunk's code points; document d spans doc_ends[d - 1] (0 for
  * d = 0) to doc_ends[d], so no run crosses a document end. ascii: 128 word

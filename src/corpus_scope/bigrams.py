@@ -8,13 +8,13 @@ only for the pairs that are read or kept.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .text_pipeline import TokenArray, TokenSequence, as_token_array, csv_table
+from .text_pipeline import TokenArray, csv_table
 
 DEFAULT_THRESHOLD = 150
 
@@ -66,13 +66,12 @@ class BigramGraph:
     threshold: int
 
 
-def count_bigrams(sequences: TokenArray | Iterable[TokenSequence]) -> BigramTable:
+def count_bigrams(tokens: TokenArray) -> BigramTable:
     """Count ordered pairs of adjacent tokens within each document.
 
     Pairs never span documents: a document with t tokens contributes exactly
     max(t - 1, 0) pairs, so the table total is sum over docs of (len - 1).
     """
-    tokens = as_token_array(sequences)
     codes = tokens.codes
     # key i is pair (codes[i], codes[i + 1]); a pair that crosses into the
     # document starting at i + 1 gets key -1, which sorts before every pair

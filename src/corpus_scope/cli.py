@@ -7,6 +7,7 @@ writes; each setting's flag from its ``PipelineConfig`` field. A run exits
 InputError or ConfigError, 3 for an EmptyResultError, 1 for any other.
 The run report's notes are printed as ``note: ...`` lines: on standard
 output after a success, on standard error below a failed stage's error.
+Each character a stream's encoding cannot hold is printed backslash-escaped.
 
 Importing this module sets a policy for its one process, which covers the
 ``corpus-scope`` console script and any ``from corpus_scope.cli import
@@ -50,16 +51,19 @@ from .pipeline import (  # noqa: E402
 
 gc.freeze()  # see the module docstring
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, help="INI config file (flags override it)")
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes: ``--config`` and one per setting."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, help="INI config file (flags override it)")
     for f in fields(PipelineConfig):
         if f.metadata["flag"] is None:
             continue
         help = f.metadata["help"]
         if f.default is not MISSING and f.default is not None:
             help += f" (default {f.default})"
-        sub.add_argument(f.metadata["flag"], dest=f.name, type=f.metadata["parse"],
-                         choices=f.metadata["choices"], help=help)
+        common.add_argument(f.metadata["flag"], dest=f.name, type=f.metadata["parse"],
+                            choices=f.metadata["choices"], help=help)
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch text mining for bibliographic abstract corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
     for name, desc in COMMANDS.items():
-        p = sub.add_parser(name, help=desc)
-        _add_common_flags(p)
+        p = sub.add_parser(name, help=desc, parents=[common])
         if name == "run":
             p.add_argument(
                 "--from",
@@ -97,13 +101,22 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
+def _print(text: str, file=None) -> None:
+    """Print ``text`` to ``file`` (standard output by default) with each
+    character its encoding cannot hold backslash-escaped, so that a note or
+    a file name the terminal cannot show does not fail a finished run."""
+    file = file or sys.stdout
+    encoding = getattr(file, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), file=file)
+
+
 class _StderrWarnings(logging.Handler):
     """Prints the toolkit's logged warnings as the CLI prints its own, to
     whatever ``sys.stderr`` is when each one arrives."""
 
     def emit(self, record: logging.LogRecord) -> None:
-        print(f"corpus-scope: {record.levelname.lower()}: {record.getMessage()}",
-              file=sys.stderr)
+        _print(f"corpus-scope: {record.levelname.lower()}: {record.getMessage()}",
+               sys.stderr)
 
 
 def _route_warnings() -> None:
@@ -120,17 +133,17 @@ def main(argv: list[str] | None = None) -> int:
         report = run_pipeline(cfg, command=args.command,
                               from_stage=getattr(args, "from_stage", None))
     except CorpusScopeError as exc:
-        print(f"corpus-scope: error: {exc}", file=sys.stderr)
+        _print(f"corpus-scope: error: {exc}", sys.stderr)
         for note in exc.report.notes if isinstance(exc, StageError) else ():
-            print(f"note: {note}", file=sys.stderr)
+            _print(f"note: {note}", sys.stderr)
         return exc.exit_code
     for stage in report.stages:
         for note in stage.notes:
-            print(f"[{stage.name}] {note}")
+            _print(f"[{stage.name}] {note}")
     for note in report.notes:
-        print(f"note: {note}")
+        _print(f"note: {note}")
     written = ", ".join(sorted(report.output_files)) or "none"
-    print(f"wrote {len(report.output_files)} file(s) to {cfg.out_dir}: {written}")
+    _print(f"wrote {len(report.output_files)} file(s) to {cfg.out_dir}: {written}")
     return 0
 
 

@@ -45,16 +45,16 @@ import math
 import sys
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from . import _native
 from .errors import ConfigError, InputError
-from .text_pipeline import as_token_array, line_chunks, remap_tokens
+from .text_pipeline import line_chunks, remap_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .text_pipeline import TokenArray, TokenSequence, Vocabulary
+    from .text_pipeline import TokenArray, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -227,14 +227,13 @@ def dirichlet_density(
 
 
 def _vectorize(
-    sequences: "TokenArray | Iterable[TokenSequence]", vocab: "Vocabulary"
+    tokens: "TokenArray", vocab: "Vocabulary"
 ) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
     """The in-vocabulary tokens as flat vocabulary ids, dropping empty documents.
 
     Returns the kept document ids, int64 token offsets (document d owns
     ``words[offsets[d]:offsets[d + 1]]``), int32 word ids and the dropped ids.
     """
-    tokens = as_token_array(sequences)
     words, offsets = remap_tokens(tokens.codes, tokens.offsets, tokens.vocab_lookup(vocab))
     lengths = np.diff(offsets)
     doc_ids: list[str] = []
@@ -388,11 +387,7 @@ def _check_tables(offsets: np.ndarray, words: np.ndarray, z: np.ndarray, n_wk: n
         raise RuntimeError("Gibbs word id or topic out of range")
 
 
-def fit_lda(
-    sequences: "TokenArray | Iterable[TokenSequence]",
-    vocab: "Vocabulary",
-    config: LdaConfig,
-) -> LdaModel:
+def fit_lda(tokens: "TokenArray", vocab: "Vocabulary", config: LdaConfig) -> LdaModel:
     """Run the collapsed Gibbs sampler and return point estimates.
 
     Documents with no in-vocabulary tokens are dropped (with a warning) and
@@ -401,7 +396,7 @@ def fit_lda(
     allocated. Count tables are cross-checked for exact conservation after
     every sweep.
     """
-    doc_ids, offsets, words, dropped = _vectorize(sequences, vocab)
+    doc_ids, offsets, words, dropped = _vectorize(tokens, vocab)
     k = config.k
     if k > words.size:
         raise ConfigError(f"{k} topics exceed the {words.size} in-vocabulary tokens,"

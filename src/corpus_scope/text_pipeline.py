@@ -92,17 +92,6 @@ def default_stoplist() -> frozenset[str]:
     return _parse_stoplist(ref.read_text(encoding="utf-8"))
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Ordered tokens of one document after cleaning."""
-
-    doc_id: str
-    tokens: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 @dataclass(frozen=True, eq=False)
 class TokenArray:
     """The cleaned tokens of every document as integer codes in one array.
@@ -110,7 +99,7 @@ class TokenArray:
     Document d owns ``codes[offsets[d]:offsets[d + 1]]`` and code c stands
     for ``types[c]``. ``types`` lists each distinct token once, sorted, so
     code order is term order; every type occurs at least once. Indexing or
-    iterating decodes documents back to :class:`TokenSequence`.
+    iterating decodes a document to the tuple of its token strings.
     """
 
     doc_ids: tuple[str, ...]
@@ -121,12 +110,12 @@ class TokenArray:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def __getitem__(self, d: int) -> TokenSequence:
+    def __getitem__(self, d: int) -> tuple[str, ...]:
         d = range(len(self))[d]
         codes = self.codes[self.offsets[d] : self.offsets[d + 1]].tolist()
-        return TokenSequence(self.doc_ids[d], tuple(map(self.types.__getitem__, codes)))
+        return tuple(map(self.types.__getitem__, codes))
 
-    def __iter__(self) -> Iterator[TokenSequence]:
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
         return map(self.__getitem__, range(len(self)))
 
     def take(self, rows) -> "TokenArray":
@@ -161,12 +150,14 @@ def _first_appearance() -> defaultdict[str, int]:
     return seen
 
 
-def _encode(
+def encode_tokens(
     doc_ids: Sequence[str],
     token_lists: Iterable[Sequence[str]],
     keep: Callable[[str], bool] | None = None,
 ) -> TokenArray:
-    """One pass over per-document token lists into a :class:`TokenArray`.
+    """One pass over per-document token lists into a :class:`TokenArray`:
+    how the Python tokenizer encodes, and how a caller holding token lists
+    gets the array that every token consumer takes.
 
     Tokens get provisional codes in order of first appearance; ``keep``
     then runs once per distinct token, and the kept ones are renumbered in
@@ -258,12 +249,12 @@ def _chunks(texts: Iterable[str]) -> Iterator[list[str]]:
 def _encode_native(
     lib, doc_ids: Sequence[str], texts: Iterable[str], keep: Callable[[str], bool]
 ) -> TokenArray:
-    """``_encode(doc_ids, map(_WORD_RE.findall, texts), keep)``, with the
+    """``encode_tokens(doc_ids, map(_WORD_RE.findall, texts), keep)``, with the
     word runs split and interned by ``intern_words`` in ``_native.cpp``.
 
     Each chunk is one UTF-32 buffer; ``surrogatepass`` lets a lone surrogate
     through, as ingest does. One word table lasts the whole corpus and
-    numbers its words by first appearance, as :func:`_encode`'s dict does;
+    numbers its words by first appearance, as :func:`encode_tokens`' dict does;
     only the words new in a chunk are decoded to strings. The table is freed
     however the loop ends.
     """
@@ -307,15 +298,6 @@ def _encode_native(
     return _renumber(doc_ids, words, np.concatenate(raw), np.concatenate(ends), keep)
 
 
-def as_token_array(sequences: TokenArray | Iterable[TokenSequence]) -> TokenArray:
-    """The consumers' one entry point: a token array passes through, and
-    :class:`TokenSequence` objects are encoded into one."""
-    if isinstance(sequences, TokenArray):
-        return sequences
-    seqs = list(sequences)
-    return _encode([s.doc_id for s in seqs], (s.tokens for s in seqs))
-
-
 def _document_text(doc, fields: Sequence[str]) -> str:
     parts: list[str] = []
     for name in fields:
@@ -352,7 +334,7 @@ def build_sequences(
 
     lib = _native.library()
     if lib is None:
-        return _encode(ids, map(_WORD_RE.findall, texts), keep)
+        return encode_tokens(ids, map(_WORD_RE.findall, texts), keep)
     return _encode_native(lib, ids, texts, keep)
 
 
@@ -368,9 +350,7 @@ class Vocabulary:
         return len(self.terms)
 
 
-def build_vocabulary(
-    sequences: TokenArray | Iterable[TokenSequence], p: int = DEFAULT_VOCAB_SIZE
-) -> Vocabulary:
+def build_vocabulary(tokens: TokenArray, p: int = DEFAULT_VOCAB_SIZE) -> Vocabulary:
     """Count corpus-wide frequencies and keep the top ``p`` terms.
 
     Ordering is (frequency desc, term asc), which makes the result independent
@@ -378,7 +358,6 @@ def build_vocabulary(
     """
     if p < 1:
         raise ConfigError(f"vocabulary cap must be >= 1, got {p}")
-    tokens = as_token_array(sequences)
     if tokens.codes.size == 0:
         raise InputError("no tokens in any document; cannot build vocabulary")
     counts = np.bincount(tokens.codes, minlength=len(tokens.types))
@@ -465,9 +444,7 @@ class SparseDTM:
         return self.csr.toarray()
 
 
-def build_dtm(
-    sequences: TokenArray | Iterable[TokenSequence], vocab: Vocabulary
-) -> SparseDTM:
+def build_dtm(tokens: TokenArray, vocab: Vocabulary) -> SparseDTM:
     """Count in-vocabulary tokens per document. Out-of-vocabulary tokens are
     ignored; documents with no in-vocabulary tokens keep an all-zero row so
     row order is stable.
@@ -475,7 +452,6 @@ def build_dtm(
     The counts come from ``count_dtm`` in ``_native.cpp`` or, without the
     library, from :func:`_count_python`; both give the same CSR arrays.
     """
-    tokens = as_token_array(sequences)
     p = len(vocab)
     lookup = tokens.vocab_lookup(vocab)
     lib = _native.library()
@@ -545,12 +521,15 @@ def export_matrixmarket(dtm: SparseDTM, comment: str = "") -> Iterator[str]:
     yield ("%%MatrixMarket matrix coordinate integer general\n"
            + (f"% {_one_line(comment)}\n" if comment else "") + f"{n_rows} {n_cols} {csr.nnz}\n")
     # (row, column, count) triples, a chunk at a time; entry i lies in the
-    # 1-based row that counts the indptr values <= i
+    # 1-based row that counts the indptr values <= i, so each row the chunk
+    # spans is repeated by its entries in [lo, hi)
     step = _CHUNK // 3
     for lo in range(0, csr.nnz, step):
         hi = min(lo + step, csr.nnz)
+        first, last = np.searchsorted(csr.indptr, (lo, hi - 1), "right")
+        spans = np.diff(np.clip(csr.indptr[first - 1 : last + 1], lo, hi))
         entries = np.empty((hi - lo, 3), dtype=np.int64)
-        entries[:, 0] = np.searchsorted(csr.indptr, np.arange(lo, hi), "right")
+        entries[:, 0] = np.repeat(np.arange(first, last + 1), spans)
         entries[:, 1] = csr.indices[lo:hi] + 1
         entries[:, 2] = csr.data[lo:hi]
         yield from line_chunks(entries, " ")

@@ -11,23 +11,22 @@ import pytest
 import corpus_scope
 from corpus_scope import _native
 from corpus_scope.corpus_ingest import Corpus, Document, parse_file
-from corpus_scope.text_pipeline import CSRCounts, SparseDTM, TokenSequence
+from corpus_scope.text_pipeline import CSRCounts, SparseDTM, encode_tokens
 
 
 def planted_corpus(rng, n_docs=60, doc_len=30):
     """Synthetic docs drawn from two topics with disjoint vocabularies.
 
     Even documents use only wa0..wa4, odd ones only wb0..wb4, so a two-topic
-    model has an unambiguous ground truth. Returns (sequences, labels).
+    model has an unambiguous ground truth. Returns (the token array, labels).
     """
     topics = [[f"wa{i}" for i in range(5)], [f"wb{i}" for i in range(5)]]
-    sequences, labels = [], []
+    docs, labels = [], []
     for d in range(n_docs):
         t = d % 2
-        tokens = tuple(topics[t][int(rng.integers(5))] for _ in range(doc_len))
-        sequences.append(TokenSequence(doc_id=f"doc{d:03d}", tokens=tokens))
+        docs.append([topics[t][int(rng.integers(5))] for _ in range(doc_len)])
         labels.append(t)
-    return sequences, labels
+    return encode_tokens([f"doc{d:03d}" for d in range(n_docs)], docs), labels
 
 
 def planted_topics(rng, k, n_docs=300, doc_len=40):
@@ -36,22 +35,21 @@ def planted_topics(rng, k, n_docs=300, doc_len=40):
     Topic t owns the 20 words ``t{t}w0..t{t}w19``; document d is about topic
     ``d % k``, and each of its tokens is a uniform draw from that topic's
     words, or with probability 0.25 a Zipf draw from 200 shared noise words.
-    Returns (sequences, each document's topic, the topic word lists).
+    Returns (the token array, each document's topic, the topic word lists).
     """
     topics = [[f"t{t}w{i}" for i in range(20)] for t in range(k)]
     noise = [f"n{i}" for i in range(200)]
     zipf = 1.0 / np.arange(1, len(noise) + 1)
-    sequences, labels = [], []
+    docs, labels = [], []
     for d in range(n_docs):
         t = d % k
         is_noise = rng.random(doc_len) < 0.25
         noisy = rng.choice(len(noise), size=doc_len, p=zipf / zipf.sum())
         topical = rng.integers(20, size=doc_len)
-        tokens = tuple(noise[n] if on else topics[t][w]
-                       for on, n, w in zip(is_noise.tolist(), noisy.tolist(), topical.tolist()))
-        sequences.append(TokenSequence(doc_id=f"doc{d:03d}", tokens=tokens))
+        docs.append([noise[n] if on else topics[t][w]
+                     for on, n, w in zip(is_noise.tolist(), noisy.tolist(), topical.tolist())])
         labels.append(t)
-    return sequences, labels, topics
+    return encode_tokens([f"doc{d:03d}" for d in range(n_docs)], docs), labels, topics
 
 
 PLANTED_COUNTRIES = tuple(f"Country {c}" for c in "ABCDEFGHIJKL")

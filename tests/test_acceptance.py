@@ -20,7 +20,7 @@ from corpus_scope.cli import main
 from corpus_scope.eda import fit_quadratic
 from corpus_scope.lda import LdaConfig, dirichlet_density, fit_lda
 from corpus_scope.lsa import fit_ca, total_inertia
-from corpus_scope.text_pipeline import TokenSequence, build_dtm, build_vocabulary
+from corpus_scope.text_pipeline import build_dtm, build_vocabulary
 from test_bigrams import naive_count
 from test_eda import series, solve_normal_equations
 from test_lsa import dense_ca_oracle, random_count_matrix
@@ -109,7 +109,7 @@ def test_acceptance_3_planted_topic_recovery():
         )
         assert dominant / len(labels) >= 0.9, f"only {dominant}/200 docs dominant"
 
-        total_tokens = sum(len(s.tokens) for s in sequences)
+        total_tokens = sum(len(s) for s in sequences)
         assert int(model.topic_word_counts.sum()) == total_tokens
         assert int(model.doc_topic_counts.sum()) == total_tokens
 

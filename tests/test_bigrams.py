@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from corpus_scope.bigrams import BigramGraph, count_bigrams, export_graph, threshold_graph
 from corpus_scope.errors import ConfigError
-from corpus_scope.text_pipeline import TokenSequence, as_token_array
+from corpus_scope.text_pipeline import encode_tokens
 
 
 def seqs(*token_lists):
-    return [TokenSequence(doc_id=f"d{i}", tokens=tuple(t)) for i, t in enumerate(token_lists)]
+    return encode_tokens([f"d{i}" for i in range(len(token_lists))], token_lists)
 
 
 # ---------------------------------------------------------------- counting
@@ -35,7 +35,7 @@ def test_count_bigrams_degenerate_documents():
     table = count_bigrams(seqs([], ["only"], ["x", "x"]))
     assert dict(table.pairs) == {("x", "x"): 1}
     assert table.total_bigrams == 1
-    assert count_bigrams([]).total_bigrams == 0
+    assert count_bigrams(seqs()).total_bigrams == 0
 
 
 def naive_count(token_lists):
@@ -63,7 +63,7 @@ def test_count_bigrams_matches_naive_oracle():
 
 def unique_reference(docs):
     """The table as ``np.unique`` gives it over each document's own pairs."""
-    tokens = as_token_array(seqs(*docs))
+    tokens = seqs(*docs)
     width = len(tokens.types)
     pairs = [tokens.codes[a:b].astype(np.int64) for a, b in
              zip(tokens.offsets[:-1].tolist(), tokens.offsets[1:].tolist())]
@@ -109,7 +109,7 @@ def test_threshold_graph_may_be_empty():
     graph = threshold_graph(count_bigrams(seqs(["a", "b"])), min_freq=10)
     assert graph.nodes == () and dict(graph.edges) == {}
     with pytest.raises(ConfigError):
-        threshold_graph(count_bigrams([]), min_freq=0)
+        threshold_graph(count_bigrams(seqs()), min_freq=0)
 
 
 def test_threshold_monotonicity():

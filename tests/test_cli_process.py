@@ -171,6 +171,29 @@ def test_a_process_without_a_compiler_runs_the_demo_on_the_python_twins(tmp_path
     assert written == pinned
 
 
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_what_standard_output_cannot_encode_is_printed_escaped(tmp_path, encoding):
+    # the byte 0xff of a file name reaches Python as the lone surrogate
+    # U+DCFF, which no strict encoder takes: a finished run still exits 0
+    stoplist = tmp_path / "stop\udcff.txt"
+    stoplist.write_text("the\n", encoding="utf-8")
+    env = child_env()
+    env["PYTHONIOENCODING"] = encoding
+    entry = "import sys; from corpus_scope.cli import main; sys.exit(main())"
+    cases = [(["run", "--stoplist", stoplist, "--iters", "2", "--burn-in", "0"],
+              tmp_path / "run", "[text] stoplist=file:stop\\udcff.txt", 12),
+             (["ingest"], tmp_path / "out\udcff", "[ingest] parsed 60", 1)]
+    for argv, out, note, files in cases:
+        proc = subprocess.run([sys.executable, "-c", entry, *argv, "--input", DEMO,
+                               "--out", out], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        printed = proc.stdout.decode(encoding).splitlines()
+        assert any(line.startswith(note) for line in printed), printed
+        escaped = str(out).encode(encoding, "backslashreplace").decode(encoding)
+        assert printed[-1].startswith(f"wrote {files} file(s) to {escaped}: ")
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM here")
 def test_stage_peak_rss_is_the_process_own_not_its_launcher():
     """ru_maxrss survives execve on Linux, so a child started by a parent

@@ -17,7 +17,7 @@ from corpus_scope.eda import (
     type_shares,
 )
 from corpus_scope.errors import ConfigError, InputError, InsufficientDataError
-from corpus_scope.text_pipeline import TokenSequence, build_dtm, build_vocabulary
+from corpus_scope.text_pipeline import build_dtm, build_vocabulary, encode_tokens
 
 
 def make_corpus(*docs):
@@ -219,10 +219,8 @@ def test_forecast_matches_fit_on_observed_years():
 
 
 def test_top_terms_ranking_and_cumulative_share():
-    vocab = build_vocabulary([
-        TokenSequence(doc_id="d0", tokens=("data", "data", "science")),
-        TokenSequence(doc_id="d1", tokens=("data", "mining")),
-    ])
+    vocab = build_vocabulary(encode_tokens(["d0", "d1"], [("data", "data", "science"),
+                                                          ("data", "mining")]))
     out = top_terms(vocab, k=2)
     assert out == [("data", 3, 0.6), ("mining", 1, 0.8)]
     everything = top_terms(vocab, k=99)
@@ -235,7 +233,7 @@ def test_top_terms_ranking_and_cumulative_share():
 
 
 def test_top_terms_breaks_frequency_ties_alphabetically():
-    sequences = [TokenSequence(doc_id="d0", tokens=("zeta", "alpha", "zeta", "alpha"))]
+    sequences = encode_tokens(["d0"], [("zeta", "alpha", "zeta", "alpha")])
     vocab = build_vocabulary(sequences)
     assert [t for t, _, _ in top_terms(vocab, 2)] == ["alpha", "zeta"]
 
@@ -262,7 +260,7 @@ def dtm_ranking(dtm, k):
 def test_top_terms_are_the_dtm_ranking(docs, cap, k):
     # few words in few documents make frequency ties common, the cap may
     # drop terms, and k may run past the vocabulary
-    sequences = [TokenSequence(doc_id=f"d{i}", tokens=tuple(t)) for i, t in enumerate(docs)]
+    sequences = encode_tokens([f"d{i}" for i in range(len(docs))], docs)
     vocab = build_vocabulary(sequences, cap)
     assert top_terms(vocab, k) == dtm_ranking(build_dtm(sequences, vocab), k)
 

@@ -32,7 +32,7 @@ from corpus_scope.lda import (
     render_model,
     top_words_per_topic,
 )
-from corpus_scope.text_pipeline import TokenSequence, build_vocabulary
+from corpus_scope.text_pipeline import build_vocabulary, encode_tokens
 
 
 def quick_config(**overrides):
@@ -146,13 +146,13 @@ def test_fit_lda_counts_match_assignments_exactly():
     n_wk = np.zeros((k, len(vocab)), dtype=np.int64)
     n_dk = np.zeros((len(sequences), k), dtype=np.int64)
     for d, (seq, labels) in enumerate(zip(sequences, per_document(model))):
-        assert len(seq.tokens) == len(labels)
-        for tok, z in zip(seq.tokens, labels):
+        assert len(seq) == len(labels)
+        for tok, z in zip(seq, labels):
             n_wk[z, vocab.index[tok]] += 1
             n_dk[d, z] += 1
     assert np.array_equal(model.topic_word_counts, n_wk)
     assert np.array_equal(model.doc_topic_counts, n_dk)
-    total = sum(len(s.tokens) for s in sequences)
+    total = sum(len(s) for s in sequences)
     assert int(model.topic_word_counts.sum()) == total
     assert int(model.doc_topic_counts.sum()) == total
 
@@ -164,11 +164,11 @@ def test_fit_lda_counts_match_assignments_around_dropped_documents():
     docs = [tuple(words[j] for j in rng.integers(0, 12, size=rng.integers(0, 6)))
             for _ in range(40)]
     docs[0], docs[5], docs[6], docs[-1] = ("w11",), (), ("w0",), ()
-    sequences = [TokenSequence(f"d{i:02d}", t) for i, t in enumerate(docs)]
+    sequences = encode_tokens([f"d{i:02d}" for i in range(len(docs))], docs)
     vocab = build_vocabulary(sequences, 9)
     model = fit_lda(sequences, vocab, quick_config(k=3, iterations=1, burn_in=0))
-    kept = [[vocab.index[t] for t in seq.tokens if t in vocab.index] for seq in sequences]
-    assert model.doc_ids == tuple(s.doc_id for s, ids in zip(sequences, kept) if ids)
+    kept = [[vocab.index[t] for t in seq if t in vocab.index] for seq in sequences]
+    assert model.doc_ids == tuple(i for i, ids in zip(sequences.doc_ids, kept) if ids)
     n_wk = np.zeros((3, len(vocab)), dtype=np.int64)
     n_dk = np.zeros((len(model.doc_ids), 3), dtype=np.int64)
     for d, (ids, topics) in enumerate(zip(filter(None, kept), per_document(model))):
@@ -224,7 +224,7 @@ def test_each_topic_of_a_short_chain_is_one_planted_topic(k):
 
 
 def test_fit_lda_single_topic_degenerates_to_frequencies():
-    sequences = [TokenSequence("a", ("x", "x", "y")), TokenSequence("b", ("y", "z"))]
+    sequences = encode_tokens(["a", "b"], [("x", "x", "y"), ("y", "z")])
     vocab = build_vocabulary(sequences)
     model = fit_lda(sequences, vocab, LdaConfig(k=1, beta=0.5, iterations=5, burn_in=1, seed=0))
     counts = np.array([vocab.frequencies[vocab.index[t]] for t in model.terms], dtype=float)
@@ -239,15 +239,14 @@ def test_fit_lda_strong_prior_flattens_theta():
 
 
 def test_fit_lda_drops_empty_documents(caplog):
-    sequences = [TokenSequence("a", ("x", "y")), TokenSequence("empty", ()),
-                 TokenSequence("c", ("y", "z"))]
+    sequences = encode_tokens(["a", "empty", "c"], [("x", "y"), (), ("y", "z")])
     vocab = build_vocabulary(sequences)
     with caplog.at_level(logging.WARNING, logger="corpus_scope.lda"):
         model = fit_lda(sequences, vocab, quick_config(iterations=10, burn_in=2))
     assert model.dropped_ids == ("empty",)
     assert model.doc_ids == ("a", "c")
     with pytest.raises(InputError, match="no document has in-vocabulary tokens"):
-        fit_lda([TokenSequence("e", ())], vocab, quick_config())
+        fit_lda(encode_tokens(["e"], [()]), vocab, quick_config())
 
 
 def test_lda_config_validation():
@@ -365,7 +364,8 @@ def backend_case(case):
     if case == "single_topic":
         config = quick_config(k=1)
     elif case == "empty_document":
-        sequences = [*sequences[:5], TokenSequence("empty", ()), *sequences[5:]]
+        ids, docs = sequences.doc_ids, list(sequences)
+        sequences = encode_tokens([*ids[:5], "empty", *ids[5:]], [*docs[:5], (), *docs[5:]])
         config = quick_config()
     elif case == "many_topics":
         # 10 terms x 50 topics: the sum over n_wk takes numpy's recursive branch
@@ -628,7 +628,8 @@ def test_render_model_count_sections_match_str_join():
 def test_render_model_writes_every_field_of_the_model():
     # the file is written, never read back, so every field must reach it
     sequences, _ = planted_corpus(np.random.default_rng(17), n_docs=20)
-    sequences += [TokenSequence("doc-empty", ()), TokenSequence("doc-void", ())]
+    sequences = encode_tokens([*sequences.doc_ids, "doc-empty", "doc-void"],
+                              [*sequences, (), ()])
     model = fit_lda(sequences, build_vocabulary(sequences),
                     quick_config(k=3, iterations=5, burn_in=1))
     assert model.dropped_ids == ("doc-empty", "doc-void")
@@ -654,8 +655,7 @@ def test_render_model_escapes_what_would_split_a_document_id():
     # separates dropped ids; each stays one line and one item
     sequences, _ = planted_corpus(np.random.default_rng(5), n_docs=4)
     kept = ("A\nB", "C", "D;E", "F\\n\r")
-    sequences = [TokenSequence(i, s.tokens) for i, s in zip(kept, sequences)]
-    sequences += [TokenSequence("G;H", ()), TokenSequence("I\\x3b\n", ())]
+    sequences = encode_tokens([*kept, "G;H", "I\\x3b\n"], [*sequences, (), ()])
     model = fit_lda(sequences, build_vocabulary(sequences),
                     quick_config(k=2, iterations=2, burn_in=0))
     assert model.doc_ids == kept and model.dropped_ids == ("G;H", "I\\x3b\n")

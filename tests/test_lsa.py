@@ -726,7 +726,7 @@ def test_the_first_k_minus_1_axes_separate_k_planted_topics(k):
     for seed in range(8):
         sequences, labels, _ = planted_topics(np.random.default_rng(seed), k)
         model = fit_ca(build_dtm(sequences, build_vocabulary(sequences)), dims=k - 1)
-        assert model.row_ids == tuple(s.doc_id for s in sequences)
+        assert model.row_ids == sequences.doc_ids
         coords = model.row_coords - model.row_coords.mean(axis=0)
         labels = np.array(labels)
         between = sum((labels == t).sum() * np.sum(coords[labels == t].mean(axis=0) ** 2)

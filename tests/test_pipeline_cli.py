@@ -1113,10 +1113,13 @@ FLAGS = {f.name: f.metadata["flag"] for f in fields(PipelineConfig)}
 def cli_cases(draw):
     """A small generated corpus (its file name and bytes), a command, its
     ``--from`` stage and the settings its flags set. The file name may hold
-    a byte that is not UTF-8, and a JSON Lines title an unpaired surrogate."""
+    a byte that is not UTF-8, and a JSON Lines title an unpaired surrogate.
+    One case in two is a ``run`` of two documents or more with
+    :func:`runnable_settings`, which most such corpora finish."""
+    runnable = draw(st.booleans())
     dated = draw(st.sampled_from(("all", "some", "none")))
     records, tokens = [], 0
-    for i in range(draw(st.integers(1, 6))):
+    for i in range(draw(st.integers(1 + runnable, 6))):
         title, abstract = (draw(st.lists(st.sampled_from(WORDS), max_size=n)) for n in (3, 8))
         tokens += len(title) + len(abstract)
         year = None
@@ -1149,6 +1152,8 @@ def cli_cases(draw):
         "iterations": st.integers(1, 2) | st.integers(sys.maxsize // 8 + 1, 10**20),
     }
     chosen = {key: draw(value) for key, value in optional.items() if draw(st.booleans())}
+    if runnable:
+        command, chosen = "run", runnable_settings(chosen)
     return name, data, command, from_stage, chosen
 
 
@@ -1237,14 +1242,22 @@ def data_files_without_provenance(out):
             for p in out.iterdir() if p.name != "run_report.json"}
 
 
-def runnable_flags(chosen):
-    """A case's settings as flags, less what empties or refuses most generated
-    corpora: the filters, the country, a zero threshold, over two topics,
-    other than two sweeps."""
+def runnable_settings(chosen):
+    """A case's settings less what empties or refuses most generated corpora:
+    the filters, the country, a zero threshold, over two topics, fewer than
+    two terms, other than two sweeps."""
     kept = {key: value for key, value in chosen.items()
             if key not in ("phrase", "year_min", "year_max", "country", "iterations")}
     kept["topics"] = min(kept.get("topics", 2), 2)
     kept["bigram_threshold"] = max(kept.get("bigram_threshold", 1), 1)
+    if "vocab_size" in kept:
+        kept["vocab_size"] = max(kept["vocab_size"], 2)
+    return kept
+
+
+def runnable_flags(chosen):
+    """:func:`runnable_settings` as flags, with two sweeps."""
+    kept = runnable_settings(chosen)
     return ["--iters", "2", "--burn-in", "0",
             *(arg for key, value in kept.items() for arg in (FLAGS[key], value))]
 

@@ -19,15 +19,14 @@ from corpus_scope.errors import ConfigError, InputError
 from corpus_scope.text_pipeline import (
     _TOKENIZE_CHUNK,
     TokenArray,
-    TokenSequence,
     _chunks,
-    as_token_array,
     build_dtm,
     build_sequences,
     build_vocabulary,
     csv_field,
     csv_table,
     default_stoplist,
+    encode_tokens,
     export_dtm_index,
     export_matrixmarket,
     line_chunks,
@@ -39,7 +38,7 @@ from corpus_scope.text_pipeline import (
 
 
 def seqs(*token_lists):
-    return [TokenSequence(doc_id=f"d{i}", tokens=tuple(t)) for i, t in enumerate(token_lists)]
+    return encode_tokens([f"d{i}" for i in range(len(token_lists))], token_lists)
 
 
 # ---------------------------------------------------------------- tokenize
@@ -118,15 +117,15 @@ def test_build_sequences_joins_fields_and_applies_stoplist():
         Document(id="B", title="Empty abstract"),
     )
     out = build_sequences(corpus, frozenset({"the", "of"}))
-    assert [s.doc_id for s in out] == ["A", "B"]
-    assert out[0].tokens == ("data", "data", "mining", "data", "science", "cloud")
-    assert out[1].tokens == ("empty", "abstract")
+    assert out.doc_ids == ("A", "B")
+    assert out[0] == ("data", "data", "mining", "data", "science", "cloud")
+    assert out[1] == ("empty", "abstract")
 
 
 def test_build_sequences_field_selection():
     corpus = make_corpus(Document(id="A", title="alpha", abstract="beta", keywords=("gamma",)))
     only_title = build_sequences(corpus, frozenset(), fields=("title",))
-    assert only_title[0].tokens == ("alpha",)
+    assert only_title[0] == ("alpha",)
     with pytest.raises(InputError, match="unknown text field: 'body'"):
         build_sequences(corpus, frozenset(), fields=("title", "body"))
 
@@ -150,7 +149,7 @@ def check_encoding(texts):
     corpus = make_corpus(*(Document(id=f"d{i:02d}", title=t) for i, t in enumerate(texts)))
     tokens = build_sequences(corpus, stop, fields=("title",))
     expected = [remove_stopwords(tokenize(t), stop) for t in texts]
-    assert [list(s.tokens) for s in tokens] == expected
+    assert [list(s) for s in tokens] == expected
     assert tokens.doc_ids == tuple(f"d{i:02d}" for i in range(len(texts)))
     assert list(tokens.types) == sorted({t for doc in expected for t in doc})
     assert tokens.offsets.tolist() == np.cumsum([0, *map(len, expected)]).tolist()
@@ -274,7 +273,7 @@ _TYPE_CODE = st.integers(0, 2999) | st.integers(0, 9)
                 min_size=1, max_size=8),
        st.integers(1, 3000), st.booleans())
 def test_build_dtm_matches_its_python_twin(docs, cap, own_vocab):
-    tokens = as_token_array(seqs(*([_TYPES[c] for c in doc] for doc in docs)))
+    tokens = seqs(*([_TYPES[c] for c in doc] for doc in docs))
     if own_vocab and tokens.codes.size:
         vocab = build_vocabulary(tokens, cap)
     else:
@@ -291,16 +290,15 @@ def test_build_dtm_matches_its_python_twin(docs, cap, own_vocab):
     assert native.shape == python.shape
 
 
-def test_token_array_decodes_and_passes_through():
-    sequences = seqs(["b", "a"], [], ["c", "b", "b"])
-    tokens = as_token_array(sequences)
+def test_encode_tokens_codes_in_term_order_and_decodes_each_document():
+    tokens = seqs(["b", "a"], [], ["c", "b", "b"])
+    assert tokens.doc_ids == ("d0", "d1", "d2")
     assert tokens.types == ("a", "b", "c")
     assert tokens.codes.tolist() == [1, 0, 2, 1, 1]
     assert tokens.offsets.tolist() == [0, 2, 2, 5]
     assert tokens.doc_index().tolist() == [0, 0, 2, 2, 2]
-    assert list(tokens) == sequences
-    assert tokens[-1] == sequences[2]
-    assert as_token_array(tokens) is tokens
+    assert list(tokens) == [("b", "a"), (), ("c", "b", "b")]
+    assert tokens[-1] == ("c", "b", "b")
     with pytest.raises(IndexError):
         tokens[3]
 
@@ -329,16 +327,16 @@ def test_taking_rows_equals_encoding_those_documents_alone(backend, texts, data)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
 
 
-def test_encoded_path_writes_the_same_bytes_as_token_sequences(mini_corpus):
-    """dtm.mtx and bigrams_edges.csv from the token array and from per-document
-    TokenSequence objects built with tokenize and remove_stopwords."""
+def test_encoded_path_writes_the_same_bytes_as_token_lists(mini_corpus):
+    """dtm.mtx and bigrams_edges.csv from build_sequences' token array and
+    from per-document token lists built with tokenize and remove_stopwords."""
     stop = default_stoplist()
     encoded = build_sequences(mini_corpus, stop)
-    by_hand = [
-        TokenSequence(d.id, tuple(remove_stopwords(tokenize(" ".join(
-            p for p in (d.title, d.abstract, *d.keywords) if p)), stop)))
+    by_hand = encode_tokens([d.id for d in mini_corpus], [
+        remove_stopwords(tokenize(" ".join(p for p in (d.title, d.abstract, *d.keywords) if p)),
+                         stop)
         for d in mini_corpus
-    ]
+    ])
 
     def digests(sequences):
         dtm = build_dtm(sequences, build_vocabulary(sequences, p=40))
